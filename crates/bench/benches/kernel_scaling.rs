@@ -266,17 +266,16 @@ fn bench_pcnn_infer_allocs(sink: &mut MetricSink) {
         entity_embedding: None,
         entity_types: &fx.types,
     };
-    let bags = [&fx.bag];
     let pool1 = ThreadPool::new(1);
     with_pool(&pool1, || {
         let mut arena = imre_tensor::BufferPool::new();
         for _ in 0..3 {
-            std::hint::black_box(fx.model.predict_batch_pooled(&bags, &ctx, &mut arena));
+            std::hint::black_box(fx.model.predict_pooled(&fx.bag, &ctx, &mut arena, None));
         }
         const PASSES: usize = 100;
         let before = arena.stats();
         for _ in 0..PASSES {
-            std::hint::black_box(fx.model.predict_batch_pooled(&bags, &ctx, &mut arena));
+            std::hint::black_box(fx.model.predict_pooled(&fx.bag, &ctx, &mut arena, None));
         }
         let d = arena.stats().since(&before);
         let allocs = d.misses as f64 / PASSES as f64;

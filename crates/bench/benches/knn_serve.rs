@@ -98,8 +98,6 @@ fn engine() -> ServeHandle {
         Arc::clone(&fixture().registry),
         EngineConfig {
             workers: 1,
-            batch_max: 8,
-            batch_deadline: Duration::from_millis(1),
             queue_capacity: 2 * BURST,
             default_deadline_ms: None,
             ..EngineConfig::default()
@@ -155,7 +153,7 @@ fn bench_neighbor_count(c: &mut Criterion) {
 /// `IMRE_BENCH_JSON` set, everything is written as flat JSON for the
 /// `scripts/bench_check.sh` regression gate.
 fn print_summary() {
-    println!("\n=== knn_serve summary (burst = {BURST}, workers = 1, batch_max = 8) ===");
+    println!("\n=== knn_serve summary (burst = {BURST}, workers = 1) ===");
     let mut sink = imre_bench::MetricSink::new();
     sink.record("info_knn_index_build_ms", fixture().index_build_ms);
     sink.record("info_knn_index_bytes", fixture().index_bytes as f64);

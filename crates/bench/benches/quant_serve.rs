@@ -137,8 +137,6 @@ fn engine(precision: Precision) -> ServeHandle {
         Arc::clone(&fixture().registry),
         EngineConfig {
             workers: 1,
-            batch_max: 8,
-            batch_deadline: Duration::from_millis(1),
             queue_capacity: 2 * BURST,
             default_deadline_ms: None,
             precision,
@@ -214,7 +212,7 @@ fn bench_precision(c: &mut Criterion) {
 /// set, everything is written as flat JSON for the `scripts/bench_check.sh`
 /// regression gate.
 fn print_summary() {
-    println!("\n=== quant_serve summary (burst = {BURST}, workers = 1, batch_max = 8) ===");
+    println!("\n=== quant_serve summary (burst = {BURST}, workers = 1) ===");
     let mut sink = imre_bench::MetricSink::new();
 
     // Throughput: int8 must hold parity with (in practice: beat) f32.

@@ -1,12 +1,9 @@
 //! Serving-engine saturation throughput: requests/sec as a function of the
-//! micro-batch bound and worker count.
+//! worker count.
 //!
 //! The benchmark trains one smoke-scale PA-TMR model, freezes it into a
 //! [`imre_serve::Bundle`], and then pushes saturation bursts through the
-//! engine. On a single core the win from `batch_max > 1` comes from
-//! amortization, not parallelism: one scheduler wakeup, one registry
-//! resolution, and one reused inference tape per *batch* instead of per
-//! *request*.
+//! engine.
 //!
 //! After the timed groups it prints a requests/sec summary and the engine's
 //! per-stage latency histogram dump (queue wait / featurize / forward).
@@ -21,8 +18,7 @@ use imre_serve::{EngineConfig, InferRequest, Registry, ServeHandle, ServingModel
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Requests per saturation burst. Larger than any `batch_max` under test so
-/// the coalescing window always fills.
+/// Requests per saturation burst.
 const BURST: usize = 64;
 
 struct Fixture {
@@ -75,13 +71,11 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-fn engine(workers: usize, batch_max: usize) -> ServeHandle {
+fn engine(workers: usize) -> ServeHandle {
     ServeHandle::start(
         Arc::clone(&fixture().registry),
         EngineConfig {
             workers,
-            batch_max,
-            batch_deadline: Duration::from_millis(1),
             queue_capacity: 2 * BURST,
             default_deadline_ms: None,
             ..EngineConfig::default()
@@ -104,26 +98,10 @@ fn burst(handle: &ServeHandle) -> usize {
     n
 }
 
-fn bench_batch_bound(c: &mut Criterion) {
-    let mut group = c.benchmark_group("serve_throughput/batch");
-    for &batch_max in &[1usize, 4, 8, 16] {
-        let handle = engine(1, batch_max);
-        group.bench_with_input(
-            BenchmarkId::new("burst64/batch", batch_max),
-            &batch_max,
-            |b, _| {
-                b.iter(|| std::hint::black_box(burst(&handle)));
-            },
-        );
-        handle.shutdown();
-    }
-    group.finish();
-}
-
 fn bench_worker_count(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve_throughput/workers");
     for &workers in &[1usize, 2, 4] {
-        let handle = engine(workers, 8);
+        let handle = engine(workers);
         group.bench_with_input(
             BenchmarkId::new("burst64/workers", workers),
             &workers,
@@ -136,106 +114,81 @@ fn bench_worker_count(c: &mut Criterion) {
     group.finish();
 }
 
-/// Non-criterion summary: measured requests/sec per batch bound, plus the
-/// per-stage histogram dump from a fresh engine after one sustained run.
-/// With `IMRE_BENCH_JSON` set, the req/s numbers are also written as flat
-/// JSON for the `scripts/bench_check.sh` regression gate.
+/// Non-criterion summary: measured requests/sec on one worker, plus the
+/// per-stage histogram dump after the sustained run. With `IMRE_BENCH_JSON`
+/// set, the req/s number is also written as flat JSON for the
+/// `scripts/bench_check.sh` regression gate.
 fn print_summary() {
     println!("\n=== serve_throughput summary (burst = {BURST}, workers = 1) ===");
     let mut sink = imre_bench::MetricSink::new();
-    let mut rps_b1 = 0.0f64;
-    for &batch_max in &[1usize, 8] {
-        let handle = engine(1, batch_max);
-        burst(&handle); // warm up
-        burst(&handle);
-        // Warm-up boundary for the steady-state alloc metric: the two bursts
-        // above pushed every distinct request shape through the worker's
-        // arena, so from here on the pool-miss counter must not move.
-        let alloc_before = {
-            let m = handle.metrics();
-            let o = std::sync::atomic::Ordering::Relaxed;
-            (
-                m.pool_misses.load(o),
-                m.pool_hits.load(o),
-                m.pool_bytes_recycled.load(o),
-            )
-        };
-        // Best sample mean (same statistic criterion uses): each sample
-        // averages several bursts, which is stabler than a single-burst min.
-        let (samples, bursts_per_sample) = (5, 8);
-        let mut best = Duration::MAX;
-        let mut served = 0;
-        for _ in 0..samples {
-            let start = Instant::now();
-            for _ in 0..bursts_per_sample {
-                served += burst(&handle);
-            }
-            best = best.min(start.elapsed() / bursts_per_sample);
+    let handle = engine(1);
+    burst(&handle); // warm up
+    burst(&handle);
+    // Warm-up boundary for the steady-state alloc metric: the two bursts
+    // above pushed every distinct request shape through the worker's
+    // arena, so from here on the pool-miss counter must not move.
+    let o = std::sync::atomic::Ordering::Relaxed;
+    let m = handle.metrics();
+    let alloc_before = (
+        m.pool_misses.load(o),
+        m.pool_hits.load(o),
+        m.pool_bytes_recycled.load(o),
+    );
+    // Best sample mean (same statistic criterion uses): each sample
+    // averages several bursts, which is stabler than a single-burst min.
+    let (samples, bursts_per_sample) = (5, 8);
+    let mut best = Duration::MAX;
+    let mut served = 0;
+    for _ in 0..samples {
+        let start = Instant::now();
+        for _ in 0..bursts_per_sample {
+            served += burst(&handle);
         }
-        let rps = BURST as f64 / best.as_secs_f64();
-        sink.record(&format!("serve_rps_batch{batch_max}"), rps);
-        if batch_max == 1 {
-            rps_b1 = rps;
-        }
-        let speedup = if batch_max == 1 {
-            String::new()
-        } else {
-            sink.record(
-                &format!("info_serve_speedup_batch{batch_max}"),
-                rps / rps_b1,
-            );
-            format!("  ({:.2}x vs batch=1)", rps / rps_b1)
-        };
-        println!("batch_max={batch_max:>2}  {rps:>9.1} req/s{speedup}");
-        if batch_max == 8 {
-            println!(
-                "\n--- engine stats after {} requests ---",
-                served + 2 * BURST
-            );
-            println!("{}", handle.stats_text());
-            // Lifecycle counters ride along as informational keys so the
-            // regression gate's artifact records whether the run shed work
-            // (it never should at this queue depth — both stay 0).
-            let m = handle.metrics();
-            sink.record(
-                "info_serve_deadline_expired",
-                m.deadline_expired
-                    .load(std::sync::atomic::Ordering::Relaxed) as f64,
-            );
-            sink.record(
-                "info_serve_shed",
-                m.shed.load(std::sync::atomic::Ordering::Relaxed) as f64,
-            );
-            // Steady-state allocation budget: fresh buffer allocations per
-            // request across the timed window. Gated lower-is-better
-            // against a committed baseline of exactly 0.
-            let o = std::sync::atomic::Ordering::Relaxed;
-            let steady_misses = m.pool_misses.load(o) - alloc_before.0;
-            let steady_hits = m.pool_hits.load(o) - alloc_before.1;
-            let steady_bytes = m.pool_bytes_recycled.load(o) - alloc_before.2;
-            let allocs_per_request = steady_misses as f64 / served as f64;
-            sink.record("serve_allocs_per_request_steady", allocs_per_request);
-            sink.record(
-                "info_serve_pool_hits_per_request",
-                steady_hits as f64 / served as f64,
-            );
-            sink.record(
-                "info_serve_bytes_recycled_per_request",
-                steady_bytes as f64 / served as f64,
-            );
-            println!(
-                "steady-state alloc telemetry: {allocs_per_request:.4} allocs/req, \
-                 {:.1} pool hits/req, {:.0} bytes recycled/req over {served} requests",
-                steady_hits as f64 / served as f64,
-                steady_bytes as f64 / served as f64,
-            );
-        }
-        handle.shutdown();
+        best = best.min(start.elapsed() / bursts_per_sample);
     }
+    let rps = BURST as f64 / best.as_secs_f64();
+    sink.record("serve_rps", rps);
+    println!("{rps:>9.1} req/s");
+    println!(
+        "\n--- engine stats after {} requests ---",
+        served + 2 * BURST
+    );
+    println!("{}", handle.stats_text());
+    // Lifecycle counters ride along as informational keys so the
+    // regression gate's artifact records whether the run shed work
+    // (it never should at this queue depth — both stay 0).
+    sink.record(
+        "info_serve_deadline_expired",
+        m.deadline_expired.load(o) as f64,
+    );
+    sink.record("info_serve_shed", m.shed.load(o) as f64);
+    // Steady-state allocation budget: fresh buffer allocations per
+    // request across the timed window. Gated lower-is-better
+    // against a committed baseline of exactly 0.
+    let steady_misses = m.pool_misses.load(o) - alloc_before.0;
+    let steady_hits = m.pool_hits.load(o) - alloc_before.1;
+    let steady_bytes = m.pool_bytes_recycled.load(o) - alloc_before.2;
+    let allocs_per_request = steady_misses as f64 / served as f64;
+    sink.record("serve_allocs_per_request_steady", allocs_per_request);
+    sink.record(
+        "info_serve_pool_hits_per_request",
+        steady_hits as f64 / served as f64,
+    );
+    sink.record(
+        "info_serve_bytes_recycled_per_request",
+        steady_bytes as f64 / served as f64,
+    );
+    println!(
+        "steady-state alloc telemetry: {allocs_per_request:.4} allocs/req, \
+         {:.1} pool hits/req, {:.0} bytes recycled/req over {served} requests",
+        steady_hits as f64 / served as f64,
+        steady_bytes as f64 / served as f64,
+    );
+    handle.shutdown();
     sink.write_if_requested();
 }
 
-criterion_group!(benches, bench_batch_bound, bench_worker_count);
+criterion_group!(benches, bench_worker_count);
 
 fn main() {
     // Pin the compute pool to one thread before any tensor op initialises

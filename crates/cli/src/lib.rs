@@ -63,7 +63,7 @@ USAGE:
                   (default 2, the offline builder's)
                   [--stream-publish-out FILE]   also persist each published
                   bundle (atomic tmp + rename)
-                  [--batch N] [--deadline-ms N] [--queue N]
+                  [--queue N]
                   [--request-deadline-ms N]   default per-request time budget:
                   requests still queued after N ms are shed with
                   deadline-exceeded instead of running (0 = never, default)
@@ -460,6 +460,16 @@ fn cmd_quantize(flags: &Flags) -> Result<(), CliError> {
 }
 
 fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
+    // `Flags` ignores keys nobody reads, so a command line written for the
+    // removed micro-batcher would otherwise start up as a silent no-op.
+    for retired in ["batch", "deadline-ms"] {
+        if flags.optional(retired).is_some() {
+            return Err(usage(format!(
+                "--{retired} was removed: workers take one request per dequeue, \
+                 there is no batch window to size; drop the flag"
+            )));
+        }
+    }
     let bundle_path = PathBuf::from(flags.required("bundle")?);
     let name = flags.optional("name").unwrap_or("default");
     let addr = flags.optional("addr").unwrap_or("127.0.0.1:7878");
@@ -477,8 +487,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
         .map_err(|e: String| usage(format!("--precision: {e}")))?;
     let config = imre_serve::EngineConfig {
         workers: flags.number("workers", 2usize)?.max(1),
-        batch_max: flags.number("batch", 8usize)?.max(1),
-        batch_deadline: std::time::Duration::from_millis(flags.number("deadline-ms", 2u64)?),
         queue_capacity: flags.number("queue", 256usize)?.max(1),
         default_deadline_ms: (request_deadline_ms > 0).then_some(request_deadline_ms),
         knn_k: flags.number("knn-k", 0usize)?,
@@ -532,10 +540,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
         bound.port()
     );
     println!(
-        "workers={} batch_max={} deadline={:?} queue={} request_deadline_ms={} knn_k={} knn_lambda={}",
+        "workers={} queue={} request_deadline_ms={} knn_k={} knn_lambda={}",
         config.workers,
-        config.batch_max,
-        config.batch_deadline,
         config.queue_capacity,
         match config.default_deadline_ms {
             Some(ms) => ms.to_string(),
@@ -802,10 +808,6 @@ mod tests {
             "127.0.0.1:0",
             "--workers",
             "4",
-            "--batch",
-            "16",
-            "--deadline-ms",
-            "5",
             "--queue",
             "512",
             "--request-deadline-ms",
@@ -822,8 +824,6 @@ mod tests {
         assert_eq!(f.optional("name"), Some("prod"));
         assert_eq!(f.optional("addr"), Some("127.0.0.1:0"));
         assert_eq!(f.number("workers", 2usize).unwrap(), 4);
-        assert_eq!(f.number("batch", 8usize).unwrap(), 16);
-        assert_eq!(f.number("deadline-ms", 2u64).unwrap(), 5);
         assert_eq!(f.number("queue", 256usize).unwrap(), 512);
         assert_eq!(f.number("request-deadline-ms", 0u64).unwrap(), 250);
         assert_eq!(f.number("max-connections", 1024usize).unwrap(), 2048);
@@ -836,6 +836,18 @@ mod tests {
         match run(&s(&["serve", "--bundle", "m.imrb", "--frontend", "uring"])) {
             Err(CliError::Usage(msg)) => assert!(msg.contains("frontend"), "{msg}"),
             other => panic!("expected usage error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn serve_rejects_retired_batch_flags() {
+        for retired in ["--batch", "--deadline-ms"] {
+            match run(&s(&["serve", "--bundle", "m.imrb", retired, "8"])) {
+                Err(CliError::Usage(msg)) => {
+                    assert!(msg.contains(retired) && msg.contains("removed"), "{msg}")
+                }
+                other => panic!("expected usage error for {retired}, got {other:?}"),
+            }
         }
     }
 

@@ -474,29 +474,53 @@ impl ReModel {
     /// vector through the combiner with the side confidences.
     pub fn predict(&self, bag: &PreparedBag, ctx: &BagContext) -> Vec<f32> {
         let mut tape = Tape::inference(&self.store);
-        self.predict_into(&mut tape, bag, ctx)
+        self.forward(&mut tape, bag, ctx, None)
     }
 
-    /// [`ReModel::predict`] onto a caller-supplied tape. The serving engine
-    /// uses this to run a whole micro-batch on one tape (see
-    /// [`ReModel::predict_batch`]); the tape should be an inference tape and
-    /// is left holding the last bag's graph — call [`Tape::reset`] between
-    /// bags.
-    pub fn predict_into<'a>(
+    /// [`ReModel::predict`] served from a caller-owned buffer arena — the
+    /// f32 twin of [`crate::QuantModel::predict_quant_into`]. The serving
+    /// engine passes each worker's arena: after the first requests warm it,
+    /// a forward pass performs zero tensor allocations
+    /// (`pool.stats().misses` stops growing). When `repr` is given it
+    /// receives the bag's pooled representation (length
+    /// [`ReModel::sent_dim`], the serve-time kNN query) from the same
+    /// stacked sentence matrix — one encoder pass serves both outputs, and
+    /// the scores are bit-identical to [`ReModel::predict`] either way
+    /// (pooled buffers are re-zeroed on alloc).
+    pub fn predict_pooled(
+        &self,
+        bag: &PreparedBag,
+        ctx: &BagContext,
+        pool: &mut BufferPool,
+        repr: Option<&mut [f32]>,
+    ) -> Vec<f32> {
+        let mut tape = Tape::inference_with_pool(&self.store, std::mem::take(pool));
+        let scores = self.forward(&mut tape, bag, ctx, repr);
+        *pool = tape.into_pool();
+        scores
+    }
+
+    /// The eval-mode forward pass behind [`ReModel::predict`] and
+    /// [`ReModel::predict_pooled`]: encode, optionally export the pooled
+    /// representation, score.
+    fn forward<'a>(
         &'a self,
         tape: &mut Tape<'a>,
         bag: &PreparedBag,
         ctx: &BagContext,
+        repr: Option<&mut [f32]>,
     ) -> Vec<f32> {
         let mut rng = TensorRng::seed(0); // eval mode: dropout disabled, rng unused
         let xs = self.bag_matrix(tape, bag, false, &mut rng);
+        if let Some(out) = repr {
+            self.repr_from_matrix(tape, xs, out);
+        }
         self.scores_from_matrix(tape, xs, bag, ctx)
     }
 
-    /// Scores a bag given its already-stacked sentence matrix — the shared
-    /// tail of [`ReModel::predict_into`] and
-    /// [`ReModel::predict_with_repr_into`], so the encoder runs exactly
-    /// once per bag whether or not a representation is exported.
+    /// Scores a bag given its already-stacked sentence matrix, so the
+    /// encoder runs exactly once per bag whether or not a representation is
+    /// exported.
     fn scores_from_matrix<'a>(
         &'a self,
         tape: &mut Tape<'a>,
@@ -542,69 +566,6 @@ impl ReModel {
         }
     }
 
-    /// Predicts a whole micro-batch of bags on one reused inference tape.
-    /// Produces exactly the same scores as calling [`ReModel::predict`] per
-    /// bag (each bag's graph is independent; the tape is reset in between),
-    /// but amortizes tape allocation across the batch.
-    ///
-    /// With a multi-thread compute pool the bags run in parallel, one
-    /// inference tape per bag writing its own output slot — bag-level
-    /// parallelism for the serving engine's batched forward. Scores are
-    /// bit-identical either way: each bag's graph is evaluated by exactly
-    /// one thread with the same kernel code.
-    pub fn predict_batch(&self, bags: &[&PreparedBag], ctx: &BagContext) -> Vec<Vec<f32>> {
-        let mut pool = BufferPool::new();
-        self.predict_batch_pooled(bags, ctx, &mut pool)
-    }
-
-    /// [`ReModel::predict_batch`] served from a caller-owned buffer arena.
-    ///
-    /// The serving engine holds one arena per worker and passes it to every
-    /// batch: after the first batch warms the pool, steady-state forward
-    /// passes perform zero tensor allocations (`pool.stats().misses` stops
-    /// growing). On a multi-thread compute pool each task runs on its
-    /// worker thread's own stash ([`bufpool::with_local`]) — buffers never
-    /// cross threads — and the stash activity is folded into `pool`'s
-    /// counters so the caller sees the whole batch's allocator pressure.
-    /// Scores are bit-identical to [`ReModel::predict_batch`]: pooled
-    /// buffers are re-zeroed on alloc, and batch partitioning never changes
-    /// per-bag kernel order.
-    pub fn predict_batch_pooled(
-        &self,
-        bags: &[&PreparedBag],
-        ctx: &BagContext,
-        pool: &mut BufferPool,
-    ) -> Vec<Vec<f32>> {
-        if imre_tensor::pool::current_threads() <= 1 || bags.len() <= 1 {
-            let mut tape = Tape::inference_with_pool(&self.store, std::mem::take(pool));
-            let scores = bags
-                .iter()
-                .map(|bag| {
-                    tape.reset();
-                    self.predict_into(&mut tape, bag, ctx)
-                })
-                .collect();
-            *pool = tape.into_pool();
-            return scores;
-        }
-        let results = imre_tensor::pool::par_map(bags.len(), |i| {
-            bufpool::with_local(|stash| {
-                let before = stash.stats();
-                let mut tape = Tape::inference_with_pool(&self.store, std::mem::take(stash));
-                let scores = self.predict_into(&mut tape, bags[i], ctx);
-                *stash = tape.into_pool();
-                (scores, stash.stats().since(&before))
-            })
-        });
-        results
-            .into_iter()
-            .map(|(scores, delta)| {
-                pool.absorb_stats(&delta);
-                scores
-            })
-            .collect()
-    }
-
     /// Writes the pooled bag representation for stacked sentence encodings
     /// `xs` into `out`. This is the **single** pooling code path behind
     /// every representation consumer — training-time index export,
@@ -642,10 +603,11 @@ impl ReModel {
     }
 
     /// Pooled bag representations for a batch, parallelized over the
-    /// compute pool exactly like [`ReModel::predict_batch_pooled`] (each
-    /// bag's encodings are computed by one thread in a fixed kernel order,
-    /// so results are bit-identical across `--threads`). Used to export
-    /// the training-bag matrix the ANN index is built over.
+    /// compute pool — the one bag-parallel inference path (each bag's
+    /// encodings are computed by one thread in a fixed kernel order on that
+    /// thread's own [`bufpool::with_local`] stash, so results are
+    /// bit-identical across `--threads`). Used to export the training-bag
+    /// matrix the ANN index is built over.
     pub fn predict_repr_batch(&self, bags: &[&PreparedBag]) -> Vec<Vec<f32>> {
         if imre_tensor::pool::current_threads() <= 1 || bags.len() <= 1 {
             let mut tape = Tape::inference(&self.store);
@@ -668,78 +630,6 @@ impl ReModel {
                 out
             })
         })
-    }
-
-    /// [`ReModel::predict_into`] that additionally exports the bag's pooled
-    /// representation (for the serve-time kNN query) from the same stacked
-    /// sentence matrix — one encoder pass serves both outputs.
-    pub fn predict_with_repr_into<'a>(
-        &'a self,
-        tape: &mut Tape<'a>,
-        bag: &PreparedBag,
-        ctx: &BagContext,
-        repr_out: &mut [f32],
-    ) -> Vec<f32> {
-        let mut rng = TensorRng::seed(0); // eval mode: dropout disabled, rng unused
-        let xs = self.bag_matrix(tape, bag, false, &mut rng);
-        self.repr_from_matrix(tape, xs, repr_out);
-        self.scores_from_matrix(tape, xs, bag, ctx)
-    }
-
-    /// [`ReModel::predict_batch_pooled`] where each bag may additionally
-    /// export its pooled representation (`wants_repr[i]`). Bags that do not
-    /// want a representation run the exact same code as
-    /// [`ReModel::predict_batch_pooled`] — their scores stay bit-identical
-    /// whether or not neighbors in the batch export representations.
-    pub fn predict_batch_pooled_with_repr(
-        &self,
-        bags: &[&PreparedBag],
-        ctx: &BagContext,
-        pool: &mut BufferPool,
-        wants_repr: &[bool],
-    ) -> Vec<(Vec<f32>, Option<Vec<f32>>)> {
-        debug_assert_eq!(bags.len(), wants_repr.len());
-        if imre_tensor::pool::current_threads() <= 1 || bags.len() <= 1 {
-            let mut tape = Tape::inference_with_pool(&self.store, std::mem::take(pool));
-            let out = bags
-                .iter()
-                .zip(wants_repr)
-                .map(|(bag, &wants)| {
-                    tape.reset();
-                    if wants {
-                        let mut repr = vec![0.0; self.sent_dim()];
-                        let scores = self.predict_with_repr_into(&mut tape, bag, ctx, &mut repr);
-                        (scores, Some(repr))
-                    } else {
-                        (self.predict_into(&mut tape, bag, ctx), None)
-                    }
-                })
-                .collect();
-            *pool = tape.into_pool();
-            return out;
-        }
-        let results = imre_tensor::pool::par_map(bags.len(), |i| {
-            bufpool::with_local(|stash| {
-                let before = stash.stats();
-                let mut tape = Tape::inference_with_pool(&self.store, std::mem::take(stash));
-                let item = if wants_repr[i] {
-                    let mut repr = vec![0.0; self.sent_dim()];
-                    let scores = self.predict_with_repr_into(&mut tape, bags[i], ctx, &mut repr);
-                    (scores, Some(repr))
-                } else {
-                    (self.predict_into(&mut tape, bags[i], ctx), None)
-                };
-                *stash = tape.into_pool();
-                (item, stash.stats().since(&before))
-            })
-        });
-        results
-            .into_iter()
-            .map(|(item, delta)| {
-                pool.absorb_stats(&delta);
-                item
-            })
-            .collect()
     }
 
     /// Predicts and returns `(relation, score)` pairs sorted by descending
@@ -900,15 +790,16 @@ mod tests {
         assert_eq!(batch[1], model.predict_repr(&b));
 
         let mut pool = BufferPool::new();
-        let out = model.predict_batch_pooled_with_repr(&[&a, &b], &ctx, &mut pool, &[true, false]);
-        assert_eq!(out[0].1.as_deref(), Some(&repr[..]));
-        assert_eq!(out[1].1, None);
+        let mut exported = vec![0.0; model.sent_dim()];
+        let with_repr = model.predict_pooled(&a, &ctx, &mut pool, Some(&mut exported));
+        assert_eq!(exported, repr);
 
-        // Exporting a repr must not perturb the scores, and bags that skip
-        // the export must match plain predict exactly.
+        // Exporting a repr must not perturb the scores, and a pooled pass
+        // that skips the export must match plain predict exactly.
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&out[0].0), bits(&model.predict(&a, &ctx)));
-        assert_eq!(bits(&out[1].0), bits(&model.predict(&b, &ctx)));
+        assert_eq!(bits(&with_repr), bits(&model.predict(&a, &ctx)));
+        let without = model.predict_pooled(&b, &ctx, &mut pool, None);
+        assert_eq!(bits(&without), bits(&model.predict(&b, &ctx)));
     }
 
     #[test]

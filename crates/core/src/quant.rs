@@ -344,8 +344,8 @@ impl QuantModel {
 }
 
 /// Capacity-retaining workspace of the quantized forward. One per serving
-/// worker (or thread-local under bag-level parallelism); after the first
-/// bag warms the capacities, further passes allocate nothing.
+/// worker; after the first bag warms the capacities, further passes
+/// allocate nothing.
 #[derive(Default)]
 pub struct QuantScratch {
     emb: Vec<f32>,
@@ -396,13 +396,6 @@ fn softmax_in_place(xs: &mut [f32]) {
     for x in xs.iter_mut() {
         *x /= z;
     }
-}
-
-thread_local! {
-    /// Per-thread scratch for bag-level parallel quantized batches,
-    /// mirroring `bufpool::with_local` for the f32 arena.
-    static LOCAL_SCRATCH: std::cell::RefCell<QuantScratch> =
-        std::cell::RefCell::new(QuantScratch::new());
 }
 
 impl QuantModel {
@@ -661,53 +654,6 @@ impl QuantModel {
         softmax_in_place(logits);
         out.copy_from_slice(logits);
     }
-
-    /// Quantized [`ReModel::predict_batch_pooled`]: scores a micro-batch,
-    /// optionally exporting each bag's pooled representation.
-    ///
-    /// Single-threaded (or single-bag) batches run on the caller's
-    /// `scratch`; with a multi-thread compute pool, bags run in parallel on
-    /// per-thread scratches (results are identical — each bag is evaluated
-    /// by exactly one thread with the same kernel order either way).
-    pub fn predict_batch_quant_with_repr(
-        &self,
-        bags: &[&PreparedBag],
-        entity_types: &[Vec<usize>],
-        scratch: &mut QuantScratch,
-        wants_repr: &[bool],
-    ) -> Vec<(Vec<f32>, Option<Vec<f32>>)> {
-        assert_eq!(bags.len(), wants_repr.len());
-        let run_one = |bag: &PreparedBag, want: bool, scratch: &mut QuantScratch| {
-            let mut scores = vec![0.0f32; self.num_relations];
-            let mut repr = want.then(|| vec![0.0f32; self.sent_dim()]);
-            self.predict_quant_into(bag, entity_types, scratch, &mut scores, repr.as_deref_mut());
-            (scores, repr)
-        };
-        if imre_tensor::pool::current_threads() <= 1 || bags.len() <= 1 {
-            return bags
-                .iter()
-                .zip(wants_repr)
-                .map(|(bag, &want)| run_one(bag, want, scratch))
-                .collect();
-        }
-        imre_tensor::pool::par_map(bags.len(), |i| {
-            LOCAL_SCRATCH.with(|s| run_one(bags[i], wants_repr[i], &mut s.borrow_mut()))
-        })
-    }
-
-    /// Quantized batch scoring without representation export.
-    pub fn predict_batch_quant(
-        &self,
-        bags: &[&PreparedBag],
-        entity_types: &[Vec<usize>],
-        scratch: &mut QuantScratch,
-    ) -> Vec<Vec<f32>> {
-        let wants = vec![false; bags.len()];
-        self.predict_batch_quant_with_repr(bags, entity_types, scratch, &wants)
-            .into_iter()
-            .map(|(scores, _)| scores)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -833,25 +779,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn batch_matches_single_and_exports_repr() {
-        let model = build(ModelSpec::pcnn_att());
-        let qm = QuantModel::from_model(&model, None).expect("quantizes");
-        let types = toy_types();
-        let bags: Vec<PreparedBag> = (0..5).map(|i| toy_bag(i % 4, 200 + i as u64)).collect();
-        let refs: Vec<&PreparedBag> = bags.iter().collect();
-        let mut scratch = QuantScratch::new();
-        let wants = vec![true; bags.len()];
-        let batch = qm.predict_batch_quant_with_repr(&refs, &types, &mut scratch, &wants);
-        for (i, bag) in bags.iter().enumerate() {
-            let mut one = vec![0.0f32; 4];
-            let mut repr = vec![0.0f32; qm.sent_dim()];
-            qm.predict_quant_into(bag, &types, &mut scratch, &mut one, Some(&mut repr));
-            assert_eq!(batch[i].0, one, "bag {i} scores differ batch-vs-single");
-            assert_eq!(batch[i].1.as_ref().unwrap(), &repr, "bag {i} repr differs");
         }
     }
 

@@ -1,20 +1,12 @@
-//! Micro-batching inference engine: bounded queue + worker pool.
+//! Inference engine: bounded queue + worker pool, one request per dequeue.
 //!
 //! Requests enter through [`ServeHandle::submit`] into a bounded queue
-//! ([`crate::queue::BoundedQueue`]); worker threads coalesce up to
-//! `batch_max` requests arriving within `batch_deadline` into one batch,
-//! group them by model, and run each group as a single batched forward pass
-//! on a reused inference tape. Batching trades a bounded amount of latency
-//! (the deadline) for amortized per-request overhead — one dequeue wakeup,
-//! one registry resolution and one tape allocation per batch instead of per
-//! request.
-//!
-//! The batched forward pass itself is data-parallel: `imre-core` runs the
-//! bags of a batch concurrently on the `imre_tensor::pool` compute pool
-//! (sized by `IMRE_THREADS` / the CLI `--threads` flag). The pool's
-//! determinism contract guarantees batched scores stay bit-identical to
-//! unbatched ones at any thread count, so the engine's batching is purely a
-//! throughput decision.
+//! ([`crate::queue::BoundedQueue`]); each worker thread pops one request at
+//! a time, featurizes it, runs one forward pass on its own recycled scratch
+//! (a buffer arena for f32, a [`QuantScratch`] for int8), blends in the kNN
+//! vote when asked to, ranks and replies. PA-TMR scores one entity-pair bag
+//! at a time, so there is nothing for requests to share: a request never
+//! waits for another to arrive.
 //!
 //! Requests may carry a time budget ([`InferRequest::deadline_ms`], or the
 //! engine-wide `default_deadline_ms`): a job whose budget ran out while it
@@ -36,9 +28,9 @@ use crate::pipeline::{InferRequest, InferResponse};
 use crate::queue::{BoundedQueue, PushError};
 use crate::registry::Registry;
 use imre_ann::{blend_scores, SearchScratch};
-use imre_core::{PreparedBag, QuantScratch};
+use imre_core::QuantScratch;
 use imre_tensor::BufferPool;
-use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -95,11 +87,6 @@ pub struct EngineConfig {
     /// Worker threads running forward passes. `0` is allowed (useful in
     /// tests: requests queue up but nothing drains them).
     pub workers: usize,
-    /// Maximum requests coalesced into one micro-batch.
-    pub batch_max: usize,
-    /// How long a worker waits for the batch to fill after the first
-    /// request arrives.
-    pub batch_deadline: Duration,
     /// Bounded queue capacity; submissions beyond it are rejected with
     /// [`ServeError::QueueFull`].
     pub queue_capacity: usize,
@@ -126,8 +113,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             workers: 2,
-            batch_max: 8,
-            batch_deadline: Duration::from_millis(2),
             queue_capacity: 256,
             default_deadline_ms: None,
             knn_k: 0,
@@ -327,7 +312,7 @@ impl ServeHandle {
     }
 }
 
-/// Per-worker kNN scratch, alive across batches like the buffer arena:
+/// Per-worker kNN scratch, alive across requests like the buffer arena:
 /// the search beam/visited-set and the vote accumulator retain their
 /// capacity, so steady-state interpolated requests allocate nothing.
 #[derive(Default)]
@@ -336,10 +321,12 @@ struct KnnState {
     votes: Vec<f32>,
 }
 
-/// Per-worker forward-pass scratch, alive across batches. The f32 path
-/// recycles tensor buffers through the arena; the int8 path recycles its
-/// integer/activation workspaces through [`QuantScratch`]. Either way a
-/// warm worker's steady-state forward pass allocates nothing.
+/// Per-worker forward-pass scratch, alive across requests. The f32 path
+/// recycles tensor buffers through the arena (the first requests warm it
+/// up; the `alloc:` line of the stats dump tracks hits vs. misses); the
+/// int8 path recycles its integer/activation workspaces through
+/// [`QuantScratch`]. Either way a warm worker's steady-state forward pass
+/// allocates nothing.
 struct WorkerState {
     arena: BufferPool,
     quant: QuantScratch,
@@ -347,227 +334,144 @@ struct WorkerState {
 }
 
 fn worker_loop(shared: &Shared) {
-    let cfg = &shared.config;
-    // One buffer arena per worker, alive across batches: the first batches
-    // warm it up, after which forward passes recycle instead of allocating
-    // (the `alloc:` line of the stats dump tracks hits vs. misses).
+    let metrics = &shared.metrics;
     let mut state = WorkerState {
         arena: BufferPool::new(),
         quant: QuantScratch::new(),
         knn: KnnState::default(),
     };
-    while let Some(batch) = shared.queue.pop_batch(cfg.batch_max, cfg.batch_deadline) {
-        if batch.is_empty() {
-            continue;
-        }
+    while let Some(job) = shared.queue.pop() {
         let dequeued = Instant::now();
-        Metrics::inc(&shared.metrics.batches);
-        shared
-            .metrics
-            .batched_jobs
-            .fetch_add(batch.len() as u64, std::sync::atomic::Ordering::Relaxed);
-        // Shed jobs whose time budget ran out while they were queued:
-        // answer them now, before featurize/forward spends anything on them.
-        let mut live = Vec::with_capacity(batch.len());
-        for job in batch {
-            let wait = dequeued.saturating_duration_since(job.enqueued);
-            shared.metrics.queue_wait.record(wait.as_micros() as u64);
-            match job.deadline {
-                Some((expires, budget_ms)) if dequeued >= expires => {
-                    Metrics::inc(&shared.metrics.deadline_expired);
-                    Metrics::inc(&shared.metrics.shed);
-                    Metrics::inc(&shared.metrics.errors);
-                    (job.reply)(Err(ServeError::DeadlineExceeded { budget_ms }));
-                }
-                _ => live.push(job),
+        Metrics::inc(&metrics.batches);
+        Metrics::inc(&metrics.batched_jobs);
+        let queue_us = dequeued.saturating_duration_since(job.enqueued).as_micros() as u64;
+        metrics.queue_wait.record(queue_us);
+        let reply = match job.deadline {
+            // Shed a job whose time budget ran out while it was queued:
+            // answer it now, before featurize/forward spends anything on it.
+            Some((expires, budget_ms)) if dequeued >= expires => {
+                Metrics::inc(&metrics.deadline_expired);
+                Metrics::inc(&metrics.shed);
+                Err(ServeError::DeadlineExceeded { budget_ms })
             }
+            _ => run_job(shared, &job.request, queue_us, &mut state),
+        };
+        match &reply {
+            Ok(_) => Metrics::inc(&metrics.completed),
+            Err(_) => Metrics::inc(&metrics.errors),
         }
-        let batch = live;
-        if batch.is_empty() {
-            continue;
-        }
-        // Group by model so each group runs as one batched forward pass.
-        // Sorted map, not a hash map: per-model execution order (and with
-        // it metric interleaving) must be deterministic run to run.
-        let mut groups: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        for (i, job) in batch.iter().enumerate() {
-            groups
-                .entry(job.request.model.as_str())
-                .or_default()
-                .push(i);
-        }
-        let mut replies: Vec<Option<Result<InferResponse, ServeError>>> =
-            (0..batch.len()).map(|_| None).collect();
-        for (model_name, indices) in groups {
-            run_group(
-                shared,
-                &batch,
-                dequeued,
-                model_name,
-                &indices,
-                &mut replies,
-                &mut state,
-            );
-        }
-        for (job, reply) in batch.into_iter().zip(replies) {
-            let reply = reply.unwrap_or(Err(ServeError::ShuttingDown));
-            match &reply {
-                Ok(_) => Metrics::inc(&shared.metrics.completed),
-                Err(_) => Metrics::inc(&shared.metrics.errors),
-            }
-            (job.reply)(reply);
-        }
+        (job.reply)(reply);
     }
 }
 
-/// Splits `elapsed_us` evenly over `n` requests: returns the base share and
-/// how many of the first requests carry one extra µs, so that
-/// `n * share + remainder == elapsed_us` — the recorded shares always sum
-/// exactly to the measured batch time.
-fn split_shares(elapsed_us: u64, n: usize) -> (u64, usize) {
-    let n = n as u64;
-    (elapsed_us / n, (elapsed_us % n) as usize)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_group(
+/// The whole pipeline for one dequeued request: resolve the model,
+/// featurize, forward, blend kNN, rank.
+fn run_job(
     shared: &Shared,
-    batch: &[Job],
-    dequeued: Instant,
-    model_name: &str,
-    indices: &[usize],
-    replies: &mut [Option<Result<InferResponse, ServeError>>],
+    request: &InferRequest,
+    queue_us: u64,
     state: &mut WorkerState,
-) {
-    let cfg = &shared.config;
-    let model = match shared.registry.get(model_name) {
-        Some(m) => m,
-        None => {
-            for &i in indices {
-                replies[i] = Some(Err(ServeError::UnknownModel(model_name.to_string())));
-            }
-            return;
-        }
-    };
-    // Featurize each request and resolve its effective kNN parameters,
-    // timing the stage per request. Requests whose kNN parameters are
-    // invalid (λ out of range, or interpolation against an index-less
-    // bundle) are answered here, before the forward pass spends anything.
-    type PreparedJob = (usize, PreparedBag, u64, Option<(usize, f32)>);
-    let mut prepared: Vec<PreparedJob> = Vec::with_capacity(indices.len());
-    for &i in indices {
-        let start = Instant::now();
-        let outcome = model.featurize_request(&batch[i].request).and_then(|bag| {
-            let params = model.knn_params(&batch[i].request, cfg.knn_k, cfg.knn_lambda)?;
-            Ok((bag, params))
-        });
-        match outcome {
-            Ok((bag, params)) => {
-                let us = start.elapsed().as_micros() as u64;
-                shared.metrics.featurize.record(us);
-                prepared.push((i, bag, us, params));
-            }
-            Err(e) => replies[i] = Some(Err(e)),
-        }
-    }
-    if prepared.is_empty() {
-        return;
-    }
-    // One batched forward pass over every featurizable request; the cost is
-    // attributed evenly across the requests it served, with the integer
-    // remainder spread one extra µs at a time over the first requests so
-    // the shares sum exactly to the elapsed time (a plain division would
-    // truncate to 0 µs for fast large batches and under-report the total).
-    // Requests on the interpolation path additionally export their pooled
-    // representation from the same pass (no second encoder run).
-    let bags: Vec<&PreparedBag> = prepared.iter().map(|(_, bag, _, _)| bag).collect();
-    let wants_repr: Vec<bool> = prepared
-        .iter()
-        .map(|(_, _, _, params)| params.is_some())
-        .collect();
+) -> Result<InferResponse, ServeError> {
+    let (cfg, metrics) = (&shared.config, &shared.metrics);
+    let model = shared
+        .registry
+        .get(&request.model)
+        .ok_or_else(|| ServeError::UnknownModel(request.model.clone()))?;
+    // Invalid kNN parameters (λ out of range, or interpolation against an
+    // index-less bundle) fail here, before the forward pass spends anything.
     let start = Instant::now();
-    let outputs = match cfg.precision {
+    let bag = model.featurize_request(request)?;
+    let params = model.knn_params(request, cfg.knn_k, cfg.knn_lambda)?;
+    let featurize_us = start.elapsed().as_micros() as u64;
+    metrics.featurize.record(featurize_us);
+    // Requests on the interpolation path export their pooled representation
+    // from the same pass (no second encoder run).
+    let start = Instant::now();
+    let (mut scores, repr) = match cfg.precision {
         Precision::F32 => {
+            let mut repr = params.map(|_| vec![0.0; model.bundle().model.sent_dim()]);
             let pool_before = state.arena.stats();
-            let outputs =
-                model.predict_prepared_batch_pooled_with_repr(&bags, &mut state.arena, &wants_repr);
+            let scores = model.predict_prepared_pooled(&bag, &mut state.arena, repr.as_deref_mut());
             let pool_delta = state.arena.stats().since(&pool_before);
-            shared
-                .metrics
+            metrics
                 .pool_hits
-                .fetch_add(pool_delta.hits, std::sync::atomic::Ordering::Relaxed);
-            shared
-                .metrics
+                .fetch_add(pool_delta.hits, Ordering::Relaxed);
+            metrics
                 .pool_misses
-                .fetch_add(pool_delta.misses, std::sync::atomic::Ordering::Relaxed);
-            shared.metrics.pool_bytes_recycled.fetch_add(
-                pool_delta.bytes_recycled,
-                std::sync::atomic::Ordering::Relaxed,
-            );
-            outputs
+                .fetch_add(pool_delta.misses, Ordering::Relaxed);
+            metrics
+                .pool_bytes_recycled
+                .fetch_add(pool_delta.bytes_recycled, Ordering::Relaxed);
+            (scores, repr)
         }
         // Integer forward pass on the worker's recycled QuantScratch (its
         // zero-alloc counterpart of the arena). A bundle without an int8
-        // section fails the whole group with the typed error — precision is
-        // an engine-wide deployment decision, not a per-request fallback.
-        Precision::Int8 => {
-            match model.predict_prepared_batch_quant_with_repr(&bags, &mut state.quant, &wants_repr)
-            {
-                Ok(outputs) => outputs,
-                Err(e) => {
-                    for (i, _, _, _) in prepared {
-                        replies[i] = Some(Err(e.clone()));
-                    }
-                    return;
-                }
-            }
-        }
+        // section answers the typed error — precision is an engine-wide
+        // deployment decision, not a per-request fallback.
+        Precision::Int8 => model
+            .predict_prepared_batch_quant_with_repr(&[&bag], &mut state.quant, &[params.is_some()])?
+            .pop()
+            .expect("one bag in, one scored bag out"),
     };
-    let elapsed_us = start.elapsed().as_micros() as u64;
-    let (share, remainder) = split_shares(elapsed_us, prepared.len());
-    for (j, ((i, _, featurize_us, params), (mut scores, repr))) in
-        prepared.iter().zip(outputs).enumerate()
-    {
-        let job = &batch[*i];
-        if let Some((k, lambda)) = params {
-            // `knn_params` returned Some, so the index exists; the repr was
-            // requested for exactly these jobs.
-            let ann = model.ann().expect("knn_params verified the index");
-            let repr = repr.expect("repr requested for interpolated job");
-            let knn_start = Instant::now();
-            let neighbors = ann.search(&repr, (*k).min(ann.len()), &mut state.knn.scratch);
-            state.knn.votes.resize(scores.len(), 0.0);
-            ann.label_votes_into(neighbors, &mut state.knn.votes);
-            blend_scores(&mut scores, &state.knn.votes, *lambda);
-            Metrics::inc(&shared.metrics.knn_queries);
-            shared.metrics.knn_query_ns.fetch_add(
-                knn_start.elapsed().as_nanos() as u64,
-                std::sync::atomic::Ordering::Relaxed,
-            );
-        }
-        let forward_us = share + u64::from(j < remainder);
-        shared.metrics.forward.record(forward_us);
-        replies[*i] = Some(Ok(InferResponse {
-            model: model_name.to_string(),
-            ranked: model.rank(&scores, job.request.top_k),
-            queue_us: dequeued.saturating_duration_since(job.enqueued).as_micros() as u64,
-            featurize_us: *featurize_us,
-            forward_us,
-        }));
+    let forward_us = start.elapsed().as_micros() as u64;
+    metrics.forward.record(forward_us);
+    if let Some((k, lambda)) = params {
+        // `knn_params` returned Some, so the index exists and the repr was
+        // requested.
+        let ann = model.ann().expect("knn_params verified the index");
+        let repr = repr.expect("repr requested for interpolated job");
+        let knn_start = Instant::now();
+        let neighbors = ann.search(&repr, k.min(ann.len()), &mut state.knn.scratch);
+        state.knn.votes.resize(scores.len(), 0.0);
+        ann.label_votes_into(neighbors, &mut state.knn.votes);
+        blend_scores(&mut scores, &state.knn.votes, lambda);
+        Metrics::inc(&metrics.knn_queries);
+        metrics
+            .knn_query_ns
+            .fetch_add(knn_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
+    Ok(InferResponse {
+        model: request.model.clone(),
+        ranked: model.rank(&scores, request.top_k),
+        queue_us,
+        featurize_us,
+        forward_us,
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::split_shares;
+    use super::*;
 
     #[test]
-    fn shares_sum_exactly_to_elapsed() {
-        for &(elapsed, n) in &[(0u64, 1usize), (1, 8), (7, 8), (8, 8), (1000, 3), (999, 16)] {
-            let (share, remainder) = split_shares(elapsed, n);
-            let total: u64 = (0..n).map(|j| share + u64::from(j < remainder)).sum();
-            assert_eq!(total, elapsed, "elapsed={elapsed} n={n}");
-            assert!(remainder < n.max(1), "remainder bounded by batch size");
+    fn lone_requests_never_wait_for_company() {
+        // An idle one-worker engine answers a lone request as soon as the
+        // worker wakes: 200 sequential round trips are a few ms of condvar
+        // hand-offs. (Any coalescing window w would cost 200·w here — the
+        // removed 2 ms window made this ≥ 400 ms.) The empty registry keeps
+        // the test model-free: every answer is the typed UnknownModel.
+        let handle = ServeHandle::start(
+            Arc::new(Registry::new()),
+            EngineConfig {
+                workers: 1,
+                ..EngineConfig::default()
+            },
+        );
+        let start = Instant::now();
+        for _ in 0..200 {
+            match handle.infer(InferRequest::default()) {
+                Err(ServeError::UnknownModel(_)) => {}
+                other => panic!("expected UnknownModel, got {other:?}"),
+            }
         }
+        let elapsed = start.elapsed();
+        handle.shutdown();
+        assert!(
+            elapsed < Duration::from_millis(200),
+            "200 lone requests took {elapsed:?}"
+        );
+        let m = handle.metrics();
+        assert_eq!(m.batches.load(Ordering::Relaxed), 200);
+        assert_eq!(m.batched_jobs.load(Ordering::Relaxed), 200);
     }
 }

@@ -10,7 +10,7 @@
 //! Requests on one connection are pipelined: each parsed line gets a
 //! sequence number and `infer` lines go to the engine through
 //! [`ServeHandle::submit_with`] with a callback that pushes the answer onto
-//! the shared completion queue and tickles the wakeup pipe. Micro-batches
+//! the shared completion queue and tickles the wakeup pipe. Workers
 //! complete out of order, so finished responses wait in a per-connection
 //! reorder buffer until every earlier sequence number has flushed —
 //! responses always leave in request order.
@@ -323,7 +323,7 @@ struct Conn {
     /// Sequence number the next parsed request line will get.
     next_seq: u64,
     /// Next sequence number allowed to flush: pipelined responses leave in
-    /// request order even though micro-batches complete out of order.
+    /// request order even though workers complete out of order.
     flush_seq: u64,
     /// Out-of-order completions parked until `flush_seq` reaches them.
     done: BTreeMap<u64, DoneReply>,

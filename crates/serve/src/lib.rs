@@ -1,4 +1,4 @@
-//! imre-serve: batched multi-threaded inference serving for IMRE models.
+//! imre-serve: multi-threaded inference serving for IMRE models.
 //!
 //! The crate turns a trained relation-extraction model into a serving unit:
 //!
@@ -9,9 +9,8 @@
 //! - [`pipeline`] — raw text + entity names → tokens → relative-position
 //!   features → bag → ranked relation scores;
 //! - [`queue`] / [`engine`] — a bounded request queue with typed
-//!   backpressure feeding a worker pool that coalesces requests into
-//!   micro-batches (up to `batch_max` requests or `batch_deadline`, one
-//!   batched forward pass on a reused inference tape);
+//!   backpressure feeding a worker pool that takes one request per
+//!   dequeue and runs its forward pass on the worker's recycled scratch;
 //! - [`metrics`] — per-stage latency histograms and throughput counters;
 //! - [`server`] / [`protocol`] — a line-delimited TCP front-end that plain
 //!   `nc` can talk to, plus the in-process [`ServeHandle`] API. On Linux

@@ -91,12 +91,13 @@ impl Histogram {
 /// All engine metrics in one shareable struct.
 #[derive(Default)]
 pub struct Metrics {
-    /// Time a request sat in the queue before a worker dequeued it.
+    /// Time a request sat in the queue before a worker dequeued it (pure
+    /// waiting for a free worker — there is no coalescing window).
     pub queue_wait: Histogram,
     /// Tokenization + featurization time, per request.
     pub featurize: Histogram,
-    /// Forward-pass time, per request (a batched pass is attributed evenly
-    /// across the requests it served).
+    /// Forward-pass time, per request, measured around that request's own
+    /// pass.
     pub forward: Histogram,
     /// Requests accepted into the queue.
     pub submitted: AtomicU64,
@@ -106,9 +107,11 @@ pub struct Metrics {
     pub rejected_full: AtomicU64,
     /// Requests answered with a serving error.
     pub errors: AtomicU64,
-    /// Micro-batches executed.
+    /// Jobs dequeued by a worker. Workers take one request per dequeue, so
+    /// this always equals [`Metrics::batched_jobs`]; both are retained only
+    /// because `benchmark/src/layers.rs` reads them.
     pub batches: AtomicU64,
-    /// Total requests over all micro-batches (`/ batches` = mean batch size).
+    /// Jobs dequeued by a worker (see [`Metrics::batches`]).
     pub batched_jobs: AtomicU64,
     /// Requests whose deadline expired while queued (answered
     /// `DeadlineExceeded` without featurize/forward).
@@ -187,13 +190,6 @@ impl Metrics {
     pub fn render(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        let batches = self.batches.load(Ordering::Relaxed);
-        let jobs = self.batched_jobs.load(Ordering::Relaxed);
-        let mean_batch = if batches == 0 {
-            0.0
-        } else {
-            jobs as f64 / batches as f64
-        };
         let _ = writeln!(
             out,
             "requests: submitted={} completed={} errors={} rejected_queue_full={}",
@@ -218,7 +214,6 @@ impl Metrics {
             self.rejected_inflight.load(Ordering::Relaxed),
             self.accept_errors.load(Ordering::Relaxed),
         );
-        let _ = writeln!(out, "batches: count={batches} mean_size={mean_batch:.2}");
         let completed = self.completed.load(Ordering::Relaxed);
         let misses = self.pool_misses.load(Ordering::Relaxed);
         let allocs_per_request = if completed == 0 {

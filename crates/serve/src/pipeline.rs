@@ -4,7 +4,7 @@
 //! at request time and exposes the full path the engine runs per request:
 //! whitespace tokenization, mention location, relative-position
 //! featurization ([`imre_core::featurize`]), bag construction, and the
-//! (optionally batched) forward pass.
+//! forward pass.
 
 use crate::bundle::Bundle;
 use crate::error::ServeError;
@@ -64,12 +64,12 @@ pub struct InferResponse {
     pub queue_us: u64,
     /// Tokenization + featurization time.
     pub featurize_us: u64,
-    /// Forward-pass time (this request's share of its micro-batch).
+    /// Forward-pass time of this request, as measured around its own pass.
     pub forward_us: u64,
 }
 
 /// One bag's scores plus its optional pooled representation (flagged via
-/// `wants_repr` in the batch-with-repr paths).
+/// `wants_repr`).
 pub type ScoredBag = (Vec<f32>, Option<Vec<f32>>);
 
 /// A bundle prepared for serving: adds the entity-name index and exposes
@@ -200,58 +200,35 @@ impl ServingModel {
         })
     }
 
-    /// Scores a featurized bag (single forward pass, unbatched).
+    /// Scores a featurized bag (one forward pass on a throwaway tape).
     pub fn predict_prepared(&self, bag: &PreparedBag) -> Vec<f32> {
         self.bundle.model.predict(bag, &self.ctx())
     }
 
-    /// Scores a slice of featurized bags; with a multi-thread compute pool
-    /// the bags run in parallel (one inference tape each), otherwise on one
-    /// reused tape. Either way the scores are bit-identical to per-bag
-    /// [`ServingModel::predict_prepared`] — see `imre_tensor::pool` for the
-    /// determinism contract.
-    pub fn predict_prepared_batch(&self, bags: &[&PreparedBag]) -> Vec<Vec<f32>> {
-        self.bundle.model.predict_batch(bags, &self.ctx())
-    }
-
-    /// [`ServingModel::predict_prepared_batch`] served from a caller-owned
-    /// buffer arena. The engine passes each worker's arena here so that
-    /// after warm-up a batch's forward pass performs zero tensor
-    /// allocations; `pool.stats().misses` is the engine's
+    /// [`ServingModel::predict_prepared`] served from a caller-owned buffer
+    /// arena, optionally exporting the bag's pooled representation (the ANN
+    /// query vector, length `sent_dim`) from the same encoder pass — see
+    /// [`imre_core::ReModel::predict_pooled`]. The engine passes each
+    /// worker's arena here so that after warm-up a forward pass performs
+    /// zero tensor allocations; `pool.stats().misses` is the engine's
     /// `allocs_per_request` numerator.
-    pub fn predict_prepared_batch_pooled(
+    pub fn predict_prepared_pooled(
         &self,
-        bags: &[&PreparedBag],
+        bag: &PreparedBag,
         pool: &mut imre_tensor::BufferPool,
-    ) -> Vec<Vec<f32>> {
+        repr: Option<&mut [f32]>,
+    ) -> Vec<f32> {
         self.bundle
             .model
-            .predict_batch_pooled(bags, &self.ctx(), pool)
+            .predict_pooled(bag, &self.ctx(), pool, repr)
     }
 
-    /// [`ServingModel::predict_prepared_batch_pooled`] where bags flagged in
-    /// `wants_repr` additionally export their pooled representation (the
-    /// ANN query vector) from the same encoder pass. Bags not flagged run
-    /// the exact code of the plain batch path — their scores stay
-    /// bit-identical whether or not batch neighbors export representations.
-    pub fn predict_prepared_batch_pooled_with_repr(
-        &self,
-        bags: &[&PreparedBag],
-        pool: &mut imre_tensor::BufferPool,
-        wants_repr: &[bool],
-    ) -> Vec<ScoredBag> {
-        self.bundle
-            .model
-            .predict_batch_pooled_with_repr(bags, &self.ctx(), pool, wants_repr)
-    }
-
-    /// The int8 counterpart of
-    /// [`ServingModel::predict_prepared_batch_pooled_with_repr`]: one
-    /// integer forward pass per bag on the caller's recycled
-    /// [`QuantScratch`] (the engine passes each worker's, so warm batches
-    /// allocate nothing). Exported representations come from the quantized
-    /// encoder, so kNN interpolation keeps working against the bundled f32
-    /// index.
+    /// The int8 counterpart of [`ServingModel::predict_prepared_pooled`],
+    /// over a slice of bags: one integer forward pass per bag, in order, on
+    /// the caller's recycled [`QuantScratch`] (the engine passes each
+    /// worker's, with a one-bag slice). Exported representations come from
+    /// the quantized encoder, so kNN interpolation keeps working against
+    /// the bundled f32 index.
     ///
     /// # Errors
     /// [`ServeError::NoQuantModel`] when the bundle has no int8 section.
@@ -262,7 +239,15 @@ impl ServingModel {
         wants_repr: &[bool],
     ) -> Result<Vec<ScoredBag>, ServeError> {
         let qm = self.quant().ok_or(ServeError::NoQuantModel)?;
-        Ok(qm.predict_batch_quant_with_repr(bags, &self.entity_types, scratch, wants_repr))
+        let types = &self.entity_types;
+        assert_eq!(bags.len(), wants_repr.len());
+        let scored = bags.iter().zip(wants_repr).map(|(bag, &want)| {
+            let mut scores = vec![0.0f32; qm.num_relations];
+            let mut repr = want.then(|| vec![0.0f32; qm.sent_dim()]);
+            qm.predict_quant_into(bag, types, scratch, &mut scores, repr.as_deref_mut());
+            (scores, repr)
+        });
+        Ok(scored.collect())
     }
 
     /// Resolves a request's effective kNN parameters against engine-level
@@ -320,7 +305,7 @@ impl ServingModel {
 
     /// The whole pipeline in one call (featurize → forward → rank), used by
     /// single-shot callers and tests; the engine runs the stages separately
-    /// so it can batch the forward pass and reuse per-worker scratch. A
+    /// so it can time each one and reuse per-worker scratch. A
     /// request carrying `knn_k`/`knn_lambda` runs the interpolation path
     /// (with throwaway scratch — the engine's is recycled).
     pub fn infer(&self, req: &InferRequest) -> Result<Vec<RankedRelation>, ServeError> {
@@ -337,14 +322,8 @@ impl ServingModel {
         };
         let ann = self.ann().expect("knn_params verified the index");
         let mut pool = imre_tensor::BufferPool::new();
-        let mut out = self.bundle.model.predict_batch_pooled_with_repr(
-            &[&bag],
-            &self.ctx(),
-            &mut pool,
-            &[true],
-        );
-        let (mut scores, repr) = out.remove(0);
-        let repr = repr.expect("repr requested");
+        let mut repr = vec![0.0; self.bundle.model.sent_dim()];
+        let mut scores = self.predict_prepared_pooled(&bag, &mut pool, Some(&mut repr));
         let mut scratch = SearchScratch::new();
         let neighbors = ann.search(&repr, k.min(ann.len()), &mut scratch);
         let mut votes = vec![0.0f32; scores.len()];

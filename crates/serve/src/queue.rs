@@ -1,15 +1,13 @@
-//! Bounded multi-producer/multi-consumer queue with batched dequeue.
+//! Bounded multi-producer/multi-consumer queue.
 //!
 //! Built on `Mutex<VecDeque> + Condvar` so the whole engine stays std-only.
 //! Producers never block: [`BoundedQueue::try_push`] fails fast when the
 //! queue is at capacity (the engine's backpressure signal). Consumers call
-//! [`BoundedQueue::pop_batch`], which blocks for the first item and then
-//! coalesces up to `max` items arriving within a deadline — the micro-batch
-//! window.
+//! [`BoundedQueue::pop`], which blocks until an item is available and hands
+//! it over at once — there is no coalescing window.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// Why a push was refused; the rejected value is handed back.
 #[derive(Debug)]
@@ -79,51 +77,22 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Dequeues a micro-batch.
+    /// Dequeues the oldest item, blocking while the queue is empty.
     ///
-    /// Blocks until at least one item is available, then keeps collecting
-    /// until `max` items are held or `deadline` has elapsed since the first
-    /// item was taken. Returns `None` only when the queue is closed *and*
-    /// fully drained — so a consumer loop drains every queued item before
-    /// exiting, which is what makes shutdown graceful.
-    pub fn pop_batch(&self, max: usize, deadline: Duration) -> Option<Vec<T>> {
-        let max = max.max(1);
+    /// Returns `None` only when the queue is closed *and* fully drained —
+    /// so a consumer loop drains every queued item before exiting, which is
+    /// what makes shutdown graceful.
+    pub fn pop(&self) -> Option<T> {
         let mut inner = self.inner.lock().expect("queue poisoned");
         loop {
-            if !inner.items.is_empty() {
-                break;
+            if let Some(item) = inner.items.pop_front() {
+                return Some(item);
             }
             if inner.closed {
                 return None;
             }
             inner = self.not_empty.wait(inner).expect("queue poisoned");
         }
-        let mut out = Vec::with_capacity(max.min(inner.items.len()));
-        let window_ends = Instant::now() + deadline;
-        loop {
-            while out.len() < max {
-                match inner.items.pop_front() {
-                    Some(item) => out.push(item),
-                    None => break,
-                }
-            }
-            if out.len() >= max || inner.closed {
-                break;
-            }
-            let now = Instant::now();
-            if now >= window_ends {
-                break;
-            }
-            let (guard, timeout) = self
-                .not_empty
-                .wait_timeout(inner, window_ends - now)
-                .expect("queue poisoned");
-            inner = guard;
-            if timeout.timed_out() && inner.items.is_empty() {
-                break;
-            }
-        }
-        Some(out)
     }
 
     /// Stops accepting new items and wakes all consumers. Already-queued
@@ -154,16 +123,15 @@ impl<T> BoundedQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::time::Duration;
+    use std::sync::{mpsc, Arc};
 
     #[test]
     fn push_pop_roundtrip() {
         let q = BoundedQueue::new(4);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
-        let batch = q.pop_batch(8, Duration::ZERO).unwrap();
-        assert_eq!(batch, vec![1, 2]);
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
     }
 
     #[test]
@@ -183,40 +151,45 @@ mod tests {
         q.try_push(1).unwrap();
         q.close();
         assert!(matches!(q.try_push(2), Err(PushError::Closed(2))));
-        assert_eq!(q.pop_batch(4, Duration::ZERO), Some(vec![1]));
-        assert_eq!(q.pop_batch(4, Duration::ZERO), None);
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn batch_respects_max() {
-        let q = BoundedQueue::new(16);
-        for i in 0..10 {
+    fn pop_is_fifo_across_two_consumers() {
+        // Every item is popped exactly once, and each consumer's own
+        // sequence is increasing: two consumers interleave, but neither
+        // ever sees the queue out of FIFO order.
+        const N: u32 = 200;
+        let q = Arc::new(BoundedQueue::new(N as usize));
+        for i in 0..N {
             q.try_push(i).unwrap();
         }
-        assert_eq!(q.pop_batch(4, Duration::ZERO).unwrap().len(), 4);
-        assert_eq!(q.pop_batch(4, Duration::ZERO).unwrap().len(), 4);
-        assert_eq!(q.pop_batch(4, Duration::ZERO).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn pop_batch_coalesces_across_threads() {
-        let q = Arc::new(BoundedQueue::new(64));
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                for i in 0..8 {
-                    q.try_push(i).unwrap();
-                    std::thread::sleep(Duration::from_millis(1));
-                }
+        q.close();
+        let (tx, rx) = mpsc::channel();
+        let consumers: Vec<_> = (0..2)
+            .map(|id| {
+                let (q, tx) = (Arc::clone(&q), tx.clone());
+                std::thread::spawn(move || {
+                    while let Some(item) = q.pop() {
+                        tx.send((id, item)).unwrap();
+                    }
+                })
             })
-        };
-        let mut got = Vec::new();
-        while got.len() < 8 {
-            got.extend(q.pop_batch(8, Duration::from_millis(50)).unwrap());
+            .collect();
+        drop(tx);
+        for c in consumers {
+            c.join().unwrap();
         }
-        producer.join().unwrap();
-        got.sort_unstable();
-        assert_eq!(got, (0..8).collect::<Vec<_>>());
+        let mut last = [None, None];
+        let mut seen = Vec::new();
+        for (id, item) in rx {
+            assert!(last[id] < Some(item), "consumer {id} popped out of order");
+            last[id] = Some(item);
+            seen.push(item);
+        }
+        seen.sort_unstable();
+        assert_eq!(seen, (0..N).collect::<Vec<_>>());
     }
 
     #[test]
@@ -241,40 +214,23 @@ mod tests {
         q.close();
         assert_eq!(q.drain_remaining(), vec![1, 2]);
         // A consumer arriving after the drain sees closed-and-empty.
-        assert_eq!(q.pop_batch(4, Duration::ZERO), None);
-    }
-
-    #[test]
-    fn close_releases_consumer_holding_partial_batch() {
-        // A consumer holding a partial batch inside a long coalescing
-        // window must return that partial batch promptly when the queue
-        // closes, not sleep out the rest of the window.
-        let q = Arc::new(BoundedQueue::new(8));
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_batch(8, Duration::from_secs(30)))
-        };
-        q.try_push(7).unwrap();
-        // Give the consumer time to take the item and enter the window.
-        std::thread::sleep(Duration::from_millis(20));
-        let closed_at = Instant::now();
-        q.close();
-        let batch = consumer.join().unwrap();
-        assert_eq!(batch, Some(vec![7]));
-        assert!(
-            closed_at.elapsed() < Duration::from_secs(5),
-            "close() must cut the coalescing window short"
-        );
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn close_wakes_blocked_consumer() {
         let q = Arc::new(BoundedQueue::<u32>::new(4));
+        let (started_tx, started_rx) = mpsc::channel();
         let consumer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_batch(4, Duration::from_millis(1)))
+            std::thread::spawn(move || {
+                started_tx.send(()).unwrap();
+                q.pop()
+            })
         };
-        std::thread::sleep(Duration::from_millis(20));
+        // Whether `close` lands before the consumer blocks or after, `pop`
+        // must come back with `None` rather than sleep forever.
+        started_rx.recv().unwrap();
         q.close();
         assert_eq!(consumer.join().unwrap(), None);
     }

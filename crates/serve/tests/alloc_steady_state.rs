@@ -19,7 +19,6 @@ use imre_graph::EntityEmbedding;
 use imre_serve::{Bundle, EngineConfig, InferRequest, Registry, ServeHandle, ServingModel};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn request(entity_names: &[String], i: usize) -> InferRequest {
     let head = entity_names[i % entity_names.len()].clone();
@@ -85,8 +84,6 @@ fn steady_state_serve_allocs_per_request_is_zero() {
         registry,
         EngineConfig {
             workers: 1,
-            batch_max: 8,
-            batch_deadline: Duration::from_millis(1),
             queue_capacity: 256,
             default_deadline_ms: None,
             ..EngineConfig::default()

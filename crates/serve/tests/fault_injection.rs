@@ -1,5 +1,5 @@
 //! Deterministic fault-injection tests for the serving request lifecycle:
-//! slow/idle clients, mid-batch and zero-worker shutdown, expired
+//! slow/idle clients, mid-backlog and zero-worker shutdown, expired
 //! deadlines, and full-queue shedding.
 //!
 //! Every scenario here is *model-free* — it drives the engine against an
@@ -315,17 +315,14 @@ fn stop_with_mid_request_client_still_joins_promptly() {
 }
 
 #[test]
-fn mid_batch_shutdown_answers_both_halves() {
-    // One worker, batch_max 2, and a queue holding more jobs than one
-    // batch: close the queue while the worker is somewhere in its
-    // batch cycle. Everything the worker dequeues is answered by the
-    // worker (UnknownModel from the empty registry); everything still
-    // queued when the worker exits is failed fast by shutdown. Either way,
-    // every Pending resolves.
+fn shutdown_under_backlog_answers_every_pending() {
+    // One worker and a 32-job backlog: close the queue while the worker is
+    // somewhere in the middle of it. Everything the worker dequeues is
+    // answered by the worker (UnknownModel from the empty registry);
+    // anything still queued when the worker exits is failed fast by
+    // shutdown. Either way, every Pending resolves.
     let handle = start_engine(EngineConfig {
         workers: 1,
-        batch_max: 2,
-        batch_deadline: Duration::from_millis(1),
         queue_capacity: 64,
         default_deadline_ms: None,
         ..EngineConfig::default()
@@ -335,9 +332,13 @@ fn mid_batch_shutdown_answers_both_halves() {
         .collect();
     {
         let handle = handle.clone();
-        assert_finishes_within(Duration::from_secs(5), "mid-batch shutdown", move || {
-            handle.shutdown();
-        });
+        assert_finishes_within(
+            Duration::from_secs(5),
+            "shutdown under backlog",
+            move || {
+                handle.shutdown();
+            },
+        );
     }
     let mut answered = 0;
     for (i, p) in pending.into_iter().enumerate() {

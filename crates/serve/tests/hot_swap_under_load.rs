@@ -154,8 +154,6 @@ fn republishing_under_256_connections_drops_and_reorders_nothing() {
         Arc::clone(&registry),
         EngineConfig {
             workers: 4,
-            batch_max: 32,
-            batch_deadline: Duration::from_millis(1),
             queue_capacity: 8192,
             ..EngineConfig::default()
         },
@@ -173,7 +171,7 @@ fn republishing_under_256_connections_drops_and_reorders_nothing() {
     .expect("epoll front end binds");
     let addr = server.local_addr();
 
-    // A borrower of the *first* mapping, standing in for an in-flight batch
+    // A borrower of the *first* mapping, standing in for an in-flight request
     // that outlives every republish below.
     let old = registry.get("smoke").expect("registered");
 
@@ -229,7 +227,7 @@ fn republishing_under_256_connections_drops_and_reorders_nothing() {
     }
 
     // Quiesce: swapped-out mappings unmap once their last borrower (engine
-    // batches, replaced registry Arcs) drops. Two must remain — the current
+    // requests, replaced registry Arcs) drops. Two must remain — the current
     // registry entry and `old`, our deliberate long-lived borrower.
     wait_until(
         Duration::from_secs(10),

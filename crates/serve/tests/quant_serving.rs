@@ -11,7 +11,6 @@ use imre_serve::{
     ServeHandle, ServingModel,
 };
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 struct Fixture {
     pipeline: Pipeline,
@@ -73,8 +72,6 @@ fn engine(registry: Arc<Registry>, precision: Precision) -> ServeHandle {
         registry,
         EngineConfig {
             workers: 1,
-            batch_max: 8,
-            batch_deadline: Duration::from_millis(1),
             precision,
             ..EngineConfig::default()
         },
@@ -114,7 +111,7 @@ fn int8_engine_serves_and_tracks_the_f32_engine() {
         }
     }
 
-    // Batched int8 requests agree with one-at-a-time submissions.
+    // A queued burst of int8 requests agrees with one-at-a-time submissions.
     let reqs: Vec<InferRequest> = (0..6).map(|i| request(b.bundle(), i)).collect();
     let singles: Vec<_> = reqs
         .iter()
@@ -125,18 +122,18 @@ fn int8_engine_serves_and_tracks_the_f32_engine() {
         .map(|r| int8_engine.submit(r.clone()).expect("queued"))
         .collect();
     for (p, single) in pending.into_iter().zip(singles) {
-        let batched = p.wait().expect("serves");
+        let queued = p.wait().expect("serves");
         let a: Vec<(String, u32)> = single
             .ranked
             .iter()
             .map(|r| (r.relation.clone(), r.score.to_bits()))
             .collect();
-        let c: Vec<(String, u32)> = batched
+        let c: Vec<(String, u32)> = queued
             .ranked
             .iter()
             .map(|r| (r.relation.clone(), r.score.to_bits()))
             .collect();
-        assert_eq!(a, c, "int8 batching must be bit-identical");
+        assert_eq!(a, c, "int8 replies must not depend on queue depth");
     }
 
     // kNN interpolation also runs on the int8 path (repr from the
@@ -194,7 +191,7 @@ fn hot_swap_defers_unmap_until_the_last_borrower_drops() {
     };
 
     // Hot-swap to an owned (non-mapped) copy of the same model and delete
-    // the file. The old Arc — standing in for an in-flight batch — must
+    // the file. The old Arc — standing in for an in-flight request — must
     // keep the mapping alive and keep serving bit-identically.
     let mapped_bundle = load_bundle(&path).expect("second mapping");
     drop(mapped_bundle);

@@ -64,8 +64,8 @@ impl PoolStats {
         }
     }
 
-    /// Accumulates another pool's counters into this one (used to merge
-    /// per-thread stash deltas into a worker's handle-passed pool stats).
+    /// Accumulates another pool's counters into this one (used to sum the
+    /// data-parallel replicas' arena deltas into one training report).
     pub fn merge(&mut self, other: &PoolStats) {
         self.hits += other.hits;
         self.misses += other.misses;
@@ -157,13 +157,6 @@ impl BufferPool {
     /// Snapshot of the allocator-pressure counters.
     pub fn stats(&self) -> PoolStats {
         self.stats
-    }
-
-    /// Folds another pool's counter delta into this pool's stats — used to
-    /// attribute the thread-local stash activity of fanned-out workers back
-    /// to the handle-passed pool their batch was accounted against.
-    pub fn absorb_stats(&mut self, delta: &PoolStats) {
-        self.stats.merge(delta);
     }
 
     /// Number of free buffers currently held across all classes. The

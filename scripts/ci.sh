@@ -74,7 +74,8 @@
 #           build on the merged corpus at --threads 1 and 4
 #   bench   1ms-sample smoke of the serving + kernel-scaling benches, which
 #           also executes their embedded assertions (dispatch fast path,
-#           batched == unbatched); with CI_BENCH_GATE=1 it then runs
+#           one front-end thread at every connection rung, no fd/thread
+#           leaks); with CI_BENCH_GATE=1 it then runs
 #           scripts/bench_check.sh, the >15% regression gate against the
 #           committed BENCH_PR2.json
 #

@@ -14,7 +14,7 @@
 //! | [`core`] | the paper's models: PCNN(+ATT), CNN+ATT, GRU+ATT, BGWA, CNN+RL, Mintz/MultiR/MIMLRE, PA-T / PA-MR / PA-TMR |
 //! | [`dist`] | deterministic data-parallel training: replica sharding, fixed-order tree all-reduce, checkpoints, parallel multi-seed runner |
 //! | [`eval`] | held-out PR/AUC/P@N metrics, slice analyses, the experiment pipeline |
-//! | [`serve`] | batched multi-threaded inference serving: model registry, micro-batching engine, TCP front-end, latency metrics |
+//! | [`serve`] | multi-threaded inference serving: model registry, bounded queue + worker pool, TCP front-end, latency metrics |
 //! | [`stream`] | streaming corpus ingestion: incremental proximity graph, online LINE refinement, live bundle hot-swap publishing |
 //!
 //! ## Quickstart

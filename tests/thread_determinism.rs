@@ -105,19 +105,15 @@ fn full_pcnn_train_step_bit_identical() {
     assert_eq!(p1, p4, "post-SGD parameters must be bit-identical");
 }
 
-/// Batched prediction on a 4-thread pool (parallel across bags, one tape per
-/// bag) matches per-bag prediction on a 1-thread pool exactly — the serving
-/// engine's batched == unbatched contract extended across thread counts.
+/// Batch representation export on a 4-thread pool (parallel across bags, one
+/// tape per bag on that thread's stash) matches per-bag export on a 1-thread
+/// pool exactly — `predict_repr_batch` is the one bag-parallel inference
+/// path, and the ANN index is built from what it returns.
 #[test]
-fn predict_batch_parallel_matches_sequential_per_bag() {
+fn predict_repr_batch_parallel_matches_sequential_per_bag() {
     let ds = Dataset::generate(&smoke_config(5));
     let hp = HyperParams::tiny();
     let bags = imre_core::prepare_bags(&ds.train, &hp);
-    let types = imre_core::entity_type_table(&ds.world);
-    let ctx = BagContext {
-        entity_embedding: None,
-        entity_types: &types,
-    };
     let model = ReModel::new(
         ModelSpec::pcnn_att(),
         &hp,
@@ -133,9 +129,9 @@ fn predict_batch_parallel_matches_sequential_per_bag() {
     let p1 = ThreadPool::new(1);
     let p4 = ThreadPool::new(4);
     let sequential: Vec<Vec<f32>> = with_pool(&p1, || {
-        batch.iter().map(|b| model.predict(b, &ctx)).collect()
+        batch.iter().map(|b| model.predict_repr(b)).collect()
     });
-    let batched = with_pool(&p4, || model.predict_batch(&batch, &ctx));
+    let batched = with_pool(&p4, || model.predict_repr_batch(&batch));
     assert_eq!(sequential, batched);
 }
 
