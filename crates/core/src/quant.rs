@@ -1,5 +1,5 @@
 //! Post-training int8 quantization of a trained [`ReModel`] and the
-//! tape-free quantized inference forward (`predict_batch_quant`).
+//! tape-free quantized inference forward (`predict_quant_into`).
 //!
 //! [`QuantModel::from_model`] snapshots every large table of a trained
 //! model — the word/position embedding front-end, the conv filter bank,
@@ -654,6 +654,27 @@ impl QuantModel {
         softmax_in_place(logits);
         out.copy_from_slice(logits);
     }
+
+    /// [`QuantModel::predict_quant_into`] over a slice of bags, in order on
+    /// the caller's `scratch`, exporting the pooled representation of each
+    /// bag whose `wants_repr` entry is set.
+    pub fn predict_batch_quant_with_repr(
+        &self,
+        bags: &[&PreparedBag],
+        entity_types: &[Vec<usize>],
+        scratch: &mut QuantScratch,
+        wants_repr: &[bool],
+    ) -> Vec<(Vec<f32>, Option<Vec<f32>>)> {
+        assert_eq!(bags.len(), wants_repr.len());
+        let mut run_one = |bag: &PreparedBag, want: bool| {
+            let mut scores = vec![0.0f32; self.num_relations];
+            let mut repr = want.then(|| vec![0.0f32; self.sent_dim()]);
+            self.predict_quant_into(bag, entity_types, scratch, &mut scores, repr.as_deref_mut());
+            (scores, repr)
+        };
+        let scored = bags.iter().zip(wants_repr);
+        scored.map(|(bag, &want)| run_one(bag, want)).collect()
+    }
 }
 
 #[cfg(test)]
@@ -779,6 +800,27 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn batch_matches_single_and_exports_repr() {
+        let model = build(ModelSpec::pcnn_att());
+        let qm = QuantModel::from_model(&model, None).expect("quantizes");
+        let types = toy_types();
+        let bags: Vec<PreparedBag> = (0..5).map(|i| toy_bag(i % 4, 200 + i as u64)).collect();
+        let refs: Vec<&PreparedBag> = bags.iter().collect();
+        let mut scratch = QuantScratch::new();
+        let wants: Vec<bool> = (0..bags.len()).map(|i| i % 2 == 0).collect();
+        let batch = qm.predict_batch_quant_with_repr(&refs, &types, &mut scratch, &wants);
+        assert_eq!(batch.len(), bags.len());
+        for (i, bag) in bags.iter().enumerate() {
+            let mut one = vec![0.0f32; 4];
+            let mut repr = vec![0.0f32; qm.sent_dim()];
+            qm.predict_quant_into(bag, &types, &mut scratch, &mut one, Some(&mut repr));
+            assert_eq!(batch[i].0, one, "bag {i} scores differ batch-vs-single");
+            let want = wants[i].then_some(&repr);
+            assert_eq!(batch[i].1.as_ref(), want, "bag {i} repr differs");
         }
     }
 

@@ -447,9 +447,10 @@ mod tests {
     fn lone_requests_never_wait_for_company() {
         // An idle one-worker engine answers a lone request as soon as the
         // worker wakes: 200 sequential round trips are a few ms of condvar
-        // hand-offs. (Any coalescing window w would cost 200·w here — the
-        // removed 2 ms window made this ≥ 400 ms.) The empty registry keeps
-        // the test model-free: every answer is the typed UnknownModel.
+        // hand-offs. A coalescing window w in the worker would cost 200·w
+        // here (2 ms → ≥ 400 ms); the bound leaves a loaded box slack below
+        // that. The empty registry keeps the test model-free: every answer
+        // is the typed UnknownModel.
         let handle = ServeHandle::start(
             Arc::new(Registry::new()),
             EngineConfig {
@@ -467,7 +468,7 @@ mod tests {
         let elapsed = start.elapsed();
         handle.shutdown();
         assert!(
-            elapsed < Duration::from_millis(200),
+            elapsed < Duration::from_millis(350),
             "200 lone requests took {elapsed:?}"
         );
         let m = handle.metrics();

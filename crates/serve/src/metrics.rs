@@ -92,7 +92,7 @@ impl Histogram {
 #[derive(Default)]
 pub struct Metrics {
     /// Time a request sat in the queue before a worker dequeued it (pure
-    /// waiting for a free worker — there is no coalescing window).
+    /// waiting for a free worker).
     pub queue_wait: Histogram,
     /// Tokenization + featurization time, per request.
     pub featurize: Histogram,

@@ -239,15 +239,7 @@ impl ServingModel {
         wants_repr: &[bool],
     ) -> Result<Vec<ScoredBag>, ServeError> {
         let qm = self.quant().ok_or(ServeError::NoQuantModel)?;
-        let types = &self.entity_types;
-        assert_eq!(bags.len(), wants_repr.len());
-        let scored = bags.iter().zip(wants_repr).map(|(bag, &want)| {
-            let mut scores = vec![0.0f32; qm.num_relations];
-            let mut repr = want.then(|| vec![0.0f32; qm.sent_dim()]);
-            qm.predict_quant_into(bag, types, scratch, &mut scores, repr.as_deref_mut());
-            (scores, repr)
-        });
-        Ok(scored.collect())
+        Ok(qm.predict_batch_quant_with_repr(bags, &self.entity_types, scratch, wants_repr))
     }
 
     /// Resolves a request's effective kNN parameters against engine-level

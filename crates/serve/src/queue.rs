@@ -4,7 +4,7 @@
 //! Producers never block: [`BoundedQueue::try_push`] fails fast when the
 //! queue is at capacity (the engine's backpressure signal). Consumers call
 //! [`BoundedQueue::pop`], which blocks until an item is available and hands
-//! it over at once — there is no coalescing window.
+//! it over at once.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
