@@ -1,6 +1,5 @@
 //! Front-end concurrency sweep: requests/sec over real TCP as the number of
-//! concurrent connections grows from 10 to 10 000, for both front-end
-//! implementations (the epoll event loop and thread-per-connection).
+//! concurrent connections grows from 10 to 10 000.
 //!
 //! Each rung connects N clients, runs ping waves (every client writes one
 //! request, then every reply is read back and checked), and reports
@@ -11,25 +10,19 @@
 //!
 //! Leak accounting is part of the bench contract, not a side check: every
 //! rung asserts that the process file-descriptor count and thread count
-//! return to their pre-rung baseline after `stop()`, and every event-loop
-//! rung asserts the front end ran on exactly ONE thread even with 10 000
-//! connections open. The thread-per-connection path is only swept to 256
-//! connections — beyond that its per-client threads are the bottleneck
-//! being replaced, which is the point of the comparison ratio
-//! (`floor_serve_epoll_vs_threads_c256` gates the event loop staying within
-//! tolerance of the threaded path at moderate scale; it must never fall
-//! behind by more than the gate's margin).
+//! return to their pre-rung baseline after `stop()`, and that the front end
+//! ran on exactly ONE thread even with 10 000 connections open.
 //!
 //! Honors `CRITERION_SAMPLE_MS` (default 100): wave count scales with it,
 //! and the big rung drops from 10 000 to 1 000 connections below 10 ms so
 //! the CI smoke stays fast (logged, never silent). With `IMRE_BENCH_JSON`
-//! set, req/s numbers and the epoll-vs-threads ratio are written for the
-//! `scripts/bench_check.sh` regression gate.
+//! set, the req/s numbers are written for the `scripts/bench_check.sh`
+//! regression gate.
 
 #[cfg(not(target_os = "linux"))]
 fn main() {
-    // The sweep leans on linux-only plumbing: the epoll front end itself,
-    // `raise_nofile_limit`, and `/proc`-based leak accounting. Still write
+    // The sweep leans on linux-only plumbing: `raise_nofile_limit` and
+    // `/proc`-based leak accounting. Still write
     // an (empty) metrics file so `scripts/bench_check.sh` can merge it.
     println!("serve_concurrency: skipped (linux-only bench)");
     imre_bench::MetricSink::new().write_if_requested();
@@ -43,8 +36,7 @@ fn main() {
 #[cfg(target_os = "linux")]
 mod linux {
     use imre_serve::{
-        raise_nofile_limit, EngineConfig, FrontendConfig, FrontendKind, Registry, ServeHandle,
-        TcpServer,
+        raise_nofile_limit, EngineConfig, FrontendConfig, Registry, ServeHandle, TcpServer,
     };
     use std::io::{Read, Write};
     use std::net::TcpStream;
@@ -110,15 +102,10 @@ mod linux {
         }
     }
 
-    struct Rung {
-        rps: f64,
-        /// Threads the front end added while all connections were open.
-        frontend_threads: usize,
-    }
-
     /// Spawns a fresh engine + server, connects `clients`, times `waves` ping
-    /// waves, then tears everything down and asserts nothing leaked.
-    fn run_rung(frontend: FrontendKind, clients: usize, waves: usize) -> Rung {
+    /// waves, then tears everything down and asserts nothing leaked. Returns
+    /// req/s.
+    fn run_rung(clients: usize, waves: usize) -> f64 {
         let fds_before = proc_fds();
         let threads_before = proc_threads();
 
@@ -131,7 +118,6 @@ mod linux {
         );
         let threads_engine = proc_threads();
         let cfg = FrontendConfig {
-            frontend,
             max_connections: clients + 16,
             ..FrontendConfig::default()
         };
@@ -150,7 +136,11 @@ mod linux {
         // Warm wave (untimed): proves every connection was admitted and is
         // answering before the clock starts.
         wave(&mut conns);
-        let frontend_threads = proc_threads() - threads_engine;
+        assert_eq!(
+            proc_threads() - threads_engine,
+            1,
+            "the front end must stay single-threaded at {clients} connections"
+        );
 
         let start = Instant::now();
         for _ in 0..waves {
@@ -169,20 +159,18 @@ mod linux {
         // baseline once the server is stopped and the engine shut down.
         assert!(
             settles(Duration::from_secs(5), || proc_fds() <= fds_before),
-            "{frontend:?}/{clients}: leaked fds ({} before, {} after stop)",
+            "{clients}: leaked fds ({} before, {} after stop)",
             fds_before,
             proc_fds()
         );
         assert!(
             settles(Duration::from_secs(5), || proc_threads() <= threads_before),
-            "{frontend:?}/{clients}: leaked threads ({} before, {} after stop)",
+            "{clients}: leaked threads ({} before, {} after stop)",
             threads_before,
             proc_threads()
         );
-        Rung {
-            rps,
-            frontend_threads,
-        }
+        println!("{clients:>8}  {rps:>12.1}");
+        rps
     }
 
     pub fn main() {
@@ -197,75 +185,17 @@ mod linux {
         let big_waves = (waves / 5).max(1);
 
         println!("=== serve_concurrency (waves = {waves}, big rung = {big_clients} conns) ===");
-        println!(
-            "{:>8}  {:>10}  {:>12}  {:>16}",
-            "clients", "frontend", "req/s", "frontend threads"
-        );
+        println!("{:>8}  {:>12}", "clients", "req/s");
         let mut sink = imre_bench::MetricSink::new();
 
-        // Moderate rungs, both front ends. At 256 the pair is interleaved and
-        // best-of-3 so the comparison ratio is not skewed by a one-off
-        // scheduler stall on either side (each rung is a fresh engine +
-        // server + connection set, so rounds are independent).
-        let best = |frontend: FrontendKind, clients: usize, rounds: usize| -> Rung {
-            let mut best = run_rung(frontend, clients, waves);
-            for _ in 1..rounds {
-                let r = run_rung(frontend, clients, waves);
-                if r.rps > best.rps {
-                    best = r;
-                }
-            }
-            println!(
-                "{clients:>8}  {frontend:>10?}  {:>12.1}  {:>16}",
-                best.rps, best.frontend_threads
-            );
-            best
-        };
-        for clients in [10usize, 64] {
-            let e = best(FrontendKind::EventLoop, clients, 1);
-            let t = best(FrontendKind::Threads, clients, 1);
-            assert_eq!(
-                e.frontend_threads, 1,
-                "event loop must stay single-threaded at {clients} connections"
-            );
-            if clients == 64 {
-                sink.record("serve_conc_rps_c64", e.rps);
-            } else {
-                sink.record("info_serve_conc_rps_c10_epoll", e.rps);
-            }
-            sink.record(&format!("info_serve_conc_rps_c{clients}_threads"), t.rps);
+        for (clients, key) in [
+            (10, "info_serve_conc_rps_c10_epoll"),
+            (64, "serve_conc_rps_c64"),
+            (256, "serve_conc_rps_c256"),
+            (1024, "info_serve_conc_rps_c1024"),
+        ] {
+            sink.record(key, run_rung(clients, waves));
         }
-        let (e256, t256) = {
-            let mut e = run_rung(FrontendKind::EventLoop, 256, waves);
-            let mut t = run_rung(FrontendKind::Threads, 256, waves);
-            for _ in 1..3 {
-                let er = run_rung(FrontendKind::EventLoop, 256, waves);
-                if er.rps > e.rps {
-                    e = er;
-                }
-                let tr = run_rung(FrontendKind::Threads, 256, waves);
-                if tr.rps > t.rps {
-                    t = tr;
-                }
-            }
-            for (r, f) in [(&e, FrontendKind::EventLoop), (&t, FrontendKind::Threads)] {
-                println!(
-                    "{:>8}  {f:>10?}  {:>12.1}  {:>16}",
-                    256, r.rps, r.frontend_threads
-                );
-            }
-            (e, t)
-        };
-        assert_eq!(e256.frontend_threads, 1);
-        sink.record("serve_conc_rps_c256", e256.rps);
-        sink.record("info_serve_conc_rps_c256_threads", t256.rps);
-        sink.record("floor_serve_epoll_vs_threads_c256", e256.rps / t256.rps);
-
-        // Connection-scale rungs: event loop only. One front-end thread for
-        // every rung is asserted, not assumed.
-        let e1k = best(FrontendKind::EventLoop, 1024, 1);
-        assert_eq!(e1k.frontend_threads, 1);
-        sink.record("info_serve_conc_rps_c1024", e1k.rps);
 
         // The big rung needs ~2 fds per connection (client + server side) in
         // this one process.
@@ -280,28 +210,11 @@ mod linux {
         } else {
             big_clients
         };
-        let ebig = {
-            let r = run_rung(FrontendKind::EventLoop, big_clients, big_waves);
-            println!(
-                "{big_clients:>8}  {:>10?}  {:>12.1}  {:>16}",
-                FrontendKind::EventLoop,
-                r.rps,
-                r.frontend_threads
-            );
-            r
-        };
-        assert_eq!(
-            ebig.frontend_threads, 1,
-            "event loop must stay single-threaded at {big_clients} connections"
-        );
+        let rps_big = run_rung(big_clients, big_waves);
         sink.record("info_serve_conc_big_clients", big_clients as f64);
-        sink.record("info_serve_conc_rps_big", ebig.rps);
+        sink.record("info_serve_conc_rps_big", rps_big);
 
-        println!(
-        "epoll/threads @256: {:.2}x  |  epoll @{big_clients}: {:.1} req/s on 1 front-end thread, zero leaks",
-        e256.rps / t256.rps,
-        ebig.rps
-    );
+        println!("{big_clients} connections: {rps_big:.1} req/s on 1 front-end thread, zero leaks");
         sink.write_if_requested();
     }
 }

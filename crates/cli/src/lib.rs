@@ -75,9 +75,6 @@ USAGE:
                   beyond it get err server-busy and close (default 1024)
                   [--max-inflight-per-conn N]   pipelined requests one
                   connection may have in the engine at once (default 32)
-                  [--frontend <auto|epoll|threads>]   accept/connection
-                  implementation (default auto: epoll on linux; the env var
-                  IMRE_SERVE_FRONTEND overrides auto)
                   [--precision <f32|int8>]   forward-pass precision
                   (default f32; int8 needs a bundle re-exported by
                   `imre quantize`)
@@ -460,13 +457,17 @@ fn cmd_quantize(flags: &Flags) -> Result<(), CliError> {
 }
 
 fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
-    // `Flags` ignores keys nobody reads, so a command line written for the
-    // removed micro-batcher would otherwise start up as a silent no-op.
-    for retired in ["batch", "deadline-ms"] {
+    // `Flags` ignores keys nobody reads, so a command line written for a
+    // removed mechanism would otherwise start up as a silent no-op.
+    let no_batcher = "workers take one request per dequeue, there is no batch window to size";
+    for (retired, why) in [
+        ("batch", no_batcher),
+        ("deadline-ms", no_batcher),
+        ("frontend", "the event loop is the only front end"),
+    ] {
         if flags.optional(retired).is_some() {
             return Err(usage(format!(
-                "--{retired} was removed: workers take one request per dequeue, \
-                 there is no batch window to size; drop the flag"
+                "--{retired} was removed: {why}; drop the flag"
             )));
         }
     }
@@ -494,18 +495,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
         precision,
     };
 
-    let frontend = match flags.optional("frontend").unwrap_or("auto") {
-        "auto" => imre_serve::FrontendKind::Auto,
-        "epoll" => imre_serve::FrontendKind::EventLoop,
-        "threads" => imre_serve::FrontendKind::Threads,
-        other => {
-            return Err(usage(format!(
-                "--frontend must be auto, epoll, or threads, got {other:?}"
-            )))
-        }
-    };
     let frontend_config = imre_serve::FrontendConfig {
-        frontend,
         max_connections: flags.number("max-connections", 1024usize)?.max(1),
         max_inflight_per_conn: flags.number("max-inflight-per-conn", 32usize)?.max(1),
         ..imre_serve::FrontendConfig::default()
@@ -551,10 +541,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
         config.knn_lambda,
     );
     println!(
-        "frontend={:?} max_connections={} max_inflight_per_conn={}",
-        frontend_config.frontend,
-        frontend_config.max_connections,
-        frontend_config.max_inflight_per_conn,
+        "max_connections={} max_inflight_per_conn={}",
+        frontend_config.max_connections, frontend_config.max_inflight_per_conn,
     );
     // Optional live ingest: a background updater folds delta batches into
     // the proximity graph and hot-swaps refreshed bundles into the registry
@@ -816,8 +804,6 @@ mod tests {
             "2048",
             "--max-inflight-per-conn",
             "8",
-            "--frontend",
-            "epoll",
         ]))
         .unwrap();
         assert_eq!(f.required("bundle").unwrap(), "m.imrb");
@@ -828,20 +814,11 @@ mod tests {
         assert_eq!(f.number("request-deadline-ms", 0u64).unwrap(), 250);
         assert_eq!(f.number("max-connections", 1024usize).unwrap(), 2048);
         assert_eq!(f.number("max-inflight-per-conn", 32usize).unwrap(), 8);
-        assert_eq!(f.optional("frontend"), Some("epoll"));
-    }
-
-    #[test]
-    fn serve_rejects_unknown_frontend() {
-        match run(&s(&["serve", "--bundle", "m.imrb", "--frontend", "uring"])) {
-            Err(CliError::Usage(msg)) => assert!(msg.contains("frontend"), "{msg}"),
-            other => panic!("expected usage error, got {other:?}"),
-        }
     }
 
     #[test]
     fn serve_rejects_retired_batch_flags() {
-        for retired in ["--batch", "--deadline-ms"] {
+        for retired in ["--batch", "--deadline-ms", "--frontend"] {
             match run(&s(&["serve", "--bundle", "m.imrb", retired, "8"])) {
                 Err(CliError::Usage(msg)) => {
                     assert!(msg.contains(retired) && msg.contains("removed"), "{msg}")

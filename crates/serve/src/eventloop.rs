@@ -1,11 +1,14 @@
-//! Single-threaded epoll readiness front end (Linux).
+//! Single-threaded readiness front end: the one way a line gets from a
+//! socket to the engine.
 //!
 //! One thread multiplexes every client connection: a nonblocking listener,
-//! a wakeup pipe, and per-connection nonblocking sockets are registered on
-//! one epoll instance (level-triggered). Request lines are framed
-//! incrementally from a per-connection read buffer — a line split across
-//! TCP segments, or a slow-loris client trickling bytes, parks state in
-//! that buffer without holding a thread or stalling any other connection.
+//! a wakeup pipe, and per-connection nonblocking sockets are registered
+//! with one level-triggered poller — epoll on Linux, `poll(2)` on every
+//! other unix ([`sys::Poller`]; the loop is generic over it and otherwise
+//! identical). Request lines are framed incrementally from a
+//! per-connection read buffer — a line split across TCP segments, or a
+//! slow-loris client trickling bytes, parks state in that buffer without
+//! holding a thread or stalling any other connection.
 //!
 //! Requests on one connection are pipelined: each parsed line gets a
 //! sequence number and `infer` lines go to the engine through
@@ -20,41 +23,46 @@
 //! (per-connection in-flight cap → `err server-busy` for that request
 //! only). Slow readers get backpressure instead of unbounded buffering:
 //! once a connection's unflushed output exceeds a high-water mark, the loop
-//! stops reading from it (drops `EPOLLIN` interest) until the backlog
-//! drains.
+//! stops reading from it (drops its read interest) until the backlog
+//! drains. Read interest is also dropped for good once the peer has
+//! finished sending: a half-closed socket stays read-ready forever, and a
+//! level-triggered poller would otherwise spin on it until the last answer
+//! owed to it completes.
 //!
-//! Stop semantics match the thread-per-connection front end:
-//! [`crate::TcpServer::stop`] sets the flag and wakes the pipe; the loop
-//! observes it within one wakeup (or one 50 ms safety tick), gives every
-//! connection one greedy nonblocking flush, closes everything, and exits.
-//! Completions that arrive for connections that no longer exist are
+//! Stop: [`crate::TcpServer::stop`] sets the flag and wakes the pipe; the
+//! loop observes it within one wakeup (or one 50 ms safety tick), gives
+//! every connection one greedy nonblocking flush, closes everything, and
+//! exits. Completions that arrive for connections that no longer exist are
 //! dropped — the engine's own shutdown drain still answers every queued
-//! job, exactly as before.
+//! job.
 
 use crate::engine::ServeHandle;
 use crate::error::ServeError;
 use crate::metrics::Metrics;
-use crate::protocol::{
-    classify_line, encode_lines, format_error, format_response, LineAction, Reply,
-};
-use crate::server::{reject_busy, FrontendConfig, ACCEPT_BACKOFF_MAX, ACCEPT_BACKOFF_MIN};
+use crate::protocol::{classify_line, encode_lines, format_error, format_response, LineAction};
+use crate::server::FrontendConfig;
 use std::collections::BTreeMap;
+use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::os::fd::{AsRawFd, OwnedFd};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Safety tick: the longest the loop sleeps in `epoll_wait` before
+pub(crate) use sys::Poller;
+
+/// The readiness implementation [`crate::TcpServer`] runs on this platform.
+#[cfg(target_os = "linux")]
+pub(crate) type NativePoller = sys::Epoll;
+#[cfg(not(target_os = "linux"))]
+pub(crate) type NativePoller = sys::poll2::PollSet;
+
+/// Safety tick: the longest the loop sleeps in the poller before
 /// re-checking the stop flag, so `TcpServer::stop()` terminates within
 /// roughly one tick even if the wakeup write itself were lost.
 const TICK_MS: i32 = 50;
-
-/// Events fetched per `epoll_wait`; level-triggered epoll re-reports
-/// anything that did not fit on the next iteration.
-const EVENTS_PER_WAIT: usize = 256;
 
 /// Socket read chunk size (stack scratch, reused across connections).
 const READ_CHUNK: usize = 16 * 1024;
@@ -63,77 +71,139 @@ const READ_CHUNK: usize = 16 * 1024;
 /// this, the loop stops reading its requests until the backlog drains.
 const OUT_HIGH_WATER: usize = 256 * 1024;
 
+/// Accept-error backoff bounds: the first EMFILE/ENFILE-style failure waits
+/// `ACCEPT_BACKOFF_MIN`, doubling per consecutive failure up to the max, so
+/// fd exhaustion never turns accepting into a hot error spin.
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(10);
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(500);
+
 const DATA_LISTENER: u64 = 0;
 const DATA_WAKER: u64 = 1;
 const FIRST_CONN_ID: u64 = 2;
 
 pub(crate) mod sys {
-    //! Raw syscall bindings for epoll/pipe/rlimit — the workspace is
+    //! Raw syscall bindings for epoll/poll/pipe/rlimit — the workspace is
     //! std-only (no libc crate), so the handful of symbols the loop needs
     //! are declared here directly. The only arch-sensitive piece is
     //! `EpollEvent`'s layout, handled per-arch below.
 
     use std::io;
-    use std::os::fd::{FromRawFd, OwnedFd, RawFd};
-    use std::os::raw::{c_int, c_void};
+    use std::os::fd::RawFd;
+    use std::os::raw::c_int;
 
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
+    /// Readiness bits, for interest sets and reported masks alike. `poll(2)`
+    /// gives `IN`/`OUT`/`ERR`/`HUP` the values epoll does on every unix.
+    pub const IN: u32 = 0x001;
+    pub const OUT: u32 = 0x004;
+    pub const ERR: u32 = 0x008;
+    pub const HUP: u32 = 0x010;
+    /// Peer closed its sending side. epoll only: under `poll(2)` the same
+    /// condition surfaces as `IN` followed by a zero-length read.
+    pub const RDHUP: u32 = 0x2000;
 
-    const EPOLL_CLOEXEC: c_int = 0o2000000;
-    const EPOLL_CTL_ADD: c_int = 1;
-    const EPOLL_CTL_DEL: c_int = 2;
-    const EPOLL_CTL_MOD: c_int = 3;
-    const O_NONBLOCK: c_int = 0o4000;
-    const O_CLOEXEC: c_int = 0o2000000;
-    const RLIMIT_NOFILE: c_int = 7;
-
-    /// Mirrors the kernel's `struct epoll_event`, whose layout is
-    /// arch-dependent: x86-64 packs it to 12 bytes (no padding between the
-    /// 32-bit event mask and the 64-bit data word — a compatibility quirk
-    /// inherited from the 32-bit ABI), while every other Linux arch uses
-    /// the plain C layout of `{u32; u64}` (16 bytes on aarch64 and other
-    /// 64-bit arches, which `repr(C)` reproduces exactly). Packing
-    /// unconditionally would make `epoll_wait` on aarch64 write 16-byte
-    /// entries into a 12-byte-stride buffer — out-of-bounds heap writes and
-    /// events routed to the wrong connections — so the packing is gated on
-    /// the target arch instead of assumed.
-    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
+    /// The four readiness calls the loop makes. The loop is generic over
+    /// this trait (monomorphised, no dynamic dispatch), so the `poll(2)`
+    /// implementation that non-Linux targets run is also driven by a test
+    /// on Linux.
+    pub trait Poller: Sized + Send + 'static {
+        fn new() -> io::Result<Self>;
+        /// Starts reporting `interest` on `fd` as `(token, mask)`; `ERR`
+        /// and `HUP` are reported whether asked for or not.
+        fn add(&mut self, fd: RawFd, interest: u32, token: u64) -> io::Result<()>;
+        fn modify(&mut self, fd: RawFd, interest: u32, token: u64) -> io::Result<()>;
+        fn delete(&mut self, fd: RawFd) -> io::Result<()>;
+        /// Blocks up to `timeout_ms` and replaces the contents of `ready`
+        /// with the `(token, mask)` pairs that are ready (level-triggered).
+        fn wait(&mut self, ready: &mut Vec<(u64, u32)>, timeout_ms: i32) -> io::Result<()>;
     }
 
-    // Layout guard for the one arch where we override the C ABI.
-    #[cfg(target_arch = "x86_64")]
-    const _: () = assert!(std::mem::size_of::<EpollEvent>() == 12);
+    // On Linux only the in-crate loop test runs over this.
+    #[cfg_attr(all(target_os = "linux", not(test)), allow(dead_code))]
+    pub mod poll2 {
+        use super::{cvt, Poller, IN, OUT};
+        use std::io;
+        use std::os::fd::RawFd;
+        use std::os::raw::{c_int, c_short};
 
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct RLimit {
-        cur: u64,
-        max: u64,
-    }
+        #[repr(C)]
+        struct PollFd {
+            fd: c_int,
+            events: c_short,
+            revents: c_short,
+        }
 
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-        fn pipe2(pipefd: *mut c_int, flags: c_int) -> c_int;
-        fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
-        fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
+        #[cfg(target_os = "linux")]
+        type NFds = std::os::raw::c_ulong;
+        #[cfg(not(target_os = "linux"))]
+        type NFds = std::os::raw::c_uint;
+
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: NFds, timeout: c_int) -> c_int;
+        }
+
+        /// `poll(2)` readiness: the registered set lives in user space and is
+        /// handed to the kernel whole on every wait. Finding an fd is a linear
+        /// scan — the same order of work as the `poll` call it sits beside.
+        pub struct PollSet {
+            fds: Vec<PollFd>,
+            /// `tokens[i]` is what `fds[i]` reports as.
+            tokens: Vec<u64>,
+        }
+
+        impl PollSet {
+            fn slot(&self, fd: RawFd) -> io::Result<usize> {
+                let found = self.fds.iter().position(|p| p.fd == fd);
+                found.ok_or_else(|| io::Error::from(io::ErrorKind::NotFound))
+            }
+        }
+
+        impl Poller for PollSet {
+            fn new() -> io::Result<Self> {
+                Ok(PollSet {
+                    fds: Vec::new(),
+                    tokens: Vec::new(),
+                })
+            }
+
+            fn add(&mut self, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
+                self.fds.push(PollFd {
+                    fd,
+                    events: (interest & (IN | OUT)) as c_short,
+                    revents: 0,
+                });
+                self.tokens.push(token);
+                Ok(())
+            }
+
+            fn modify(&mut self, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
+                let i = self.slot(fd)?;
+                self.fds[i].events = (interest & (IN | OUT)) as c_short;
+                self.tokens[i] = token;
+                Ok(())
+            }
+
+            fn delete(&mut self, fd: RawFd) -> io::Result<()> {
+                let i = self.slot(fd)?;
+                self.fds.swap_remove(i);
+                self.tokens.swap_remove(i);
+                Ok(())
+            }
+
+            fn wait(&mut self, ready: &mut Vec<(u64, u32)>, timeout_ms: i32) -> io::Result<()> {
+                ready.clear();
+                // SAFETY: `fds` is a valid writable array of `fds.len()` pollfd
+                // entries; the kernel writes only their `revents`.
+                let n = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as NFds, timeout_ms) };
+                if cvt(n)? > 0 {
+                    for (p, &token) in self.fds.iter().zip(&self.tokens) {
+                        if p.revents != 0 {
+                            ready.push((token, u32::from(p.revents as u16)));
+                        }
+                    }
+                }
+                Ok(())
+            }
+        }
     }
 
     fn cvt(ret: c_int) -> io::Result<c_int> {
@@ -144,128 +214,196 @@ pub(crate) mod sys {
         }
     }
 
-    pub fn epoll_create() -> io::Result<OwnedFd> {
-        // SAFETY: plain syscall; on success the returned fd is fresh and
-        // exclusively ours to wrap.
-        let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-        Ok(unsafe { OwnedFd::from_raw_fd(fd) })
+    /// A nonblocking wakeup channel; returns `(read_end, write_end)`. A
+    /// socket pair where `pipe2` and its flag values are not available.
+    #[cfg(not(target_os = "linux"))]
+    pub fn make_pipe() -> io::Result<(std::fs::File, std::fs::File)> {
+        let (rx, tx) = std::os::unix::net::UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        let as_file = |s| std::fs::File::from(std::os::fd::OwnedFd::from(s));
+        Ok((as_file(rx), as_file(tx)))
     }
 
-    fn epoll_ctl_op(epfd: RawFd, op: c_int, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
-        let mut ev = EpollEvent { events, data };
-        // SAFETY: `ev` outlives the call; the kernel copies it.
-        cvt(unsafe { epoll_ctl(epfd, op, fd, &mut ev) })?;
-        Ok(())
-    }
+    #[cfg(target_os = "linux")]
+    pub use linux::{make_pipe, raise_nofile_limit, Epoll};
 
-    pub fn epoll_add(epfd: RawFd, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
-        epoll_ctl_op(epfd, EPOLL_CTL_ADD, fd, events, data)
-    }
+    #[cfg(target_os = "linux")]
+    mod linux {
+        use super::{cvt, Poller};
+        use std::fs::File;
+        use std::io;
+        use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+        use std::os::raw::c_int;
 
-    pub fn epoll_mod(epfd: RawFd, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
-        epoll_ctl_op(epfd, EPOLL_CTL_MOD, fd, events, data)
-    }
+        /// Events fetched per `epoll_wait`; level-triggered epoll re-reports
+        /// anything that did not fit on the next iteration.
+        const EVENTS_PER_WAIT: usize = 256;
 
-    pub fn epoll_del(epfd: RawFd, fd: RawFd) -> io::Result<()> {
-        // The event argument is ignored for DEL but must be non-null on
-        // pre-2.6.9 kernels; pass a dummy.
-        epoll_ctl_op(epfd, EPOLL_CTL_DEL, fd, 0, 0)
-    }
+        const EPOLL_CLOEXEC: c_int = 0o2000000;
+        const EPOLL_CTL_ADD: c_int = 1;
+        const EPOLL_CTL_DEL: c_int = 2;
+        const EPOLL_CTL_MOD: c_int = 3;
+        const O_NONBLOCK: c_int = 0o4000;
+        const O_CLOEXEC: c_int = 0o2000000;
+        const RLIMIT_NOFILE: c_int = 7;
 
-    pub fn epoll_wait_events(
-        epfd: RawFd,
-        events: &mut [EpollEvent],
-        timeout_ms: i32,
-    ) -> io::Result<usize> {
-        // SAFETY: `events` is a valid writable slice; the kernel fills at
-        // most `events.len()` entries.
-        let n = cvt(unsafe {
-            epoll_wait(epfd, events.as_mut_ptr(), events.len() as c_int, timeout_ms)
-        })?;
-        Ok(n as usize)
-    }
+        /// Mirrors the kernel's `struct epoll_event`, whose layout is
+        /// arch-dependent: x86-64 packs it to 12 bytes (no padding between the
+        /// 32-bit event mask and the 64-bit data word — a compatibility quirk
+        /// inherited from the 32-bit ABI), while every other Linux arch uses
+        /// the plain C layout of `{u32; u64}` (16 bytes on aarch64 and other
+        /// 64-bit arches, which `repr(C)` reproduces exactly). Packing
+        /// unconditionally would make `epoll_wait` on aarch64 write 16-byte
+        /// entries into a 12-byte-stride buffer — out-of-bounds heap writes and
+        /// events routed to the wrong connections — so the packing is gated on
+        /// the target arch instead of assumed.
+        #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+        #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+        #[derive(Clone, Copy)]
+        struct EpollEvent {
+            events: u32,
+            data: u64,
+        }
 
-    /// A nonblocking close-on-exec pipe; returns `(read_end, write_end)`.
-    pub fn make_pipe() -> io::Result<(OwnedFd, OwnedFd)> {
-        let mut fds = [0 as c_int; 2];
-        // SAFETY: `fds` is a valid 2-element array for pipe2 to fill.
-        cvt(unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | O_CLOEXEC) })?;
-        // SAFETY: on success both fds are fresh and exclusively ours.
-        Ok(unsafe { (OwnedFd::from_raw_fd(fds[0]), OwnedFd::from_raw_fd(fds[1])) })
-    }
+        // Layout guard for the one arch where we override the C ABI.
+        #[cfg(target_arch = "x86_64")]
+        const _: () = assert!(std::mem::size_of::<EpollEvent>() == 12);
 
-    pub fn read_fd(fd: RawFd, buf: &mut [u8]) -> io::Result<usize> {
-        // SAFETY: `buf` is a valid writable slice of the stated length.
-        let n = unsafe { read(fd, buf.as_mut_ptr().cast::<c_void>(), buf.len()) };
-        if n < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(n as usize)
+        #[repr(C)]
+        #[derive(Clone, Copy)]
+        struct RLimit {
+            cur: u64,
+            max: u64,
+        }
+
+        extern "C" {
+            fn epoll_create1(flags: c_int) -> c_int;
+            fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+            fn epoll_wait(
+                epfd: c_int,
+                events: *mut EpollEvent,
+                maxevents: c_int,
+                timeout: c_int,
+            ) -> c_int;
+            fn pipe2(pipefd: *mut c_int, flags: c_int) -> c_int;
+            fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
+            fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
+        }
+
+        /// One epoll instance plus the buffer `epoll_wait` fills.
+        pub struct Epoll {
+            fd: OwnedFd,
+            events: Vec<EpollEvent>,
+        }
+
+        impl Epoll {
+            fn ctl(&self, op: c_int, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
+                let mut ev = EpollEvent { events, data };
+                // SAFETY: `ev` outlives the call; the kernel copies it.
+                cvt(unsafe { epoll_ctl(self.fd.as_raw_fd(), op, fd, &mut ev) })?;
+                Ok(())
+            }
+        }
+
+        impl Poller for Epoll {
+            fn new() -> io::Result<Self> {
+                // SAFETY: plain syscall; on success the returned fd is fresh
+                // and exclusively ours to wrap.
+                let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
+                Ok(Epoll {
+                    fd: unsafe { OwnedFd::from_raw_fd(fd) },
+                    events: vec![EpollEvent { events: 0, data: 0 }; EVENTS_PER_WAIT],
+                })
+            }
+
+            fn add(&mut self, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
+                self.ctl(EPOLL_CTL_ADD, fd, interest, token)
+            }
+
+            fn modify(&mut self, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
+                self.ctl(EPOLL_CTL_MOD, fd, interest, token)
+            }
+
+            fn delete(&mut self, fd: RawFd) -> io::Result<()> {
+                // The event argument is ignored for DEL but must be non-null
+                // on pre-2.6.9 kernels; pass a dummy.
+                self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
+            }
+
+            fn wait(&mut self, ready: &mut Vec<(u64, u32)>, timeout_ms: i32) -> io::Result<()> {
+                ready.clear();
+                // SAFETY: `events` is a valid writable slice; the kernel
+                // fills at most `events.len()` entries.
+                let n = cvt(unsafe {
+                    epoll_wait(
+                        self.fd.as_raw_fd(),
+                        self.events.as_mut_ptr(),
+                        self.events.len() as c_int,
+                        timeout_ms,
+                    )
+                })?;
+                ready.extend(self.events[..n as usize].iter().map(|e| (e.data, e.events)));
+                Ok(())
+            }
+        }
+
+        /// A nonblocking close-on-exec pipe; returns `(read_end, write_end)`.
+        pub fn make_pipe() -> io::Result<(File, File)> {
+            let mut fds = [0 as c_int; 2];
+            // SAFETY: `fds` is a valid 2-element array for pipe2 to fill.
+            cvt(unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | O_CLOEXEC) })?;
+            // SAFETY: on success both fds are fresh and exclusively ours.
+            Ok(unsafe { (File::from_raw_fd(fds[0]), File::from_raw_fd(fds[1])) })
+        }
+
+        /// Raises the process soft `RLIMIT_NOFILE` toward `want` file
+        /// descriptors, lifting the hard limit too when the process may (e.g.
+        /// root). Returns the soft limit actually in effect afterwards, which
+        /// may be lower than `want` in unprivileged processes. Exposed for
+        /// connection-scale harnesses — a 10k-connection sweep needs ~2×10k
+        /// fds in one process (server + client side).
+        ///
+        /// # Errors
+        /// When `getrlimit`/`setrlimit` fail outright.
+        pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
+            let mut lim = RLimit { cur: 0, max: 0 };
+            // SAFETY: `lim` is a valid RLimit for the kernel to fill.
+            cvt(unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) })?;
+            if lim.cur >= want {
+                return Ok(lim.cur);
+            }
+            let raised = RLimit {
+                cur: want,
+                max: lim.max.max(want),
+            };
+            // SAFETY: `raised` is a valid RLimit; the kernel copies it.
+            if unsafe { setrlimit(RLIMIT_NOFILE, &raised) } == 0 {
+                return Ok(raised.cur);
+            }
+            // Raising the hard limit needs privileges: settle for the hard cap.
+            let capped = RLimit {
+                cur: lim.max.min(want).max(lim.cur),
+                max: lim.max,
+            };
+            // SAFETY: as above.
+            cvt(unsafe { setrlimit(RLIMIT_NOFILE, &capped) })?;
+            Ok(capped.cur)
         }
     }
-
-    pub fn write_fd(fd: RawFd, buf: &[u8]) -> io::Result<usize> {
-        // SAFETY: `buf` is a valid readable slice of the stated length.
-        let n = unsafe { write(fd, buf.as_ptr().cast::<c_void>(), buf.len()) };
-        if n < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(n as usize)
-        }
-    }
-
-    /// Raises the process soft `RLIMIT_NOFILE` toward `want` file
-    /// descriptors, lifting the hard limit too when the process may (e.g.
-    /// root). Returns the soft limit actually in effect afterwards, which
-    /// may be lower than `want` in unprivileged processes.
-    pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
-        let mut lim = RLimit { cur: 0, max: 0 };
-        // SAFETY: `lim` is a valid RLimit for the kernel to fill.
-        cvt(unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) })?;
-        if lim.cur >= want {
-            return Ok(lim.cur);
-        }
-        let raised = RLimit {
-            cur: want,
-            max: lim.max.max(want),
-        };
-        // SAFETY: `raised` is a valid RLimit; the kernel copies it.
-        if unsafe { setrlimit(RLIMIT_NOFILE, &raised) } == 0 {
-            return Ok(raised.cur);
-        }
-        // Raising the hard limit needs privileges: settle for the hard cap.
-        let capped = RLimit {
-            cur: lim.max.min(want).max(lim.cur),
-            max: lim.max,
-        };
-        // SAFETY: as above.
-        cvt(unsafe { setrlimit(RLIMIT_NOFILE, &capped) })?;
-        Ok(capped.cur)
-    }
-}
-
-/// Raises the process soft fd limit toward `want` descriptors (hard limit
-/// too when privileged); returns the soft limit in effect afterwards.
-/// Exposed for connection-scale harnesses — a 10k-connection sweep needs
-/// ~2×10k fds in one process (server + client side).
-///
-/// # Errors
-/// When `getrlimit`/`setrlimit` fail outright.
-pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
-    sys::raise_nofile_limit(want)
 }
 
 /// Wakes the event loop from any thread by writing one byte into its pipe.
 pub(crate) struct Waker {
-    fd: OwnedFd,
+    pipe: File,
 }
 
 impl Waker {
-    /// Makes the loop's next `epoll_wait` return promptly. Best-effort by
+    /// Makes the loop's next poller wait return promptly. Best-effort by
     /// design: a full pipe already guarantees a pending wakeup, and `EPIPE`
     /// after the loop exited means nobody is left to wake.
     pub(crate) fn wake(&self) {
-        let _ = sys::write_fd(self.fd.as_raw_fd(), &[1]);
+        let _ = (&self.pipe).write(&[1]);
     }
 }
 
@@ -335,7 +473,7 @@ struct Conn {
     /// Close as soon as `out` drains (a `quit` or fatal protocol error
     /// reached the front of the response stream).
     close_after_flush: bool,
-    /// Currently registered epoll interest, to skip redundant MODs.
+    /// Currently registered interest, to skip redundant modifies.
     interest: u32,
 }
 
@@ -369,40 +507,25 @@ enum After {
     Close,
 }
 
-/// Running event-loop thread plus the handle used to wake it.
-pub(crate) struct EventLoopHandles {
-    pub(crate) waker: Arc<Waker>,
-    pub(crate) thread: JoinHandle<()>,
-}
-
-/// Binds the loop's epoll instance and wakeup pipe and spawns its thread.
-pub(crate) fn start(
+/// Binds the loop's poller and wakeup pipe and spawns its thread; returns
+/// that thread plus the handle used to wake it.
+pub(crate) fn start<P: Poller>(
     listener: TcpListener,
     handle: ServeHandle,
     cfg: FrontendConfig,
     stop: Arc<AtomicBool>,
-) -> io::Result<EventLoopHandles> {
+) -> io::Result<(Arc<Waker>, JoinHandle<()>)> {
     let (wake_rx, wake_tx) = sys::make_pipe()?;
-    let waker = Arc::new(Waker { fd: wake_tx });
-    let epfd = sys::epoll_create()?;
-    sys::epoll_add(
-        epfd.as_raw_fd(),
-        listener.as_raw_fd(),
-        sys::EPOLLIN,
-        DATA_LISTENER,
-    )?;
-    sys::epoll_add(
-        epfd.as_raw_fd(),
-        wake_rx.as_raw_fd(),
-        sys::EPOLLIN,
-        DATA_WAKER,
-    )?;
+    let waker = Arc::new(Waker { pipe: wake_tx });
+    let mut poller = P::new()?;
+    poller.add(listener.as_raw_fd(), sys::IN, DATA_LISTENER)?;
+    poller.add(wake_rx.as_raw_fd(), sys::IN, DATA_WAKER)?;
     let completions = Arc::new(Completions {
         queue: Mutex::new(Vec::new()),
         waker: Arc::clone(&waker),
     });
     let mut el = EventLoop {
-        epfd,
+        poller,
         wake_rx,
         listener,
         handle,
@@ -415,14 +538,14 @@ pub(crate) fn start(
         accept_backoff: ACCEPT_BACKOFF_MIN,
     };
     let thread = std::thread::Builder::new()
-        .name("imre-serve-epoll".to_string())
+        .name("imre-serve-loop".to_string())
         .spawn(move || el.run())?;
-    Ok(EventLoopHandles { waker, thread })
+    Ok((waker, thread))
 }
 
-struct EventLoop {
-    epfd: OwnedFd,
-    wake_rx: OwnedFd,
+struct EventLoop<P> {
+    poller: P,
+    wake_rx: File,
     listener: TcpListener,
     handle: ServeHandle,
     cfg: FrontendConfig,
@@ -438,24 +561,20 @@ struct EventLoop {
     accept_backoff: Duration,
 }
 
-impl EventLoop {
+impl<P: Poller> EventLoop<P> {
     fn run(&mut self) {
-        let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; EVENTS_PER_WAIT];
+        let mut ready: Vec<(u64, u32)> = Vec::new();
         while !self.stop.load(Ordering::SeqCst) {
-            let n = match sys::epoll_wait_events(
-                self.epfd.as_raw_fd(),
-                &mut events,
-                self.wait_timeout_ms(),
-            ) {
-                Ok(n) => n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
-                // The epoll fd itself failing is unrecoverable; fall
-                // through to the shutdown drain.
-                Err(_) => break,
-            };
+            if let Err(e) = self.poller.wait(&mut ready, self.wait_timeout_ms()) {
+                // An interrupted wait leaves `ready` empty; the poller
+                // itself failing is unrecoverable, so fall through to the
+                // shutdown drain.
+                if e.kind() != io::ErrorKind::Interrupted {
+                    break;
+                }
+            }
             let mut accept_ready = false;
-            for ev in events.iter().take(n) {
-                let (mask, data) = (ev.events, ev.data);
+            for &(data, mask) in &ready {
                 match data {
                     DATA_LISTENER => accept_ready = true,
                     DATA_WAKER => self.drain_wake_pipe(),
@@ -487,7 +606,7 @@ impl EventLoop {
     fn drain_wake_pipe(&mut self) {
         let mut buf = [0u8; 256];
         loop {
-            match sys::read_fd(self.wake_rx.as_raw_fd(), &mut buf) {
+            match self.wake_rx.read(&mut buf) {
                 Ok(0) => break,
                 Ok(_) => continue,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -512,10 +631,8 @@ impl EventLoop {
                     }
                     stream.set_nodelay(true).ok();
                     let id = self.next_id;
-                    let interest = sys::EPOLLIN | sys::EPOLLRDHUP;
-                    if sys::epoll_add(self.epfd.as_raw_fd(), stream.as_raw_fd(), interest, id)
-                        .is_err()
-                    {
+                    let interest = sys::IN | sys::RDHUP;
+                    if self.poller.add(stream.as_raw_fd(), interest, id).is_err() {
                         // Registration failing is a resource problem, same
                         // as hitting the cap from the client's view.
                         Metrics::inc(&metrics.rejected_conn_cap);
@@ -534,7 +651,7 @@ impl EventLoop {
                     // and resume after an exponential backoff instead of
                     // spinning on a level-triggered error.
                     Metrics::inc(&self.handle.metrics().accept_errors);
-                    let _ = sys::epoll_del(self.epfd.as_raw_fd(), self.listener.as_raw_fd());
+                    let _ = self.poller.delete(self.listener.as_raw_fd());
                     self.accept_paused_until = Some(Instant::now() + self.accept_backoff);
                     self.accept_backoff = (self.accept_backoff * 2).min(ACCEPT_BACKOFF_MAX);
                     break;
@@ -547,12 +664,9 @@ impl EventLoop {
         if let Some(resume) = self.accept_paused_until {
             if Instant::now() >= resume {
                 self.accept_paused_until = None;
-                let _ = sys::epoll_add(
-                    self.epfd.as_raw_fd(),
-                    self.listener.as_raw_fd(),
-                    sys::EPOLLIN,
-                    DATA_LISTENER,
-                );
+                let _ = self
+                    .poller
+                    .add(self.listener.as_raw_fd(), sys::IN, DATA_LISTENER);
             }
         }
     }
@@ -563,14 +677,14 @@ impl EventLoop {
         if !self.conns.contains_key(&id) {
             return;
         }
-        if mask & sys::EPOLLERR != 0 {
+        if mask & sys::ERR != 0 {
             self.close_conn(id);
             return;
         }
-        if mask & sys::EPOLLOUT != 0 && !self.flush_conn(id) {
+        if mask & sys::OUT != 0 && !self.flush_conn(id) {
             return;
         }
-        if mask & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP) != 0 {
+        if mask & (sys::IN | sys::RDHUP | sys::HUP) != 0 {
             self.read_conn(id);
         }
     }
@@ -635,23 +749,24 @@ impl EventLoop {
         }
     }
 
-    /// Re-registers the connection's epoll interest from its state: read
-    /// while intake is open and the backlog is under the high-water mark,
+    /// Re-registers the connection's interest from its state: read-side
+    /// readiness (data or peer half-close) only while `read_conn` would act
+    /// on it — intake open and the backlog under the high-water mark —
+    /// because a level-triggered report nobody consumes fires on every wait;
     /// write while output is pending.
     fn update_interest(&mut self, id: u64) {
-        let epfd = self.epfd.as_raw_fd();
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        let mut want = sys::EPOLLRDHUP;
+        let mut want = 0;
         if !conn.read_closed && conn.backlog() < OUT_HIGH_WATER {
-            want |= sys::EPOLLIN;
+            want |= sys::IN | sys::RDHUP;
         }
         if conn.backlog() > 0 {
-            want |= sys::EPOLLOUT;
+            want |= sys::OUT;
         }
-        if want != conn.interest && sys::epoll_mod(epfd, conn.stream.as_raw_fd(), want, id).is_ok()
-        {
+        let fd = conn.stream.as_raw_fd();
+        if want != conn.interest && self.poller.modify(fd, want, id).is_ok() {
             conn.interest = want;
         }
     }
@@ -666,8 +781,7 @@ impl EventLoop {
         let mut touched: Vec<u64> = Vec::with_capacity(batch.len());
         for c in batch {
             // The client may have vanished mid-request; its answer has
-            // nowhere to go, which is exactly the disconnect semantics the
-            // threaded front end had (reply into a dropped channel).
+            // nowhere to go.
             let Some(conn) = self.conns.get_mut(&c.conn) else {
                 continue;
             };
@@ -688,7 +802,7 @@ impl EventLoop {
 
     fn close_conn(&mut self, id: u64) {
         if let Some(conn) = self.conns.remove(&id) {
-            let _ = sys::epoll_del(self.epfd.as_raw_fd(), conn.stream.as_raw_fd());
+            let _ = self.poller.delete(conn.stream.as_raw_fd());
             Metrics::dec(&self.handle.metrics().active_connections);
             // Dropping `conn.stream` closes the fd.
         }
@@ -696,7 +810,7 @@ impl EventLoop {
 
     /// Stop-path drain: one greedy nonblocking flush per connection, then
     /// close everything. In-flight answers that complete later find no
-    /// connection and are dropped (fail-fast, same as PR 3's stop).
+    /// connection and are dropped (fail-fast).
     fn shutdown_conns(&mut self) {
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         for id in ids {
@@ -706,6 +820,18 @@ impl EventLoop {
             self.close_conn(id);
         }
     }
+}
+
+/// Tells a connection the server cannot take it right now, then closes it.
+/// Best-effort: the peer may already be gone, and we never block the
+/// accept path on a slow receiver.
+fn reject_busy(stream: &TcpStream, limit: usize) {
+    let err = ServeError::ServerBusy {
+        what: "connections",
+        limit,
+    };
+    stream.set_nonblocking(true).ok();
+    let _ = (&*stream).write_all(&encode_lines(&[format_error(&err)]));
 }
 
 fn flush_into_socket(conn: &mut Conn) -> After {
@@ -792,13 +918,13 @@ fn handle_request_line(
     let seq = conn.next_seq;
     conn.next_seq += 1;
     match classify_line(handle, line) {
-        LineAction::Respond(Reply::Quit) => {
+        LineAction::Quit => {
             // Stop intake now; earlier pipelined responses still flush,
             // then the connection closes (no reply for `quit` itself).
             conn.read_closed = true;
             complete(conn, seq, Vec::new(), true);
         }
-        LineAction::Respond(Reply::Lines(lines)) => {
+        LineAction::Respond(lines) => {
             complete(conn, seq, encode_lines(&lines), false);
         }
         LineAction::Submit(req) => {
@@ -844,6 +970,143 @@ fn complete(conn: &mut Conn, seq: u64, bytes: Vec<u8>, close_after: bool) {
             // Anything sequenced after a close point is moot.
             conn.done.clear();
             break;
+        }
+    }
+}
+
+/// Drives the whole loop over the `poll(2)` implementation — the one
+/// non-Linux targets run — on Linux, where CI can see it.
+#[cfg(all(test, target_os = "linux"))]
+mod tests {
+    use super::sys::poll2::PollSet;
+    use crate::{EngineConfig, FrontendConfig, Registry, ServeHandle, TcpServer};
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// Open sockets and pipes, and live loop threads. No other unit test in
+    /// this crate creates any of them, so the counts are this test's alone
+    /// even with the harness running tests in parallel.
+    fn footprint() -> (usize, usize) {
+        let count = |dir: &str, keep: &dyn Fn(&std::path::Path) -> bool| {
+            let entries = std::fs::read_dir(dir).expect(dir);
+            entries
+                .filter(|e| keep(&e.as_ref().expect(dir).path()))
+                .count()
+        };
+        let is_channel = |fd: &std::path::Path| {
+            let target = std::fs::read_link(fd).unwrap_or_default();
+            let target = target.to_string_lossy();
+            target.starts_with("socket:") || target.starts_with("pipe:")
+        };
+        let is_loop = |task: &std::path::Path| {
+            std::fs::read_to_string(task.join("comm")).is_ok_and(|c| c == "imre-serve-loop\n")
+        };
+        (
+            count("/proc/self/fd", &is_channel),
+            count("/proc/self/task", &is_loop),
+        )
+    }
+
+    fn connect(server: &TcpServer) -> TcpStream {
+        let stream = TcpStream::connect(server.local_addr()).expect("connect");
+        let limit = Some(Duration::from_secs(5));
+        stream.set_read_timeout(limit).expect("read timeout");
+        stream
+    }
+
+    /// One reply: everything up to and including its empty terminator line.
+    fn read_reply(stream: &mut TcpStream) -> String {
+        let mut reply = Vec::new();
+        while !reply.ends_with(b"\n\n") {
+            let mut byte = [0];
+            stream.read_exact(&mut byte).expect("read reply");
+            reply.push(byte[0]);
+        }
+        String::from_utf8(reply).expect("utf-8 reply")
+    }
+
+    #[test]
+    fn the_loop_serves_the_whole_contract_over_poll2() {
+        let baseline = footprint();
+        // workers: 0 — submitted requests stay in flight until shutdown.
+        let engine = EngineConfig {
+            workers: 0,
+            ..EngineConfig::default()
+        };
+        let handle = ServeHandle::start(Arc::new(Registry::new()), engine);
+        let cfg = FrontendConfig {
+            max_inflight_per_conn: 2,
+            max_line_bytes: 256,
+            ..FrontendConfig::default()
+        };
+        let mut server =
+            TcpServer::spawn_on::<PollSet>(handle.clone(), "127.0.0.1:0", cfg).expect("bind");
+
+        let mut a = connect(&server);
+        a.write_all(b"ping\n").expect("ping");
+        assert_eq!(read_reply(&mut a), "ok pong\n\n");
+        assert_eq!(footprint().1, baseline.1 + 1, "one loop thread serves");
+        a.write_all(&b"ping\n".repeat(64)).expect("pipelined pings");
+        for i in 0..64 {
+            assert_eq!(read_reply(&mut a), "ok pong\n\n", "pipelined ping {i}");
+        }
+
+        // A newline-free stream past the cap: typed reject, then close.
+        let mut b = connect(&server);
+        b.write_all(&[b'x'; 1024]).expect("oversized");
+        let reply = read_reply(&mut b);
+        assert!(reply.starts_with("err bad-request"), "{reply:?}");
+        assert_eq!(b.read(&mut [0]).expect("read after reject"), 0);
+
+        // Three infers against an in-flight cap of two, then a ping: the
+        // third is refused at once, yet every reply waits its turn behind
+        // the two that only shutdown resolves.
+        let infer = b"infer model=ghost head=a tail=b text=a b\n";
+        a.write_all(&[&infer.repeat(3)[..], b"ping\n"].concat())
+            .expect("burst");
+        let metrics = handle.metrics();
+        let start = Instant::now();
+        while metrics.rejected_inflight.load(Ordering::Relaxed) < 1 {
+            assert!(
+                start.elapsed() < Duration::from_secs(2),
+                "no in-flight reject"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(metrics.submitted.load(Ordering::Relaxed), 2);
+        handle.shutdown();
+        for want in [
+            "err shutting-down",
+            "err shutting-down",
+            "err server-busy",
+            "ok pong",
+        ] {
+            let reply = read_reply(&mut a);
+            assert!(reply.starts_with(want), "expected {want}, got {reply:?}");
+        }
+
+        // `a` is still connected and idle: stop must not wait for it.
+        let start = Instant::now();
+        server.stop();
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "stop took {:?} with an idle connection",
+            start.elapsed()
+        );
+        assert_eq!(metrics.active_connections.load(Ordering::Relaxed), 0);
+        drop((a, b, server));
+        // A joined thread's /proc entry can outlive the join by a moment.
+        let start = Instant::now();
+        while footprint() != baseline {
+            assert!(
+                start.elapsed() < Duration::from_secs(2),
+                "leaked fds or a loop thread: {:?} vs {baseline:?} before",
+                footprint()
+            );
+            std::thread::sleep(Duration::from_millis(5));
         }
     }
 }

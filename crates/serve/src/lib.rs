@@ -13,11 +13,9 @@
 //!   dequeue and runs its forward pass on the worker's recycled scratch;
 //! - [`metrics`] — per-stage latency histograms and throughput counters;
 //! - [`server`] / [`protocol`] — a line-delimited TCP front-end that plain
-//!   `nc` can talk to, plus the in-process [`ServeHandle`] API. On Linux
-//!   the default front end is a single-threaded epoll readiness loop
-//!   multiplexing thousands of pipelined connections; a
-//!   thread-per-connection fallback remains selectable via
-//!   [`FrontendConfig`] or `IMRE_SERVE_FRONTEND=threads`.
+//!   `nc` can talk to, plus the in-process [`ServeHandle`] API. The one
+//!   front end is a single-threaded readiness loop multiplexing thousands
+//!   of pipelined connections (epoll on Linux, `poll(2)` on other unix).
 //!
 //! ```no_run
 //! use imre_serve::{EngineConfig, Registry, ServeHandle, InferRequest};
@@ -44,7 +42,7 @@
 pub mod bundle;
 pub mod engine;
 pub mod error;
-#[cfg(target_os = "linux")]
+#[cfg(unix)]
 pub(crate) mod eventloop;
 pub mod metrics;
 #[cfg(target_os = "linux")]
@@ -65,9 +63,9 @@ pub use metrics::{Histogram, HistogramSnapshot, Metrics, BUCKET_BOUNDS_US};
 pub use pipeline::{InferRequest, InferResponse, RankedRelation, ServingModel};
 pub use queue::{BoundedQueue, PushError};
 pub use registry::Registry;
-pub use server::{FrontendConfig, FrontendKind, TcpServer};
+pub use server::{FrontendConfig, TcpServer};
 
 #[cfg(target_os = "linux")]
-pub use eventloop::raise_nofile_limit;
+pub use eventloop::sys::raise_nofile_limit;
 #[cfg(target_os = "linux")]
 pub use mmap::live_mappings;

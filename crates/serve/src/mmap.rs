@@ -149,6 +149,10 @@ mod tests {
     use std::io::Write;
     use std::sync::Arc;
 
+    /// Held by every test that creates a `Mapping`, so the gauge test's
+    /// before/after deltas are its own even with tests running in parallel.
+    static MAPPING_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     fn tmp_file(name: &str, content: &[u8]) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("imre_mmap_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -160,6 +164,7 @@ mod tests {
 
     #[test]
     fn maps_whole_file_and_reads_back() {
+        let _gauge = MAPPING_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let content: Vec<u8> = (0..10_000u32).flat_map(|i| i.to_le_bytes()).collect();
         let path = tmp_file("whole.bin", &content);
         let map = Mapping::of_path(&path).unwrap();
@@ -178,6 +183,7 @@ mod tests {
 
     #[test]
     fn mapping_base_is_page_aligned() {
+        let _gauge = MAPPING_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let path = tmp_file("aligned.bin", &[7u8; 130]);
         let map = Mapping::of_path(&path).unwrap();
         // 64-aligned file offsets are only 64-aligned in memory because the
@@ -188,6 +194,7 @@ mod tests {
 
     #[test]
     fn arc_clones_keep_pages_alive_after_original_drop() {
+        let _gauge = MAPPING_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let path = tmp_file("keep.bin", b"staying alive");
         let map = Arc::new(Mapping::of_path(&path).unwrap());
         let clone = Arc::clone(&map);
@@ -198,8 +205,9 @@ mod tests {
 
     #[test]
     fn live_gauge_tracks_mapping_lifetime() {
-        // Other tests in this process create mappings too, so assert on
-        // deltas rather than absolute values.
+        // Other tests in this process create mappings too: hold them off
+        // for the duration and assert on deltas rather than absolute values.
+        let _alone = MAPPING_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let path = tmp_file("gauge.bin", b"gauge payload");
         let before = live_mappings();
         let map = Arc::new(Mapping::of_path(&path).unwrap());

@@ -23,24 +23,16 @@ use crate::engine::ServeHandle;
 use crate::error::ServeError;
 use crate::pipeline::{InferRequest, InferResponse};
 
-/// What the connection loop should do after answering.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Reply {
-    /// Send these lines (an empty terminator line is appended on the wire).
-    Lines(Vec<String>),
-    /// Close the connection.
-    Quit,
-}
-
 /// A classified request line: either something the front end can answer
-/// without touching the engine queue, or an `infer` to submit. Splitting
-/// classification from resolution lets the event-loop front end submit
-/// asynchronously ([`crate::engine::ServeHandle::submit_with`]) while the
-/// thread-per-connection path keeps blocking in [`handle_line`].
+/// without touching the engine queue, or an `infer` the event loop submits
+/// asynchronously ([`crate::engine::ServeHandle::submit_with`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum LineAction {
-    /// Answer immediately (possibly [`Reply::Quit`]).
-    Respond(Reply),
+    /// Answer immediately with these lines (an empty terminator line is
+    /// appended on the wire).
+    Respond(Vec<String>),
+    /// Close the connection.
+    Quit,
     /// Submit this request to the engine; its answer becomes the response
     /// line ([`format_response`] / [`format_error`]).
     Submit(InferRequest),
@@ -161,39 +153,25 @@ pub fn classify_line(handle: &ServeHandle, line: &str) -> LineAction {
         None => (line, ""),
     };
     match command {
-        "" => LineAction::Respond(Reply::Lines(vec![])),
-        "quit" => LineAction::Respond(Reply::Quit),
-        "ping" => LineAction::Respond(Reply::Lines(vec!["ok pong".to_string()])),
+        "" => LineAction::Respond(vec![]),
+        "quit" => LineAction::Quit,
+        "ping" => LineAction::Respond(vec!["ok pong".to_string()]),
         "models" => {
             let mut line = String::from("ok");
             for name in handle.registry().names() {
                 line.push(' ');
                 line.push_str(&name);
             }
-            LineAction::Respond(Reply::Lines(vec![line]))
+            LineAction::Respond(vec![line])
         }
-        "stats" => LineAction::Respond(Reply::Lines(
-            handle.stats_text().lines().map(str::to_string).collect(),
-        )),
+        "stats" => LineAction::Respond(handle.stats_text().lines().map(str::to_string).collect()),
         "infer" => match parse_infer(args) {
             Ok(req) => LineAction::Submit(req),
-            Err(e) => LineAction::Respond(Reply::Lines(vec![format_error(&e)])),
+            Err(e) => LineAction::Respond(vec![format_error(&e)]),
         },
-        other => LineAction::Respond(Reply::Lines(vec![format_error(&ServeError::BadRequest(
-            format!("unknown command {other:?}"),
-        ))])),
-    }
-}
-
-/// Dispatches one request line against the engine, blocking for `infer`
-/// answers (the thread-per-connection path).
-pub fn handle_line(handle: &ServeHandle, line: &str) -> Reply {
-    match classify_line(handle, line) {
-        LineAction::Respond(reply) => reply,
-        LineAction::Submit(req) => match handle.infer(req) {
-            Ok(resp) => Reply::Lines(vec![format_response(&resp)]),
-            Err(e) => Reply::Lines(vec![format_error(&e)]),
-        },
+        other => LineAction::Respond(vec![format_error(&ServeError::BadRequest(format!(
+            "unknown command {other:?}"
+        )))]),
     }
 }
 

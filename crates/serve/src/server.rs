@@ -1,96 +1,39 @@
 //! TCP front-end: line-delimited protocol over `std::net::TcpListener`.
 //!
-//! Two interchangeable front-end implementations sit behind [`TcpServer`]:
+//! [`TcpServer`] runs one front end: a single thread multiplexing every
+//! connection over the platform's readiness call (epoll on Linux, `poll(2)`
+//! on other unix targets) — nonblocking sockets, incremental line framing,
+//! pipelined requests with ordered responses, and admission control. See
+//! [`crate::eventloop`]. 10k idle clients cost 10k sockets, not 10k
+//! threads.
 //!
-//! - **Event loop** (default on Linux): a single thread multiplexes every
-//!   connection over epoll — nonblocking sockets, incremental line
-//!   framing, pipelined requests with ordered responses, and admission
-//!   control. See [`crate::eventloop`]. This is the connection-scale path:
-//!   10k idle clients cost 10k sockets, not 10k threads.
-//! - **Thread-per-connection** (fallback and non-Linux path): the accept
-//!   loop spawns one thread per client running the [`crate::protocol`]
-//!   dispatch, with read timeouts bounding how stale a stop can find any
-//!   connection thread.
-//!
-//! Both enforce [`FrontendConfig`]'s global connection cap (typed
-//! `server-busy` reject at accept) and oversized-line bound (typed
-//! `bad-request`), and both deliver the same stop semantics:
-//! [`TcpServer::stop`] terminates within roughly one poll tick, flushing
-//! or fail-fasting whatever was in flight.
+//! It enforces [`FrontendConfig`]'s global connection cap (typed
+//! `server-busy` reject at accept), per-connection in-flight cap and
+//! oversized-line bound (typed `bad-request`); [`TcpServer::stop`]
+//! terminates within roughly one loop tick, flushing or fail-fasting
+//! whatever was in flight.
 //!
 //! The engine's [`crate::metrics::Metrics::active_connections`] gauge
-//! tracks currently open connections on either path; `conns_opened` and
-//! the rejection counters feed the `conns:` stats line.
+//! tracks currently open connections; `conns_opened` and the rejection
+//! counters feed the `conns:` stats line.
 
 use crate::engine::ServeHandle;
-use crate::metrics::Metrics;
-use crate::protocol::{encode_lines, format_error, handle_line, Reply};
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
-
-/// Accept-error backoff bounds: the first EMFILE/ENFILE-style failure waits
-/// `ACCEPT_BACKOFF_MIN`, doubling per consecutive failure up to the max, so
-/// fd exhaustion never turns the accept loop into a hot error spin.
-pub(crate) const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(10);
-pub(crate) const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(500);
-
-/// Reap finished connection handles whenever the live list reaches this
-/// floor (and thereafter a doubling watermark), keeping the reap cost
-/// amortized O(1) per accepted connection.
-const REAP_WATERMARK_MIN: usize = 64;
-
-/// How long a connection thread blocks in a read before re-checking the
-/// stop flag. This bounds how stale a [`TcpServer::stop`] can find any
-/// connection thread: every one notices the flag within one `READ_POLL`.
-pub const READ_POLL: Duration = Duration::from_millis(50);
-
-/// Which accept/connection implementation [`TcpServer`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrontendKind {
-    /// The epoll event loop on Linux, thread-per-connection elsewhere.
-    /// `IMRE_SERVE_FRONTEND=threads|epoll` overrides the choice (useful
-    /// for A/B benchmarks and for exercising both paths in CI).
-    Auto,
-    /// The single-threaded epoll readiness loop (Linux only; spawning
-    /// fails with [`io::ErrorKind::Unsupported`] elsewhere).
-    EventLoop,
-    /// The thread-per-connection loop.
-    Threads,
-}
-
-impl FrontendKind {
-    fn resolve(self) -> FrontendKind {
-        match self {
-            FrontendKind::Auto => match std::env::var("IMRE_SERVE_FRONTEND").as_deref() {
-                Ok("threads") => FrontendKind::Threads,
-                Ok("epoll") => FrontendKind::EventLoop,
-                _ if cfg!(target_os = "linux") => FrontendKind::EventLoop,
-                _ => FrontendKind::Threads,
-            },
-            other => other,
-        }
-    }
-}
 
 /// Front-end tuning knobs (the engine has its own
 /// [`crate::engine::EngineConfig`]).
 #[derive(Debug, Clone, Copy)]
 pub struct FrontendConfig {
-    /// Which front-end implementation to run.
-    pub frontend: FrontendKind,
     /// Global cap on concurrently open connections; arrivals beyond it are
     /// answered `err server-busy` and closed at accept time.
     pub max_connections: usize,
     /// Maximum pipelined requests one connection may have in the engine at
-    /// once (event loop only — the threaded path reads one request at a
-    /// time, so it can never exceed 1). Further `infer` lines are answered
-    /// `err server-busy` without touching the queue.
+    /// once. Further `infer` lines are answered `err server-busy` without
+    /// touching the queue.
     pub max_inflight_per_conn: usize,
     /// Longest request line accepted before the connection is answered
     /// `err bad-request` and closed — bounds per-connection buffer growth
@@ -101,7 +44,6 @@ pub struct FrontendConfig {
 impl Default for FrontendConfig {
     fn default() -> Self {
         FrontendConfig {
-            frontend: FrontendKind::Auto,
             max_connections: 1024,
             max_inflight_per_conn: 32,
             max_line_bytes: 64 * 1024,
@@ -113,9 +55,9 @@ impl Default for FrontendConfig {
 pub struct TcpServer {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    #[cfg(target_os = "linux")]
-    waker: Option<Arc<crate::eventloop::Waker>>,
-    accept_thread: Option<JoinHandle<()>>,
+    #[cfg(unix)]
+    waker: Arc<crate::eventloop::Waker>,
+    loop_thread: Option<JoinHandle<()>>,
 }
 
 impl TcpServer {
@@ -129,57 +71,50 @@ impl TcpServer {
         TcpServer::spawn_with(handle, addr, FrontendConfig::default())
     }
 
-    /// [`TcpServer::spawn`] with explicit front-end selection and limits.
+    /// [`TcpServer::spawn`] with explicit front-end limits.
     ///
     /// # Errors
-    /// When the address cannot be bound, or [`FrontendKind::EventLoop`] is
-    /// requested off Linux ([`io::ErrorKind::Unsupported`]).
+    /// When the address cannot be bound, or on a non-unix target, which has
+    /// no readiness call the loop can run over
+    /// ([`io::ErrorKind::Unsupported`]).
     pub fn spawn_with(
         handle: ServeHandle,
         addr: &str,
         cfg: FrontendConfig,
     ) -> io::Result<TcpServer> {
-        let listener = TcpListener::bind(addr)?;
+        #[cfg(unix)]
+        {
+            TcpServer::spawn_on::<crate::eventloop::NativePoller>(handle, addr, cfg)
+        }
+        #[cfg(not(unix))]
+        {
+            let _ = (handle, addr, cfg);
+            Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "the TCP front end needs epoll or poll(2); use the in-process ServeHandle",
+            ))
+        }
+    }
+
+    /// Starts the event loop over readiness implementation `P`.
+    #[cfg(unix)]
+    pub(crate) fn spawn_on<P: crate::eventloop::Poller>(
+        handle: ServeHandle,
+        addr: &str,
+        cfg: FrontendConfig,
+    ) -> io::Result<TcpServer> {
+        let listener = std::net::TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        match cfg.frontend.resolve() {
-            FrontendKind::EventLoop => {
-                #[cfg(target_os = "linux")]
-                {
-                    let parts = crate::eventloop::start(listener, handle, cfg, Arc::clone(&stop))?;
-                    Ok(TcpServer {
-                        local_addr,
-                        stop,
-                        waker: Some(parts.waker),
-                        accept_thread: Some(parts.thread),
-                    })
-                }
-                #[cfg(not(target_os = "linux"))]
-                {
-                    Err(io::Error::new(
-                        io::ErrorKind::Unsupported,
-                        "the epoll front end requires linux; use FrontendKind::Threads",
-                    ))
-                }
-            }
-            _ => {
-                let accept_thread = {
-                    let stop = Arc::clone(&stop);
-                    std::thread::Builder::new()
-                        .name("imre-serve-accept".to_string())
-                        .spawn(move || accept_loop(&listener, &handle, &stop, &cfg))
-                        .expect("spawn accept thread")
-                };
-                Ok(TcpServer {
-                    local_addr,
-                    stop,
-                    #[cfg(target_os = "linux")]
-                    waker: None,
-                    accept_thread: Some(accept_thread),
-                })
-            }
-        }
+        let (waker, thread) =
+            crate::eventloop::start::<P>(listener, handle, cfg, Arc::clone(&stop))?;
+        Ok(TcpServer {
+            local_addr,
+            stop,
+            waker,
+            loop_thread: Some(thread),
+        })
     }
 
     /// The bound address (useful with port 0).
@@ -187,19 +122,15 @@ impl TcpServer {
         self.local_addr
     }
 
-    /// Stops the front end and joins its thread(s). On the event loop this
-    /// wakes the loop, which flushes what it can without blocking, closes
-    /// every connection, and exits; on the threaded path the accept loop
-    /// joins every connection thread (each notices the flag within one
-    /// [`READ_POLL`]). Either way the drain is bounded by roughly one poll
-    /// tick even with idle or mid-request clients. Idempotent.
+    /// Stops the front end and joins its thread: wakes the loop, which
+    /// flushes what it can without blocking, closes every connection, and
+    /// exits. The drain is bounded by roughly one loop tick even with idle
+    /// or mid-request clients. Idempotent.
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        #[cfg(target_os = "linux")]
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
-        if let Some(handle) = self.accept_thread.take() {
+        #[cfg(unix)]
+        self.waker.wake();
+        if let Some(handle) = self.loop_thread.take() {
             let _ = handle.join();
         }
     }
@@ -209,214 +140,4 @@ impl Drop for TcpServer {
     fn drop(&mut self) {
         self.stop();
     }
-}
-
-/// Decrements the active-connection gauge when a connection thread exits,
-/// on every path (clean close, I/O error, panic).
-struct ConnectionGuard {
-    handle: ServeHandle,
-}
-
-impl ConnectionGuard {
-    fn new(handle: ServeHandle) -> ConnectionGuard {
-        Metrics::inc(&handle.metrics().active_connections);
-        Metrics::inc(&handle.metrics().conns_opened);
-        ConnectionGuard { handle }
-    }
-}
-
-impl Drop for ConnectionGuard {
-    fn drop(&mut self) {
-        Metrics::dec(&self.handle.metrics().active_connections);
-    }
-}
-
-/// Tells a connection the server cannot take it right now, then closes it.
-/// Best-effort: the peer may already be gone, and we never block the
-/// accept path on a slow receiver.
-pub(crate) fn reject_busy(stream: &TcpStream, limit: usize) {
-    let err = crate::error::ServeError::ServerBusy {
-        what: "connections",
-        limit,
-    };
-    let line = format!("{}\n\n", format_error(&err));
-    stream.set_nonblocking(true).ok();
-    let _ = (&*stream).write_all(line.as_bytes());
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    handle: &ServeHandle,
-    stop: &Arc<AtomicBool>,
-    cfg: &FrontendConfig,
-) {
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    // Doubling watermark: reap whenever the handle list reaches it, then
-    // reset it to twice the number of live handles. A server under sustained
-    // accept traffic never hits the idle (WouldBlock) branch, so reaping
-    // must not depend on it — without this, one handle leaks per connection
-    // for the lifetime of the server.
-    let mut reap_at = REAP_WATERMARK_MIN;
-    let mut backoff = ACCEPT_BACKOFF_MIN;
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                backoff = ACCEPT_BACKOFF_MIN;
-                if connections.len() >= reap_at || connections.len() >= cfg.max_connections {
-                    connections.retain(|h| !h.is_finished());
-                    reap_at = (connections.len() * 2).max(REAP_WATERMARK_MIN);
-                }
-                if connections.len() >= cfg.max_connections {
-                    Metrics::inc(&handle.metrics().rejected_conn_cap);
-                    reject_busy(&stream, cfg.max_connections);
-                    continue;
-                }
-                // The stream is shared so that a failed spawn can still
-                // answer the client instead of silently dropping the
-                // accepted socket.
-                let stream = Arc::new(stream);
-                let conn_stream = Arc::clone(&stream);
-                let conn_handle = handle.clone();
-                let conn_stop = Arc::clone(stop);
-                let max_line_bytes = cfg.max_line_bytes;
-                let spawned = std::thread::Builder::new()
-                    .name("imre-serve-conn".to_string())
-                    .spawn(move || {
-                        let _guard = ConnectionGuard::new(conn_handle.clone());
-                        let _ = serve_connection(
-                            &conn_stream,
-                            &conn_handle,
-                            &conn_stop,
-                            max_line_bytes,
-                        );
-                    });
-                match spawned {
-                    Ok(h) => connections.push(h),
-                    Err(_) => {
-                        // Thread spawn failed (resource exhaustion): tell
-                        // the client we are overloaded, count it, and back
-                        // off before accepting more.
-                        Metrics::inc(&handle.metrics().rejected_conn_cap);
-                        reject_busy(&stream, connections.len());
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                // Idle: reap finished connection threads and poll the stop
-                // flag again.
-                connections.retain(|h| !h.is_finished());
-                reap_at = (connections.len() * 2).max(REAP_WATERMARK_MIN);
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => {
-                // Real accept failure (EMFILE/ENFILE under fd pressure):
-                // count it and back off exponentially rather than spinning
-                // on an error that will not clear instantly.
-                Metrics::inc(&handle.metrics().accept_errors);
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-            }
-        }
-    }
-    // Bounded drain: every connection thread sees the stop flag within one
-    // READ_POLL tick and exits, so these joins complete promptly.
-    for h in connections {
-        let _ = h.join();
-    }
-}
-
-fn serve_connection(
-    stream: &TcpStream,
-    handle: &ServeHandle,
-    stop: &AtomicBool,
-    max_line_bytes: usize,
-) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(READ_POLL))?;
-    let mut writer = stream;
-    let mut reader = BufReader::new(stream);
-    // Partial-line accumulator. Framing goes through bounded
-    // `fill_buf`/`consume` chunks — never `read_line`, which appends until
-    // it sees a newline no matter how long that takes — so the
-    // `max_line_bytes` cap is enforced *mid-line*: a client streaming a
-    // newline-free byte stream (fast enough to never hit the read timeout)
-    // is rejected within one BufReader chunk of the cap instead of growing
-    // the buffer without bound. Same typed reject as the event loop's
-    // framer.
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let (consumed, complete) = {
-            let chunk = match reader.fill_buf() {
-                Ok([]) => return Ok(()), // peer closed
-                Ok(chunk) => chunk,
-                // Read timeout (reported as WouldBlock or TimedOut depending
-                // on platform): keep any partial line already buffered and
-                // poll the stop flag again.
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            match chunk.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    buf.extend_from_slice(&chunk[..=pos]);
-                    (pos + 1, true)
-                }
-                None => {
-                    buf.extend_from_slice(chunk);
-                    (chunk.len(), false)
-                }
-            }
-        };
-        reader.consume(consumed);
-        // A complete line is judged on its content (terminator trimmed); a
-        // partial line past the cap can never shrink, so it is rejected as
-        // soon as the accumulator crosses the bound.
-        let over_cap = if complete {
-            trim_line(&buf).len() > max_line_bytes
-        } else {
-            buf.len() > max_line_bytes
-        };
-        if over_cap {
-            let err = crate::error::ServeError::BadRequest(format!(
-                "request line exceeds {max_line_bytes} bytes"
-            ));
-            let _ = writer.write_all(&encode_lines(&[format_error(&err)]));
-            return Ok(());
-        }
-        if !complete {
-            continue;
-        }
-        let line = std::str::from_utf8(&buf).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                "request line is not valid UTF-8",
-            )
-        })?;
-        match handle_line(handle, line) {
-            Reply::Quit => return Ok(()),
-            Reply::Lines(lines) => {
-                writer.write_all(&encode_lines(&lines))?;
-                writer.flush()?;
-            }
-        }
-        buf.clear();
-    }
-}
-
-/// Strips the trailing `\n` / `\r\n` from a framed line's bytes.
-fn trim_line(line: &[u8]) -> &[u8] {
-    let mut end = line.len();
-    while end > 0 && (line[end - 1] == b'\n' || line[end - 1] == b'\r') {
-        end -= 1;
-    }
-    &line[..end]
 }

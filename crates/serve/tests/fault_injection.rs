@@ -87,8 +87,8 @@ fn stop_joins_idle_connection_within_one_second() {
     let handle = start_engine(EngineConfig::default());
     let mut server = TcpServer::spawn(handle.clone(), "127.0.0.1:0").expect("bind");
 
-    // An idle client: connects, completes one round-trip so we know its
-    // connection thread is up, then never sends another byte.
+    // An idle client: connects, completes one round-trip so we know the
+    // loop has registered it, then never sends another byte.
     let stream = TcpStream::connect(server.local_addr()).expect("connect");
     let mut writer = stream.try_clone().expect("clone stream");
     let mut reader = BufReader::new(stream);
@@ -100,12 +100,11 @@ fn stop_joins_idle_connection_within_one_second() {
     assert_eq!(
         handle.metrics().active_connections.load(Ordering::Relaxed),
         1,
-        "connection thread must be tracked while the client is connected"
+        "connection must be tracked while the client is connected"
     );
 
-    // stop() must join the accept loop AND the idle connection thread —
-    // the connection polls the stop flag on its read-timeout tick, so the
-    // whole drain is bounded well under a second.
+    // stop() wakes the loop, which closes the idle connection and exits —
+    // the whole drain is bounded well under a second.
     let start = Instant::now();
     assert_finishes_within(Duration::from_secs(1), "TcpServer::stop()", move || {
         server.stop();
@@ -289,8 +288,8 @@ fn expired_deadline_over_tcp_answers_with_the_wire_code() {
 #[test]
 fn stop_with_mid_request_client_still_joins_promptly() {
     // A "slow loris" client that sends half a request line and stalls: the
-    // connection thread is mid-read with a partial line buffered. stop()
-    // must still take it down on the next read-timeout tick.
+    // loop holds a partial line in that connection's read buffer. stop()
+    // must still take it down within one tick.
     let handle = start_engine(EngineConfig::default());
     let mut server = TcpServer::spawn(handle.clone(), "127.0.0.1:0").expect("bind");
     let stream = TcpStream::connect(server.local_addr()).expect("connect");
@@ -299,7 +298,7 @@ fn stop_with_mid_request_client_still_joins_promptly() {
         .write_all(b"infer model=ghost hea")
         .expect("half a line");
     writer.flush().expect("flush");
-    // Let the connection thread absorb the partial line.
+    // Let the loop absorb the partial line.
     std::thread::sleep(Duration::from_millis(100));
 
     let start = Instant::now();
@@ -356,23 +355,15 @@ fn shutdown_under_backlog_answers_every_pending() {
     );
 }
 
-/// Fault injection specific to the epoll event-loop front end: incremental
-/// framing under trickled input, admission control (per-connection in-flight
-/// cap, global connection cap), oversized-line rejection, completions racing
-/// disconnects, and stop at connection scale. Each test pins
-/// [`FrontendKind::EventLoop`] explicitly so the suite keeps exercising the
-/// event loop even if the `Auto` default or `IMRE_SERVE_FRONTEND` changes.
-#[cfg(target_os = "linux")]
+/// Fault injection at the wire boundary of the event-loop front end:
+/// incremental framing under trickled input, admission control
+/// (per-connection in-flight cap, global connection cap), oversized-line and
+/// non-UTF-8 rejection, completions racing disconnects and half-closes, and
+/// stop at connection scale.
+#[cfg(unix)]
 mod event_loop {
     use super::*;
-    use imre_serve::{FrontendConfig, FrontendKind};
-
-    fn epoll_cfg() -> FrontendConfig {
-        FrontendConfig {
-            frontend: FrontendKind::EventLoop,
-            ..FrontendConfig::default()
-        }
-    }
+    use imre_serve::FrontendConfig;
 
     /// Connects to `server`, returning a writer plus a buffered reader with
     /// a generous read timeout so a lost reply fails the test instead of
@@ -394,8 +385,7 @@ mod event_loop {
             workers: 1,
             ..EngineConfig::default()
         });
-        let mut server =
-            TcpServer::spawn_with(handle.clone(), "127.0.0.1:0", epoll_cfg()).expect("bind");
+        let mut server = TcpServer::spawn(handle.clone(), "127.0.0.1:0").expect("bind");
 
         // A slow-loris client trickles one request line a few bytes at a
         // time; between every fragment a second connection must stay fully
@@ -425,91 +415,125 @@ mod event_loop {
 
     #[test]
     fn oversized_line_answers_typed_bad_request_and_closes() {
-        // Both front ends share the max_line_bytes bound and the typed
-        // reject; pin each explicitly.
-        for frontend in [FrontendKind::EventLoop, FrontendKind::Threads] {
-            let handle = start_engine(EngineConfig::default());
-            let cfg = FrontendConfig {
-                frontend,
-                max_line_bytes: 256,
-                ..FrontendConfig::default()
-            };
-            let mut server =
-                TcpServer::spawn_with(handle.clone(), "127.0.0.1:0", cfg).expect("bind");
-            let (mut stream, mut reader) = connect(&server);
-            // 1 KiB with no newline: the framer must reject the connection
-            // without ever seeing a complete line.
-            stream.write_all(&[b'a'; 1024]).expect("write oversized");
-            stream.flush().expect("flush");
-            let reply = read_reply(&mut reader);
-            assert!(
-                reply[0].starts_with("err bad-request"),
-                "{frontend:?}: expected typed bad-request, got {reply:?}"
-            );
-            let mut extra = String::new();
-            assert_eq!(
-                reader.read_line(&mut extra).expect("read after reject"),
-                0,
-                "{frontend:?}: connection must close after the oversized reject"
-            );
-            server.stop();
-            handle.shutdown();
-        }
+        let handle = start_engine(EngineConfig::default());
+        let cfg = FrontendConfig {
+            max_line_bytes: 256,
+            ..FrontendConfig::default()
+        };
+        let mut server = TcpServer::spawn_with(handle.clone(), "127.0.0.1:0", cfg).expect("bind");
+        let (mut stream, mut reader) = connect(&server);
+        // 1 KiB with no newline: the framer must reject the connection
+        // without ever seeing a complete line.
+        stream.write_all(&[b'a'; 1024]).expect("write oversized");
+        stream.flush().expect("flush");
+        let reply = read_reply(&mut reader);
+        assert!(
+            reply[0].starts_with("err bad-request"),
+            "expected typed bad-request, got {reply:?}"
+        );
+        let mut extra = String::new();
+        assert_eq!(
+            reader.read_line(&mut extra).expect("read after reject"),
+            0,
+            "connection must close after the oversized reject"
+        );
+        server.stop();
+        handle.shutdown();
     }
 
     #[test]
     fn fast_newline_free_stream_is_rejected_mid_line() {
         // A hostile client streaming newline-free bytes *without pausing*
-        // never trips a read timeout, so the cap must be enforced per read
-        // chunk, mid-line — not only between reads. Regression test for the
-        // threaded framer, which previously let `read_line` grow the buffer
-        // unboundedly for exactly this client; the event loop rides along.
-        for frontend in [FrontendKind::EventLoop, FrontendKind::Threads] {
-            let handle = start_engine(EngineConfig::default());
-            let cfg = FrontendConfig {
-                frontend,
-                max_line_bytes: 256,
-                ..FrontendConfig::default()
-            };
-            let mut server =
-                TcpServer::spawn_with(handle.clone(), "127.0.0.1:0", cfg).expect("bind");
-            let (stream, mut reader) = connect(&server);
-            let writer = std::thread::spawn(move || {
-                // Stream far past the cap with no gap between writes; stop
-                // only when the server closes the socket on us.
-                let chunk = [b'x'; 4096];
-                let mut sent = 0usize;
-                let mut stream = stream;
-                while sent < 8 * 1024 * 1024 {
-                    match stream.write_all(&chunk) {
-                        Ok(()) => sent += chunk.len(),
-                        Err(_) => break, // reset/EPIPE after the reject
-                    }
+        // never leaves a gap between reads, so the cap must be enforced per
+        // read chunk, mid-line — not only once a newline shows up.
+        let handle = start_engine(EngineConfig::default());
+        let cfg = FrontendConfig {
+            max_line_bytes: 256,
+            ..FrontendConfig::default()
+        };
+        let mut server = TcpServer::spawn_with(handle.clone(), "127.0.0.1:0", cfg).expect("bind");
+        let (stream, mut reader) = connect(&server);
+        let writer = std::thread::spawn(move || {
+            // Stream far past the cap with no gap between writes; stop
+            // only when the server closes the socket on us.
+            let chunk = [b'x'; 4096];
+            let mut sent = 0usize;
+            let mut stream = stream;
+            while sent < 8 * 1024 * 1024 {
+                match stream.write_all(&chunk) {
+                    Ok(()) => sent += chunk.len(),
+                    Err(_) => break, // reset/EPIPE after the reject
                 }
-            });
-            let reply = read_reply(&mut reader);
-            assert!(
-                reply[0].starts_with("err bad-request"),
-                "{frontend:?}: expected typed bad-request mid-stream, got {reply:?}"
-            );
-            writer.join().expect("writer thread");
-            server.stop();
-            handle.shutdown();
-        }
+            }
+        });
+        let reply = read_reply(&mut reader);
+        assert!(
+            reply[0].starts_with("err bad-request"),
+            "expected typed bad-request mid-stream, got {reply:?}"
+        );
+        writer.join().expect("writer thread");
+        server.stop();
+        handle.shutdown();
     }
 
     #[test]
-    fn mid_request_disconnect_drops_the_completion_safely() {
-        // workers: 0 — the submitted request can only resolve at shutdown,
-        // by which point the client is long gone. The completion must be
-        // dropped (dead socket), the connection closed, and the gauge
-        // returned to zero; nothing may panic or hang.
+    fn non_utf8_line_answers_one_bad_request_and_keeps_the_connection() {
+        let handle = start_engine(EngineConfig::default());
+        let mut server = TcpServer::spawn(handle.clone(), "127.0.0.1:0").expect("bind");
+        let (mut stream, mut reader) = connect(&server);
+        // Bytes that are no UTF-8 sequence, pipelined ahead of a ping: the
+        // bad line costs exactly one typed reply, and the very next reply
+        // is the ping's — nothing extra in between, connection still up.
+        stream
+            .write_all(b"\xff\xfe infer \xc3\x28\x80\nping\n")
+            .expect("write non-utf8 line");
+        stream.flush().expect("flush");
+        let reply = read_reply(&mut reader);
+        assert_eq!(reply.len(), 1, "one reply line, got {reply:?}");
+        assert!(
+            reply[0].starts_with("err bad-request"),
+            "expected typed bad-request, got {reply:?}"
+        );
+        assert_eq!(read_reply(&mut reader), vec!["ok pong".to_string()]);
+        server.stop();
+        handle.shutdown();
+    }
+
+    /// CPU time, in ms, consumed so far by each of this process's
+    /// event-loop threads, keyed by thread id.
+    #[cfg(target_os = "linux")]
+    fn loop_cpu_ms() -> std::collections::BTreeMap<std::ffi::OsString, u64> {
+        let tasks = std::fs::read_dir("/proc/self/task").expect("list threads");
+        tasks
+            .filter_map(|task| {
+                let task = task.ok()?;
+                // A thread may exit between the listing and the reads.
+                let stat = std::fs::read_to_string(task.path().join("stat")).ok()?;
+                let (name, rest) = stat.split_once(") ")?;
+                // utime and stime, in 10 ms ticks: fields 14 and 15 of the
+                // line, 12 and 13 after the parenthesised name.
+                let ticks = rest.split(' ').skip(11).take(2);
+                let ticks: u64 = ticks.map(|t| t.parse::<u64>().expect("ticks")).sum();
+                name.ends_with("(imre-serve-loop")
+                    .then(|| (task.file_name(), ticks * 10))
+            })
+            .collect()
+    }
+
+    /// `workers: 0` parks one request in flight — it can only resolve at
+    /// shutdown — and the peer leaves first: entirely, or only its sending
+    /// side (`half_close`), in which case it is still owed the answer.
+    /// Either way the completion must find the connection's true state,
+    /// the connection must be reaped and the gauge return to zero; nothing
+    /// may panic, hang or spin.
+    fn peer_leaves_with_a_request_in_flight(half_close: bool) {
         let handle = start_engine(EngineConfig {
             workers: 0,
             ..EngineConfig::default()
         });
-        let mut server =
-            TcpServer::spawn_with(handle.clone(), "127.0.0.1:0", epoll_cfg()).expect("bind");
+        #[cfg(target_os = "linux")]
+        let other_loops = loop_cpu_ms();
+        let mut server = TcpServer::spawn(handle.clone(), "127.0.0.1:0").expect("bind");
         let (mut stream, reader) = connect(&server);
         stream.write_all(INFER_LINE).expect("write infer");
         stream.flush().expect("flush");
@@ -517,19 +541,55 @@ mod event_loop {
         wait_until(Duration::from_secs(2), "request submitted", || {
             metrics.submitted.load(Ordering::Relaxed) == 1
         });
-        drop(stream);
-        drop(reader);
+        let mut conn = Some((stream, reader));
+        if half_close {
+            let (stream, _) = conn.as_ref().expect("still connected");
+            stream
+                .shutdown(std::net::Shutdown::Write)
+                .expect("half-close");
+            // The socket now reads as EOF for good: a loop still asking for
+            // read readiness would wake on every wait until the completion
+            // arrives. Tests run in parallel, so only loop threads born
+            // since the snapshot count — this server's.
+            #[cfg(target_os = "linux")]
+            {
+                let ours = || -> u64 {
+                    let now = loop_cpu_ms();
+                    let new = now
+                        .iter()
+                        .filter(|(tid, _)| !other_loops.contains_key(*tid));
+                    new.map(|(_, ms)| ms).sum()
+                };
+                let (before, start) = (ours(), Instant::now());
+                std::thread::sleep(Duration::from_secs(1));
+                let busy_ms = ours().saturating_sub(before);
+                let wall_ms = start.elapsed().as_millis() as u64;
+                assert!(
+                    busy_ms * 10 < wall_ms,
+                    "loop burned {busy_ms} ms of CPU in {wall_ms} ms beside a half-closed client"
+                );
+            }
+        } else {
+            conn = None;
+        }
 
         {
             let handle = handle.clone();
             assert_finishes_within(
                 Duration::from_secs(2),
-                "shutdown with a dead client",
+                "shutdown with a departed client",
                 move || handle.shutdown(),
             );
         }
-        // The loop delivers the ShuttingDown completion, finds the peer
-        // gone, and closes the connection.
+        // The loop delivers the ShuttingDown completion — to the half-closed
+        // peer, or into a dead socket — and closes the connection.
+        if let Some((_, reader)) = &mut conn {
+            let reply = read_reply(reader);
+            assert!(
+                reply[0].starts_with("err shutting-down"),
+                "a half-closed peer is still owed its answer, got {reply:?}"
+            );
+        }
         wait_until(Duration::from_secs(2), "connection reaped", || {
             metrics.active_connections.load(Ordering::Relaxed) == 0
         });
@@ -539,10 +599,19 @@ mod event_loop {
     }
 
     #[test]
+    fn mid_request_disconnect_drops_the_completion_safely() {
+        peer_leaves_with_a_request_in_flight(false);
+    }
+
+    #[test]
+    fn mid_request_half_close_neither_spins_the_loop_nor_loses_the_answer() {
+        peer_leaves_with_a_request_in_flight(true);
+    }
+
+    #[test]
     fn stop_with_a_thousand_idle_connections_is_prompt() {
         let handle = start_engine(EngineConfig::default());
         let cfg = FrontendConfig {
-            frontend: FrontendKind::EventLoop,
             max_connections: 1_200,
             ..FrontendConfig::default()
         };
@@ -588,7 +657,6 @@ mod event_loop {
             ..EngineConfig::default()
         });
         let cfg = FrontendConfig {
-            frontend: FrontendKind::EventLoop,
             max_inflight_per_conn: 4,
             ..FrontendConfig::default()
         };
@@ -633,7 +701,6 @@ mod event_loop {
     fn connection_cap_rejects_the_excess_connection() {
         let handle = start_engine(EngineConfig::default());
         let cfg = FrontendConfig {
-            frontend: FrontendKind::EventLoop,
             max_connections: 2,
             ..FrontendConfig::default()
         };
@@ -688,8 +755,7 @@ mod event_loop {
             workers: 1,
             ..EngineConfig::default()
         });
-        let mut server =
-            TcpServer::spawn_with(handle.clone(), "127.0.0.1:0", epoll_cfg()).expect("bind");
+        let mut server = TcpServer::spawn(handle.clone(), "127.0.0.1:0").expect("bind");
         let (mut stream, mut reader) = connect(&server);
         // Two pipelined requests in one segment: the first is born expired
         // (deadline=0) and is shed at dequeue; the second resolves normally

@@ -10,8 +10,8 @@ use imre_core::{HyperParams, ModelSpec, QuantModel};
 use imre_eval::{build_index, smoke_config, Pipeline};
 use imre_graph::EntityEmbedding;
 use imre_serve::{
-    live_mappings, load_bundle, save_bundle, Bundle, EngineConfig, FrontendConfig, FrontendKind,
-    Registry, ServeHandle, ServingModel, TcpServer,
+    live_mappings, load_bundle, save_bundle, Bundle, EngineConfig, FrontendConfig, Registry,
+    ServeHandle, ServingModel, TcpServer,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -162,13 +162,12 @@ fn republishing_under_256_connections_drops_and_reorders_nothing() {
         handle.clone(),
         "127.0.0.1:0",
         FrontendConfig {
-            frontend: FrontendKind::EventLoop,
             max_connections: CONNECTIONS + 16,
             max_inflight_per_conn: PIPELINE_CHUNK + 4,
             ..FrontendConfig::default()
         },
     )
-    .expect("epoll front end binds");
+    .expect("front end binds");
     let addr = server.local_addr();
 
     // A borrower of the *first* mapping, standing in for an in-flight request

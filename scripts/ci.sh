@@ -4,14 +4,14 @@
 #
 # Usage:
 #   scripts/ci.sh                # full gate: fmt, clippy, build, test,
-#                                # serve-faults, serve-epoll, alloc-gate,
-#                                # train-dp, knn, simd, quant, stream, bench
+#                                # serve-faults, alloc-gate, train-dp, knn,
+#                                # simd, quant, stream, bench
 #   scripts/ci.sh --fast         # quick gate: fmt, clippy, test, serve-faults
 #                                # (skips the release build and bench smoke)
 #   scripts/ci.sh <step>...      # run only the named steps, in order:
 #                                #   fmt clippy build test serve-faults
-#                                #   serve-epoll alloc-gate train-dp knn
-#                                #   simd quant stream bench
+#                                #   alloc-gate train-dp knn simd quant
+#                                #   stream bench
 #
 # Steps:
 #   fmt     cargo fmt --check over the whole workspace
@@ -19,17 +19,11 @@
 #   build   release build of the workspace
 #   test    the full test suite (tier-1 gate)
 #   serve-faults
-#           the serve-path fault-injection suite on its own (deadline
-#           shedding, zero-worker shutdown drain, stop-aware connections);
-#           model-free and sub-second, so it doubles as a quick lifecycle
-#           smoke when iterating on the serving engine
-#   serve-epoll
-#           the front-end matrix: the fault-injection + TCP end-to-end
-#           suites run twice — once with the default front end (the epoll
-#           event loop on linux) and once with IMRE_SERVE_FRONTEND=threads
-#           forcing the thread-per-connection fallback, so both
-#           implementations keep passing the identical protocol and
-#           lifecycle contract
+#           the serve-path fault-injection suite (deadline shedding,
+#           zero-worker shutdown drain, event-loop framing, admission
+#           control and stop) plus the TCP end-to-end protocol suite on
+#           their own; seconds, so it doubles as a quick lifecycle smoke
+#           when iterating on the serving engine or the front end
 #   alloc-gate
 #           the steady-state allocation budget: the serve-level gate
 #           (zero buffer-pool misses across ≥100 warm requests) plus the
@@ -129,21 +123,7 @@ step_test() {
 }
 
 step_serve_faults() {
-    cargo test --offline -q -p imre-serve --test fault_injection
-}
-
-step_serve_epoll() {
-    # Pass 1 — the default front end (the epoll event loop on linux): the
-    # full fault-injection suite (which pins the event loop explicitly for
-    # its admission-control and framing scenarios) plus the TCP end-to-end
-    # protocol suite.
     cargo test --offline -q -p imre-serve --test fault_injection --test serve_end_to_end
-
-    # Pass 2 — the thread-per-connection fallback forced via the
-    # environment override: the same suites must hold unmodified.
-    IMRE_SERVE_FRONTEND=threads \
-        cargo test --offline -q -p imre-serve --test fault_injection --test serve_end_to_end
-    echo "serve-epoll: event-loop and threaded front ends both green"
 }
 
 step_alloc_gate() {
@@ -347,7 +327,7 @@ case "${1:-}" in
     steps=(fmt clippy test serve-faults)
     ;;
 "")
-    steps=(fmt clippy build test serve-faults serve-epoll alloc-gate train-dp knn simd quant stream bench)
+    steps=(fmt clippy build test serve-faults alloc-gate train-dp knn simd quant stream bench)
     ;;
 *)
     steps=("$@")
@@ -358,11 +338,10 @@ for s in "${steps[@]}"; do
     case "$s" in
     fmt | clippy | build | test | knn | simd | quant | stream | bench) run_step "$s" "step_$s" ;;
     serve-faults) run_step "$s" step_serve_faults ;;
-    serve-epoll) run_step "$s" step_serve_epoll ;;
     alloc-gate) run_step "$s" step_alloc_gate ;;
     train-dp) run_step "$s" step_train_dp ;;
     *)
-        echo "ci.sh: unknown step '$s' (valid: fmt clippy build test serve-faults serve-epoll alloc-gate train-dp knn simd quant stream bench)" >&2
+        echo "ci.sh: unknown step '$s' (valid: fmt clippy build test serve-faults alloc-gate train-dp knn simd quant stream bench)" >&2
         exit 2
         ;;
     esac
