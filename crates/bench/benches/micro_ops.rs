@@ -6,9 +6,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use imre_core::{featurize, HyperParams, ModelSpec, ReModel};
 use imre_corpus::{generate_unlabeled, Dataset, UnlabeledConfig};
 use imre_eval::smoke_config;
-use imre_graph::{train_line, LineConfig, ProximityGraph};
+use imre_graph::{train_line, EntityEmbedding, LineConfig, ProximityGraph};
 use imre_nn::{GradStore, ParamStore, Tape};
-use imre_tensor::{Tensor, TensorRng};
+use imre_tensor::{BufferPool, Tensor, TensorRng};
 
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul");
@@ -56,6 +56,52 @@ fn bench_pcnn_step(c: &mut Criterion) {
     c.bench_function("pcnn_att_bag_predict", |b| {
         b.iter(|| std::hint::black_box(model.predict(&bag, &ctx)));
     });
+
+    // The served forward at Table III dims (PA-TMR, 53 relations, 65-token
+    // sentences) on a warm arena, for the two ends of the bag-size range:
+    // held-out scoring is the part of it that does not scale with tokens.
+    let hp = HyperParams::paper();
+    let mut rng = TensorRng::seed(9);
+    let embedding = EntityEmbedding::from_matrix(Tensor::rand_uniform(
+        &[ds.world.num_entities(), hp.entity_dim],
+        -1.0,
+        1.0,
+        &mut rng,
+    ));
+    let ctx = imre_core::BagContext {
+        entity_embedding: Some(&embedding),
+        entity_types: &types,
+    };
+    let model = ReModel::new(
+        ModelSpec::pa_tmr(),
+        &hp,
+        ds.vocab.len(),
+        53,
+        imre_corpus::NUM_COARSE_TYPES,
+        hp.entity_dim,
+        7,
+    );
+    for n in [1usize, 8] {
+        let sentences = (0..n)
+            .map(|j| {
+                let sentence = imre_corpus::EncodedSentence {
+                    tokens: (0..65).map(|_| rng.below(ds.vocab.len())).collect(),
+                    head_pos: 3 + j,
+                    tail_pos: 40 + j,
+                    expresses_relation: true,
+                };
+                featurize(&sentence, hp.max_len, hp.pos_clip)
+            })
+            .collect();
+        let bag = imre_core::PreparedBag {
+            sentences,
+            ..bag.clone()
+        };
+        let mut pool = BufferPool::new();
+        c.bench_function(&format!("pa_tmr_predict_paper_n{n}"), |b| {
+            b.iter(|| std::hint::black_box(model.predict_pooled(&bag, &ctx, &mut pool, None)));
+        });
+    }
 }
 
 fn bench_attention(c: &mut Criterion) {

@@ -33,13 +33,22 @@ fn warm_quant_inference_pass_performs_zero_heap_allocations() {
     };
     let pipeline = Pipeline::build(&smoke_config(5), hp.clone());
     // PA-TMR exercises every component of the quant path: PCNN encoder,
-    // per-relation attention, the MR head, and the type head + combiner.
+    // held-out attention scoring, the MR head, and the type head + combiner.
     let model = pipeline.train_system(ModelSpec::pa_tmr(), 11);
     let embedding = EntityEmbedding::from_matrix(pipeline.embedding.matrix().clone());
     let qm = QuantModel::from_model(&model, Some(&embedding)).expect("quantizes");
     let types = entity_type_table(&pipeline.dataset.world);
-    let bags = prepare_bags(&pipeline.dataset.test, &hp);
-    let bags = &bags[..bags.len().min(8)];
+    let mut bags = prepare_bags(&pipeline.dataset.test, &hp);
+    bags.truncate(8);
+    // The held-out scoring scratch is `[R, n]`-shaped, so the warm cycle
+    // must cross bag sizes: 1 → 8 → 1 sentences.
+    let pooled: Vec<_> = bags.iter().flat_map(|b| b.sentences.clone()).collect();
+    let sized = |n: usize| imre_core::PreparedBag {
+        sentences: pooled.iter().cycle().take(n).cloned().collect(),
+        ..bags[0].clone()
+    };
+    bags.extend([sized(1), sized(8), sized(1)]);
+    let bags = &bags[..];
 
     let mut scratch = QuantScratch::new();
     let mut scores = vec![0.0f32; qm.num_relations];

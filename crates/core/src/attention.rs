@@ -11,9 +11,17 @@
 //! tape's `mul` + `matvec` ops. Models without attention aggregate by mean
 //! (every sentence weighted equally — no noise mitigation, which is exactly
 //! why plain PCNN trails PCNN+ATT in the paper's Table IV).
+//!
+//! Training queries the attention once, with the bag's label
+//! ([`SelectiveAttention::aggregate`]). Held-out scoring queries it once per
+//! candidate relation and keeps each query's own softmax score; because the
+//! relation head is linear, `W·(Σ_j α_j x_j) = Σ_j α_j (W·x_j)`, so
+//! [`SelectiveAttention::held_out_scores`] projects every *sentence* through
+//! the head once and mixes the projections, instead of building and
+//! projecting one bag vector per *relation*.
 
-use imre_nn::{ParamId, ParamStore, Tape, Var};
-use imre_tensor::TensorRng;
+use imre_nn::{Linear, ParamId, ParamStore, Tape, Var};
+use imre_tensor::{matmul_into, matmul_nt_into, softmax_in_place, Tensor, TensorRng};
 
 /// How a bag of sentence encodings becomes one bag vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,6 +33,11 @@ pub enum AggKind {
 }
 
 /// Learned selective-attention parameters.
+///
+/// Two consumers: training aggregates a bag for its one labelled relation
+/// ([`SelectiveAttention::aggregate`], recorded on the tape for backward);
+/// evaluation scores all relations at once
+/// ([`SelectiveAttention::held_out_scores`], forward only).
 pub struct SelectiveAttention {
     /// Diagonal of the bilinear matrix `A`, shape `[dim]`.
     a_diag: ParamId,
@@ -63,6 +76,107 @@ impl SelectiveAttention {
     pub fn aggregate(&self, tape: &mut Tape, xs: Var, relation: usize) -> Var {
         let alpha = self.weights(tape, xs, relation);
         tape.weighted_sum_rows(xs, alpha)
+    }
+
+    /// The attention distribution of **every** relation over a `[n, dim]`
+    /// bag, as a pooled `[R, n]` tensor (row `r` is what
+    /// [`SelectiveAttention::weights`] returns for relation `r`):
+    /// `softmax_rows(Q · (xs ⊙ a)ᵀ)`. A single-sentence bag yields rows that
+    /// are exactly `1.0`.
+    fn weights_all(&self, tape: &mut Tape, xs: Var) -> Tensor {
+        let (a, q) = (tape.param(self.a_diag), tape.param(self.queries));
+        let (n, dim) = (tape.value(xs).rows(), tape.value(xs).cols());
+        let num_relations = tape.value(q).rows();
+        let mut xa = tape.alloc(&[n, dim]);
+        let mut att = tape.alloc(&[num_relations, n]);
+        tape.value(xs)
+            .mul_row_broadcast_into(tape.value(a), &mut xa);
+        matmul_nt_into(
+            tape.value(q).data(),
+            xa.data(),
+            att.data_mut(),
+            num_relations,
+            dim,
+            n,
+        );
+        tape.recycle(xa);
+        for row in att.data_mut().chunks_mut(n) {
+            softmax_in_place(row);
+        }
+        att
+    }
+
+    /// Lin et al.'s held-out protocol in one pass: `out[r]` is the
+    /// probability relation `r` receives from `head` when the bag is
+    /// aggregated with relation `r`'s own attention query. Every relation is
+    /// scored from the stacked sentence matrix `xs` (`[n, dim]`) by
+    /// projecting each sentence through `head` once (`H = xs·W`) and mixing
+    /// the projections (`L = A·H + b`) — `O(n·dim·R)` where one bag vector
+    /// per relation costs `O(R·dim·R)`. With `n = 1` every attention row is
+    /// `1.0`, so all `R` logit rows equal `x·W + b`.
+    ///
+    /// Forward only: the intermediates are pooled buffers handed back to the
+    /// tape's arena, not tape nodes, and nothing is recorded for backward.
+    pub fn held_out_scores(&self, tape: &mut Tape, xs: Var, head: &Linear, out: &mut [f32]) {
+        let att = self.weights_all(tape, xs);
+        let (w, b) = (tape.param(head.w), tape.param(head.b));
+        let (n, dim) = (tape.value(xs).rows(), tape.value(xs).cols());
+        let num_relations = out.len();
+        let mut proj = tape.alloc(&[n, num_relations]);
+        let mut logits = tape.alloc(&[num_relations, num_relations]);
+        matmul_into(
+            tape.value(xs).data(),
+            tape.value(w).data(),
+            proj.data_mut(),
+            n,
+            dim,
+            num_relations,
+        );
+        diagonal_scores(
+            att.data(),
+            proj.data(),
+            tape.value(b).data(),
+            logits.data_mut(),
+            out,
+        );
+        for t in [att, proj, logits] {
+            tape.recycle(t);
+        }
+    }
+}
+
+/// `logits[r, :] = Σ_j att[r, j] · proj[j, :] + bias` for `att: [R, n]`
+/// attention rows and `proj: [n, R]` per-sentence head projections (bias not
+/// yet added). `logits` is `[R, R]` and fully overwritten.
+fn mix_logits(att: &[f32], proj: &[f32], bias: &[f32], logits: &mut [f32]) {
+    let num_relations = bias.len();
+    let n = att.len() / num_relations;
+    logits.fill(0.0);
+    matmul_into(att, proj, logits, num_relations, n, num_relations);
+    for row in logits.chunks_mut(num_relations) {
+        for (l, &b) in row.iter_mut().zip(bias) {
+            *l += b;
+        }
+    }
+}
+
+/// The tail of held-out scoring, shared by the f32 and int8 forwards: mix
+/// the per-sentence head projections by each relation's attention row, add
+/// the head bias, softmax each relation's logit row and keep its own entry —
+/// `out[r] = softmax(att[r, :]·proj + bias)[r]`. `logits` is `[R, R]`
+/// scratch.
+pub(crate) fn diagonal_scores(
+    att: &[f32],
+    proj: &[f32],
+    bias: &[f32],
+    logits: &mut [f32],
+    out: &mut [f32],
+) {
+    mix_logits(att, proj, bias, logits);
+    let rows = logits.chunks_mut(bias.len());
+    for (r, (row, score)) in rows.zip(out.iter_mut()).enumerate() {
+        softmax_in_place(row);
+        *score = row[r];
     }
 }
 
@@ -107,7 +221,6 @@ impl WordAttention {
 mod tests {
     use super::*;
     use imre_nn::GradStore;
-    use imre_tensor::Tensor;
 
     #[test]
     fn attention_weights_sum_to_one() {
@@ -158,6 +271,42 @@ mod tests {
         let agg = att.aggregate(&mut tape, xs, 0);
         for &v in tape.value(agg).data() {
             assert!((1.0..=2.0).contains(&v), "aggregate {v} outside hull");
+        }
+    }
+
+    /// n = 1: softmax over one sentence is exactly `1.0` under every query,
+    /// so every relation mixes the same projection row and all `R` logit
+    /// rows carry the same bits.
+    #[test]
+    fn single_sentence_bag_degenerates_exactly() {
+        for (dim, num_relations) in [(48, 7), (690, 53)] {
+            let mut rng = TensorRng::seed(6);
+            let mut store = ParamStore::new();
+            let att = SelectiveAttention::new(&mut store, "att", dim, num_relations, &mut rng);
+            let head = Linear::new(&mut store, "re_head", dim, num_relations, &mut rng);
+            store.set(
+                head.b,
+                Tensor::rand_uniform(&[num_relations], -1.0, 1.0, &mut rng),
+            );
+            let mut tape = Tape::inference(&store);
+            let xs = tape.leaf(Tensor::rand_uniform(&[1, dim], -1.0, 1.0, &mut rng));
+            let alpha = att.weights_all(&mut tape, xs);
+            assert_eq!(alpha.shape(), [num_relations, 1]);
+            assert!(alpha.data().iter().all(|&w| w == 1.0));
+
+            let proj = tape.value(xs).matmul(store.get(head.w));
+            let mut logits = vec![f32::NAN; num_relations * num_relations];
+            mix_logits(
+                alpha.data(),
+                proj.data(),
+                store.get(head.b).data(),
+                &mut logits,
+            );
+            let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let first = bits(&logits[..num_relations]);
+            for row in logits.chunks(num_relations) {
+                assert_eq!(bits(row), first);
+            }
         }
     }
 

@@ -30,6 +30,8 @@ pub mod oov;
 pub mod persist;
 pub mod pretrain;
 pub mod quant;
+#[cfg(test)]
+pub(crate) mod testutil;
 pub mod train;
 
 pub use adversarial::{adversarial_bag_step, train_adversarial, AdvConfig};

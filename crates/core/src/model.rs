@@ -15,7 +15,7 @@ use crate::features::{featurize, SentenceFeatures};
 use imre_corpus::{Bag, World};
 use imre_graph::EntityEmbedding;
 use imre_nn::{GradStore, Linear, ParamStore, Tape, Var};
-use imre_tensor::{bufpool, BufferPool, PoolStats, TensorRng};
+use imre_tensor::{bufpool, BufferPool, PoolStats, Tensor, TensorRng};
 
 /// Declarative description of a model variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -438,7 +438,7 @@ impl ReModel {
     ///
     /// # Panics
     /// If the matrix shape differs from `[vocab_size, word_dim]`.
-    pub fn set_word_embeddings(&mut self, matrix: imre_tensor::Tensor) {
+    pub fn set_word_embeddings(&mut self, matrix: Tensor) {
         self.store
             .set(self.encoder.frontend().word_emb_id(), matrix);
     }
@@ -468,10 +468,18 @@ impl ReModel {
 
     /// Predicts the per-relation probability vector for a bag (eval mode).
     ///
-    /// With selective attention, each candidate relation queries its own bag
-    /// representation and contributes its diagonal softmax score (Lin et
-    /// al.'s held-out protocol); the `PA-*` variants then pass that score
-    /// vector through the combiner with the side confidences.
+    /// With selective attention this is Lin et al.'s held-out protocol: each
+    /// candidate relation `r` queries its own bag representation and
+    /// contributes the score its own softmax gives it — the diagonal of the
+    /// `[R, R]` matrix of per-query softmaxes, so the vector is not a
+    /// distribution. The relation head is linear, so the `R` bag
+    /// representations are never built: every sentence is projected through
+    /// the head once and the projections are mixed by each relation's
+    /// attention row ([`SelectiveAttention::held_out_scores`]). A
+    /// single-sentence bag has attention `1.0` under every query, and its
+    /// scores are the diagonal of `R` identical softmaxes. The `PA-*`
+    /// variants then pass that score vector through the combiner with the
+    /// side confidences.
     pub fn predict(&self, bag: &PreparedBag, ctx: &BagContext) -> Vec<f32> {
         let mut tape = Tape::inference(&self.store);
         self.forward(&mut tape, bag, ctx, None)
@@ -518,9 +526,12 @@ impl ReModel {
         self.scores_from_matrix(tape, xs, bag, ctx)
     }
 
-    /// Scores a bag given its already-stacked sentence matrix, so the
-    /// encoder runs exactly once per bag whether or not a representation is
-    /// exported.
+    /// Scores a bag given its already-stacked sentence matrix `xs`
+    /// (`[n, sent_dim]`), so the encoder runs exactly once per bag whether
+    /// or not a representation is exported. Mean aggregation scores the mean
+    /// row through the head; selective attention scores all relations from
+    /// `xs` in one project-once pass (see [`ReModel::predict`]) whose cost
+    /// grows with `n`, not with the number of relations squared.
     fn scores_from_matrix<'a>(
         &'a self,
         tape: &mut Tape<'a>,
@@ -540,16 +551,21 @@ impl ReModel {
                     .data_mut()
                     .copy_from_slice(tape.value(probs).data());
             }
-            Some(att) => {
-                for r in 0..self.num_relations {
-                    let bag_vec = att.aggregate(tape, xs, r);
-                    let logits = self.re_head.forward_vec(tape, bag_vec);
-                    let probs = tape.softmax(logits);
-                    re_scores.data_mut()[r] = tape.value(probs).data()[r];
-                }
-            }
+            Some(att) => att.held_out_scores(tape, xs, &self.re_head, re_scores.data_mut()),
         }
+        self.combine_scores(tape, re_scores, bag, ctx)
+    }
 
+    /// Turns the relation-extraction score vector into the model's output:
+    /// as is for the base models, through the combiner with the side
+    /// confidences for the `PA-*` variants.
+    fn combine_scores<'a>(
+        &'a self,
+        tape: &mut Tape<'a>,
+        re_scores: Tensor,
+        bag: &PreparedBag,
+        ctx: &BagContext,
+    ) -> Vec<f32> {
         match &self.combiner {
             None => {
                 let out = re_scores.data().to_vec();
@@ -800,6 +816,87 @@ mod tests {
         assert_eq!(bits(&with_repr), bits(&model.predict(&a, &ctx)));
         let without = model.predict_pooled(&b, &ctx, &mut pool, None);
         assert_eq!(bits(&without), bits(&model.predict(&b, &ctx)));
+    }
+
+    /// The held-out protocol as literally stated — one attention query, one
+    /// bag vector and one head projection per candidate relation, keep that
+    /// relation's own softmax score. The reference
+    /// [`SelectiveAttention::held_out_scores`] is checked against.
+    fn predict_per_relation(model: &ReModel, bag: &PreparedBag, ctx: &BagContext) -> Vec<f32> {
+        let att = model.att.as_ref().expect("an attention spec");
+        let mut tape = Tape::inference(&model.store);
+        let mut rng = TensorRng::seed(0);
+        let xs = model.bag_matrix(&mut tape, bag, false, &mut rng);
+        let mut re_scores = tape.alloc(&[model.num_relations]);
+        for r in 0..model.num_relations {
+            let bag_vec = att.aggregate(&mut tape, xs, r);
+            let logits = model.re_head.forward_vec(&mut tape, bag_vec);
+            let probs = tape.softmax(logits);
+            re_scores.data_mut()[r] = tape.value(probs).data()[r];
+        }
+        model.combine_scores(&mut tape, re_scores, bag, ctx)
+    }
+
+    #[test]
+    fn project_once_scores_match_per_relation_reference() {
+        use crate::testutil::{random_bag, toy_embedding, toy_types, VOCAB};
+        let types = toy_types();
+        let argmax = |v: &[f32]| Tensor::from_vec(v.to_vec(), &[v.len()]).argmax();
+        for (hp, num_relations, max_tokens) in
+            [(HyperParams::tiny(), 7, 12), (HyperParams::paper(), 53, 65)]
+        {
+            let emb = toy_embedding(hp.entity_dim);
+            let ctx = BagContext {
+                entity_embedding: Some(&emb),
+                entity_types: &types,
+            };
+            for spec in [
+                ModelSpec::pcnn_att(),
+                ModelSpec::cnn_att(),
+                ModelSpec::pa_t(),
+                ModelSpec::pa_mr(),
+                ModelSpec::pa_tmr(),
+            ] {
+                let model = ReModel::new(spec, &hp, VOCAB, num_relations, 5, hp.entity_dim, 7);
+                for (i, n) in [1usize, 2, 5, 8].into_iter().enumerate() {
+                    let bag = random_bag(n, max_tokens, &hp, 1, 40 + i as u64);
+                    let want = predict_per_relation(&model, &bag, &ctx);
+                    let got = model.predict(&bag, &ctx);
+                    let what = format!("{} k={} n={n}", spec.name(), hp.filters);
+                    imre_tensor::assert_close(&got, &want, 1e-6);
+                    assert_eq!(argmax(&got), argmax(&want), "{what}: argmax moved");
+                }
+            }
+        }
+    }
+
+    /// The held-out buffers are `[R, n]`-shaped, so what must hold is pool
+    /// reuse *across* bag sizes: once bags of 1 and 8 sentences have been
+    /// seen, going 1 → 8 → 1 allocates no tensor buffer.
+    #[test]
+    fn warm_pool_serves_every_bag_size_without_misses() {
+        use crate::testutil::{random_bag, toy_embedding, toy_types, VOCAB};
+        let hp = HyperParams::tiny();
+        let (emb, types) = (toy_embedding(hp.entity_dim), toy_types());
+        let ctx = BagContext {
+            entity_embedding: Some(&emb),
+            entity_types: &types,
+        };
+        let model = ReModel::new(ModelSpec::pa_tmr(), &hp, VOCAB, 7, 5, hp.entity_dim, 7);
+        let (one, eight) = (random_bag(1, 12, &hp, 0, 50), random_bag(8, 12, &hp, 0, 51));
+        let mut pool = BufferPool::new();
+        let mut repr = vec![0.0; model.sent_dim()];
+        for bag in [&one, &eight] {
+            model.predict_pooled(bag, &ctx, &mut pool, Some(&mut repr));
+        }
+        let warm = pool.stats();
+        assert!(warm.misses > 0, "warm-up should populate the pool");
+        for bag in [&one, &eight, &one] {
+            model.predict_pooled(bag, &ctx, &mut pool, Some(&mut repr));
+        }
+        let steady = pool.stats().since(&warm);
+        assert_eq!(steady.misses, 0, "warm forward allocated tensor buffers");
+        assert!(steady.hits > 0);
     }
 
     #[test]

@@ -15,9 +15,17 @@
 //!
 //! ```text
 //! gather-dequant embeddings → unfold → qmatvec(conv) → piecewise max →
-//! tanh → [per-relation: qmatvec(a⊙q) → softmax → weighted sum →
-//! qmatvec(re_head) → softmax] → combiner (f32 mix → qmatvec → softmax)
+//! tanh → [per sentence, one quantized row: qmatvec(a⊙q), qmatvec(re_head)]
+//! → [f32: attention softmax per relation → mix projections + bias →
+//! softmax → diagonal] → combiner (f32 mix → qmatvec → softmax)
 //! ```
+//!
+//! Held-out scoring follows the f32 path's project-once identity
+//! (`W·Σ_j α_j x_j = Σ_j α_j W·x_j`, see [`crate::attention`]): each
+//! sentence encoding is quantized **once** and that row feeds both the
+//! attention-query product and the relation-head product; the per-relation
+//! work that remains is f32 mixing of `[n, R]` projections, shared with the
+//! f32 forward. No bag vector is formed or quantized per relation.
 //!
 //! All intermediate storage lives in a [`QuantScratch`] whose `Vec`s are
 //! `clear()`+`resize()`d — capacity is retained across calls, so a warm
@@ -34,11 +42,11 @@ use crate::model::{ModelSpec, PreparedBag};
 use imre_graph::EntityEmbedding;
 use imre_nn::pcnn_segments_array;
 use imre_tensor::quant::{self, QuantRowParams};
-use imre_tensor::{QuantTensor, Tensor};
+use imre_tensor::{softmax_in_place, QuantTensor, Tensor};
 
+use crate::attention::{diagonal_scores, AggKind};
 use crate::encoder::EncoderKind;
 use crate::model::ReModel;
-use crate::AggKind;
 
 /// Why a model cannot be quantized.
 #[derive(Debug)]
@@ -355,6 +363,7 @@ pub struct QuantScratch {
     xs: Vec<f32>,
     att_scores: Vec<f32>,
     alpha: Vec<f32>,
+    proj: Vec<f32>,
     bag_vec: Vec<f32>,
     logits: Vec<f32>,
     re_scores: Vec<f32>,
@@ -375,27 +384,6 @@ fn reuse(v: &mut Vec<f32>, n: usize) -> &mut [f32] {
     v.clear();
     v.resize(n, 0.0);
     v
-}
-
-/// Numerically stable in-place softmax (same max/exp/sum/div order as
-/// `Tensor::softmax_into`).
-fn softmax_in_place(xs: &mut [f32]) {
-    let mut m = f32::NEG_INFINITY;
-    for &x in xs.iter() {
-        if x > m {
-            m = x;
-        }
-    }
-    let mut z = 0.0f32;
-    for x in xs.iter_mut() {
-        *x = (*x - m).exp();
-    }
-    for &x in xs.iter() {
-        z += x;
-    }
-    for x in xs.iter_mut() {
-        *x /= z;
-    }
 }
 
 impl QuantModel {
@@ -543,13 +531,13 @@ impl QuantModel {
                 re_scores.copy_from_slice(logits);
             }
             Some(aq) => {
-                // Score every sentence against every relation query in one
-                // quantized matvec per sentence: att_scores[j, r] = x_j·(a⊙q_r).
-                let att_scores = {
-                    scratch.att_scores.clear();
-                    scratch.att_scores.resize(n * nr, 0.0);
-                    &mut scratch.att_scores
-                };
+                // Held-out scoring, project-once: each sentence row is
+                // quantized once and multiplied into both the attention
+                // queries (att_scores[j, r] = x_j·(a⊙q_r)) and the relation
+                // head (proj[j, :] = x_j·W, bias deferred until after the
+                // mix). A one-sentence bag has α ≡ 1 under every query.
+                let att_scores = reuse(&mut scratch.att_scores, n * nr);
+                let proj = reuse(&mut scratch.proj, n * nr);
                 for j in 0..n {
                     scratch.qrow.clear();
                     scratch.qrow.resize(sent_dim, 0);
@@ -557,35 +545,20 @@ impl QuantModel {
                         &scratch.xs[j * sent_dim..(j + 1) * sent_dim],
                         &mut scratch.qrow,
                     );
-                    quant::qmatvec_into(
-                        aq,
-                        &scratch.qrow,
-                        p,
-                        None,
-                        &mut att_scores[j * nr..(j + 1) * nr],
-                    );
+                    let row = j * nr..(j + 1) * nr;
+                    quant::qmatvec_into(aq, &scratch.qrow, p, None, &mut att_scores[row.clone()]);
+                    quant::qmatvec_into(&self.re_head.w, &scratch.qrow, p, None, &mut proj[row]);
                 }
-                for (r, score) in re_scores.iter_mut().enumerate() {
-                    let alpha = reuse(&mut scratch.alpha, n);
-                    for (j, a) in alpha.iter_mut().enumerate() {
-                        *a = scratch.att_scores[j * nr + r];
+                // alpha[r, :] = softmax over sentences of relation r's scores.
+                let alpha = reuse(&mut scratch.alpha, nr * n);
+                for (r, row) in alpha.chunks_mut(n).enumerate() {
+                    for (j, a) in row.iter_mut().enumerate() {
+                        *a = att_scores[j * nr + r];
                     }
-                    softmax_in_place(alpha);
-                    let bag_vec = reuse(&mut scratch.bag_vec, sent_dim);
-                    for j in 0..n {
-                        let a = scratch.alpha[j];
-                        for (d, acc) in bag_vec.iter_mut().enumerate() {
-                            *acc += a * scratch.xs[j * sent_dim + d];
-                        }
-                    }
-                    scratch.qrow.clear();
-                    scratch.qrow.resize(sent_dim, 0);
-                    let p = quant::quantize_row_into(&scratch.bag_vec, &mut scratch.qrow);
-                    let logits = reuse(&mut scratch.logits, nr);
-                    self.re_head.apply(&scratch.qrow, p, logits);
-                    softmax_in_place(logits);
-                    *score = scratch.logits[r];
+                    softmax_in_place(row);
                 }
+                let logits = reuse(&mut scratch.logits, nr * nr);
+                diagonal_scores(alpha, proj, &self.re_head.b, logits, re_scores);
             }
         }
 
@@ -681,8 +654,7 @@ impl QuantModel {
 mod tests {
     use super::*;
     use crate::model::BagContext;
-    use crate::SentenceFeatures;
-    use imre_tensor::TensorRng;
+    use crate::testutil::{random_bag, toy_embedding, toy_types, VOCAB};
 
     fn tiny_hp() -> HyperParams {
         HyperParams {
@@ -691,44 +663,13 @@ mod tests {
         }
     }
 
+    /// A three-sentence tiny-dims bag.
     fn toy_bag(label: usize, seed: u64) -> PreparedBag {
-        let mut rng = TensorRng::seed(seed);
-        let sentences = (0..3)
-            .map(|_| {
-                let t = 4 + rng.below(6);
-                let head_pos = rng.below(t);
-                let mut tail_pos = rng.below(t);
-                if tail_pos == head_pos {
-                    tail_pos = (tail_pos + 1) % t;
-                }
-                SentenceFeatures {
-                    tokens: (0..t).map(|_| rng.below(10)).collect(),
-                    head_offsets: (0..t).map(|_| rng.below(2 * 20 + 1)).collect(),
-                    tail_offsets: (0..t).map(|_| rng.below(2 * 20 + 1)).collect(),
-                    head_pos,
-                    tail_pos,
-                }
-            })
-            .collect();
-        PreparedBag {
-            head: 0,
-            tail: 1,
-            label,
-            sentences,
-        }
-    }
-
-    fn toy_types() -> Vec<Vec<usize>> {
-        vec![vec![0, 2], vec![1], vec![3], vec![4, 1]]
-    }
-
-    fn toy_embedding(dim: usize) -> EntityEmbedding {
-        let mut rng = TensorRng::seed(77);
-        EntityEmbedding::from_matrix(Tensor::rand_uniform(&[4, dim], -1.0, 1.0, &mut rng))
+        random_bag(3, 9, &tiny_hp(), label, seed)
     }
 
     fn build(spec: ModelSpec) -> ReModel {
-        ReModel::new(spec, &tiny_hp(), 10, 4, 5, 8, 7)
+        ReModel::new(spec, &tiny_hp(), VOCAB, 4, 5, 8, 7)
     }
 
     #[test]
@@ -774,8 +715,8 @@ mod tests {
                 entity_types: &types,
             };
             let mut scratch = QuantScratch::new();
-            for seed in 0..4u64 {
-                let bag = toy_bag(seed as usize % 4, 100 + seed);
+            for (seed, n) in [1usize, 2, 5, 8].into_iter().enumerate() {
+                let bag = random_bag(n, 9, &tiny_hp(), seed % 4, 100 + seed as u64);
                 let want = model.predict(&bag, &ctx);
                 let mut got = vec![0.0f32; 4];
                 qm.predict_quant_into(&bag, &types, &mut scratch, &mut got, None);
@@ -793,12 +734,69 @@ mod tests {
                 for r in 0..4 {
                     assert!(
                         (want[r] - got[r]).abs() < 0.06,
-                        "{} bag {seed} rel {r}: f32 {} vs int8 {}",
+                        "{} n={n} rel {r}: f32 {} vs int8 {}",
                         spec.name(),
                         want[r],
                         got[r]
                     );
                 }
+            }
+        }
+    }
+
+    /// The int8 held-out loop as it ran before the project-once rewrite: per
+    /// relation, attention-weight the f32 sentence rows into a bag vector,
+    /// quantize **it**, run the head (bias inside the kernel), softmax, keep
+    /// the relation's own entry.
+    fn re_scores_per_relation(qm: &QuantModel, xs: &[f32]) -> Vec<f32> {
+        let (nr, dim) = (qm.num_relations, qm.sent_dim());
+        let n = xs.len() / dim;
+        let aq = qm.att_queries.as_ref().expect("an attention spec");
+        let mut qrow = vec![0i8; dim];
+        let mut att_scores = vec![0.0f32; n * nr];
+        for (x, out) in xs.chunks(dim).zip(att_scores.chunks_mut(nr)) {
+            let p = quant::quantize_row_into(x, &mut qrow);
+            quant::qmatvec_into(aq, &qrow, p, None, out);
+        }
+        (0..nr)
+            .map(|r| {
+                let mut alpha: Vec<f32> = (0..n).map(|j| att_scores[j * nr + r]).collect();
+                softmax_in_place(&mut alpha);
+                let mut bag_vec = vec![0.0f32; dim];
+                for (&a, x) in alpha.iter().zip(xs.chunks(dim)) {
+                    for (acc, &v) in bag_vec.iter_mut().zip(x) {
+                        *acc += a * v;
+                    }
+                }
+                let p = quant::quantize_row_into(&bag_vec, &mut qrow);
+                let mut logits = vec![0.0f32; nr];
+                qm.re_head.apply(&qrow, p, &mut logits);
+                softmax_in_place(&mut logits);
+                logits[r]
+            })
+            .collect()
+    }
+
+    /// For a one-sentence bag α ≡ 1, so the old loop quantized the very row
+    /// the new path quantizes: the two differ only in where the head bias is
+    /// added.
+    #[test]
+    fn single_sentence_scores_match_per_relation_int8_loop() {
+        let emb = toy_embedding(8);
+        let types = toy_types();
+        for spec in [
+            ModelSpec::pcnn_att(),
+            ModelSpec::cnn_att(),
+            ModelSpec::pa_tmr(),
+        ] {
+            let qm = QuantModel::from_model(&build(spec), Some(&emb)).expect("quantizes");
+            let mut scratch = QuantScratch::new();
+            let mut out = vec![0.0f32; 4];
+            for seed in 0..4u64 {
+                let bag = random_bag(1, 9, &tiny_hp(), 0, 300 + seed);
+                qm.predict_quant_into(&bag, &types, &mut scratch, &mut out, None);
+                let want = re_scores_per_relation(&qm, &scratch.xs);
+                imre_tensor::assert_close(&scratch.re_scores, &want, 1e-6);
             }
         }
     }

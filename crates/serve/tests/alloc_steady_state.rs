@@ -27,7 +27,11 @@ fn request(entity_names: &[String], i: usize) -> InferRequest {
         tail_ix = (tail_ix + 1) % entity_names.len();
     }
     let tail = entity_names[tail_ix].clone();
-    let text = if i.is_multiple_of(3) {
+    // Bags of 1, 2 and 8 sentences: the held-out scoring buffers are
+    // `[R, n]`-shaped, so arena reuse across bag sizes is part of the budget.
+    let text = if i.is_multiple_of(5) {
+        vec![format!("{head} was seen with {tail} again"); 8].join(" | ")
+    } else if i.is_multiple_of(3) {
         format!(
             "{head} was reported near {tail} last year | sources link {head} directly to {tail}"
         )

@@ -54,6 +54,7 @@ pub use init::TensorRng;
 pub use matmul::{matmul_into, matmul_nt_into, matmul_tn_into};
 pub use ops::sigmoid_scalar;
 pub use quant::QuantTensor;
+pub use reduce::softmax_in_place;
 pub use tensor::Tensor;
 
 /// Absolute tolerance used by the test helpers in this workspace.

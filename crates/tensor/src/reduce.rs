@@ -183,9 +183,10 @@ impl Tensor {
         Tensor::from_vec(exps.iter().map(|&e| e / z).collect(), self.shape())
     }
 
-    /// Softmax written into a pre-shaped destination. Same max/exp/sum/div
+    /// Softmax written into a pre-shaped destination: copies the source,
+    /// then normalises it with [`softmax_in_place`] — the same max/exp/sum/div
     /// op order as [`Tensor::softmax`], so results are bit-identical, with
-    /// zero temporaries: the exponentials land directly in `out`.
+    /// zero temporaries.
     pub fn softmax_into(&self, out: &mut Tensor) {
         assert_eq!(
             out.shape(),
@@ -194,18 +195,8 @@ impl Tensor {
             out.shape(),
             self.shape()
         );
-        let m = self.max();
-        let o = out.data_mut();
-        let mut z = 0.0f32;
-        for (e, &x) in o.iter_mut().zip(self.data()) {
-            *e = (x - m).exp();
-        }
-        for &e in o.iter() {
-            z += e;
-        }
-        for e in o.iter_mut() {
-            *e /= z;
-        }
+        out.data_mut().copy_from_slice(self.data());
+        softmax_in_place(out.data_mut());
     }
 
     /// Numerically stable log-softmax over a rank-1 tensor.
@@ -258,6 +249,24 @@ impl Tensor {
                 softmax_row_in_place(be, row);
             }
         });
+    }
+}
+
+/// Numerically stable softmax of a slice, in place: max, `exp`, sequential
+/// sum, divide. The one rank-1 softmax body — [`Tensor::softmax_into`] and
+/// the tape-free int8 forward both call it, so their results agree bit for
+/// bit.
+pub fn softmax_in_place(xs: &mut [f32]) {
+    let m = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    for x in xs.iter_mut() {
+        *x = (*x - m).exp();
+    }
+    let mut z = 0.0f32;
+    for &x in xs.iter() {
+        z += x;
+    }
+    for x in xs.iter_mut() {
+        *x /= z;
     }
 }
 

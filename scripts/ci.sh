@@ -5,13 +5,13 @@
 # Usage:
 #   scripts/ci.sh                # full gate: fmt, clippy, build, test,
 #                                # serve-faults, alloc-gate, train-dp, knn,
-#                                # simd, quant, stream, bench
+#                                # simd, quant, stream, bench, repo-bench
 #   scripts/ci.sh --fast         # quick gate: fmt, clippy, test, serve-faults
 #                                # (skips the release build and bench smoke)
 #   scripts/ci.sh <step>...      # run only the named steps, in order:
 #                                #   fmt clippy build test serve-faults
 #                                #   alloc-gate train-dp knn simd quant
-#                                #   stream bench
+#                                #   stream bench repo-bench
 #
 # Steps:
 #   fmt     cargo fmt --check over the whole workspace
@@ -72,6 +72,15 @@
 #           leaks); with CI_BENCH_GATE=1 it then runs
 #           scripts/bench_check.sh, the >15% regression gate against the
 #           committed BENCH_PR2.json
+#   repo-bench
+#           the repo benchmark (benchmark/, BENCHMARK.json) as a correctness
+#           gate: its harness unit tests, then its `--smoke` line — all five
+#           workloads cut to a few seconds, every served f32 and int8 reply
+#           byte-compared with the in-process `ServingModel::infer` oracle —
+#           failing unless five result lines come back, each `correct: true`
+#           with `failed: 0`. The numbers of a smoke run are not comparable
+#           and are not gated; this is the one end-to-end check that a
+#           forward-pass change still serves what the model computes
 #
 # Per-step wall-clock timings are printed in the summary and appended as
 # JSON lines to target/ci/step_timings.jsonl, which CI uploads as an
@@ -322,12 +331,31 @@ step_bench() {
     fi
 }
 
+step_repo_bench() {
+    cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+
+    # A run with wrong outputs says so in its result line and still exits
+    # 0, so the verdict is read from the five result lines.
+    local out=target/ci/repo-bench-smoke.txt
+    mkdir -p target/ci
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke |
+        tee "$out"
+    local results passed
+    results=$(grep -c '^{' "$out" || true)
+    passed=$(grep '^{' "$out" | grep '"correct": true' | grep -c '"failed": 0,' || true)
+    if [[ "$results" -ne 5 || "$passed" -ne 5 ]]; then
+        echo "repo-bench: $passed of $results result lines are correct with failed=0 (want 5 of 5)" >&2
+        exit 1
+    fi
+    echo "repo-bench: 5 workloads correct, 0 failed requests"
+}
+
 case "${1:-}" in
 --fast)
     steps=(fmt clippy test serve-faults)
     ;;
 "")
-    steps=(fmt clippy build test serve-faults alloc-gate train-dp knn simd quant stream bench)
+    steps=(fmt clippy build test serve-faults alloc-gate train-dp knn simd quant stream bench repo-bench)
     ;;
 *)
     steps=("$@")
@@ -340,8 +368,9 @@ for s in "${steps[@]}"; do
     serve-faults) run_step "$s" step_serve_faults ;;
     alloc-gate) run_step "$s" step_alloc_gate ;;
     train-dp) run_step "$s" step_train_dp ;;
+    repo-bench) run_step "$s" step_repo_bench ;;
     *)
-        echo "ci.sh: unknown step '$s' (valid: fmt clippy build test serve-faults alloc-gate train-dp knn simd quant stream bench)" >&2
+        echo "ci.sh: unknown step '$s' (valid: fmt clippy build test serve-faults alloc-gate train-dp knn simd quant stream bench repo-bench)" >&2
         exit 2
         ;;
     esac

@@ -10,9 +10,10 @@
 use imre_core::{BagContext, HyperParams, ModelSpec, ReModel};
 use imre_corpus::Dataset;
 use imre_eval::smoke_config;
+use imre_graph::EntityEmbedding;
 use imre_nn::{Sgd, Tape};
 use imre_tensor::pool::{with_pool, ThreadPool};
-use imre_tensor::{Tensor, TensorRng};
+use imre_tensor::{BufferPool, Tensor, TensorRng};
 
 /// Runs `f` under a 1-thread pool and again under a 4-thread pool.
 fn on_1_and_4<T>(f: impl Fn() -> T) -> (T, T) {
@@ -157,4 +158,49 @@ fn single_bag_predict_bit_identical() {
     );
     let (s1, s4) = on_1_and_4(|| model.predict(&bags[0], &ctx));
     assert_eq!(s1, s4);
+
+    // PA-TMR at Table III dims over an 8-sentence bag: the held-out scoring
+    // GEMMs (`[R, d]·[d, n]`, `[n, d]·[d, R]`, `[R, n]·[n, R]`) at the shapes
+    // serving runs them, through every entry point the engine uses.
+    let hp = HyperParams::paper();
+    let sentences = imre_core::prepare_bags(&ds.train, &hp)
+        .into_iter()
+        .flat_map(|b| b.sentences)
+        .take(8)
+        .collect::<Vec<_>>();
+    assert_eq!(sentences.len(), 8);
+    let bag = imre_core::PreparedBag {
+        head: 0,
+        tail: 1,
+        label: 0,
+        sentences,
+    };
+    let mut rng = TensorRng::seed(5);
+    let embedding = EntityEmbedding::from_matrix(Tensor::rand_uniform(
+        &[ds.world.num_entities(), hp.entity_dim],
+        -1.0,
+        1.0,
+        &mut rng,
+    ));
+    let ctx = BagContext {
+        entity_embedding: Some(&embedding),
+        entity_types: &types,
+    };
+    let model = ReModel::new(
+        ModelSpec::pa_tmr(),
+        &hp,
+        ds.vocab.len(),
+        ds.num_relations(),
+        imre_corpus::NUM_COARSE_TYPES,
+        hp.entity_dim,
+        7,
+    );
+    let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+    let (s1, s4) = on_1_and_4(|| bits(model.predict(&bag, &ctx)));
+    assert_eq!(s1, s4);
+    let mut pool = BufferPool::new();
+    let cold = bits(model.predict_pooled(&bag, &ctx, &mut pool, None));
+    let warm = bits(model.predict_pooled(&bag, &ctx, &mut pool, None));
+    assert_eq!(cold, s1, "cold pool changed the scores");
+    assert_eq!(warm, s1, "warm pool changed the scores");
 }
