@@ -1,12 +1,14 @@
 //! Criterion micro-benchmarks for the hot substrate operations: matmul,
-//! PCNN forward+backward, selective attention, LINE epochs, proximity-graph
-//! construction, and skip-gram pretraining.
+//! PCNN forward+backward, selective attention, LINE epochs and refine-mode
+//! updates, proximity-graph construction, and featurization.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use imre_core::{featurize, HyperParams, ModelSpec, ReModel};
 use imre_corpus::{generate_unlabeled, Dataset, UnlabeledConfig};
 use imre_eval::smoke_config;
-use imre_graph::{train_line, EntityEmbedding, LineConfig, ProximityGraph};
+use imre_graph::{
+    train_line, EntityEmbedding, LineConfig, LineState, ProximityGraph, RefineConfig,
+};
 use imre_nn::{GradStore, ParamStore, Tape};
 use imre_tensor::{BufferPool, Tensor, TensorRng};
 
@@ -136,18 +138,34 @@ fn bench_graph_and_line(c: &mut Criterion) {
         ds.world.num_entities(),
         2,
     );
+    let line = LineConfig {
+        dim: 32,
+        samples_per_epoch: 10_000,
+        epochs: 1,
+        ..Default::default()
+    };
     c.bench_function("line_10k_samples", |b| {
-        b.iter(|| {
-            std::hint::black_box(train_line(
-                &graph,
-                &LineConfig {
-                    dim: 32,
-                    samples_per_epoch: 10_000,
-                    epochs: 1,
-                    ..Default::default()
-                },
-            ))
-        });
+        b.iter(|| std::hint::black_box(train_line(&graph, &line)));
+    });
+
+    // One warm refine-mode update: what `RefreshMode::Refine` pays per delta
+    // batch (a 32-edge touched set: alias rebuild + 2k SGD samples), beside
+    // the canonical retrain in the row above.
+    let mut state = LineState::init(&graph, &line);
+    state.run_base_epochs(&graph);
+    let touched: Vec<(usize, usize)> = graph
+        .edges()
+        .iter()
+        .take(32)
+        .map(|&(u, v, _)| (u, v))
+        .collect();
+    let refine = RefineConfig {
+        samples: 2_000,
+        lr: 0.005,
+        negatives: 5,
+    };
+    c.bench_function("line_refine_update", |b| {
+        b.iter(|| std::hint::black_box(state.refine(&graph, &touched, &refine)));
     });
 }
 

@@ -7,6 +7,13 @@
 //! Run everything with `cargo bench --workspace`, or a single experiment
 //! with e.g. `cargo bench -p imre-bench --bench table4_performance`.
 //!
+//! Besides the paper benches the crate holds `micro_ops` (criterion rows for
+//! the hot substrate operations) and the [`CountingAllocator`] behind the
+//! `zero_alloc_*` tests. It keeps no performance record: how fast the system
+//! serves, trains and publishes is measured by the repo benchmark
+//! (`BENCHMARK.json`, `benchmark/README.md`), and two revisions are compared
+//! with `scripts/ab.sh`.
+//!
 //! ## Environment knobs
 //!
 //! | Variable | Default | Effect |
@@ -70,71 +77,6 @@ pub fn header(experiment: &str, paper_ref: &str) {
     println!("================================================================");
     println!("{experiment}  (reproduces {paper_ref})");
     println!("================================================================");
-}
-
-/// Machine-readable metric sink for the CI bench-regression gate.
-///
-/// Benches record flat `key -> f64` metrics and call
-/// [`MetricSink::write_if_requested`] at the end of their run; when the
-/// `IMRE_BENCH_JSON` environment variable names a file, the metrics are
-/// written there as a flat JSON object with one `"key": value` pair per
-/// line (the format `scripts/bench_check.sh` merges and diffs). Without the
-/// variable the sink is a no-op, so interactive `cargo bench` runs never
-/// touch the filesystem.
-///
-/// Key conventions enforced by the regression gate:
-/// - keys ending in `_ns` are lower-is-better (latencies); everything else
-///   is higher-is-better (throughput);
-/// - keys starting with `info_` are informational only and never gate
-///   (e.g. speedup ratios that depend on the core count of the machine).
-#[derive(Debug, Default)]
-pub struct MetricSink {
-    metrics: Vec<(String, f64)>,
-}
-
-impl MetricSink {
-    /// An empty sink.
-    pub fn new() -> MetricSink {
-        MetricSink::default()
-    }
-
-    /// Records one metric; keys must be unique per sink.
-    pub fn record(&mut self, key: &str, value: f64) {
-        assert!(
-            !self.metrics.iter().any(|(k, _)| k == key),
-            "duplicate bench metric key: {key}"
-        );
-        self.metrics.push((key.to_string(), value));
-    }
-
-    /// The metrics rendered as a flat JSON object, one pair per line.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (k, v)) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 < self.metrics.len() { "," } else { "" };
-            // `{v}` prints the shortest round-trip f64 repr, which is valid
-            // JSON for all finite values; benches never record NaN/inf.
-            out.push_str(&format!("  \"{k}\": {v}{comma}\n"));
-        }
-        out.push_str("}\n");
-        out
-    }
-
-    /// Writes the JSON dump to the file named by `IMRE_BENCH_JSON`, if set.
-    ///
-    /// # Panics
-    /// When the file cannot be written — in CI a silently missing metrics
-    /// file would make the regression gate vacuously pass.
-    pub fn write_if_requested(&self) {
-        if let Ok(path) = std::env::var("IMRE_BENCH_JSON") {
-            if path.is_empty() {
-                return;
-            }
-            std::fs::write(&path, self.to_json())
-                .unwrap_or_else(|e| panic!("IMRE_BENCH_JSON: cannot write {path}: {e}"));
-            println!("bench metrics written to {path}");
-        }
-    }
 }
 
 /// A `std::alloc::System` wrapper that counts heap allocations, for
@@ -205,25 +147,5 @@ mod tests {
         // note: reads env; both branches produce two configs
         let cfgs = dataset_configs();
         assert_eq!(cfgs.len(), 2);
-    }
-
-    #[test]
-    fn metric_sink_renders_flat_json() {
-        let mut sink = MetricSink::new();
-        sink.record("matmul_gflops", 1.5);
-        sink.record("dispatch_inline_ns", 42.0);
-        let json = sink.to_json();
-        assert!(json.starts_with("{\n"));
-        assert!(json.ends_with("}\n"));
-        assert!(json.contains("  \"matmul_gflops\": 1.5,\n"));
-        assert!(json.contains("  \"dispatch_inline_ns\": 42\n"));
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate bench metric key")]
-    fn metric_sink_rejects_duplicate_keys() {
-        let mut sink = MetricSink::new();
-        sink.record("k", 1.0);
-        sink.record("k", 2.0);
     }
 }

@@ -129,20 +129,27 @@ fn usage(msg: impl Into<String>) -> CliError {
     CliError::Usage(msg.into())
 }
 
+/// Flags every subcommand accepts (USAGE, "GLOBAL FLAGS").
+const GLOBAL_FLAGS: &[&str] = &["threads"];
+
 /// Parsed `--key value` flags after the subcommand.
 pub struct Flags {
     map: HashMap<String, String>,
 }
 
 impl Flags {
-    /// Parses `--key value` pairs; rejects dangling keys.
-    pub fn parse(args: &[String]) -> Result<Flags, CliError> {
+    /// Parses `--key value` pairs; rejects dangling keys and any key that
+    /// is neither in `accepted` (the subcommand's own list) nor global.
+    pub fn parse(args: &[String], accepted: &[&str]) -> Result<Flags, CliError> {
         let mut map = HashMap::new();
         let mut it = args.iter();
         while let Some(key) = it.next() {
             let key = key
                 .strip_prefix("--")
                 .ok_or_else(|| usage(format!("expected --flag, got {key:?}")))?;
+            if !accepted.contains(&key) && !GLOBAL_FLAGS.contains(&key) {
+                return Err(usage(format!("unknown flag --{key}")));
+            }
             let value = it
                 .next()
                 .ok_or_else(|| usage(format!("--{key} needs a value")))?;
@@ -233,25 +240,31 @@ fn apply_threads_flag(flags: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
+/// A subcommand body; `run` pairs each with the flags it accepts.
+type Command = fn(&Flags) -> Result<(), CliError>;
+
 /// Entry point used by `main` and the tests.
 pub fn run(args: &[String]) -> Result<(), CliError> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err(usage("no subcommand"));
     };
-    let flags = Flags::parse(rest)?;
+    let (accepted, command): (&[&str], Command) = match cmd.as_str() {
+        "stats" => (STATS_FLAGS, cmd_stats),
+        "train" => (TRAIN_FLAGS, cmd_train),
+        "eval" => (EVAL_FLAGS, cmd_eval),
+        "compare" => (COMPARE_FLAGS, cmd_compare),
+        "case-study" => (CASE_STUDY_FLAGS, cmd_case_study),
+        "quantize" => (QUANTIZE_FLAGS, cmd_quantize),
+        "serve" => (SERVE_FLAGS, cmd_serve),
+        "stream-replay" => (STREAM_REPLAY_FLAGS, cmd_stream_replay),
+        other => return Err(usage(format!("unknown subcommand {other:?}"))),
+    };
+    let flags = Flags::parse(rest, accepted)?;
     apply_threads_flag(&flags)?;
-    match cmd.as_str() {
-        "stats" => cmd_stats(&flags),
-        "train" => cmd_train(&flags),
-        "eval" => cmd_eval(&flags),
-        "compare" => cmd_compare(&flags),
-        "case-study" => cmd_case_study(&flags),
-        "quantize" => cmd_quantize(&flags),
-        "serve" => cmd_serve(&flags),
-        "stream-replay" => cmd_stream_replay(&flags),
-        other => Err(usage(format!("unknown subcommand {other:?}"))),
-    }
+    command(&flags)
 }
+
+const STATS_FLAGS: &[&str] = &["dataset", "seed"];
 
 fn cmd_stats(flags: &Flags) -> Result<(), CliError> {
     let seed = flags.number("seed", 1u64)?;
@@ -274,6 +287,20 @@ fn cmd_stats(flags: &Flags) -> Result<(), CliError> {
     }
     Ok(())
 }
+
+const TRAIN_FLAGS: &[&str] = &[
+    "dataset",
+    "model",
+    "epochs",
+    "seed",
+    "out",
+    "bundle",
+    "knn-index",
+    "data-parallel",
+    "checkpoint",
+    "checkpoint-every",
+    "resume",
+];
 
 fn cmd_train(flags: &Flags) -> Result<(), CliError> {
     let seed = flags.number("seed", 1u64)?;
@@ -361,6 +388,15 @@ fn cmd_train(flags: &Flags) -> Result<(), CliError> {
     }
     Ok(())
 }
+
+const QUANTIZE_FLAGS: &[&str] = &[
+    "bundle",
+    "out",
+    "check",
+    "seed",
+    "max-drift",
+    "max-pn-delta",
+];
 
 /// `imre quantize`: load a bundle, attach a per-row int8 copy of its model,
 /// and write it back as an `.imrb` version-3 artifact. With `--check`, the
@@ -456,21 +492,26 @@ fn cmd_quantize(flags: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
+const SERVE_FLAGS: &[&str] = &[
+    "bundle",
+    "name",
+    "addr",
+    "workers",
+    "queue",
+    "request-deadline-ms",
+    "knn-k",
+    "knn-lambda",
+    "max-connections",
+    "max-inflight-per-conn",
+    "precision",
+    "stream",
+    "publish-every",
+    "stream-publish-out",
+    "stream-refresh",
+    "stream-threshold",
+];
+
 fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
-    // `Flags` ignores keys nobody reads, so a command line written for a
-    // removed mechanism would otherwise start up as a silent no-op.
-    let no_batcher = "workers take one request per dequeue, there is no batch window to size";
-    for (retired, why) in [
-        ("batch", no_batcher),
-        ("deadline-ms", no_batcher),
-        ("frontend", "the event loop is the only front end"),
-    ] {
-        if flags.optional(retired).is_some() {
-            return Err(usage(format!(
-                "--{retired} was removed: {why}; drop the flag"
-            )));
-        }
-    }
     let bundle_path = PathBuf::from(flags.required("bundle")?);
     let name = flags.optional("name").unwrap_or("default");
     let addr = flags.optional("addr").unwrap_or("127.0.0.1:7878");
@@ -613,6 +654,14 @@ fn stream_build_config(flags: &Flags) -> Result<imre_stream::StreamBuildConfig, 
     })
 }
 
+const STREAM_REPLAY_FLAGS: &[&str] = &[
+    "bundle",
+    "deltas",
+    "out",
+    "stream-refresh",
+    "stream-threshold",
+];
+
 fn cmd_stream_replay(flags: &Flags) -> Result<(), CliError> {
     let bundle_path = PathBuf::from(flags.required("bundle")?);
     let delta_path = PathBuf::from(flags.required("deltas")?);
@@ -631,6 +680,16 @@ fn cmd_stream_replay(flags: &Flags) -> Result<(), CliError> {
     println!("wrote {} bytes to {}", report.bundle.len(), out.display());
     Ok(())
 }
+
+const EVAL_FLAGS: &[&str] = &[
+    "dataset",
+    "model-file",
+    "seed",
+    "knn",
+    "knn-k",
+    "knn-lambda",
+    "knn-buckets",
+];
 
 fn cmd_eval(flags: &Flags) -> Result<(), CliError> {
     let seed = flags.number("seed", 1u64)?;
@@ -696,6 +755,8 @@ fn cmd_eval(flags: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
+const COMPARE_FLAGS: &[&str] = &["dataset", "seed", "seeds", "epochs", "parallel-seeds"];
+
 fn cmd_compare(flags: &Flags) -> Result<(), CliError> {
     let seed = flags.number("seed", 1u64)?;
     let n_seeds: u64 = flags.number("seeds", 1u64)?;
@@ -727,6 +788,8 @@ fn cmd_compare(flags: &Flags) -> Result<(), CliError> {
     }
     Ok(())
 }
+
+const CASE_STUDY_FLAGS: &[&str] = &["dataset", "seed", "entity", "k"];
 
 fn cmd_case_study(flags: &Flags) -> Result<(), CliError> {
     let seed = flags.number("seed", 1u64)?;
@@ -763,9 +826,18 @@ mod tests {
         v.iter().map(|x| x.to_string()).collect()
     }
 
+    fn assert_unknown_flag(args: &[&str], flag: &str) {
+        match run(&s(args)) {
+            Err(CliError::Usage(msg)) => {
+                assert!(msg.contains(&format!("unknown flag {flag}")), "{msg}")
+            }
+            other => panic!("expected usage error for {flag}, got {other:?}"),
+        }
+    }
+
     #[test]
     fn flags_parse_pairs() {
-        let f = Flags::parse(&s(&["--dataset", "nyt", "--seed", "7"])).unwrap();
+        let f = Flags::parse(&s(&["--dataset", "nyt", "--seed", "7"]), STATS_FLAGS).unwrap();
         assert_eq!(f.required("dataset").unwrap(), "nyt");
         assert_eq!(f.number("seed", 0u64).unwrap(), 7);
         assert_eq!(f.number("missing", 42u64).unwrap(), 42);
@@ -773,38 +845,41 @@ mod tests {
 
     #[test]
     fn flags_reject_dangling_value() {
-        assert!(Flags::parse(&s(&["--dataset"])).is_err());
-        assert!(Flags::parse(&s(&["dataset", "nyt"])).is_err());
+        assert!(Flags::parse(&s(&["--dataset"]), TRAIN_FLAGS).is_err());
+        assert!(Flags::parse(&s(&["dataset", "nyt"]), TRAIN_FLAGS).is_err());
         // A dangling key at the end of an otherwise valid list is still an error.
-        assert!(Flags::parse(&s(&["--dataset", "nyt", "--out"])).is_err());
+        assert!(Flags::parse(&s(&["--dataset", "nyt", "--out"]), TRAIN_FLAGS).is_err());
     }
 
     #[test]
     fn flags_repeated_key_last_wins() {
-        let f = Flags::parse(&s(&["--seed", "1", "--seed", "9"])).unwrap();
+        let f = Flags::parse(&s(&["--seed", "1", "--seed", "9"]), STATS_FLAGS).unwrap();
         assert_eq!(f.number("seed", 0u64).unwrap(), 9);
     }
 
     #[test]
     fn flags_serve_flag_set_parses() {
-        let f = Flags::parse(&s(&[
-            "--bundle",
-            "m.imrb",
-            "--name",
-            "prod",
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "4",
-            "--queue",
-            "512",
-            "--request-deadline-ms",
-            "250",
-            "--max-connections",
-            "2048",
-            "--max-inflight-per-conn",
-            "8",
-        ]))
+        let f = Flags::parse(
+            &s(&[
+                "--bundle",
+                "m.imrb",
+                "--name",
+                "prod",
+                "--addr",
+                "127.0.0.1:0",
+                "--workers",
+                "4",
+                "--queue",
+                "512",
+                "--request-deadline-ms",
+                "250",
+                "--max-connections",
+                "2048",
+                "--max-inflight-per-conn",
+                "8",
+            ]),
+            SERVE_FLAGS,
+        )
         .unwrap();
         assert_eq!(f.required("bundle").unwrap(), "m.imrb");
         assert_eq!(f.optional("name"), Some("prod"));
@@ -816,21 +891,31 @@ mod tests {
         assert_eq!(f.number("max-inflight-per-conn", 32usize).unwrap(), 8);
     }
 
+    /// A flag the subcommand does not read is a usage error naming it, not
+    /// a silent no-op — which is all the retired serve flags need.
     #[test]
     fn serve_rejects_retired_batch_flags() {
         for retired in ["--batch", "--deadline-ms", "--frontend"] {
-            match run(&s(&["serve", "--bundle", "m.imrb", retired, "8"])) {
-                Err(CliError::Usage(msg)) => {
-                    assert!(msg.contains(retired) && msg.contains("removed"), "{msg}")
-                }
-                other => panic!("expected usage error for {retired}, got {other:?}"),
-            }
+            assert_unknown_flag(&["serve", "--bundle", "m.imrb", retired, "8"], retired);
         }
     }
 
     #[test]
+    fn serve_rejects_a_misspelt_flag() {
+        assert_unknown_flag(
+            &["serve", "--bundle", "m.imrb", "--wrokers", "4"],
+            "--wrokers",
+        );
+    }
+
+    #[test]
+    fn train_rejects_a_misspelt_flag() {
+        assert_unknown_flag(&["train", "--dataset", "smoke", "--epocs", "2"], "--epocs");
+    }
+
+    #[test]
     fn flags_non_numeric_value_is_usage_error() {
-        let f = Flags::parse(&s(&["--workers", "many"])).unwrap();
+        let f = Flags::parse(&s(&["--workers", "many"]), SERVE_FLAGS).unwrap();
         match f.number("workers", 2usize) {
             Err(CliError::Usage(_)) => {}
             other => panic!("expected usage error, got {other:?}"),
@@ -873,12 +958,16 @@ mod tests {
 
     #[test]
     fn stream_build_config_parses_modes() {
-        let f = Flags::parse(&s(&["--stream-threshold", "3", "--threads", "2"])).unwrap();
+        let f = Flags::parse(
+            &s(&["--stream-threshold", "3", "--threads", "2"]),
+            STREAM_REPLAY_FLAGS,
+        )
+        .unwrap();
         let c = stream_build_config(&f).unwrap();
         assert_eq!(c.threshold, 3);
         assert_eq!(c.threads, 2);
         assert!(matches!(c.refresh, imre_stream::RefreshMode::Canonical));
-        let f = Flags::parse(&s(&["--stream-refresh", "refine"])).unwrap();
+        let f = Flags::parse(&s(&["--stream-refresh", "refine"]), STREAM_REPLAY_FLAGS).unwrap();
         let c = stream_build_config(&f).unwrap();
         assert!(matches!(c.refresh, imre_stream::RefreshMode::Refine(_)));
     }
@@ -927,18 +1016,21 @@ mod tests {
 
     #[test]
     fn flags_dist_flag_set_parses() {
-        let f = Flags::parse(&s(&[
-            "--data-parallel",
-            "4",
-            "--resume",
-            "ck.imrc",
-            "--checkpoint",
-            "ck.imrc",
-            "--checkpoint-every",
-            "2",
-            "--parallel-seeds",
-            "3",
-        ]))
+        let f = Flags::parse(
+            &s(&[
+                "--data-parallel",
+                "4",
+                "--resume",
+                "ck.imrc",
+                "--checkpoint",
+                "ck.imrc",
+                "--checkpoint-every",
+                "2",
+                "--parallel-seeds",
+                "3",
+            ]),
+            &[TRAIN_FLAGS, COMPARE_FLAGS].concat(),
+        )
         .unwrap();
         assert_eq!(f.number("data-parallel", 0usize).unwrap(), 4);
         assert_eq!(f.optional("resume"), Some("ck.imrc"));
@@ -996,18 +1088,21 @@ mod tests {
 
     #[test]
     fn flags_knn_flag_set_parses() {
-        let f = Flags::parse(&s(&[
-            "--knn",
-            "1",
-            "--knn-k",
-            "16",
-            "--knn-lambda",
-            "0.4",
-            "--knn-buckets",
-            "5",
-            "--knn-index",
-            "0",
-        ]))
+        let f = Flags::parse(
+            &s(&[
+                "--knn",
+                "1",
+                "--knn-k",
+                "16",
+                "--knn-lambda",
+                "0.4",
+                "--knn-buckets",
+                "5",
+                "--knn-index",
+                "0",
+            ]),
+            &[EVAL_FLAGS, TRAIN_FLAGS].concat(),
+        )
         .unwrap();
         assert_eq!(f.number("knn", 0usize).unwrap(), 1);
         assert_eq!(f.number("knn-k", 8usize).unwrap(), 16);

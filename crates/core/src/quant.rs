@@ -256,8 +256,7 @@ impl QuantModel {
         }
     }
 
-    /// Total bytes of quantized payload (weights + per-row parameters) —
-    /// the `quant_bytes_per_model` metric.
+    /// Total bytes of quantized payload (weights + per-row parameters).
     pub fn bytes(&self) -> usize {
         let lin = |l: &QuantLinear| l.w.bytes() + l.b.len() * 4;
         let mut total = self.word_emb.bytes()
@@ -822,22 +821,19 @@ mod tests {
         }
     }
 
+    /// The footprint promise at Table III widths: with the 9-byte/row
+    /// parameters and f32 biases counted, the int8 model is at most a third
+    /// of the f32 bytes. Word rows (50 wide) are the narrowest big table, so
+    /// a vocabulary-heavy model is the hard case.
     #[test]
-    fn quantized_model_reports_smaller_footprint() {
-        let model = build(ModelSpec::pa_tmr());
-        let emb = toy_embedding(8);
+    fn int8_model_is_at_most_a_third_of_f32_bytes_at_paper_dims() {
+        let hp = HyperParams::paper();
+        let model = ReModel::new(ModelSpec::pa_tmr(), &hp, 5_000, 53, 38, hp.entity_dim, 7);
+        let emb = EntityEmbedding::from_matrix(Tensor::zeros(&[1_000, hp.entity_dim]));
         let qm = QuantModel::from_model(&model, Some(&emb)).expect("quantizes");
-        let f32_bytes: usize = model
-            .store
-            .iter()
-            .map(|(_, _, t)| t.len() * 4)
-            .sum::<usize>()
-            + emb.matrix().len() * 4;
-        // Tiny test dims understate the win (the 9-byte/row parameter
-        // overhead is large next to 3-wide embedding rows); the realistic
-        // ≤30% ratio is gated in the `quant_serve` bench instead.
+        let f32_bytes = 4 * (model.store.num_scalars() + emb.matrix().len());
         assert!(
-            qm.bytes() * 2 < f32_bytes,
+            3 * qm.bytes() <= f32_bytes,
             "quantized {} bytes vs f32 {f32_bytes}",
             qm.bytes()
         );

@@ -51,8 +51,7 @@ impl Sgd {
                 let decay: Tensor = params.get(id).scale(self.weight_decay);
                 grads.get_mut(id).add_assign(&decay);
             }
-            let g = grads.get(id).clone();
-            params.get_mut(id).axpy(-self.lr, &g);
+            params.get_mut(id).axpy(-self.lr, grads.get(id));
         }
         grads.zero();
     }

@@ -17,11 +17,11 @@ use crate::simd;
 use crate::Tensor;
 
 /// Target multiply-adds per parallel task. Sized so a chunk costs ≫ the
-/// measured pool dispatch overhead (`dispatch_inline_ns` ≈ 650 ns in
-/// `BENCH_PR2.json`) *at the SIMD kernel's speed*: at ~55 GFLOP/s an
+/// pool's per-call overhead (≈ 650 ns for a 64-task `ThreadPool::run` on
+/// the 2-vCPU reference box) *at the SIMD kernel's speed*: at ~55 GFLOP/s an
 /// 8 Mi-MAC chunk runs for ~300 µs, making dispatch and scheduler noise
 /// < 1% even when workers timeshare a small box. Everything below the
-/// grain (the conv256 workload, every matmul in a smoke-scale PCNN step)
+/// grain (a 256-token `Conv1d`, every matmul in a smoke-scale PCNN step)
 /// runs inline. Derived from shape only — never from the thread count — so
 /// the partition is identical no matter how many workers execute it.
 const GRAIN_MACS: usize = 8 * 1024 * 1024;

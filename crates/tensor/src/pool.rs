@@ -21,7 +21,7 @@
 //!    region with a single chunk) never touches a channel, a lock, or an
 //!    atomic: [`ThreadPool::run`] degenerates to a plain loop on the caller
 //!    thread. [`ThreadPool::dispatched_jobs`] counts real dispatches so
-//!    tests and the `kernel_scaling` bench can assert this.
+//!    tests can assert this.
 //!
 //! The pool is **nested-use safe**: a task may itself call [`ThreadPool::run`]
 //! on the same pool. Owners always drain their own job's task counter, so a

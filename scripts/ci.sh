@@ -35,8 +35,7 @@
 #           corpus — two `imre train --data-parallel 4` runs plus a
 #           `--threads 1` run must produce byte-identical IMRM artifacts,
 #           and a checkpoint + `--resume` run must match the uninterrupted
-#           run bytewise; on runners with ≥4 cores it finally asserts the
-#           R=4 speedup from the train_scaling bench is ≥2.5x
+#           run bytewise
 #   knn     the kNN-interpolation gate: the imre-ann determinism/serialize
 #           suites, the .imrb v1/v2 compatibility tests, the counting-
 #           allocator zero-alloc kNN query gate, and a CLI-level end-to-end
@@ -66,12 +65,10 @@
 #           CLI-level end-to-end check that `imre stream-replay` of a
 #           3-batch delta stream is byte-identical to the single-batch
 #           build on the merged corpus at --threads 1 and 4
-#   bench   1ms-sample smoke of the serving + kernel-scaling benches, which
-#           also executes their embedded assertions (dispatch fast path,
-#           one front-end thread at every connection rung, no fd/thread
-#           leaks); with CI_BENCH_GATE=1 it then runs
-#           scripts/bench_check.sh, the >15% regression gate against the
-#           committed BENCH_PR2.json
+#   bench   1ms-sample smoke of the micro_ops bench, so the criterion
+#           harness keeps compiling and running; no number is read from it
+#           (speed is measured by the repo benchmark, two revisions are
+#           compared with scripts/ab.sh)
 #   repo-bench
 #           the repo benchmark (benchmark/, BENCHMARK.json) as a correctness
 #           gate: its harness unit tests, then its `--smoke` line — all five
@@ -84,10 +81,9 @@
 #
 # Per-step wall-clock timings are printed in the summary and appended as
 # JSON lines to target/ci/step_timings.jsonl, which CI uploads as an
-# artifact next to the bench JSON.
+# artifact.
 #
 # Environment:
-#   CI_BENCH_GATE=1     enable the bench-regression gate in the bench step
 #   IMRE_FORCE_SCALAR=1 pin the scalar kernels (the simd step sets this
 #                       itself for its second pass)
 set -euo pipefail
@@ -211,24 +207,6 @@ step_train_dp() {
     cmp "$dir/straight.imrm" "$dir/resumed.imrm" ||
         { echo "train-dp: resume diverged from the uninterrupted run" >&2; exit 1; }
     echo "train-dp: checkpoint resume matches the uninterrupted run"
-
-    # Scaling criterion — only meaningful with ≥4 cores to spread replicas.
-    local cores
-    cores=$(nproc 2>/dev/null || echo 1)
-    if [[ "$cores" -ge 4 ]]; then
-        IMRE_BENCH_JSON="$dir/train_scaling.json" \
-            cargo bench --offline -q -p imre-bench --bench train_scaling >/dev/null
-        awk '/info_train_dp_speedup_r4/ {
-            v = $2 + 0
-            if (v < 2.5) {
-                printf "train-dp: R=4 speedup %.2fx below 2.5x\n", v > "/dev/stderr"
-                exit 1
-            }
-            printf "train-dp: R=4 speedup %.2fx (>= 2.5x)\n", v
-        }' "$dir/train_scaling.json"
-    else
-        echo "train-dp: $cores core(s) — skipping the >=2.5x speedup assertion"
-    fi
 }
 
 step_simd() {
@@ -320,15 +298,7 @@ step_stream() {
 }
 
 step_bench() {
-    CRITERION_SAMPLE_MS=1 cargo bench --offline -p imre-bench --bench serve_throughput
-    CRITERION_SAMPLE_MS=1 cargo bench --offline -p imre-bench --bench serve_concurrency
-    CRITERION_SAMPLE_MS=1 cargo bench --offline -p imre-bench --bench knn_serve
-    CRITERION_SAMPLE_MS=1 cargo bench --offline -p imre-bench --bench quant_serve
-    CRITERION_SAMPLE_MS=1 cargo bench --offline -p imre-bench --bench kernel_scaling
-    CRITERION_SAMPLE_MS=1 IMRE_FAST=1 cargo bench --offline -p imre-bench --bench train_scaling
-    if [[ "${CI_BENCH_GATE:-0}" == "1" ]]; then
-        scripts/bench_check.sh
-    fi
+    CRITERION_SAMPLE_MS=1 cargo bench --offline -p imre-bench --bench micro_ops
 }
 
 step_repo_bench() {
