@@ -628,15 +628,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
 fn stream_build_config(flags: &Flags) -> Result<imre_stream::StreamBuildConfig, CliError> {
     let threshold = flags.number("stream-threshold", 2u32)?;
     let line = imre_graph::LineConfig::default();
-    let threads = match flags.optional("threads") {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| usage(format!("--threads {v:?} is not a valid number")))?
-            .max(1),
-        None => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-    };
     let refresh = match flags.optional("stream-refresh").unwrap_or("canonical") {
         "canonical" => imre_stream::RefreshMode::Canonical,
         "refine" => imre_stream::RefreshMode::Refine(imre_graph::RefineConfig::from_line(&line)),
@@ -649,7 +640,8 @@ fn stream_build_config(flags: &Flags) -> Result<imre_stream::StreamBuildConfig, 
     Ok(imre_stream::StreamBuildConfig {
         threshold,
         line,
-        threads,
+        // `run` has already applied `--threads` / `IMRE_THREADS` to the pool
+        threads: imre_tensor::pool::current_threads(),
         refresh,
     })
 }
@@ -958,14 +950,11 @@ mod tests {
 
     #[test]
     fn stream_build_config_parses_modes() {
-        let f = Flags::parse(
-            &s(&["--stream-threshold", "3", "--threads", "2"]),
-            STREAM_REPLAY_FLAGS,
-        )
-        .unwrap();
-        let c = stream_build_config(&f).unwrap();
+        let f = Flags::parse(&s(&["--stream-threshold", "3"]), STREAM_REPLAY_FLAGS).unwrap();
+        let pool = imre_tensor::pool::ThreadPool::new(3);
+        let c = imre_tensor::pool::with_pool(&pool, || stream_build_config(&f)).unwrap();
         assert_eq!(c.threshold, 3);
-        assert_eq!(c.threads, 2);
+        assert_eq!(c.threads, 3);
         assert!(matches!(c.refresh, imre_stream::RefreshMode::Canonical));
         let f = Flags::parse(&s(&["--stream-refresh", "refine"]), STREAM_REPLAY_FLAGS).unwrap();
         let c = stream_build_config(&f).unwrap();

@@ -647,19 +647,6 @@ impl ReModel {
             })
         })
     }
-
-    /// Predicts and returns `(relation, score)` pairs sorted by descending
-    /// score (ties broken by relation id for determinism).
-    pub fn predict_ranked(&self, bag: &PreparedBag, ctx: &BagContext) -> Vec<(usize, f32)> {
-        let scores = self.predict(bag, ctx);
-        let mut ranked: Vec<(usize, f32)> = scores.into_iter().enumerate().collect();
-        ranked.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        ranked
-    }
 }
 
 #[cfg(test)]

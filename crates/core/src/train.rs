@@ -17,7 +17,7 @@
 
 use crate::model::{BagContext, PreparedBag, ReModel};
 use imre_nn::Sgd;
-use imre_tensor::TensorRng;
+use imre_tensor::{mix64, TensorRng};
 
 /// Training-loop configuration.
 #[derive(Debug, Clone)]
@@ -129,14 +129,6 @@ pub fn train_epoch(
 // ----------------------------------------------------------------------
 // Replica-aware primitives (the substrate `imre-dist` trains on)
 // ----------------------------------------------------------------------
-
-/// SplitMix64 finalizer: decorrelates structured seed material.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// The deterministic bag visiting order for one epoch: a shuffle drawn from
 /// a stream that depends only on `(seed, epoch)`. Resuming at an epoch

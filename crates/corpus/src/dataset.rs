@@ -216,17 +216,6 @@ impl Dataset {
     pub fn sentence_count(bags: &[Bag]) -> usize {
         bags.iter().map(|b| b.sentences.len()).sum()
     }
-
-    /// The longest sentence (token count) anywhere in the dataset.
-    pub fn max_sentence_len(&self) -> usize {
-        self.train
-            .iter()
-            .chain(&self.test)
-            .flat_map(|b| &b.sentences)
-            .map(|s| s.tokens.len())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Preset matching the *shape* of the NYT corpus: 53 relations, long-tailed

@@ -37,8 +37,8 @@ pub mod world;
 pub use dataset::{gds_sim, nyt_sim, Bag, Dataset, DatasetConfig, Zipf};
 pub use sentences::{EncodedSentence, SentenceGenConfig};
 pub use stream::{
-    count_events, synth_delta_text, DeltaBatch, EntityMention, LineDeltaSource, SentenceEvent,
-    StableDedup, StreamError, StreamSource,
+    synth_delta_text, DeltaBatch, EntityMention, LineDeltaSource, SentenceEvent, StableDedup,
+    StreamError, StreamSource,
 };
 pub use templates::{RelationId, RelationSchema, NA};
 pub use types::{TypeId, COARSE_TYPES, NUM_COARSE_TYPES};

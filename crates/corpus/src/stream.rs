@@ -36,7 +36,7 @@
 //! Any batching of the same event sequence yields the same surviving
 //! sequence, so streamed and offline corpora featurize identically.
 
-use crate::unlabeled::CoOccurrence;
+use imre_tensor::mix64;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io::{self, BufRead};
@@ -317,26 +317,6 @@ fn fingerprint(event: &SentenceEvent) -> u64 {
     h
 }
 
-/// Counts the co-occurrence pairs expressed by a slice of events, given a
-/// name→id resolver. Every unordered pair of distinct entities in one
-/// sentence co-occurs once; self-pairs (an entity mentioned twice) are
-/// dropped by [`CoOccurrence::add`].
-pub fn count_events<F>(events: &[SentenceEvent], mut resolve: F) -> CoOccurrence
-where
-    F: FnMut(&EntityMention) -> usize,
-{
-    let mut co = CoOccurrence::new();
-    for ev in events {
-        let ids: Vec<usize> = ev.entities.iter().map(&mut resolve).collect();
-        for i in 0..ids.len() {
-            for j in (i + 1)..ids.len() {
-                co.add(ids[i], ids[j], 1);
-            }
-        }
-    }
-    co
-}
-
 /// Deterministic synthetic delta stream for tests, benches, and CI.
 ///
 /// Generates `batches × events_per_batch` sentence events over `names`
@@ -350,12 +330,6 @@ pub fn synth_delta_text(
     events_per_batch: usize,
     seed: u64,
 ) -> String {
-    fn mix(mut x: u64) -> u64 {
-        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^ (x >> 31)
-    }
     let mut out = String::new();
     out.push_str("# synthetic delta stream\n");
     let mut introduced: HashMap<usize, bool> = HashMap::new();
@@ -375,12 +349,12 @@ pub fn synth_delta_text(
                     continue;
                 }
             }
-            let k = (2 + (mix(seed ^ draw) % 3) as usize).min(names.len());
+            let k = (2 + (mix64(seed ^ draw) % 3) as usize).min(names.len());
             draw += 1;
             let mut line = ts.to_string();
             let mut used = Vec::new();
             while used.len() < k {
-                let idx = (mix(seed ^ 0x746f_6b65_6e73 ^ draw) % names.len() as u64) as usize;
+                let idx = (mix64(seed ^ 0x746f_6b65_6e73 ^ draw) % names.len() as u64) as usize;
                 draw += 1;
                 if used.contains(&idx) {
                     continue;
@@ -404,6 +378,7 @@ pub fn synth_delta_text(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unlabeled::CoOccurrence;
     use std::io::Cursor;
 
     fn source(text: &str) -> LineDeltaSource<Cursor<&[u8]>> {
@@ -517,29 +492,6 @@ mod tests {
         assert_ne!(fingerprint(&base), fingerprint(&other_ts));
         assert_ne!(fingerprint(&base), fingerprint(&other_types));
         assert_eq!(fingerprint(&base), fingerprint(&base.clone()));
-    }
-
-    #[test]
-    fn count_events_counts_all_pairs_once() {
-        let ev = SentenceEvent {
-            ts: 1,
-            entities: ["x", "y", "z"]
-                .iter()
-                .map(|n| EntityMention {
-                    name: n.to_string(),
-                    types: vec![],
-                })
-                .collect(),
-        };
-        let co = count_events(&[ev], |m| match m.name.as_str() {
-            "x" => 0,
-            "y" => 1,
-            _ => 2,
-        });
-        assert_eq!(co.count(0, 1), 1);
-        assert_eq!(co.count(0, 2), 1);
-        assert_eq!(co.count(1, 2), 1);
-        assert_eq!(co.len(), 3);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use imre_core::persist::{read_model, write_model};
 use imre_core::ReModel;
+use imre_nn::serialize::read_f32s;
 use imre_tensor::Tensor;
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -70,17 +71,17 @@ fn write_tensor<W: Write>(t: &Tensor, w: &mut W) -> io::Result<()> {
 }
 
 fn read_tensor<R: Read>(r: &mut R) -> io::Result<Tensor> {
-    let ndim = read_u64(r)? as usize;
-    let mut shape = Vec::with_capacity(ndim);
+    let ndim = read_u64(r)?;
+    // Untrusted counts size nothing: dims are pushed as they are read.
+    let overflow = || io::Error::new(io::ErrorKind::InvalidData, "tensor shape overflows");
+    let mut shape = Vec::new();
+    let mut len = 1usize;
     for _ in 0..ndim {
-        shape.push(read_u64(r)? as usize);
+        let dim = usize::try_from(read_u64(r)?).map_err(|_| overflow())?;
+        len = len.checked_mul(dim).ok_or_else(overflow)?;
+        shape.push(dim);
     }
-    let len: usize = shape.iter().product();
-    let mut data = vec![0f32; len];
-    for x in &mut data {
-        *x = read_f32(r)?;
-    }
-    Ok(Tensor::from_vec(data, &shape))
+    Ok(Tensor::from_vec(read_f32s(r, len)?, &shape))
 }
 
 /// Writes a checkpoint to a writer (header, optimizer state, then the
@@ -140,12 +141,12 @@ pub fn read_checkpoint<R: Read>(r: &mut R) -> io::Result<Checkpoint> {
         1 => {
             let lr = read_f32(r)?;
             let t = read_u64(r)?;
-            let n = read_u64(r)? as usize;
-            let mut m = Vec::with_capacity(n);
+            let n = read_u64(r)?;
+            let mut m = Vec::new();
             for _ in 0..n {
                 m.push(read_tensor(r)?);
             }
-            let mut v = Vec::with_capacity(n);
+            let mut v = Vec::new();
             for _ in 0..n {
                 v.push(read_tensor(r)?);
             }
@@ -206,4 +207,41 @@ fn read_f32<R: Read>(r: &mut R) -> io::Result<f32> {
     let mut buf = [0u8; 4];
     r.read_exact(&mut buf)?;
     Ok(f32::from_le_bytes(buf))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Error kind of an Adam checkpoint whose moment count and first tensor
+    /// header are `fields` (all u64), followed by `payload`.
+    fn kind_of(fields: &[u64], payload: &[u8]) -> io::ErrorKind {
+        // next_epoch 3, Adam tag, lr, step clock 7
+        let mut buf = [
+            &MAGIC[..],
+            &VERSION.to_le_bytes(),
+            &3u64.to_le_bytes(),
+            &[1],
+        ]
+        .concat();
+        buf.extend(0.01f32.to_le_bytes());
+        buf.extend(7u64.to_le_bytes());
+        buf.extend(fields.iter().flat_map(|x| x.to_le_bytes()));
+        buf.extend(payload);
+        match read_checkpoint(&mut buf.as_slice()) {
+            Err(e) => e.kind(),
+            Ok(_) => panic!("hostile header accepted"),
+        }
+    }
+
+    #[test]
+    fn absurd_lengths_are_typed_errors() {
+        use io::ErrorKind::{InvalidData, UnexpectedEof};
+        // fields: moment count, ndim, dims…
+        assert_eq!(kind_of(&[u64::MAX, 1, 1], &[0; 4]), UnexpectedEof);
+        assert_eq!(kind_of(&[1, u64::MAX, 3], &[]), UnexpectedEof);
+        assert_eq!(kind_of(&[1, 2, u64::MAX, 2], &[0; 16]), InvalidData);
+        // 4e10 floats claimed (160 GB), 12 bytes present
+        assert_eq!(kind_of(&[1, 1, 40_000_000_000], &[0; 12]), UnexpectedEof);
+    }
 }

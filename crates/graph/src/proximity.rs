@@ -8,12 +8,11 @@
 //! w_ij = log(co_ij) / log(max_kl co_kl)
 //! ```
 //!
-//! Two build paths share one assembly routine so their output is
-//! byte-identical: the offline [`ProximityGraph::from_counts`] (sort a frozen
-//! count table once) and the streaming path
-//! ([`ProximityGraph::merge_counts`] into a canonical [`BTreeMap`], then
-//! [`ProximityGraph::from_merged`]), used by `imre-stream`'s incremental
-//! builder.
+//! There is one build path, [`ProximityGraph::from_counts`]. The streaming
+//! side (`imre-stream`) accumulates deltas with
+//! [`ProximityGraph::merge_counts`] into a canonical [`BTreeMap`] and hands
+//! that table to the same constructor, so streamed and offline graphs are
+//! byte-identical by construction.
 
 use std::collections::BTreeMap;
 
@@ -46,66 +45,6 @@ impl ProximityGraph {
         // (counts typically come out of a HashMap): the edge list seeds the
         // LINE alias sampler, so its order must not vary per process.
         kept.sort_unstable();
-        Self::assemble(kept, n_vertices)
-    }
-
-    /// Builds the graph from an already-merged canonical count table (as
-    /// produced by [`ProximityGraph::merge_counts`]).
-    ///
-    /// Byte-identical to [`ProximityGraph::from_counts`] over the same
-    /// counts: the map's keys are canonical `(min, max)` pairs, so its sorted
-    /// iteration order equals the sort `from_counts` performs.
-    pub fn from_merged(merged: &BTreeMap<(usize, usize), u32>, threshold: u32) -> Self {
-        let n_vertices = merged.keys().map(|&(a, b)| a.max(b) + 1).max().unwrap_or(0);
-        Self::from_merged_with(merged, n_vertices, threshold)
-    }
-
-    /// [`ProximityGraph::from_merged`] with an explicit vertex count (the
-    /// streaming path tracks admitted-but-isolated entities, so its vertex
-    /// set can exceed the largest endpoint in the table).
-    pub fn from_merged_with(
-        merged: &BTreeMap<(usize, usize), u32>,
-        n_vertices: usize,
-        threshold: u32,
-    ) -> Self {
-        let kept: Vec<((usize, usize), u32)> = merged
-            .iter()
-            .filter(|&(&(a, b), &c)| a != b && c >= threshold)
-            .map(|(&k, &c)| (k, c))
-            .collect();
-        Self::assemble(kept, n_vertices)
-    }
-
-    /// Merges a count delta into a canonical accumulator and reports which
-    /// canonical pairs it touched.
-    ///
-    /// Keys are normalised to `(min, max)`, self-pairs are dropped, and
-    /// duplicate pairs sum. The returned touched list is sorted and
-    /// deduplicated, so downstream incremental maintenance is independent of
-    /// the delta iterator's order — the hash-order-leak class of bug the
-    /// offline path's `sort_unstable` guards against.
-    pub fn merge_counts<I>(acc: &mut BTreeMap<(usize, usize), u32>, delta: I) -> Vec<(usize, usize)>
-    where
-        I: IntoIterator<Item = ((usize, usize), u32)>,
-    {
-        let mut touched = Vec::new();
-        for ((a, b), c) in delta {
-            if a == b || c == 0 {
-                continue;
-            }
-            let key = if a < b { (a, b) } else { (b, a) };
-            *acc.entry(key).or_insert(0) += c;
-            touched.push(key);
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        touched
-    }
-
-    /// Assembles a graph from a pre-filtered, canonically sorted count list.
-    /// Both build paths funnel through here so the edge list and adjacency
-    /// lists (which seed the LINE alias sampler) come out identical.
-    fn assemble(kept: Vec<((usize, usize), u32)>, n_vertices: usize) -> Self {
         let max_count = kept.iter().map(|&(_, c)| c).max().unwrap_or(0);
         // log(1) = 0 would zero out minimum-weight edges when max == 1; the
         // +1 smoothing keeps every retained edge strictly positive while
@@ -131,35 +70,30 @@ impl ProximityGraph {
         }
     }
 
-    /// Reconstructs a graph from a canonical edge list (`u < v`, sorted
-    /// lexicographically, weights already normalised).
+    /// Merges a count delta into a canonical accumulator and reports which
+    /// canonical pairs it touched.
     ///
-    /// The adjacency lists are derived exactly as [`ProximityGraph::assemble`]
-    /// derives them, so a graph round-tripped through its own
-    /// [`ProximityGraph::edges`] is byte-identical. This is the hand-off used
-    /// by `imre-stream`'s `IncrementalProximityGraph`, which maintains the
-    /// edge list in place.
-    ///
-    /// # Panics
-    /// If an edge is out of canonical order or out of vertex range.
-    pub fn from_parts(n_vertices: usize, edges: Vec<(usize, usize, f32)>) -> Self {
-        let mut adjacency = vec![Vec::new(); n_vertices];
-        let mut prev: Option<(usize, usize)> = None;
-        for &(u, v, w) in &edges {
-            assert!(u < v, "ProximityGraph::from_parts: edge not canonical");
-            assert!(v < n_vertices, "ProximityGraph::from_parts: out of range");
-            if let Some(p) = prev {
-                assert!(p < (u, v), "ProximityGraph::from_parts: edges unsorted");
+    /// Keys are normalised to `(min, max)`, self-pairs are dropped, and
+    /// duplicate pairs sum. The returned touched list is sorted and
+    /// deduplicated, so what consumes it (refinement's edge sampler) is
+    /// independent of the delta iterator's order — the hash-order-leak class
+    /// of bug `from_counts`' `sort_unstable` guards against.
+    pub fn merge_counts<I>(acc: &mut BTreeMap<(usize, usize), u32>, delta: I) -> Vec<(usize, usize)>
+    where
+        I: IntoIterator<Item = ((usize, usize), u32)>,
+    {
+        let mut touched = Vec::new();
+        for ((a, b), c) in delta {
+            if a == b || c == 0 {
+                continue;
             }
-            prev = Some((u, v));
-            adjacency[u].push((v, w));
-            adjacency[v].push((u, w));
+            let key = if a < b { (a, b) } else { (b, a) };
+            *acc.entry(key).or_insert(0) += c;
+            touched.push(key);
         }
-        ProximityGraph {
-            n_vertices,
-            edges,
-            adjacency,
-        }
+        touched.sort_unstable();
+        touched.dedup();
+        touched
     }
 
     /// Number of vertices.
@@ -312,47 +246,6 @@ mod tests {
         assert_eq!(g.neighborhood_jaccard(3, 3), 0.0);
     }
 
-    fn assert_graphs_bitwise_equal(a: &ProximityGraph, b: &ProximityGraph) {
-        assert_eq!(a.n_vertices(), b.n_vertices());
-        assert_eq!(a.n_edges(), b.n_edges());
-        for (&(u1, v1, w1), &(u2, v2, w2)) in a.edges().iter().zip(b.edges()) {
-            assert_eq!((u1, v1, w1.to_bits()), (u2, v2, w2.to_bits()));
-        }
-        for v in 0..a.n_vertices() {
-            let na: Vec<(usize, u32)> = a
-                .neighbors(v)
-                .iter()
-                .map(|&(u, w)| (u, w.to_bits()))
-                .collect();
-            let nb: Vec<(usize, u32)> = b
-                .neighbors(v)
-                .iter()
-                .map(|&(u, w)| (u, w.to_bits()))
-                .collect();
-            assert_eq!(na, nb, "adjacency of {v} differs");
-        }
-    }
-
-    #[test]
-    fn merged_path_matches_from_counts_bitwise() {
-        let counts = vec![
-            ((1, 0), 10u32),
-            ((1, 2), 5),
-            ((2, 0), 2),
-            ((3, 2), 3),
-            ((3, 3), 50),
-            ((0, 1), 4), // duplicate of (1,0) — summed by the merge path
-        ];
-        let mut acc = std::collections::BTreeMap::new();
-        let touched = ProximityGraph::merge_counts(&mut acc, counts.clone());
-        assert_eq!(touched, vec![(0, 1), (0, 2), (1, 2), (2, 3)]);
-        // from_counts expects duplicates pre-summed upstream
-        let summed = vec![((0, 1), 14u32), ((1, 2), 5), ((0, 2), 2), ((2, 3), 3)];
-        let offline = ProximityGraph::from_counts(summed, 4, 2);
-        let merged = ProximityGraph::from_merged(&acc, 2);
-        assert_graphs_bitwise_equal(&offline, &merged);
-    }
-
     #[test]
     fn merge_counts_touched_independent_of_delta_order() {
         let delta = vec![((3, 1), 2u32), ((0, 2), 1), ((2, 0), 4), ((1, 3), 1)];
@@ -364,28 +257,6 @@ mod tests {
         let tb = ProximityGraph::merge_counts(&mut rev, reversed);
         assert_eq!(ta, tb);
         assert_eq!(fwd, rev);
-    }
-
-    #[test]
-    fn from_parts_roundtrip_is_identity() {
-        let g = graph();
-        let rebuilt = ProximityGraph::from_parts(g.n_vertices(), g.edges().to_vec());
-        assert_graphs_bitwise_equal(&g, &rebuilt);
-    }
-
-    #[test]
-    fn from_merged_with_keeps_isolated_vertices() {
-        let mut acc = std::collections::BTreeMap::new();
-        ProximityGraph::merge_counts(&mut acc, vec![((0, 1), 5u32)]);
-        let g = ProximityGraph::from_merged_with(&acc, 6, 2);
-        assert_eq!(g.n_vertices(), 6);
-        assert_eq!(g.out_degree(5), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "edges unsorted")]
-    fn from_parts_rejects_unsorted_edges() {
-        let _ = ProximityGraph::from_parts(3, vec![(1, 2, 0.5), (0, 1, 0.5)]);
     }
 
     #[test]

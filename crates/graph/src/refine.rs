@@ -32,23 +32,12 @@
 use crate::alias::AliasTable;
 use crate::line::{normalize_rows, sgd_cross, sgd_pair, EntityEmbedding, LineConfig};
 use crate::proximity::ProximityGraph;
-use imre_tensor::{Tensor, TensorRng};
+use imre_tensor::{mix64, Tensor, TensorRng};
 
 /// Domain-separation constant for refinement RNG streams ("IMREREFN").
 const REFINE_DOMAIN: u64 = 0x494d_5245_5245_464e;
 /// Domain-separation constant for new-vertex initialisation ("IMREGROW").
 const GROW_DOMAIN: u64 = 0x494d_5245_4752_4f57;
-
-/// SplitMix64 finaliser — the same derived-stream discipline `imre-core`
-/// uses for epoch shuffles and per-bag dropout (PR 5): one well-mixed `u64`
-/// per `(seed, domain, index)` tuple, no sequential RNG state shared across
-/// logical streams.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Hyperparameters for one [`LineState::refine`] pass.
 #[derive(Debug, Clone)]
@@ -393,7 +382,7 @@ mod tests {
             ] {
                 let touched = ProximityGraph::merge_counts(&mut acc, delta);
                 let n = acc.keys().map(|&(_, b)| b + 1).max().unwrap();
-                let g = ProximityGraph::from_merged_with(&acc, n, 2);
+                let g = ProximityGraph::from_counts(acc.clone(), n, 2);
                 state.refine(&g, &touched, &rc);
             }
             state.embedding()

@@ -58,29 +58,69 @@ pub fn read_params<R: Read>(r: &mut R) -> io::Result<ParamStore> {
             format!("unsupported IMRP version {version}"),
         ));
     }
-    let n = read_u32(r)? as usize;
+    let n = read_u32(r)?;
     let mut store = ParamStore::new();
     for _ in 0..n {
         let name_len = read_u32(r)? as usize;
-        let mut name_bytes = vec![0u8; name_len];
-        r.read_exact(&mut name_bytes)?;
-        let name = String::from_utf8(name_bytes)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let rank = read_u32(r)? as usize;
-        let mut shape = Vec::with_capacity(rank);
+        let name = String::from_utf8(read_bytes(r, name_len)?).map_err(invalid)?;
+        if store.find(&name).is_some() {
+            return Err(invalid(format!("duplicate parameter name {name:?}")));
+        }
+        let rank = read_u32(r)?;
+        // No count in this file sizes an allocation: entries are pushed as
+        // they are read, so a short file fails having allocated no more
+        // than it held.
+        let mut shape = Vec::new();
+        let mut len = 1usize;
         for _ in 0..rank {
-            shape.push(read_u64(r)? as usize);
+            let dim = usize::try_from(read_u64(r)?).map_err(invalid)?;
+            len = len
+                .checked_mul(dim)
+                .ok_or_else(|| invalid("tensor shape overflows"))?;
+            shape.push(dim);
         }
-        let len: usize = shape.iter().product();
-        let mut data = vec![0f32; len];
-        let mut buf = [0u8; 4];
-        for x in &mut data {
-            r.read_exact(&mut buf)?;
-            *x = f32::from_le_bytes(buf);
-        }
-        store.register(&name, Tensor::from_vec(data, &shape));
+        store.register(&name, Tensor::from_vec(read_f32s(r, len)?, &shape));
     }
     Ok(store)
+}
+
+fn invalid(e: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
+}
+
+/// Reads exactly `len` bytes, `len` being untrusted: the buffer grows with
+/// the bytes that actually arrive, never from `len` itself.
+fn read_bytes<R: Read>(r: &mut R, len: usize) -> io::Result<Vec<u8>> {
+    let mut bytes = Vec::new();
+    r.take(len as u64).read_to_end(&mut bytes)?;
+    if bytes.len() != len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(bytes)
+}
+
+/// Reads `len` little-endian `f32`s, decoding through a fixed 64 KiB buffer.
+/// `len` is whatever an untrusted header claimed, so the output grows with
+/// the bytes that actually arrive: a short input ends in `UnexpectedEof`
+/// having allocated no more than a constant factor of what it delivered.
+/// Shared by the IMRP, IMRC and `.imrb` readers.
+pub fn read_f32s<R: Read>(r: &mut R, len: usize) -> io::Result<Vec<f32>> {
+    let mut data = Vec::new();
+    let mut buf = [0u8; 1 << 16];
+    let mut left = len;
+    while left > 0 {
+        let n = left.min(buf.len() / 4);
+        let chunk = &mut buf[..4 * n];
+        r.read_exact(chunk)?;
+        data.extend(
+            chunk
+                .chunks_exact(4)
+                .map(|w| f32::from_le_bytes(w.try_into().expect("chunks_exact(4)"))),
+        );
+        left -= n;
+    }
+    data.shrink_to_fit();
+    Ok(data)
 }
 
 /// Saves a parameter store to a file.
@@ -165,6 +205,41 @@ mod tests {
         write_params(&store, &mut buf).unwrap();
         buf.truncate(buf.len() - 7);
         assert!(read_params(&mut buf.as_slice()).is_err());
+    }
+
+    fn le(xs: &[u64]) -> Vec<u8> {
+        xs.iter().flat_map(|x| x.to_le_bytes()).collect()
+    }
+
+    /// Error kind of an IMRP stream declaring `n` parameters, then `body`.
+    fn kind_of(n: u32, body: &[Vec<u8>]) -> io::ErrorKind {
+        let mut buf = [&MAGIC[..], &VERSION.to_le_bytes(), &n.to_le_bytes()].concat();
+        buf.extend(body.concat());
+        match read_params(&mut buf.as_slice()) {
+            Err(e) => e.kind(),
+            Ok(_) => panic!("hostile header accepted"),
+        }
+    }
+
+    #[test]
+    fn absurd_lengths_are_typed_errors() {
+        use io::ErrorKind::{InvalidData, UnexpectedEof};
+        // every count is a lie the few bytes behind it cannot back
+        let name = |len: u32| [&len.to_le_bytes()[..], b"w"].concat();
+        let rank = |r: u32| r.to_le_bytes().to_vec();
+        assert_eq!(kind_of(1, &[name(u32::MAX)]), UnexpectedEof);
+        assert_eq!(
+            kind_of(1, &[name(1), rank(u32::MAX), le(&[3])]),
+            UnexpectedEof
+        );
+        let overflow = [name(1), rank(2), le(&[u64::MAX, 2]), vec![0; 16]];
+        assert_eq!(kind_of(1, &overflow), InvalidData);
+        // 4e10 floats claimed (160 GB), 12 bytes present
+        let short = [name(1), rank(1), le(&[40_000_000_000]), vec![0; 12]];
+        assert_eq!(kind_of(1, &short), UnexpectedEof);
+        // the same name twice
+        let w = [name(1), rank(1), le(&[1]), vec![0; 4]].concat();
+        assert_eq!(kind_of(2, &[w.clone(), w]), InvalidData);
     }
 
     #[test]

@@ -364,19 +364,22 @@ fn read_tables<R: Read>(
             ));
         }
     }
-    let num_entities = read_u64(r)? as usize;
-    let mut entities = Vec::with_capacity(num_entities);
+    // The three counts below are untrusted and size nothing: entries are
+    // pushed as they are read, so a short file ends in `UnexpectedEof`
+    // having allocated no more than it held.
+    let num_entities = read_u64(r)?;
+    let mut entities = Vec::new();
     for _ in 0..num_entities {
         let name = read_str(r)?;
-        let n_types = read_u64(r)? as usize;
-        let mut types = Vec::with_capacity(n_types);
+        let n_types = read_u64(r)?;
+        let mut types = Vec::new();
         for _ in 0..n_types {
             types.push(read_u64(r)? as usize);
         }
         entities.push((name, types));
     }
-    let num_relations = read_u64(r)? as usize;
-    let mut relations = Vec::with_capacity(num_relations);
+    let num_relations = read_u64(r)?;
+    let mut relations = Vec::new();
     for _ in 0..num_relations {
         relations.push(read_str(r)?);
     }
@@ -387,20 +390,10 @@ fn read_tables<R: Read>(
         1 => {
             let rows = read_u64(r)? as usize;
             let cols = read_u64(r)? as usize;
-            let byte_len = rows
+            let len = rows
                 .checked_mul(cols)
-                .and_then(|n| n.checked_mul(4))
-                .filter(|&n| n <= 1 << 32)
-                .ok_or_else(|| bad("implausible embedding matrix size"))?;
-            // One bulk read of the whole f32 payload — reading a float at a
-            // time costs a `Read` dispatch per 4 bytes and dominated v1/v2
-            // load time for real embedding tables.
-            let mut bytes = vec![0u8; byte_len];
-            r.read_exact(&mut bytes)?;
-            let data: Vec<f32> = bytes
-                .chunks_exact(4)
-                .map(|w| f32::from_le_bytes(w.try_into().unwrap()))
-                .collect();
+                .ok_or_else(|| bad("embedding matrix size overflows"))?;
+            let data = imre_nn::serialize::read_f32s(r, len)?;
             Some(EntityEmbedding::from_matrix(Tensor::from_vec(
                 data,
                 &[rows, cols],

@@ -102,11 +102,6 @@ impl<T> BoundedQueue<T> {
         self.not_empty.notify_all();
     }
 
-    /// Whether [`BoundedQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().expect("queue poisoned").closed
-    }
-
     /// Removes and returns every still-queued item in FIFO order.
     ///
     /// This is the shutdown fail-fast path: after [`BoundedQueue::close`]

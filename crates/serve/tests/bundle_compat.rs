@@ -189,6 +189,41 @@ fn corrupt_or_truncated_index_section_is_a_typed_error() {
     }
 }
 
+/// A v1 header whose table counts are lies the few bytes behind them cannot
+/// back must fail with a typed error, having sized nothing from the counts.
+/// At the parent of this test the first case panicked (`capacity overflow`)
+/// and the second aborted the process.
+#[test]
+fn absurd_table_counts_are_typed_errors() {
+    use std::io::ErrorKind::{InvalidData, UnexpectedEof};
+    let le = |xs: &[u64]| -> Vec<u8> { xs.iter().flat_map(|x| x.to_le_bytes()).collect() };
+    let check = |what: &str, tail: Vec<u8>, kind| {
+        // magic, version 1, a vocabulary of the two special tokens, `tail`
+        let mut b = b"IMRB\x01\0\0\0\x02\0\0\0\0\0\0\0".to_vec();
+        b.extend_from_slice(b"\x05\0\0\0<pad>\x05\0\0\0<unk>");
+        b.extend(tail);
+        let err = read_bundle(&mut b.as_slice()).map(|_| ()).expect_err(what);
+        assert_eq!(err.kind(), kind, "{what}: {err}");
+    };
+    check("entity count u64::MAX", le(&[u64::MAX]), UnexpectedEof);
+    check("entity count 4e10", le(&[40_000_000_000]), UnexpectedEof);
+    let typed = [le(&[1]), b"\x01\0\0\0e".to_vec(), le(&[u64::MAX])].concat();
+    check("type count of entity \"e\"", typed, UnexpectedEof);
+    check("relation count", le(&[0, u64::MAX]), UnexpectedEof);
+    // no entities, no relations, embedding flag, rows, cols, 12 payload bytes
+    let embedding = |rows, cols| [le(&[0, 0]), vec![1], le(&[rows, cols]), vec![0; 12]].concat();
+    check(
+        "embedding 4e10 x 1",
+        embedding(40_000_000_000, 1),
+        UnexpectedEof,
+    );
+    check(
+        "embedding u64::MAX x 2",
+        embedding(u64::MAX, 2),
+        InvalidData,
+    );
+}
+
 #[test]
 fn index_build_is_byte_identical_across_thread_counts() {
     // The engine's determinism contract: the serving index (and with it the

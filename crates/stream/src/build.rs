@@ -1,5 +1,5 @@
-//! The shared ingest core: delta batches → dedup → catalog → incremental
-//! graph → embedding refresh.
+//! The shared ingest core: delta batches → dedup → catalog → count table →
+//! embedding refresh.
 //!
 //! Both consumers — the live [`StreamUpdater`](crate::StreamUpdater) thread
 //! and the offline `stream-replay` determinism checker — drive this exact
@@ -42,9 +42,9 @@ pub struct StreamBuildConfig {
     pub threshold: u32,
     /// LINE hyperparameters for the canonical rebuild / warm start.
     pub line: LineConfig,
-    /// Worker threads for per-batch pair counting (events are sharded
-    /// round-robin and the shard tables summed — order-independent, so any
-    /// thread count yields the same counts).
+    /// Most worker threads per-batch pair counting may use (large batches
+    /// are sharded round-robin and the shard tables summed —
+    /// order-independent, so any thread count yields the same counts).
     pub threads: usize,
     /// Embedding refresh mode.
     pub refresh: RefreshMode,
@@ -65,7 +65,7 @@ pub struct BatchOutcome {
     pub refine_samples: usize,
 }
 
-/// Live ingest state: dedup window, entity catalog, incremental graph, and
+/// Live ingest state: dedup window, entity catalog, merged count table, and
 /// (in refine mode) the warm LINE tables.
 pub struct StreamBuild {
     config: StreamBuildConfig,
@@ -120,7 +120,7 @@ impl StreamBuild {
             resolved.push(ids);
         }
         outcome.entities_admitted = self.catalog.admitted() - admitted_before;
-        let co = count_pairs_sharded(&resolved, self.config.threads.max(1));
+        let co = count_pairs_sharded(&resolved, self.config.threads);
         self.graph.ensure_vertices(self.catalog.len());
         let delta = self.graph.apply_delta(co.iter().map(|(&p, &c)| (p, c)));
         outcome.edges_admitted = delta.edges_admitted;
@@ -182,22 +182,25 @@ impl StreamBuild {
         &self.catalog
     }
 
-    /// The incremental graph.
+    /// The merged count table and the graph it implies.
     pub fn graph(&self) -> &IncrementalProximityGraph {
         &self.graph
     }
-
-    /// The build configuration.
-    pub fn config(&self) -> &StreamBuildConfig {
-        &self.config
-    }
 }
 
-/// Counts co-occurrence pairs for resolved events, sharding the event list
-/// round-robin over `threads` workers and summing the shard tables. Counts
-/// are additive and keys canonical, so the result is independent of the
-/// shard count and of scheduling — `--threads 1` and `--threads 4` are
-/// byte-identical downstream.
+/// Events a shard must have before it is worth an OS thread. Measured on the
+/// 2-vCPU reference box: a scoped spawn + join costs 50–70 µs per thread and
+/// counting 0.1–0.15 µs per event, so the 64-event batches `stream_publish`
+/// sends took 103–143 µs on two threads against 6–10 µs inline. At 4096
+/// events a shard counts for ≈ 0.5 ms, well clear of its spawn.
+const SHARD_GRAIN_EVENTS: usize = 4096;
+
+/// Counts co-occurrence pairs for resolved events. Batches with at least
+/// two [`SHARD_GRAIN_EVENTS`] grains are sharded round-robin over up to
+/// `threads` scoped workers and the shard tables summed; smaller ones are
+/// counted inline. Counts are additive and keys canonical, so the result is
+/// independent of the shard count and of scheduling — `--threads 1` and
+/// `--threads 4` are byte-identical downstream.
 pub fn count_pairs_sharded(resolved: &[Vec<usize>], threads: usize) -> CoOccurrence {
     let count_shard = |shard: usize, stride: usize| {
         let mut co = CoOccurrence::new();
@@ -213,12 +216,13 @@ pub fn count_pairs_sharded(resolved: &[Vec<usize>], threads: usize) -> CoOccurre
         }
         co
     };
-    if threads <= 1 || resolved.len() < 2 {
+    let n_shards = threads.min(resolved.len() / SHARD_GRAIN_EVENTS);
+    if n_shards <= 1 {
         return count_shard(0, 1);
     }
     let shards: Vec<CoOccurrence> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| scope.spawn(move || count_shard(t, threads)))
+        let handles: Vec<_> = (0..n_shards)
+            .map(|t| scope.spawn(move || count_shard(t, n_shards)))
             .collect();
         handles
             .into_iter()
@@ -268,7 +272,8 @@ mod tests {
 
     #[test]
     fn sharded_counting_matches_single_thread() {
-        let resolved: Vec<Vec<usize>> = (0..50)
+        // enough events that four threads really get a shard each
+        let resolved: Vec<Vec<usize>> = (0..4 * SHARD_GRAIN_EVENTS + 3)
             .map(|i| vec![i % 7, (i * 3) % 7, (i * 5 + 1) % 7])
             .collect();
         let one = count_pairs_sharded(&resolved, 1);

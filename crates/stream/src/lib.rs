@@ -1,20 +1,19 @@
-//! imre-stream: streaming corpus ingestion with an incremental proximity
-//! graph, online LINE refinement, and live bundle hot-swap.
+//! imre-stream: streaming corpus ingestion into a merged co-occurrence
+//! table, online LINE refinement, and live bundle hot-swap.
 //!
 //! The crate closes the loop from a *growing* corpus back into a *serving*
 //! model without ever pausing the front end:
 //!
 //! - [`incremental`] — [`IncrementalProximityGraph`] folds co-occurrence
-//!   count deltas into the proximity graph one batch at a time, staying
-//!   byte-identical to a from-scratch
-//!   [`ProximityGraph::from_counts`](imre_graph::ProximityGraph) build on
-//!   the merged corpus (touched-only binary-search updates; an O(E)
-//!   reweight only when the max count — the weight denominator — moves);
+//!   count deltas into one merged canonical count table; its snapshot *is*
+//!   [`ProximityGraph::from_counts`](imre_graph::ProximityGraph) on that
+//!   table, so a streamed graph is byte-identical to a from-scratch build
+//!   on the merged corpus by construction;
 //! - [`catalog`] — [`EntityCatalog`] admits entities unseen at training
 //!   time, assigning ids in first-sight order over the deduplicated event
 //!   stream so the assignment is batching-invariant;
 //! - [`build`] — [`StreamBuild`] is the shared ingest core (dedup →
-//!   resolve → sharded pair counting → graph delta → embedding refresh)
+//!   resolve → pair counting → count-table merge → embedding refresh)
 //!   used by both the live updater and offline replay, with two refresh
 //!   contracts ([`RefreshMode`]): `Canonical` re-derives the embedding from
 //!   the merged graph (partition- and thread-invariant), `Refine`

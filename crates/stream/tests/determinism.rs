@@ -72,6 +72,7 @@ type EdgeBits = Vec<(usize, usize, u32)>;
 fn graph_fingerprint(build: &StreamBuild) -> (usize, EdgeBits, EdgeBits) {
     let g = build.graph();
     let edges = g
+        .snapshot()
         .edges()
         .iter()
         .map(|&(u, v, w)| (u, v, w.to_bits()))
@@ -102,7 +103,7 @@ proptest! {
 
         // graph: vertices, edge weights (bitwise), merged counts
         prop_assert_eq!(graph_fingerprint(&single), graph_fingerprint(&parts));
-        // adjacency comes out identical too (snapshot rebuilds from edges)
+        // adjacency comes out identical too
         let gs = single.graph().snapshot();
         let gp = parts.graph().snapshot();
         for v in 0..gs.n_vertices() {

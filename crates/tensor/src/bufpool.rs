@@ -164,15 +164,6 @@ impl BufferPool {
     pub fn free_buffers(&self) -> usize {
         self.classes.iter().map(Vec::len).sum()
     }
-
-    /// Total capacity (bytes) currently parked in the free lists.
-    pub fn free_bytes(&self) -> usize {
-        self.classes
-            .iter()
-            .flatten()
-            .map(|b| b.capacity() * std::mem::size_of::<f32>())
-            .sum()
-    }
 }
 
 thread_local! {

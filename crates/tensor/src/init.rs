@@ -3,6 +3,20 @@
 
 use crate::Tensor;
 
+/// SplitMix64's increment (the 64-bit golden ratio).
+const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One SplitMix64 step of `x`: a well-mixed `u64` per input. The workspace
+/// derives independent RNG streams with it — one seed per `(seed, domain,
+/// index)` tuple instead of sequential state shared across logical streams
+/// (epoch shuffles, per-bag dropout, refinement passes, synthetic corpora).
+pub fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GOLDEN_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// A seedable random source for tensor initialisation and sampling.
 ///
 /// Self-contained xoshiro256** generator (Blackman & Vigna) seeded through
@@ -16,16 +30,9 @@ impl TensorRng {
     /// Creates a deterministic RNG from a seed.
     pub fn seed(seed: u64) -> Self {
         // SplitMix64 expansion of the seed into four non-zero words.
-        let mut s = seed;
-        let mut next = || {
-            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let word = |i: u64| mix64(seed.wrapping_add(i.wrapping_mul(GOLDEN_GAMMA)));
         TensorRng {
-            state: [next(), next(), next(), next()],
+            state: [word(0), word(1), word(2), word(3)],
         }
     }
 

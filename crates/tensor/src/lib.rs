@@ -50,7 +50,7 @@ pub mod simd;
 mod tensor;
 
 pub use bufpool::{BufferPool, PoolStats};
-pub use init::TensorRng;
+pub use init::{mix64, TensorRng};
 pub use matmul::{matmul_into, matmul_nt_into, matmul_tn_into};
 pub use ops::sigmoid_scalar;
 pub use quant::QuantTensor;

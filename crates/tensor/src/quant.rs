@@ -37,8 +37,8 @@
 //! zero points, and row sums are read straight out of the file mapping.
 //!
 //! Dispatch mirrors the `simd` module: `simd::backend()` picks the backend
-//! (honoring `IMRE_SIMD`/`IMRE_FORCE_SCALAR` and `simd::with_backend`
-//! overrides), and every kernel invocation is counted — see
+//! (honoring `IMRE_FORCE_SCALAR` and `simd::with_backend` overrides), and
+//! every kernel invocation is counted — see
 //! [`quant_vector_kernels`]/[`quant_scalar_kernels`].
 
 use crate::simd::{self, Backend};

@@ -30,9 +30,9 @@
 //! **Dispatch.** [`backend()`] resolves once per kernel call on the caller
 //! thread (so a scoped override travels into pool workers with the task
 //! closure): a thread-local override installed by [`with_backend`] (tests,
-//! benches), else the process-wide detection — `IMRE_FORCE_SCALAR=1` or
-//! `IMRE_SIMD=scalar|avx2|avx512` caps it, otherwise the best instruction
-//! set the CPU reports. Per-backend dispatch counters ([`vector_kernels`] /
+//! benches), else the process-wide detection — `IMRE_FORCE_SCALAR=1` pins
+//! the scalar fallback, otherwise the best instruction set the CPU reports.
+//! Per-backend dispatch counters ([`vector_kernels`] /
 //! [`scalar_kernels`]) let tests and CI assert the vector path was actually
 //! taken on capable hardware, and that forcing the scalar fallback works.
 //!
@@ -84,19 +84,11 @@ pub fn hardware_backend() -> Backend {
 static DETECTED: OnceLock<Backend> = OnceLock::new();
 
 fn detect() -> Backend {
-    let cap = match std::env::var("IMRE_SIMD").as_deref() {
-        Ok("scalar") => Backend::Scalar,
-        Ok("avx2") => Backend::Avx2,
-        Ok("avx512") => Backend::Avx512,
-        _ => {
-            if std::env::var("IMRE_FORCE_SCALAR").as_deref() == Ok("1") {
-                Backend::Scalar
-            } else {
-                Backend::Avx512
-            }
-        }
-    };
-    cap.min(hardware_backend())
+    if std::env::var("IMRE_FORCE_SCALAR").as_deref() == Ok("1") {
+        Backend::Scalar
+    } else {
+        hardware_backend()
+    }
 }
 
 thread_local! {
@@ -105,7 +97,7 @@ thread_local! {
 
 /// The backend kernels on this thread will dispatch to: a scoped
 /// [`with_backend`] override, else the process-wide detection
-/// (`IMRE_FORCE_SCALAR` / `IMRE_SIMD` capped to what the CPU supports).
+/// (`IMRE_FORCE_SCALAR=1`, else the best the CPU supports).
 ///
 /// Kernels resolve this once at entry on the caller thread and carry the
 /// value into their task closures, so an override is honored even when the

@@ -165,11 +165,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Number of rows, treating the tensor as a matrix.
     ///
     /// # Panics

@@ -15,15 +15,13 @@ fn mat(rows: usize, cols: usize, seed: u64) -> Tensor {
 }
 
 /// `backend()` honours the environment: `IMRE_FORCE_SCALAR=1` pins the
-/// scalar fallback, otherwise (with no `IMRE_SIMD` override) detection
-/// resolves to the best instruction set the CPU reports.
+/// scalar fallback, otherwise detection resolves to the best instruction
+/// set the CPU reports.
 #[test]
 fn backend_selection_honours_environment() {
-    let forced_scalar = std::env::var("IMRE_FORCE_SCALAR").as_deref() == Ok("1");
-    let overridden = std::env::var("IMRE_SIMD").is_ok();
-    if forced_scalar && !overridden {
+    if std::env::var("IMRE_FORCE_SCALAR").as_deref() == Ok("1") {
         assert_eq!(simd::backend(), Backend::Scalar);
-    } else if !overridden {
+    } else {
         assert_eq!(simd::backend(), simd::hardware_backend());
     }
 }

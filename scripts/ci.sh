@@ -57,9 +57,9 @@
 #           bundle, `imre quantize --check smoke` it, and fail unless the
 #           int8 scores stay within max drift 1e-2 and P@N delta 0.5pt of
 #           f32
-#   stream  the streaming-ingest gate: the imre-stream suites (incremental
-#           proximity-graph byte-identity, canonical/refine determinism
-#           proptests, the live background updater with cold-start
+#   stream  the streaming-ingest gate: the imre-stream suites (streamed
+#           vs offline proximity-graph byte-identity, canonical/refine
+#           determinism proptests, the live updater with cold-start
 #           admission), the 256-connection hot-swap-under-load fault
 #           injection with its deferred mmap-unmap assertion, and a
 #           CLI-level end-to-end check that `imre stream-replay` of a
@@ -256,7 +256,7 @@ step_quant() {
 }
 
 step_stream() {
-    # Streaming-ingest suites: incremental-graph byte-identity and refine
+    # Streaming-ingest suites: streamed-graph byte-identity and refine
     # determinism proptests, the live background-updater integration (cold
     # start entity answerable after a hot-swap publish), and the
     # 256-connection hot-swap-under-load fault injection with the deferred
@@ -345,6 +345,10 @@ for s in "${steps[@]}"; do
         ;;
     esac
 done
+
+# Informational, never a gate: where the lines are and what this change did
+# to them (HEAD~1 may be missing in a shallow checkout).
+scripts/loc.sh || true
 
 printf '\n=== ci.sh summary ===\n'
 for i in "${!STEP_NAMES[@]}"; do

@@ -15,7 +15,7 @@
 //! | [`dist`] | deterministic data-parallel training: replica sharding, fixed-order tree all-reduce, checkpoints, parallel multi-seed runner |
 //! | [`eval`] | held-out PR/AUC/P@N metrics, slice analyses, the experiment pipeline |
 //! | [`serve`] | multi-threaded inference serving: model registry, bounded queue + worker pool, TCP front-end, latency metrics |
-//! | [`stream`] | streaming corpus ingestion: incremental proximity graph, online LINE refinement, live bundle hot-swap publishing |
+//! | [`stream`] | streaming corpus ingestion: merged co-occurrence table, online LINE refinement, live bundle hot-swap publishing |
 //!
 //! ## Quickstart
 //!
