@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the hot substrate operations: matmul,
-//! PCNN forward+backward, selective attention, LINE epochs and refine-mode
-//! updates, proximity-graph construction, and featurization.
+//! PCNN forward+backward, the fused encoder op, selective attention, LINE
+//! epochs and refine-mode updates, proximity-graph construction, and
+//! featurization.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use imre_core::{featurize, HyperParams, ModelSpec, ReModel};
@@ -9,7 +10,7 @@ use imre_eval::smoke_config;
 use imre_graph::{
     train_line, EntityEmbedding, LineConfig, LineState, ProximityGraph, RefineConfig,
 };
-use imre_nn::{GradStore, ParamStore, Tape};
+use imre_nn::{pcnn_segments_array, Conv1d, GradStore, ParamStore, Tape};
 use imre_tensor::{BufferPool, Tensor, TensorRng};
 
 fn bench_matmul(c: &mut Criterion) {
@@ -106,6 +107,31 @@ fn bench_pcnn_step(c: &mut Criterion) {
     }
 }
 
+/// The fused encoder op at `train_paper`'s shape: a mean-length NYT-sim
+/// sentence (`[16×60]` tokens), window 3, 230 filters, three segments,
+/// forward + backward with the arena threaded through as the trainer does.
+fn bench_conv_pool_tanh(c: &mut Criterion) {
+    let mut rng = TensorRng::seed(4);
+    let mut store = ParamStore::new();
+    let conv = Conv1d::new(&mut store, "conv", 60, 230, 3, &mut rng);
+    let x = Tensor::rand_uniform(&[16, 60], -1.0, 1.0, &mut rng);
+    let segments = pcnn_segments_array(16, 4, 11);
+    let mut grads = GradStore::zeros_like(&store);
+    let mut arena = BufferPool::new();
+    c.bench_function("conv_pool_tanh_16x60_w3_f230_fwd_bwd", |b| {
+        b.iter(|| {
+            let mut tape = Tape::with_pool(&store, std::mem::take(&mut arena));
+            let mut xs = tape.alloc(&[16, 60]);
+            xs.data_mut().copy_from_slice(x.data());
+            let xv = tape.leaf(xs);
+            let enc = conv.forward_pooled(&mut tape, xv, &segments);
+            let loss = tape.softmax_cross_entropy(enc, 0);
+            arena = tape.backward(loss, &mut grads);
+        });
+    });
+    std::hint::black_box(&grads);
+}
+
 fn bench_attention(c: &mut Criterion) {
     let mut rng = TensorRng::seed(5);
     let mut store = ParamStore::new();
@@ -189,6 +215,7 @@ criterion_group!(
     benches,
     bench_matmul,
     bench_pcnn_step,
+    bench_conv_pool_tanh,
     bench_attention,
     bench_graph_and_line,
     bench_featurize

@@ -12,7 +12,7 @@
 
 use crate::config::HyperParams;
 use crate::features::SentenceFeatures;
-use imre_nn::{pcnn_segments, BiGru, Conv1d, Dropout, ParamId, ParamStore, Tape, Var};
+use imre_nn::{pcnn_segments_array, BiGru, Conv1d, Dropout, ParamId, ParamStore, Tape, Var};
 use imre_tensor::TensorRng;
 
 /// Which sentence encoder a model uses.
@@ -182,26 +182,18 @@ impl Encoder {
         rng: &mut TensorRng,
     ) -> Var {
         let x = self.frontend.embed(tape, feats);
+        let t = tape.value(x).rows();
         let encoded = match &self.variant {
-            Variant::Cnn(conv) => {
-                let c = conv.forward(tape, x);
-                let t = tape.value(c).rows();
-                let pooled = tape.piecewise_max(c, &[(0, t)]);
-                tape.tanh(pooled)
-            }
+            Variant::Cnn(conv) => conv.forward_pooled(tape, x, &[(0, t)]),
             Variant::Pcnn(conv) => {
-                let c = conv.forward(tape, x);
-                let t = tape.value(c).rows();
-                let segs = pcnn_segments(t, feats.head_pos, feats.tail_pos);
-                let pooled = tape.piecewise_max(c, &segs);
-                tape.tanh(pooled)
+                let segs = pcnn_segments_array(t, feats.head_pos, feats.tail_pos);
+                conv.forward_pooled(tape, x, &segs)
             }
             Variant::Gru(gru) => {
                 // GRU states are already bounded by their gating nonlinearities;
                 // a second tanh after pooling would squash the encoding toward
                 // zero and starve the classifier's logits.
                 let hs = gru.forward(tape, x);
-                let t = tape.value(hs).rows();
                 tape.piecewise_max(hs, &[(0, t)])
             }
         };

@@ -5,7 +5,7 @@
 //! layer is the identity. The paper uses p = 0.5 on the sentence encoding.
 
 use crate::tape::{Tape, Var};
-use imre_tensor::{Tensor, TensorRng};
+use imre_tensor::TensorRng;
 
 /// Dropout configuration.
 #[derive(Debug, Clone, Copy)]
@@ -35,14 +35,13 @@ impl Dropout {
         if !training || self.p == 0.0 {
             return x;
         }
-        let shape = tape.value(x).shape().to_vec();
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
-        let n: usize = shape.iter().product();
-        let mask_data: Vec<f32> = (0..n)
-            .map(|_| if rng.bernoulli(keep) { scale } else { 0.0 })
-            .collect();
-        let mask = tape.leaf(Tensor::from_vec(mask_data, &shape));
+        let mut mask = tape.alloc_like(x);
+        for m in mask.data_mut() {
+            *m = if rng.bernoulli(keep) { scale } else { 0.0 };
+        }
+        let mask = tape.leaf(mask);
         tape.mul(x, mask)
     }
 }
@@ -51,6 +50,7 @@ impl Dropout {
 mod tests {
     use super::*;
     use crate::param::ParamStore;
+    use imre_tensor::Tensor;
 
     #[test]
     fn eval_mode_is_identity() {

@@ -59,7 +59,7 @@ pub fn check_param_gradient(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv::{piecewise_max_pool_tanh, Conv1d};
+    use crate::conv::{pcnn_segments, piecewise_max_pool_tanh, Conv1d};
     use crate::gru::GruCell;
     use crate::linear::Linear;
     use crate::tape::Tape;
@@ -141,7 +141,7 @@ mod tests {
             let bv = tape.param(b);
             let c = tape.matmul(u, wv);
             let c = tape.add_row_broadcast(c, bv);
-            let pooled = piecewise_max_pool_tanh(&mut tape, c, 1, 4);
+            let pooled = piecewise_max_pool_tanh(&mut tape, c, &pcnn_segments(6, 1, 4));
             let l = tape.softmax_cross_entropy(pooled, 2);
             (tape, l)
         }

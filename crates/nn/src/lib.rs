@@ -10,10 +10,11 @@
 //!   gradient buffers across training steps.
 //! * [`Tape`] records one forward computation (typically one sentence bag)
 //!   and plays it backwards to accumulate gradients. The op set — embedding
-//!   gather, conv unfold, piecewise max pooling with argmax routing, rank-1
-//!   softmax, selective-attention primitives, softmax cross-entropy — is
-//!   exactly what the paper's CNN/PCNN/GRU relation extractors require.
-//! * Layers: [`Linear`], [`Conv1d`] (+ the PCNN pooling helpers),
+//!   gather, conv unfold, piecewise max pooling with argmax routing, the
+//!   fused conv → pool → tanh encoder op, rank-1 softmax,
+//!   selective-attention primitives, softmax cross-entropy — is exactly
+//!   what the paper's CNN/PCNN/GRU relation extractors require.
+//! * Layers: [`Linear`], [`Conv1d`] (+ the PCNN segment helpers),
 //!   [`GruCell`] / [`BiGru`], [`Dropout`].
 //! * Optimizers: [`Sgd`] (the paper's choice, lr 0.3) and [`Adam`].
 //! * [`gradcheck`] verifies every backward rule against central finite
@@ -29,9 +30,7 @@ pub mod param;
 pub mod serialize;
 pub mod tape;
 
-pub use conv::{
-    max_pool_tanh, pcnn_segments, pcnn_segments_array, piecewise_max_pool_tanh, Conv1d,
-};
+pub use conv::{pcnn_segments, pcnn_segments_array, Conv1d};
 pub use dropout::Dropout;
 pub use gru::{BiGru, GruCell, GruVars};
 pub use linear::Linear;

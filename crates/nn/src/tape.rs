@@ -6,10 +6,22 @@
 //!
 //! The op set is exactly what the paper's models need: dense algebra, the
 //! embedding gather/scatter pair, conv-style unfolding, (piecewise) max
-//! pooling with argmax routing, rank-1 softmax, selective-attention
+//! pooling with argmax routing, the fused `conv → piecewise-max → tanh`
+//! encoder op ([`Tape::conv_pool_tanh`]), rank-1 softmax, selective-attention
 //! primitives (`matvec`, `weighted_sum_rows`), and the softmax-cross-entropy
 //! loss. Each op variant owns whatever forward context its backward rule
 //! needs (argmax indices, saved probabilities), so backward never recomputes.
+//!
+//! **The fused encoder op.** Piecewise max pooling lets `segments × filters`
+//! cells of the `[len × filters]` convolution output survive, so
+//! [`Tape::conv_pool_tanh`] keeps only those: the forward pools the raw
+//! matmul rows and applies bias and `tanh` to the survivors (bit-identical
+//! to `unfold → matmul → add_row_broadcast → piecewise_max → tanh`, which
+//! stays available as the test oracle), and the backward walks the flat
+//! argmax table with one row axpy per surviving cell instead of two dense
+//! GEMMs over a gradient that is mostly zeros. The transposed weight and its
+//! transposed gradient are shared by every fused node of a tape and folded
+//! into the [`GradStore`] once, at the end of [`Tape::backward_scaled`].
 //!
 //! **Memory model.** Every tape owns a [`BufferPool`]: op results are
 //! allocated from it via the `_into` destination-passing kernels, and
@@ -83,11 +95,22 @@ enum Op {
         window: usize,
     },
     /// Per-segment column max over rows; output is the concatenation of the
-    /// per-segment max vectors. `argmax[s][c]` is the winning absolute row.
+    /// per-segment max vectors. `argmax[s * cols + c]` is the winning
+    /// absolute row.
     PiecewiseMax {
         x: Var,
-        segments: Vec<Segment>,
-        argmax: Vec<Vec<usize>>,
+        argmax: Vec<u32>,
+    },
+    /// `tanh(piecewise_max(unfold(x, window) · w) + b)`, see
+    /// [`Tape::conv_pool_tanh`]. Keeps the unfolded input and the flat
+    /// argmax table (`argmax[s * filters + c]`, absolute row).
+    ConvPoolTanh {
+        x: Var,
+        w: ParamId,
+        b: ParamId,
+        window: usize,
+        unfolded: Tensor,
+        argmax: Vec<u32>,
     },
     /// Row `r` of a matrix as a rank-1 vector.
     SliceRow {
@@ -142,6 +165,130 @@ impl Val<'_> {
 struct Node<'s> {
     value: Val<'s>,
     op: Op,
+}
+
+impl Node<'_> {
+    /// Returns every arena tensor the node owns (forward value and saved
+    /// backward context) to `pool`.
+    fn recycle_into(self, pool: &mut BufferPool) {
+        if let Val::Owned(t) = self.value {
+            pool.recycle(t);
+        }
+        match self.op {
+            Op::SoftmaxCrossEntropy { probs, .. } => pool.recycle(probs),
+            Op::ConvPoolTanh { unfolded, .. } => pool.recycle(unfolded),
+            _ => {}
+        }
+    }
+}
+
+/// Per-tape backward state of the fused convolutions reading weight `w`:
+/// `Wᵀ` (transposed once) and the transposed weight gradient every fused
+/// node of the tape accumulates into. Both `[filters, window·in_dim]`.
+struct FusedConvGrad {
+    w: ParamId,
+    wt: Tensor,
+    dwt: Tensor,
+}
+
+/// Visits `(dst[c · rows + r], src[r · cols + c])` for every cell of the
+/// row-major `[rows, cols]` matrix `src` — a transpose, or with `+=` a
+/// transpose-accumulate. Four source rows are walked in lockstep, so each
+/// destination row receives four adjacent cells at a time and no cell of
+/// `src` is bounds-checked; the `cols` destination lines being filled must
+/// stay cached between row blocks, which a convolution weight's few hundred
+/// columns do (measured 2–3× the cell-at-a-time tile loop at `[180, 230]`).
+fn transpose_zip(
+    src: &[f32],
+    rows: usize,
+    cols: usize,
+    dst: &mut [f32],
+    f: impl Fn(&mut f32, f32),
+) {
+    assert_eq!(src.len(), rows * cols);
+    assert_eq!(dst.len(), rows * cols);
+    let mut blocks = src.chunks_exact(4 * cols);
+    for (blk, block) in blocks.by_ref().enumerate() {
+        let (s0, rest) = block.split_at(cols);
+        let (s1, rest) = rest.split_at(cols);
+        let (s2, s3) = rest.split_at(cols);
+        let cells = s0.iter().zip(s1).zip(s2).zip(s3);
+        for (dst_row, (((&a, &b), &c), &d)) in dst.chunks_exact_mut(rows).zip(cells) {
+            let run = &mut dst_row[4 * blk..4 * blk + 4];
+            f(&mut run[0], a);
+            f(&mut run[1], b);
+            f(&mut run[2], c);
+            f(&mut run[3], d);
+        }
+    }
+    let r0 = rows / 4 * 4;
+    for (r, src_row) in blocks.remainder().chunks_exact(cols).enumerate() {
+        for (dst_row, &s) in dst.chunks_exact_mut(rows).zip(src_row) {
+            f(&mut dst_row[r0 + r], s);
+        }
+    }
+}
+
+/// Sliding-window unfold of `x [t, d]` into the zeroed `out [t, window·d]`:
+/// row `r` of `out` is rows `r − w/2 … r + w/2` of `x` side by side, zero
+/// padded at both ends.
+fn unfold_into(x: &Tensor, window: usize, out: &mut Tensor) {
+    let (t, d) = (x.rows(), x.cols());
+    let half = window / 2;
+    // Row-parallel: output row `row` only reads input rows and writes its
+    // own `window · d` slice, so partitioning cannot change the result.
+    // Unfold is a pure copy (~0.25 ns/element), so the grain must be large
+    // for a chunk to dwarf the ~650 ns pool dispatch cost (a 64 Ki-element
+    // chunk copies for ~16 µs).
+    let grain = (65536 / (window * d).max(1)).max(1);
+    let src_data = x.data();
+    imre_tensor::pool::for_rows(out.data_mut(), t, window * d, grain, |lo, hi, shard| {
+        for row in lo..hi {
+            for o in 0..window {
+                // signed source row
+                let src = row as isize + o as isize - half as isize;
+                if src < 0 || src >= t as isize {
+                    continue;
+                }
+                let src = src as usize;
+                let dst_off = (row - lo) * window * d + o * d;
+                shard[dst_off..dst_off + d].copy_from_slice(&src_data[src * d..(src + 1) * d]);
+            }
+        }
+    });
+}
+
+/// Adjoint of [`unfold_into`]: folds `g [t, window·d]` back into the zeroed
+/// `dx [t, d]`.
+fn unfold_backward_into(g: &Tensor, window: usize, dx: &mut Tensor) {
+    let (t, d) = (dx.rows(), dx.cols());
+    let half = window / 2;
+    // Inverted loop nest vs. the forward pass: iterate over *destination*
+    // (input-gradient) rows so each task owns a disjoint shard of `dx` — the
+    // scatter over overlapping windows becomes a per-row gather with no
+    // atomics. For dx row `src` the contributions are g[row, o·d..] with
+    // row = src + half − o; descending `o` replays the legacy
+    // ascending-`row` accumulation order exactly. Large grain: the gather is
+    // memory-bound, so small chunks would be dominated by dispatch overhead
+    // (64 Ki elements ≈ 16 µs per chunk).
+    let grain = (65536 / (window * d).max(1)).max(1);
+    let g_data = g.data();
+    imre_tensor::pool::for_rows(dx.data_mut(), t, d, grain, |lo, hi, shard| {
+        for src in lo..hi {
+            let dst = &mut shard[(src - lo) * d..(src - lo + 1) * d];
+            for o in (0..window).rev() {
+                let row = src as isize + half as isize - o as isize;
+                if row < 0 || row >= t as isize {
+                    continue;
+                }
+                let g_off = row as usize * window * d + o * d;
+                let gsl = &g_data[g_off..g_off + d];
+                for (a, &b) in dst.iter_mut().zip(gsl) {
+                    *a += b;
+                }
+            }
+        }
+    });
 }
 
 /// Minimum input to [`Tape::ln`]; inputs are clamped here to avoid `−∞`.
@@ -211,9 +358,7 @@ impl<'s> Tape<'s> {
             ..
         } = *self;
         for node in nodes.drain(..) {
-            if let Val::Owned(t) = node.value {
-                pool.recycle(t);
-            }
+            node.recycle_into(pool);
         }
     }
 
@@ -228,6 +373,12 @@ impl<'s> Tape<'s> {
     /// via [`Tape::recycle`].
     pub fn alloc(&mut self, shape: &[usize]) -> Tensor {
         self.pool.alloc(shape)
+    }
+
+    /// [`Tape::alloc`] with the shape of node `v`'s value.
+    pub(crate) fn alloc_like(&mut self, v: Var) -> Tensor {
+        let (nodes, pool) = (&self.nodes, &mut self.pool);
+        pool.alloc(nodes[v.0].value.tensor().shape())
     }
 
     /// Returns a tensor to the tape's arena.
@@ -461,30 +612,8 @@ impl<'s> Tape<'s> {
         );
         let (nodes, pool) = (&self.nodes, &mut self.pool);
         let xv = nodes[x.0].value.tensor();
-        let (t, d) = (xv.rows(), xv.cols());
-        let half = window / 2;
-        let mut out = pool.alloc(&[t, window * d]);
-        // Row-parallel: output row `row` only reads input rows and writes its
-        // own `window · d` slice, so partitioning cannot change the result.
-        // Unfold is a pure copy (~0.25 ns/element), so the grain must be
-        // large for a chunk to dwarf the ~650 ns pool dispatch cost (a
-        // 64 Ki-element chunk copies for ~16 µs).
-        let grain = (65536 / (window * d).max(1)).max(1);
-        let src_data = xv.data();
-        imre_tensor::pool::for_rows(out.data_mut(), t, window * d, grain, |lo, hi, shard| {
-            for row in lo..hi {
-                for o in 0..window {
-                    // signed source row
-                    let src = row as isize + o as isize - half as isize;
-                    if src < 0 || src >= t as isize {
-                        continue;
-                    }
-                    let src = src as usize;
-                    let dst_off = (row - lo) * window * d + o * d;
-                    shard[dst_off..dst_off + d].copy_from_slice(&src_data[src * d..(src + 1) * d]);
-                }
-            }
-        });
+        let mut out = pool.alloc(&[xv.rows(), window * xv.cols()]);
+        unfold_into(xv, window, &mut out);
         self.push(out, Op::Unfold { x, window })
     }
 
@@ -505,21 +634,110 @@ impl<'s> Tape<'s> {
         let cols = xv.cols();
         let mut out = pool.alloc(&[segments.len() * cols]);
         let op = if record {
-            let mut argmax = Vec::with_capacity(segments.len());
+            let mut argmax = vec![0u32; segments.len() * cols];
             for (s, &(lo, hi)) in segments.iter().enumerate() {
-                let (vals, idx) = xv.max_over_rows(lo, hi);
-                out.data_mut()[s * cols..(s + 1) * cols].copy_from_slice(vals.data());
-                argmax.push(idx);
+                let span = s * cols..(s + 1) * cols;
+                xv.max_argmax_over_rows_into(
+                    lo,
+                    hi,
+                    &mut out.data_mut()[span.clone()],
+                    &mut argmax[span],
+                );
             }
-            Op::PiecewiseMax {
-                x,
-                segments: segments.to_vec(),
-                argmax,
-            }
+            Op::PiecewiseMax { x, argmax }
         } else {
             for (s, &(lo, hi)) in segments.iter().enumerate() {
                 xv.max_over_rows_into(lo, hi, &mut out.data_mut()[s * cols..(s + 1) * cols]);
             }
+            Op::Leaf
+        };
+        self.push_val(Val::Owned(out), op)
+    }
+
+    /// The CNN/PCNN sentence encoder as one op:
+    /// `tanh(piecewise_max(unfold(x, window) · w, segments) + b)`, `x [T, d]`
+    /// → `[segments.len() · filters]`, with `w [window·d, filters]` and
+    /// `b [filters]` read straight from the parameter store.
+    ///
+    /// Only `segments × filters` cells of the `[T, filters]` convolution
+    /// output survive the pooling, so the raw matmul rows are pooled first
+    /// and bias and `tanh` touch the survivors only. Adding a per-filter
+    /// constant is monotone under rounding — `max_r fl(c_r + b) =
+    /// fl(max_r c_r + b)` — so the values are bit-identical to the unfused
+    /// `unfold → matmul → add_row_broadcast → piecewise_max → tanh`. (The
+    /// recorded argmax is the raw column's; it can differ from the unfused
+    /// one only between rows whose biased values round to the same float.)
+    ///
+    /// The backward pass is sparse: per surviving cell `(r, c)` with
+    /// `gz = g · (1 − y²) ≠ 0` it runs `dU[r,:] += gz·Wᵀ[c,:]`,
+    /// `dWᵀ[c,:] += gz·U[r,:]`, `db[c] += gz` — no `[T, filters]` gradient
+    /// is ever built. On an inference tape nothing is kept: no argmax table,
+    /// no unfolded input, no allocation outside the arena.
+    ///
+    /// # Panics
+    /// If `window` is even or zero, a segment is empty or out of range, or
+    /// the parameter shapes do not match `x`.
+    pub fn conv_pool_tanh(
+        &mut self,
+        x: Var,
+        w: ParamId,
+        b: ParamId,
+        window: usize,
+        segments: &[Segment],
+    ) -> Var {
+        assert!(
+            window % 2 == 1 && window > 0,
+            "Tape::conv_pool_tanh: window must be odd and positive, got {window}"
+        );
+        let record = self.record;
+        let (wv, bv) = (self.store.get(w), self.store.get(b));
+        let (nodes, pool) = (&self.nodes, &mut self.pool);
+        let xv = nodes[x.0].value.tensor();
+        let (t, k) = (xv.rows(), window * xv.cols());
+        let filters = wv.cols();
+        assert!(
+            wv.rows() == k && bv.len() == filters,
+            "Tape::conv_pool_tanh: weight {:?} / bias {:?} for input {:?}, window {window}",
+            wv.shape(),
+            bv.shape(),
+            xv.shape()
+        );
+        let mut unfolded = pool.alloc(&[t, k]);
+        unfold_into(xv, window, &mut unfolded);
+        let mut conv = pool.alloc(&[t, filters]);
+        imre_tensor::matmul_into(unfolded.data(), wv.data(), conv.data_mut(), t, k, filters);
+
+        let mut out = pool.alloc(&[segments.len() * filters]);
+        let mut argmax = if record {
+            vec![0u32; segments.len() * filters]
+        } else {
+            Vec::new()
+        };
+        for (s, &(lo, hi)) in segments.iter().enumerate() {
+            let span = s * filters..(s + 1) * filters;
+            let vals = &mut out.data_mut()[span.clone()];
+            if record {
+                conv.max_argmax_over_rows_into(lo, hi, vals, &mut argmax[span]);
+            } else {
+                conv.max_over_rows_into(lo, hi, vals);
+            }
+            for (v, &bc) in vals.iter_mut().zip(bv.data()) {
+                *v = (*v + bc).tanh();
+            }
+        }
+        pool.recycle(conv);
+
+        let op = if record {
+            Op::ConvPoolTanh {
+                x,
+                w,
+                b,
+                window,
+                unfolded,
+                argmax,
+            }
+        } else {
+            pool.recycle(unfolded);
             Op::Leaf
         };
         self.push_val(Val::Owned(out), op)
@@ -744,7 +962,7 @@ impl<'s> Tape<'s> {
     /// [`Tape::inference`] (no backward context was recorded).
     pub fn backward_scaled(self, loss: Var, seed: f32, grads: &mut GradStore) -> BufferPool {
         let Tape {
-            store: _,
+            store,
             nodes,
             record,
             mut pool,
@@ -759,6 +977,8 @@ impl<'s> Tape<'s> {
             "Tape::backward: loss must be scalar"
         );
         let mut adj: Vec<Option<Tensor>> = (0..nodes.len()).map(|_| None).collect();
+        // One entry per distinct fused-convolution weight (one in practice).
+        let mut fused: Vec<FusedConvGrad> = Vec::new();
         let mut seed_t = pool.alloc(&[1]);
         seed_t.data_mut()[0] = seed;
         adj[loss.0] = Some(seed_t);
@@ -849,6 +1069,7 @@ impl<'s> Tape<'s> {
                     pool.recycle(g);
                 }
                 Op::MatVec(mat, vec) => {
+                    let matv = nodes[mat.0].value.tensor();
                     let vecv = nodes[vec.0].value.tensor();
                     let mut dm = pool.alloc(&[g.len(), vecv.len()]);
                     {
@@ -860,7 +1081,11 @@ impl<'s> Tape<'s> {
                             }
                         }
                     }
-                    let dv = nodes[mat.0].value.tensor().transpose().matvec(&g);
+                    // dv = matᵀ · g as one axpy per row of `mat`.
+                    let mut dv = pool.alloc(vecv.shape());
+                    for (&gi, row) in g.data().iter().zip(matv.data().chunks(vecv.len())) {
+                        imre_tensor::axpy(dv.data_mut(), gi, row);
+                    }
                     acc(&mut adj, &mut pool, mat.0, dm);
                     acc(&mut adj, &mut pool, vec.0, dv);
                     pool.recycle(g);
@@ -908,55 +1133,73 @@ impl<'s> Tape<'s> {
                     pool.recycle(g);
                 }
                 Op::Unfold { x, window } => {
-                    let xv = &nodes[x.0].value.tensor();
-                    let (t, d) = (xv.rows(), xv.cols());
-                    let window = *window;
-                    let half = window / 2;
-                    let mut dx = pool.alloc(&[t, d]);
-                    // Inverted loop nest vs. the forward pass: iterate over
-                    // *destination* (input-gradient) rows so each task owns a
-                    // disjoint shard of `dx` — the scatter over overlapping
-                    // windows becomes a per-row gather with no atomics.
-                    // For dx row `src` the contributions are g[row, o·d..]
-                    // with row = src + half − o; descending `o` replays the
-                    // legacy ascending-`row` accumulation order exactly.
-                    // Large grain: the gather is memory-bound, so small
-                    // chunks would be dominated by dispatch overhead
-                    // (64 Ki elements ≈ 16 µs per chunk).
-                    let grain = (65536 / (window * d).max(1)).max(1);
-                    let g_data = g.data();
-                    imre_tensor::pool::for_rows(dx.data_mut(), t, d, grain, |lo, hi, shard| {
-                        for src in lo..hi {
-                            let dst = &mut shard[(src - lo) * d..(src - lo + 1) * d];
-                            for o in (0..window).rev() {
-                                let row = src as isize + half as isize - o as isize;
-                                if row < 0 || row >= t as isize {
-                                    continue;
-                                }
-                                let g_off = row as usize * window * d + o * d;
-                                let gsl = &g_data[g_off..g_off + d];
-                                for (a, &b) in dst.iter_mut().zip(gsl) {
-                                    *a += b;
-                                }
-                            }
-                        }
-                    });
+                    let mut dx = pool.alloc(nodes[x.0].value.tensor().shape());
+                    unfold_backward_into(&g, *window, &mut dx);
                     acc(&mut adj, &mut pool, x.0, dx);
                     pool.recycle(g);
                 }
-                Op::PiecewiseMax {
-                    x,
-                    segments,
-                    argmax,
-                } => {
+                Op::PiecewiseMax { x, argmax } => {
                     let xv = &nodes[x.0].value.tensor();
                     let cols = xv.cols();
                     let mut dx = pool.alloc(&[xv.rows(), cols]);
-                    for (s, seg_argmax) in argmax.iter().enumerate().take(segments.len()) {
-                        for (c, &r) in seg_argmax.iter().enumerate() {
-                            *dx.at_mut(r, c) += g.data()[s * cols + c];
+                    let d = dx.data_mut();
+                    for (seg_g, seg_argmax) in g.data().chunks(cols).zip(argmax.chunks(cols)) {
+                        for (c, (&gi, &r)) in seg_g.iter().zip(seg_argmax).enumerate() {
+                            d[r as usize * cols + c] += gi;
                         }
                     }
+                    acc(&mut adj, &mut pool, x.0, dx);
+                    pool.recycle(g);
+                }
+                Op::ConvPoolTanh {
+                    x,
+                    w,
+                    b,
+                    window,
+                    unfolded,
+                    argmax,
+                } => {
+                    let wv = store.get(*w);
+                    let (k, filters) = (wv.rows(), wv.cols());
+                    let slot = match fused.iter().position(|f| f.w == *w) {
+                        Some(slot) => slot,
+                        None => {
+                            let mut wt = pool.alloc(&[filters, k]);
+                            transpose_zip(wv.data(), k, filters, wt.data_mut(), |d, s| *d = s);
+                            let dwt = pool.alloc(&[filters, k]);
+                            fused.push(FusedConvGrad { w: *w, wt, dwt });
+                            fused.len() - 1
+                        }
+                    };
+                    let FusedConvGrad { wt, dwt, .. } = &mut fused[slot];
+                    let (wt, dwt, u) = (wt.data(), dwt.data_mut(), unfolded.data());
+                    let y = node.value.tensor().data();
+                    let db = grads.get_mut(*b).data_mut();
+                    let mut du = pool.alloc(unfolded.shape());
+                    let dud = du.data_mut();
+                    // Filter-major, so the (up to `segments`) survivors of
+                    // filter `c` reuse `Wᵀ[c,:]` and `dWᵀ[c,:]` while they
+                    // are in L1; `dU` and `U` are small enough to stay there.
+                    let gd = g.data();
+                    for (c, db_c) in db.iter_mut().enumerate() {
+                        let col = c * k..(c + 1) * k;
+                        for j in (c..argmax.len()).step_by(filters) {
+                            let gz = gd[j] * (1.0 - y[j] * y[j]);
+                            // Dropped-out and saturated cells carry no
+                            // gradient; skipping them adds exact zeros less.
+                            if gz == 0.0 {
+                                continue;
+                            }
+                            let r = argmax[j] as usize;
+                            let row = r * k..(r + 1) * k;
+                            imre_tensor::axpy(&mut dud[row.clone()], gz, &wt[col.clone()]);
+                            imre_tensor::axpy(&mut dwt[col.clone()], gz, &u[row]);
+                            *db_c += gz;
+                        }
+                    }
+                    let mut dx = pool.alloc(nodes[x.0].value.tensor().shape());
+                    unfold_backward_into(&du, *window, &mut dx);
+                    pool.recycle(du);
                     acc(&mut adj, &mut pool, x.0, dx);
                     pool.recycle(g);
                 }
@@ -1074,15 +1317,20 @@ impl<'s> Tape<'s> {
             }
         }
 
+        // Fold each fused convolution's transposed weight gradient, summed
+        // over every sentence of the tape, into the store — once.
+        for FusedConvGrad { w, wt, dwt } in fused {
+            let (filters, k) = (dwt.rows(), dwt.cols());
+            let dw = grads.get_mut(w).data_mut();
+            transpose_zip(dwt.data(), filters, k, dw, |d, s| *d += s);
+            pool.recycle(wt);
+            pool.recycle(dwt);
+        }
+
         // Return every owned forward value to the arena before handing the
         // pool back for the next step.
         for node in nodes {
-            if let Val::Owned(t) = node.value {
-                pool.recycle(t);
-            }
-            if let Op::SoftmaxCrossEntropy { probs, .. } = node.op {
-                pool.recycle(probs);
-            }
+            node.recycle_into(&mut pool);
         }
         pool
     }
@@ -1205,6 +1453,27 @@ mod tests {
         assert_ne!(g.at(3, 1), 0.0);
         assert_eq!(g.at(3, 0), 0.0);
         assert_eq!(g.at(2, 1), 0.0);
+    }
+
+    #[test]
+    fn transpose_zip_sets_and_accumulates() {
+        // 4-row blocks plus a remainder, in both roles the backward uses.
+        for (rows, cols) in [(1, 1), (3, 5), (4, 4), (9, 2), (10, 7)] {
+            let src: Vec<f32> = (0..rows * cols).map(|i| i as f32).collect();
+            let mut dst = vec![0.5f32; rows * cols];
+            transpose_zip(&src, rows, cols, &mut dst, |d, s| *d = s);
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(dst[c * rows + r], src[r * cols + c]);
+                }
+            }
+            transpose_zip(&src, rows, cols, &mut dst, |d, s| *d += s);
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(dst[c * rows + r], 2.0 * src[r * cols + c]);
+                }
+            }
+        }
     }
 
     #[test]

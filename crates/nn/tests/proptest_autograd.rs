@@ -110,6 +110,55 @@ proptest! {
     }
 
     #[test]
+    fn conv_pool_tanh_gradcheck(
+        seed in 0u64..10_000,
+        t in 1usize..8,
+        d in 2usize..4,
+        k in 2usize..4,
+        half in 0usize..3,
+        cnn in 0usize..2,
+    ) {
+        // The fused encoder op against finite differences, for the weight,
+        // the bias and the input (a parameter here, so `dx` is checked too).
+        let window = 2 * half + 1;
+        let mut rng = TensorRng::seed(seed);
+        let mut params = ParamStore::new();
+        let w = params.xavier("w", window * d, k, &mut rng);
+        let b = params.uniform("b", &[k], 0.5, &mut rng);
+        let x = params.uniform("x", &[t, d], 1.0, &mut rng);
+        let segs = if cnn == 1 {
+            vec![(0, t)]
+        } else {
+            pcnn_segments(t, (seed as usize) % t, (seed as usize / 7) % t)
+        };
+        let target = (seed as usize) % (segs.len() * k);
+
+        let f = move |store: &ParamStore, grads: Option<&mut GradStore>| -> f32 {
+            let mut tape = Tape::new(store);
+            let xv = tape.param(x);
+            let act = tape.conv_pool_tanh(xv, w, b, window, &segs);
+            let l = tape.softmax_cross_entropy(act, target);
+            let val = tape.value(l).data()[0];
+            if let Some(g) = grads {
+                tape.backward(l, g);
+            }
+            val
+        };
+        let loss = {
+            let f = f.clone();
+            move |s: &ParamStore| f(s, None)
+        };
+        let grad = move |s: &ParamStore, g: &mut GradStore| {
+            f(s, Some(g));
+        };
+        // Same near-tie allowance as `pcnn_path_gradcheck`.
+        for id in [w, b, x] {
+            let r = check_param_gradient(&mut params, id, 2e-3, &loss, &grad);
+            prop_assert!(r.max_rel_diff < 0.08, "param {:?}: rel diff {}", id, r.max_rel_diff);
+        }
+    }
+
+    #[test]
     fn attention_mix_gradcheck(seed in 0u64..10_000, n in 2usize..5, k in 2usize..5) {
         let mut rng = TensorRng::seed(seed);
         let mut params = ParamStore::new();

@@ -4,8 +4,10 @@
 //! one whose pool is full of recycled, previously-dirty buffers — must
 //! produce **exactly** the same forward values and parameter gradients as a
 //! tape allocating everything fresh, at any thread count. These properties
-//! drive a PCNN-shaped graph (gather → unfold → matmul → piecewise max →
-//! attention → cross-entropy) through both paths and compare bits.
+//! drive a PCNN-shaped graph (gather → conv → piecewise max → tanh →
+//! attention → cross-entropy) through both paths and compare bits — with the
+//! encoder as the generic op chain and as the fused `conv_pool_tanh` op,
+//! whose backward draws `Wᵀ`, `dWᵀ` and the kept unfold from the arena.
 
 use imre_nn::{pcnn_segments, GradStore, ParamStore, Tape};
 use imre_tensor::pool::{self, ThreadPool};
@@ -15,6 +17,7 @@ use proptest::prelude::*;
 struct Model {
     emb: imre_nn::ParamId,
     w: imre_nn::ParamId,
+    b: imre_nn::ParamId,
     q: imre_nn::ParamId,
 }
 
@@ -23,25 +26,33 @@ fn build(seed: u64, vocab: usize, d: usize, k: usize) -> (ParamStore, Model) {
     let mut params = ParamStore::new();
     let emb = params.uniform("emb", &[vocab, d], 1.0, &mut rng);
     let w = params.xavier("w", 3 * d, k, &mut rng);
+    let b = params.uniform("b", &[k], 0.5, &mut rng);
     let q = params.uniform("q", &[3 * k], 1.0, &mut rng);
-    (params, Model { emb, w, q })
+    (params, Model { emb, w, b, q })
 }
 
-/// One full forward (+ optional backward) pass; returns the loss bits and
-/// the tape so callers can inspect or recycle it.
+/// One full forward pass, the encoder either `fused` into one op or spelled
+/// out; returns the loss and its node so callers can run backward.
 fn forward(
     tape: &mut Tape,
     m: &Model,
     tokens: &[usize],
     segs: &[(usize, usize)],
     target: usize,
+    fused: bool,
 ) -> (f32, imre_nn::Var) {
     let x = tape.gather(m.emb, tokens);
-    let u = tape.unfold(x, 3);
-    let wv = tape.param(m.w);
-    let c = tape.matmul(u, wv);
-    let pooled = tape.piecewise_max(c, segs);
-    let act = tape.tanh(pooled);
+    let act = if fused {
+        tape.conv_pool_tanh(x, m.w, m.b, 3, segs)
+    } else {
+        let u = tape.unfold(x, 3);
+        let wv = tape.param(m.w);
+        let bv = tape.param(m.b);
+        let c = tape.matmul(u, wv);
+        let c = tape.add_row_broadcast(c, bv);
+        let pooled = tape.piecewise_max(c, segs);
+        tape.tanh(pooled)
+    };
     // tiny attention head exercising matvec/softmax/weighted_sum_rows
     let mat = tape.stack_rows(&[act, act]);
     let qv = tape.param(m.q);
@@ -62,8 +73,10 @@ proptest! {
         d in 2usize..5,
         k in 2usize..5,
         threads_idx in 0usize..2,
+        fused_idx in 0usize..2,
     ) {
         let threads = [1usize, 4][threads_idx];
+        let fused = fused_idx == 1;
         let vocab = 11;
         let (params, model) = build(seed, vocab, d, k);
         let tokens: Vec<usize> = (0..t).map(|i| (seed as usize + 3 * i) % vocab).collect();
@@ -71,18 +84,20 @@ proptest! {
         let target = (seed as usize) % (3 * k);
 
         pool::with_pool(&ThreadPool::new(threads), || {
+            // The unfused chain on a fresh tape is the reference for both
+            // encoders: the fused forward is bit-identical to it.
             let mut fresh = Tape::inference(&params);
-            let (expect, _) = forward(&mut fresh, &model, &tokens, &segs, target);
+            let (expect, _) = forward(&mut fresh, &model, &tokens, &segs, target, false);
 
             let mut warm = Tape::inference(&params);
             for _ in 0..3 {
-                let (got, _) = forward(&mut warm, &model, &tokens, &segs, target);
+                let (got, _) = forward(&mut warm, &model, &tokens, &segs, target, fused);
                 prop_assert_eq!(expect.to_bits(), got.to_bits());
                 warm.reset();
             }
             // After warm-up every pass is allocation-free.
             let base = warm.pool_stats();
-            let (got, _) = forward(&mut warm, &model, &tokens, &segs, target);
+            let (got, _) = forward(&mut warm, &model, &tokens, &segs, target, fused);
             prop_assert_eq!(expect.to_bits(), got.to_bits());
             let delta = warm.pool_stats().since(&base);
             prop_assert_eq!(delta.misses, 0, "warm pass allocated: {:?}", delta);
@@ -97,8 +112,10 @@ proptest! {
         d in 2usize..4,
         k in 2usize..4,
         threads_idx in 0usize..2,
+        fused_idx in 0usize..2,
     ) {
         let threads = [1usize, 4][threads_idx];
+        let fused = fused_idx == 1;
         let vocab = 9;
         let (params, model) = build(seed, vocab, d, k);
         let tokens: Vec<usize> = (0..t).map(|i| (seed as usize + i) % vocab).collect();
@@ -108,7 +125,8 @@ proptest! {
         pool::with_pool(&ThreadPool::new(threads), || {
             let mut expect = GradStore::zeros_like(&params);
             let mut fresh = Tape::new(&params);
-            let (expect_loss, loss_var) = forward(&mut fresh, &model, &tokens, &segs, target);
+            let (expect_loss, loss_var) =
+                forward(&mut fresh, &model, &tokens, &segs, target, fused);
             fresh.backward(loss_var, &mut expect);
 
             // Thread one arena through repeated steps; every step's loss and
@@ -118,7 +136,8 @@ proptest! {
                 let mut grads = GradStore::zeros_like(&params);
                 let mut tape = Tape::with_pool(&params, arena);
                 let before = tape.pool_stats();
-                let (got_loss, loss_var) = forward(&mut tape, &model, &tokens, &segs, target);
+                let (got_loss, loss_var) =
+                    forward(&mut tape, &model, &tokens, &segs, target, fused);
                 arena = tape.backward(loss_var, &mut grads);
                 prop_assert_eq!(expect_loss.to_bits(), got_loss.to_bits());
                 for (id, _, _) in params.iter() {

@@ -433,6 +433,28 @@ impl Tensor {
     }
 }
 
+/// Slice-level `dst[i] += alpha * src[i]` on the calling thread: the kernel
+/// behind [`Tensor::axpy`] without the tensor wrapper or the pool dispatch,
+/// for callers whose operands are rows of larger buffers (`imre-nn`'s sparse
+/// convolution backward issues hundreds of row-long calls per sentence, so
+/// the call is not counted as a kernel dispatch either). Multiply and add
+/// stay unfused per element, so every backend produces the scalar loop's
+/// bits.
+///
+/// # Panics
+/// If the slices differ in length.
+#[inline]
+pub fn axpy(dst: &mut [f32], alpha: f32, src: &[f32]) {
+    assert_eq!(
+        dst.len(),
+        src.len(),
+        "axpy: destination of len {} for source of len {}",
+        dst.len(),
+        src.len()
+    );
+    simd::axpy(simd::backend(), dst, alpha, src);
+}
+
 /// Numerically stable logistic sigmoid for scalars, shared across the workspace.
 #[inline]
 pub fn sigmoid_scalar(x: f32) -> f32 {
@@ -477,6 +499,13 @@ mod tests {
         assert_eq!(a.data(), &[3.0, 4.0]);
         a.axpy(0.5, &t(&[2.0, 2.0]));
         assert_eq!(a.data(), &[4.0, 5.0]);
+        // the slice-level entry is the same kernel (vector body + tail)
+        let src: Vec<f32> = (0..11).map(|i| i as f32 * 0.37 - 1.0).collect();
+        let mut whole = Tensor::ones(&[11]);
+        whole.axpy(-1.5, &t(&src));
+        let mut row = vec![1.0f32; 11];
+        axpy(&mut row, -1.5, &src);
+        assert_eq!(row, whole.data());
     }
 
     #[test]

@@ -94,41 +94,13 @@ impl Tensor {
         }
     }
 
-    /// Column-wise max over a contiguous row range `[lo, hi)`, returning the
-    /// max values and the *absolute* row index achieving each max.
+    /// Column-wise max over a contiguous row range `[lo, hi)`, written into a
+    /// caller-provided `cols`-long slice. Rows are folded in ascending order
+    /// with a strict `>`, so on ties the first row's value stays.
     ///
-    /// This is the primitive behind (piecewise) max pooling: `imre-nn` calls
-    /// it once per pooling segment and routes gradients through the argmax.
-    ///
-    /// # Panics
-    /// If `lo >= hi`, `hi > rows`, or `self` is not rank-2.
-    pub fn max_over_rows(&self, lo: usize, hi: usize) -> (Tensor, Vec<usize>) {
-        let (rows, cols) = (self.rows(), self.cols());
-        assert!(
-            lo < hi && hi <= rows,
-            "Tensor::max_over_rows: empty or out-of-range segment [{lo}, {hi}) of {rows} rows"
-        );
-        let d = self.data();
-        let mut vals = d[lo * cols..(lo + 1) * cols].to_vec();
-        let mut idx = vec![lo; cols];
-        for r in lo + 1..hi {
-            let row = &d[r * cols..(r + 1) * cols];
-            for c in 0..cols {
-                if row[c] > vals[c] {
-                    vals[c] = row[c];
-                    idx[c] = r;
-                }
-            }
-        }
-        (Tensor::from_vec(vals, &[cols]), idx)
-    }
-
-    /// Values-only variant of [`Tensor::max_over_rows`] that writes into a
-    /// caller-provided `cols`-long slice and skips the argmax bookkeeping
-    /// entirely — inference tapes need only the pooled values, not the
-    /// gradient routing. Identical comparison order, so the values are
-    /// bit-identical to `max_over_rows(lo, hi).0`. Taking a raw slice lets
-    /// piecewise pooling write every segment into one recycled buffer.
+    /// This is the values-only primitive behind (piecewise) max pooling on
+    /// inference tapes, which need no gradient routing. Taking a raw slice
+    /// lets piecewise pooling write every segment into one recycled buffer.
     ///
     /// # Panics
     /// If `lo >= hi`, `hi > rows`, `self` is not rank-2, or `out` does not
@@ -151,10 +123,51 @@ impl Tensor {
         vals.copy_from_slice(&d[lo * cols..(lo + 1) * cols]);
         for r in lo + 1..hi {
             let row = &d[r * cols..(r + 1) * cols];
+            // A select, not a conditional store: whether `x` wins is a coin
+            // toss on short segments, which a branch would mispredict.
             for (v, &x) in vals.iter_mut().zip(row) {
-                if x > *v {
-                    *v = x;
-                }
+                *v = if x > *v { x } else { *v };
+            }
+        }
+    }
+
+    /// [`Tensor::max_over_rows_into`] plus the *absolute* row index achieving
+    /// each max, written flat into `idx` — what recording tapes route the
+    /// pooling gradient through. Same `>` comparison order (the first row
+    /// wins ties), so `vals` is bit-identical to the values-only routine.
+    ///
+    /// # Panics
+    /// If `lo >= hi`, `hi > rows`, `rows` exceeds `u32::MAX`, `self` is not
+    /// rank-2, or `vals` / `idx` do not hold exactly `cols` elements.
+    pub fn max_argmax_over_rows_into(
+        &self,
+        lo: usize,
+        hi: usize,
+        vals: &mut [f32],
+        idx: &mut [u32],
+    ) {
+        let (rows, cols) = (self.rows(), self.cols());
+        assert!(
+            lo < hi && hi <= rows && rows <= u32::MAX as usize,
+            "Tensor::max_argmax_over_rows_into: empty or out-of-range segment [{lo}, {hi}) of {rows} rows"
+        );
+        assert!(
+            vals.len() == cols && idx.len() == cols,
+            "Tensor::max_argmax_over_rows_into: destinations of len {} / {} for {cols} columns",
+            vals.len(),
+            idx.len()
+        );
+        let d = self.data();
+        vals.copy_from_slice(&d[lo * cols..(lo + 1) * cols]);
+        idx.fill(lo as u32);
+        for r in lo + 1..hi {
+            let row = &d[r * cols..(r + 1) * cols];
+            // Selects as bit masks on two same-width lanes: a `>` that wins
+            // or loses unpredictably (short segments) must not be a branch.
+            for ((v, i), &x) in vals.iter_mut().zip(idx.iter_mut()).zip(row) {
+                let gt = 0u32.wrapping_sub((x > *v) as u32);
+                *v = f32::from_bits((x.to_bits() & gt) | (v.to_bits() & !gt));
+                *i = (r as u32 & gt) | (*i & !gt);
             }
         }
     }
@@ -314,18 +327,24 @@ mod tests {
             ],
             &[3, 2],
         );
-        let (v, idx) = t.max_over_rows(0, 3);
-        assert_eq!(v.data(), &[5.0, 9.0]);
-        assert_eq!(idx, vec![1, 0]);
-        let (v2, idx2) = t.max_over_rows(1, 3);
-        assert_eq!(v2.data(), &[5.0, 7.0]);
-        assert_eq!(idx2, vec![1, 2]);
+        let (mut v, mut idx) = ([0.0f32; 2], [0u32; 2]);
+        t.max_argmax_over_rows_into(0, 3, &mut v, &mut idx);
+        assert_eq!(v, [5.0, 9.0]);
+        assert_eq!(idx, [1, 0]);
+        t.max_argmax_over_rows_into(1, 3, &mut v, &mut idx);
+        assert_eq!(v, [5.0, 7.0]);
+        assert_eq!(idx, [1, 2]);
+        // ties keep the first row
+        let tie = Tensor::from_vec(vec![4.0, 4.0, 4.0], &[3, 1]);
+        tie.max_argmax_over_rows_into(1, 3, &mut v[..1], &mut idx[..1]);
+        assert_eq!((v[0], idx[0]), (4.0, 1));
     }
 
     #[test]
-    #[should_panic(expected = "max_over_rows")]
+    #[should_panic(expected = "max_argmax_over_rows_into")]
     fn max_over_rows_empty_segment_panics() {
-        let _ = Tensor::zeros(&[3, 2]).max_over_rows(2, 2);
+        let (mut v, mut idx) = ([0.0f32; 2], [0u32; 2]);
+        Tensor::zeros(&[3, 2]).max_argmax_over_rows_into(2, 2, &mut v, &mut idx);
     }
 
     #[test]

@@ -133,10 +133,17 @@ proptest! {
     #[test]
     fn max_over_rows_into_bitwise_matches(m in matrix(9), cut in 0usize..9) {
         let lo = cut % m.rows();
-        let (vals, _) = m.max_over_rows(lo, m.rows());
+        let mut vals = vec![f32::NAN; m.cols()];
+        let mut idx = vec![u32::MAX; m.cols()];
+        m.max_argmax_over_rows_into(lo, m.rows(), &mut vals, &mut idx);
         let mut out = vec![f32::NAN; m.cols()];
         m.max_over_rows_into(lo, m.rows(), &mut out);
-        prop_assert_eq!(vals.data(), &out[..]);
+        prop_assert_eq!(&vals, &out);
+        for (c, &r) in idx.iter().enumerate() {
+            // the argmax names the first row holding the max
+            prop_assert_eq!(m.at(r as usize, c), out[c]);
+            prop_assert!((lo..r as usize).all(|e| m.at(e, c) < out[c]));
+        }
     }
 
     #[test]

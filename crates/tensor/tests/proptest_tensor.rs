@@ -112,14 +112,12 @@ proptest! {
 
     #[test]
     fn max_over_rows_dominates_every_row(m in small_matrix(7)) {
-        let (vals, idx) = m.max_over_rows(0, m.rows());
-        for r in 0..m.rows() {
-            for c in 0..m.cols() {
-                prop_assert!(vals.data()[c] >= m.at(r, c));
-            }
-        }
-        for (c, &r) in idx.iter().enumerate() {
-            prop_assert_eq!(m.at(r, c), vals.data()[c]);
+        let mut vals = vec![0.0f32; m.cols()];
+        let mut idx = vec![0u32; m.cols()];
+        m.max_argmax_over_rows_into(0, m.rows(), &mut vals, &mut idx);
+        for (c, (&v, &r)) in vals.iter().zip(&idx).enumerate() {
+            prop_assert!((0..m.rows()).all(|row| v >= m.at(row, c)));
+            prop_assert_eq!(m.at(r as usize, c), v);
         }
     }
 

@@ -47,7 +47,9 @@
 #           dispatch suite run twice — once with runtime detection (on
 #           capable hardware the dispatch counters must show the vector
 #           path was really taken) and once under IMRE_FORCE_SCALAR=1, so
-#           the scalar fallback stays exercised on every runner
+#           the scalar fallback stays exercised on every runner; both passes
+#           also hold the fused conv-pool-tanh tape op, whose backward is
+#           built from the axpy kernel, to its unfused oracle
 #   quant   the int8 quantized-inference gate: the i8 kernel bit-identity
 #           proptests with runtime dispatch and again under
 #           IMRE_FORCE_SCALAR=1, the .imrb v3 layout + int8 serving
@@ -217,12 +219,16 @@ step_simd() {
     cargo test --offline -q -p imre-tensor --test proptest_into_kernels
     cargo test --offline -q -p imre-tensor --test simd_dispatch
     cargo test --offline -q -p imre-tensor --test proptest_pool
+    # The fused conv-pool-tanh op's backward is row axpys through the
+    # dispatched kernel: hold it to the unfused oracle on each tier.
+    cargo test --offline -q -p imre-nn --lib conv::tests::fused_
 
     # Pass 2 — forced scalar fallback: the same suites must hold with the
     # vector kernels pinned off, so the fallback path stays green on every
     # runner regardless of what the CPU reports.
     IMRE_FORCE_SCALAR=1 cargo test --offline -q -p imre-tensor --test proptest_into_kernels
     IMRE_FORCE_SCALAR=1 cargo test --offline -q -p imre-tensor --test simd_dispatch
+    IMRE_FORCE_SCALAR=1 cargo test --offline -q -p imre-nn --lib conv::tests::fused_
     echo "simd: vector and forced-scalar passes both green"
 }
 
