@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks for the hot substrate operations: matmul,
-//! PCNN forward+backward, the fused encoder op, selective attention, LINE
+//! PCNN forward+backward, the fused encoder op, the row-sparse optimizer
+//! step, selective attention, LINE
 //! epochs and refine-mode updates, proximity-graph construction, and
 //! featurization.
 
@@ -132,6 +133,29 @@ fn bench_conv_pool_tanh(c: &mut Criterion) {
     std::hint::black_box(&grads);
 }
 
+/// The optimizer step at `train_paper`'s shape: a `[114042×50]` word table
+/// of which the mini-batch scattered into 2,000 rows, beside 0.13 M scalars
+/// of dense parameters, clipping active. The step costs the touched rows.
+fn bench_sparse_sgd_step(c: &mut Criterion) {
+    let mut rng = TensorRng::seed(6);
+    let mut store = ParamStore::new();
+    let table = store.uniform("table", &[114_042, 50], 0.1, &mut rng);
+    let dense = store.uniform("dense", &[565, 230], 0.1, &mut rng);
+    let mut grads = GradStore::zeros_like(&store);
+    let rows: Vec<usize> = (0..2_000).map(|i| i * 57).collect();
+    let updates = Tensor::rand_uniform(&[rows.len(), 50], -1.0, 1.0, &mut rng);
+    let dense_grad = Tensor::rand_uniform(&[565, 230], -1.0, 1.0, &mut rng);
+    let sgd = imre_nn::Sgd::new(1e-6).with_clip_norm(5.0);
+    c.bench_function("sgd_step_114042x50_2000_rows_touched", |b| {
+        b.iter(|| {
+            grads.scatter_add_rows(table, &rows, &updates);
+            grads.accumulate(dense, &dense_grad);
+            sgd.step(&mut store, &mut grads);
+        });
+    });
+    std::hint::black_box(&store);
+}
+
 fn bench_attention(c: &mut Criterion) {
     let mut rng = TensorRng::seed(5);
     let mut store = ParamStore::new();
@@ -216,6 +240,7 @@ criterion_group!(
     bench_matmul,
     bench_pcnn_step,
     bench_conv_pool_tanh,
+    bench_sparse_sgd_step,
     bench_attention,
     bench_graph_and_line,
     bench_featurize

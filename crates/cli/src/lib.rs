@@ -22,8 +22,9 @@ USAGE:
                   [--knn-index <0|1>]   include a kNN index over training-bag
                   representations in the bundle (default 1; enables the
                   serve-time knn=K lambda=L interpolation path)
-                  [--data-parallel R]   train on R model replicas (deterministic:
-                  a fixed (seed, R) is byte-identical across runs and --threads)
+                  [--data-parallel R]   shard each mini-batch over R replica
+                  workers of the one model (deterministic: a fixed (seed, R) is
+                  byte-identical across runs and --threads)
                   [--checkpoint FILE] [--checkpoint-every N]   write an atomic
                   IMRC checkpoint every N epochs (default 1)
                   [--resume FILE]   continue from an IMRC checkpoint
@@ -45,7 +46,9 @@ USAGE:
                   report max score drift + AUC / P@100/200/300 deltas
                   [--max-drift D] [--max-pn-delta P]   fail (exit nonzero)
                   when the --check drift exceeds D or any P@N delta
-                  exceeds P percentage points — the CI gate
+                  exceeds P percentage points — the CI gate. P@N moves
+                  in steps of 100/N points (one rank flip at the cut), so
+                  a P below 100/N forbids every flip
   imre serve      --bundle FILE [--name NAME] [--addr HOST:PORT] [--workers N]
                   [--stream FILE]   consume a delta stream (file or fifo; one
                   `ts<TAB>entity[:types]<TAB>entity...` sentence per line,
@@ -317,8 +320,9 @@ fn cmd_train(flags: &Flags) -> Result<(), CliError> {
     let pipeline = Pipeline::build(&config, hp_with_epochs(epochs));
     println!("training {} …", spec.name());
     // Any data-parallel / checkpoint / resume flag routes through the
-    // deterministic imre-dist engine; otherwise the original serial loop
-    // runs (byte-stable with earlier releases).
+    // imre-dist engine (epoch-derived streams, so a run can resume);
+    // otherwise `train_model` runs. Both fan each mini-batch out over the
+    // pool and are byte-identical at any --threads.
     let use_dist = data_parallel > 0 || resume.is_some() || checkpoint.is_some();
     let model = if use_dist {
         let replicas = data_parallel.max(1);
@@ -422,7 +426,30 @@ fn cmd_quantize(flags: &Flags) -> Result<(), CliError> {
         let max_pn_delta = flags.number("max-pn-delta", f32::INFINITY)?;
         let config = dataset_config(dataset, seed)?;
         let pipeline = Pipeline::build(&config, bundle.model.hp.clone());
-        let types = imre_core::entity_type_table(&pipeline.dataset.world);
+        // The regenerated dataset's token / entity / relation ids index the
+        // bundle's tables: a dataset drawn under another seed has other
+        // table sizes and must not reach the forward pass.
+        let dataset = &pipeline.dataset;
+        let regenerated = (
+            dataset.vocab.len(),
+            dataset.world.num_entities(),
+            dataset.num_relations(),
+        );
+        let bundled = (
+            bundle.vocab.len(),
+            bundle.entities.len(),
+            bundle.relations.len(),
+        );
+        if regenerated != bundled {
+            return Err(usage(format!(
+                "--check {} --seed {seed} regenerates a dataset with (tokens, entities, \
+                 relations) = {regenerated:?}, but {} was trained on one with {bundled:?}; \
+                 pass the --seed the bundle was trained with",
+                config.name,
+                in_path.display()
+            )));
+        }
+        let types = imre_core::entity_type_table(&dataset.world);
         let ctx = imre_core::BagContext {
             entity_embedding: bundle.embedding.as_ref(),
             entity_types: &types,
@@ -1253,7 +1280,7 @@ mod tests {
             "--max-drift",
             "0.01",
             "--max-pn-delta",
-            "0.5",
+            "1.5",
         ]))
         .unwrap();
         let quantized = imre_serve::load_bundle(&quant_path).unwrap();
@@ -1275,6 +1302,16 @@ mod tests {
         ])) {
             Err(CliError::Usage(msg)) => assert!(msg.contains("max-drift"), "{msg}"),
             other => panic!("expected gate failure, got {other:?}"),
+        }
+        // A dataset regenerated under another seed has other table sizes:
+        // a usage error naming both and the flag, not an out-of-bounds gather.
+        match run(&s(&[
+            "quantize", "--bundle", bp, "--out", qp, "--check", "smoke", "--seed", "2",
+        ])) {
+            Err(CliError::Usage(msg)) => {
+                assert!(msg.contains("--seed") && msg.contains("tokens"), "{msg}")
+            }
+            other => panic!("expected a dataset-mismatch error, got {other:?}"),
         }
         std::fs::remove_file(&model_path).ok();
         std::fs::remove_file(&bundle_path).ok();

@@ -40,12 +40,14 @@ pub use components::{Combiner, MrComponent, TypeComponent};
 pub use config::HyperParams;
 pub use encoder::{Encoder, EncoderKind, Frontend};
 pub use features::{featurize, SentenceFeatures};
-pub use model::{entity_type_table, prepare_bags, BagContext, ModelSpec, PreparedBag, ReModel};
+pub use model::{
+    entity_type_table, prepare_bags, BagContext, ModelSpec, PreparedBag, ReModel, ShardWorker,
+};
 pub use oov::prune_to_train_vocab;
 pub use persist::{load_model, read_model, save_model, write_model};
 pub use pretrain::{corpus_sentences, train_skipgram, SkipGramConfig};
 pub use quant::{QuantModel, QuantScratch, QuantizeError};
 pub use train::{
-    accumulate_shard, bag_step_rng, epoch_order, replica_shard, train_epoch, train_model,
+    accumulate_shards, bag_step_rng, epoch_order, replica_shard, train_epoch, train_model,
     TrainConfig, TrainStats,
 };

@@ -191,6 +191,36 @@ pub struct BagContext<'a> {
     pub entity_types: &'a [Vec<usize>],
 }
 
+/// The mutable half of a training step — a tape arena and the gradient
+/// store one shard of a mini-batch accumulates into — so that forward and
+/// backward themselves only read the [`ReModel`]. The store holds the
+/// embedding tables compactly ([`GradStore::compact_like`]): a worker costs
+/// the dense parameters plus the rows its bags touched, not a second model.
+pub struct ShardWorker {
+    arena: BufferPool,
+    grads: GradStore,
+}
+
+impl ShardWorker {
+    /// A cold worker for `model`.
+    pub fn new(model: &ReModel) -> Self {
+        ShardWorker {
+            arena: BufferPool::new(),
+            grads: GradStore::compact_like(&model.store),
+        }
+    }
+
+    /// The gradients accumulated since they were last zeroed.
+    pub fn grads_mut(&mut self) -> &mut GradStore {
+        &mut self.grads
+    }
+
+    /// Allocator-pressure counters of this worker's arena.
+    pub fn arena_stats(&self) -> PoolStats {
+        self.arena.stats()
+    }
+}
+
 /// An instantiated relation-extraction model with its parameters.
 pub struct ReModel {
     /// The variant this model implements.
@@ -201,10 +231,14 @@ pub struct ReModel {
     pub store: ParamStore,
     /// Gradient buffers.
     pub grads: GradStore,
-    /// Tensor-buffer arena threaded through every training step: the tape
-    /// of step *n*+1 is served from the recycled buffers of step *n*, so
-    /// steady-state training performs no per-step tensor allocations.
+    /// Tensor-buffer arena threaded through every
+    /// [`ReModel::bag_loss_and_backward`] call: the tape of step *n*+1 is
+    /// served from the recycled buffers of step *n*, so steady-state
+    /// training performs no per-step tensor allocations.
     arena: BufferPool,
+    /// The shard workers [`crate::train_epoch`] fans a mini-batch out over,
+    /// kept across steps so their arenas stay warm.
+    pub(crate) workers: Vec<ShardWorker>,
     encoder: Encoder,
     word_att: Option<WordAttention>,
     att: Option<SelectiveAttention>,
@@ -268,6 +302,7 @@ impl ReModel {
             store,
             grads,
             arena: BufferPool::new(),
+            workers: Vec::new(),
             encoder,
             word_att,
             att,
@@ -375,21 +410,21 @@ impl ReModel {
         )
     }
 
-    /// Computes the training loss for one bag and accumulates gradients
-    /// (scaled by `scale`, typically `1 / batch_size`). Returns the loss.
-    pub fn bag_loss_and_backward(
-        &mut self,
+    /// Forward and backward of one bag against the shared parameters:
+    /// returns the training loss and accumulates its gradient, scaled by
+    /// `scale` (typically `1 / batch_size`), into `worker`. Only reads the
+    /// model, so any number of workers may run it concurrently.
+    pub fn bag_forward_backward(
+        &self,
         bag: &PreparedBag,
         ctx: &BagContext,
         scale: f32,
         rng: &mut TensorRng,
+        worker: &mut ShardWorker,
     ) -> f32 {
-        // Split borrows: the tape reads `store` (a precise field loan),
-        // backward writes `grads`. The arena moves into the tape and comes
-        // back from `backward_scaled`, recycled for the next step.
-        let arena = std::mem::take(&mut self.arena);
-        let store = &self.store;
-        let mut tape = Tape::with_pool(store, arena);
+        // The arena moves into the tape and comes back from
+        // `backward_scaled`, recycled for the next step.
+        let mut tape = Tape::with_pool(&self.store, std::mem::take(&mut worker.arena));
 
         let xs = self.bag_matrix(&mut tape, bag, true, rng);
         let bag_vec = match &self.att {
@@ -423,13 +458,36 @@ impl ReModel {
             }
         };
         let loss_val = tape.value(loss).data()[0];
-        self.arena = tape.backward_scaled(loss, scale, &mut self.grads);
+        worker.arena = tape.backward_scaled(loss, scale, &mut worker.grads);
         loss_val
     }
 
-    /// Allocator-pressure counters of the model's training arena.
+    /// [`ReModel::bag_forward_backward`] into the model's own arena and
+    /// [`ReModel::grads`].
+    pub fn bag_loss_and_backward(
+        &mut self,
+        bag: &PreparedBag,
+        ctx: &BagContext,
+        scale: f32,
+        rng: &mut TensorRng,
+    ) -> f32 {
+        let mut own = ShardWorker {
+            arena: std::mem::take(&mut self.arena),
+            grads: std::mem::take(&mut self.grads),
+        };
+        let loss = self.bag_forward_backward(bag, ctx, scale, rng, &mut own);
+        (self.arena, self.grads) = (own.arena, own.grads);
+        loss
+    }
+
+    /// Allocator-pressure counters of the model's training arenas: its own
+    /// plus every shard worker's.
     pub fn arena_stats(&self) -> PoolStats {
-        self.arena.stats()
+        let mut stats = self.arena.stats();
+        for w in &self.workers {
+            stats.merge(&w.arena_stats());
+        }
+        stats
     }
 
     /// Loads pretrained word embeddings (e.g. skip-gram vectors from
@@ -625,18 +683,6 @@ impl ReModel {
     /// bit-identical across `--threads`). Used to export the training-bag
     /// matrix the ANN index is built over.
     pub fn predict_repr_batch(&self, bags: &[&PreparedBag]) -> Vec<Vec<f32>> {
-        if imre_tensor::pool::current_threads() <= 1 || bags.len() <= 1 {
-            let mut tape = Tape::inference(&self.store);
-            return bags
-                .iter()
-                .map(|bag| {
-                    tape.reset();
-                    let mut out = vec![0.0; self.sent_dim()];
-                    self.predict_repr_into(&mut tape, bag, &mut out);
-                    out
-                })
-                .collect();
-        }
         imre_tensor::pool::par_map(bags.len(), |i| {
             bufpool::with_local(|stash| {
                 let mut tape = Tape::inference_with_pool(&self.store, std::mem::take(stash));

@@ -1,23 +1,42 @@
 //! The bag-level training loop (SGD, mini-batched, lr decay, grad clipping).
 //!
-//! Two RNG disciplines coexist here:
+//! **One fan-out.** A mini-batch is always trained the same way: it is cut
+//! into shards, [`accumulate_shards`] runs every shard's forward/backward
+//! on its own [`ShardWorker`] (tape arena + compact gradient store) against
+//! the one shared `&ReModel`, in parallel on the `imre-tensor` pool, the
+//! shard stores are summed into the model's gradients in a fixed order, and
+//! one optimizer step follows. [`train_epoch`] and `imre-dist`'s
+//! `DataParallel` are the two callers and differ only in how they cut and
+//! seed:
 //!
-//! * [`train_model`] — the original serial loop — threads **one** sequential
-//!   RNG through shuffling and dropout, exactly as it always has, so every
-//!   artifact trained by earlier releases reproduces byte-for-byte.
+//! * [`train_epoch`] cuts [`TRAIN_SHARDS`] contiguous shards — a function
+//!   of the batch length only, never of the pool width — and gives every
+//!   bag its own dropout stream, seeded by one `rng.u64()` drawn in batch
+//!   order before the fan-out. What it computes is therefore a pure
+//!   function of `(seed, batch composition)`: bit-identical at any
+//!   `--threads`, run to run and scalar vs vector; `IMRE_THREADS=1` runs
+//!   the same shards inline. [`train_model`] threads one sequential RNG
+//!   through shuffling and those per-bag draws.
 //! * The replica-aware primitives ([`epoch_order`], [`bag_step_rng`],
-//!   [`replica_shard`], [`accumulate_shard`]) **derive** an independent
-//!   stream per `(seed, epoch)` and per `(seed, epoch, bag)` instead. A
-//!   bag's dropout noise then depends only on its identity and the epoch —
-//!   never on which replica processed it, in what order, or on how many
-//!   other bags came before it — which is what lets `imre-dist` shard a
-//!   mini-batch across replicas and still train deterministically (and lets
-//!   a checkpoint resume mid-run bit-identically: every stream is a pure
-//!   function of the epoch index).
+//!   [`replica_shard`]) **derive** an independent stream per `(seed,
+//!   epoch)` and per `(seed, epoch, bag)` instead. A bag's dropout noise
+//!   then depends only on its identity and the epoch — never on which
+//!   replica processed it, in what order, or on how many other bags came
+//!   before it — which is what lets `imre-dist` resume a checkpoint mid-run
+//!   bit-identically: every stream is a pure function of the epoch index.
 
-use crate::model::{BagContext, PreparedBag, ReModel};
+use crate::model::{BagContext, PreparedBag, ReModel, ShardWorker};
 use imre_nn::Sgd;
+use imre_tensor::pool::par_map;
 use imre_tensor::{mix64, TensorRng};
+use std::sync::Mutex;
+
+/// How many contiguous shards [`train_epoch`] cuts a mini-batch into. A
+/// constant, not the pool width: the shard boundaries fix the order in
+/// which the dense parameters' gradients are summed, so they must not move
+/// with the machine. Eight keeps two to four cores busy with shards small
+/// enough to balance (a batch of 160 is 8 × 20 bags).
+pub const TRAIN_SHARDS: usize = 8;
 
 /// Training-loop configuration.
 #[derive(Debug, Clone)]
@@ -98,14 +117,13 @@ pub fn train_model(
     TrainStats { epoch_losses }
 }
 
-/// One serial epoch over `order`: per mini-batch, accumulate batch-mean
-/// gradients and take one optimizer step. Returns the summed loss.
+/// One epoch over `order`: per mini-batch, fan the bags out over
+/// [`TRAIN_SHARDS`] contiguous shards, sum the shard gradients (batch mean)
+/// into `model.grads` in shard order and take one optimizer step. Returns
+/// the summed loss.
 ///
-/// This is the `replicas = 1` degenerate case of data-parallel training;
-/// `imre-dist` runs the same batch structure but shards each batch across
-/// replicas with [`replica_shard`] and combines gradients before the single
-/// optimizer step. [`train_model`] calls this with its sequentially-threaded
-/// RNG (byte-stable with earlier releases).
+/// `rng` is drawn once per bag, in batch order, before the fan-out; each
+/// draw seeds that bag's dropout stream.
 pub fn train_epoch(
     model: &mut ReModel,
     bags: &[PreparedBag],
@@ -117,13 +135,94 @@ pub fn train_epoch(
 ) -> f64 {
     let mut epoch_loss = 0.0f64;
     for batch in order.chunks(batch_size.max(1)) {
-        let scale = 1.0 / batch.len() as f32;
-        for &bi in batch {
-            epoch_loss += model.bag_loss_and_backward(&bags[bi], ctx, scale, rng) as f64;
-        }
+        epoch_loss += accumulate_batch(model, bags, ctx, batch, rng);
         sgd.step(&mut model.store, &mut model.grads);
     }
     epoch_loss
+}
+
+/// The fan-out and reduce of one mini-batch: adds its batch-mean gradient
+/// to `model.grads` and returns its summed loss.
+fn accumulate_batch(
+    model: &mut ReModel,
+    bags: &[PreparedBag],
+    ctx: &BagContext,
+    batch: &[usize],
+    rng: &mut TensorRng,
+) -> f64 {
+    let scale = 1.0 / batch.len() as f32;
+    let streams: Vec<u64> = batch.iter().map(|_| rng.u64()).collect();
+    let per_shard = batch.len().div_ceil(TRAIN_SHARDS);
+    let shards: Vec<&[usize]> = batch.chunks(per_shard).collect();
+
+    let mut workers = std::mem::take(&mut model.workers);
+    while workers.len() < shards.len() {
+        workers.push(ShardWorker::new(model));
+    }
+    let used = &mut workers[..shards.len()];
+    let losses = accumulate_shards(model, used, bags, ctx, &shards, scale, |s, k| {
+        TensorRng::seed(streams[s * per_shard + k])
+    });
+    for w in used {
+        model.grads.add_from(w.grads_mut());
+        w.grads_mut().zero();
+    }
+    model.workers = workers;
+    losses.iter().sum()
+}
+
+/// The fan-out: forward/backward of `shards[s]` on `workers[s]`, all shards
+/// in parallel on the current pool against the shared `model`; returns the
+/// summed loss of each shard. Bag `shards[s][k]` draws its dropout noise
+/// from `stream(s, k)`. No optimizer step and no reduce — the caller
+/// combines the workers' stores in whatever fixed order its contract names.
+/// Which thread runs which shard cannot change a bit of any store.
+///
+/// # Panics
+/// If there are fewer workers than shards.
+pub fn accumulate_shards(
+    model: &ReModel,
+    workers: &mut [ShardWorker],
+    bags: &[PreparedBag],
+    ctx: &BagContext,
+    shards: &[&[usize]],
+    scale: f32,
+    stream: impl Fn(usize, usize) -> TensorRng + Sync,
+) -> Vec<f64> {
+    assert!(
+        workers.len() >= shards.len(),
+        "accumulate_shards: {} workers for {} shards",
+        workers.len(),
+        shards.len()
+    );
+    // One uncontended lock per shard hands task `s` its `&mut` worker.
+    let workers: Vec<Mutex<&mut ShardWorker>> = workers.iter_mut().map(Mutex::new).collect();
+    par_map(shards.len(), |s| {
+        let mut worker = workers[s].lock().expect("one task per shard worker");
+        accumulate_shard(model, &mut worker, bags, ctx, shards[s], scale, |k| {
+            stream(s, k)
+        })
+    })
+}
+
+/// Forward/backward over one shard of a mini-batch: accumulates
+/// `scale`-weighted gradients for every listed bag into `worker`, bag
+/// `shard[k]` under the dropout stream `stream(k)`. Returns the summed loss.
+fn accumulate_shard(
+    model: &ReModel,
+    worker: &mut ShardWorker,
+    bags: &[PreparedBag],
+    ctx: &BagContext,
+    shard: &[usize],
+    scale: f32,
+    stream: impl Fn(usize) -> TensorRng,
+) -> f64 {
+    let mut loss = 0.0f64;
+    for (k, &bi) in shard.iter().enumerate() {
+        let mut rng = stream(k);
+        loss += model.bag_forward_backward(&bags[bi], ctx, scale, &mut rng, worker) as f64;
+    }
+    loss
 }
 
 // ----------------------------------------------------------------------
@@ -161,28 +260,6 @@ pub fn replica_shard(batch: &[usize], replica: usize, replicas: usize) -> Vec<us
         .step_by(replicas.max(1))
         .copied()
         .collect()
-}
-
-/// Forward/backward over one replica's shard of a mini-batch: accumulates
-/// `scale`-weighted gradients for every listed bag into `model.grads`
-/// (no optimizer step — the engine combines shards first). Returns the
-/// summed loss. Dropout noise comes from [`bag_step_rng`], so the result is
-/// independent of how the batch was sharded.
-pub fn accumulate_shard(
-    model: &mut ReModel,
-    bags: &[PreparedBag],
-    ctx: &BagContext,
-    shard: &[usize],
-    scale: f32,
-    seed: u64,
-    epoch: usize,
-) -> f64 {
-    let mut loss = 0.0f64;
-    for &bi in shard {
-        let mut rng = bag_step_rng(seed, epoch, bi);
-        loss += model.bag_loss_and_backward(&bags[bi], ctx, scale, &mut rng) as f64;
-    }
-    loss
 }
 
 #[cfg(test)]
@@ -340,13 +417,10 @@ mod tests {
 
     #[test]
     fn accumulate_shard_is_sharding_invariant() {
-        // The combined gradient of a batch must not depend on how it was
-        // split across replicas (up to FP summation order — compare the
-        // single-shard accumulation against itself via a different split
-        // but identical per-bag order, which keeps even the FP order equal:
-        // one replica visiting [0,1,2,3] vs the same model visiting the
-        // two shards [0,2] then [1,3] sums per-parameter in a different
-        // order, so here we only pin the per-bag losses).
+        // A bag's loss depends on its stream, not on which shard visits it:
+        // the whole batch as one shard and as three strided shards must
+        // report the same total (the gradients sum in a different order, so
+        // only the losses are pinned here).
         let ds = tiny_dataset();
         let hp = HyperParams::tiny();
         let bags = prepare_bags(&ds.train, &hp);
@@ -356,35 +430,124 @@ mod tests {
             entity_types: &types,
         };
         let batch: Vec<usize> = (0..bags.len().min(6)).collect();
-        let build = || {
-            ReModel::new(
-                ModelSpec::pcnn_att(),
-                &hp,
-                ds.vocab.len(),
-                ds.num_relations(),
-                38,
-                8,
-                11,
-            )
+        let model = ReModel::new(
+            ModelSpec::pcnn_att(),
+            &hp,
+            ds.vocab.len(),
+            ds.num_relations(),
+            38,
+            8,
+            11,
+        );
+        let total = |shards: &[Vec<usize>]| {
+            let mut workers: Vec<ShardWorker> =
+                shards.iter().map(|_| ShardWorker::new(&model)).collect();
+            let shards: Vec<&[usize]> = shards.iter().map(Vec::as_slice).collect();
+            accumulate_shards(&model, &mut workers, &bags, &ctx, &shards, 1.0, |s, k| {
+                bag_step_rng(5, 0, shards[s][k])
+            })
+            .iter()
+            .sum::<f64>()
         };
-        let mut m1 = build();
-        let whole = accumulate_shard(&mut m1, &bags, &ctx, &batch, 1.0, 5, 0);
-        let mut m2 = build();
-        let mut split = 0.0;
-        for r in 0..3 {
-            split += accumulate_shard(
-                &mut m2,
-                &bags,
-                &ctx,
-                &replica_shard(&batch, r, 3),
-                1.0,
-                5,
-                0,
-            );
-        }
+        let whole = total(std::slice::from_ref(&batch));
+        let strided: Vec<Vec<usize>> = (0..3).map(|r| replica_shard(&batch, r, 3)).collect();
+        let split = total(&strided);
         assert!(
             (whole - split).abs() < 1e-4 * whole.abs().max(1.0),
             "sharded loss {split} drifted from whole-batch loss {whole}"
+        );
+    }
+
+    /// A PA-TMR model over the `testutil` toy world and `n` of its bags.
+    fn toy_problem(hp: &HyperParams, n: usize) -> (ReModel, Vec<PreparedBag>) {
+        use crate::testutil::{random_bag, VOCAB};
+        let model = ReModel::new(ModelSpec::pa_tmr(), hp, VOCAB, 7, 5, hp.entity_dim, 7);
+        let bags = (0..n)
+            .map(|i| random_bag(1 + i % 4, 12, hp, i % 7, 90 + i as u64))
+            .collect();
+        (model, bags)
+    }
+
+    #[test]
+    fn fan_out_matches_the_serial_oracle() {
+        // Oracle: the same bags under the same per-bag streams, one after
+        // the other into one dense store. The fan-out sums the dense
+        // parameters shard-wise, so agreement is to rounding, not bits.
+        use crate::testutil::{toy_embedding, toy_types};
+        let hp = HyperParams::tiny();
+        let (emb, types) = (toy_embedding(hp.entity_dim), toy_types());
+        let ctx = BagContext {
+            entity_embedding: Some(&emb),
+            entity_types: &types,
+        };
+        for n in [1usize, 7, 8, 9, 21] {
+            let (mut fanned, bags) = toy_problem(&hp, n);
+            let (mut serial, _) = toy_problem(&hp, n);
+            let batch: Vec<usize> = (0..n).rev().collect();
+
+            let loss = accumulate_batch(&mut fanned, &bags, &ctx, &batch, &mut TensorRng::seed(3));
+            let mut rng = TensorRng::seed(3);
+            let streams: Vec<u64> = batch.iter().map(|_| rng.u64()).collect();
+            let mut want = 0.0f64;
+            for (&bi, &stream) in batch.iter().zip(&streams) {
+                let mut rng = TensorRng::seed(stream);
+                want +=
+                    serial.bag_loss_and_backward(&bags[bi], &ctx, 1.0 / n as f32, &mut rng) as f64;
+            }
+
+            assert!(
+                (loss - want).abs() <= 1e-6 * want.abs().max(1.0),
+                "n={n}: loss {loss} vs serial {want}"
+            );
+            for (id, name, _) in serial.store.iter() {
+                let (got, want) = (fanned.grads.get(id).data(), serial.grads.get(id).data());
+                let tol = 1e-6 * want.iter().fold(1.0f32, |m, x| m.max(x.abs()));
+                for (g, w) in got.iter().zip(want) {
+                    assert!((g - w).abs() <= tol, "n={n} {name}: {g} vs {w} (tol {tol})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shard_arenas_are_warm_after_the_first_step() {
+        use crate::testutil::{toy_embedding, toy_types};
+        let hp = HyperParams::tiny();
+        let (emb, types) = (toy_embedding(hp.entity_dim), toy_types());
+        let ctx = BagContext {
+            entity_embedding: Some(&emb),
+            entity_types: &types,
+        };
+        let (mut model, bags) = toy_problem(&hp, 21);
+        let order: Vec<usize> = (0..bags.len()).collect();
+        let mut sgd = Sgd::new(0.1).with_clip_norm(5.0);
+        let mut step = |model: &mut ReModel| {
+            train_epoch(
+                model,
+                &bags,
+                &ctx,
+                &order,
+                21,
+                &mut sgd,
+                &mut TensorRng::seed(4),
+            )
+        };
+        step(&mut model);
+        assert_eq!(model.workers.len(), 7, "21 bags are 7 shards of 3");
+        let cold: Vec<_> = model.workers.iter().map(ShardWorker::arena_stats).collect();
+        let whole_before = model.arena_stats();
+        step(&mut model);
+        let mut merged = imre_tensor::PoolStats::default();
+        for (w, before) in model.workers.iter().zip(&cold) {
+            let second = w.arena_stats().since(before);
+            assert!(second.hits > 0, "every worker took part");
+            assert_eq!(second.misses, 0, "a warm worker allocated tensor buffers");
+            merged.merge(&second);
+        }
+        assert_eq!(
+            model.arena_stats().since(&whole_before),
+            merged,
+            "ReModel::arena_stats covers the workers"
         );
     }
 

@@ -13,12 +13,7 @@
 
 use imre_nn::GradStore;
 use imre_tensor::pool::par_map;
-
-/// Raw-pointer wrapper so a round's disjoint pair reductions can run on the
-/// pool (same pattern as `imre-tensor`'s kernel fan-out).
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
+use std::sync::Mutex;
 
 /// Reduces every store into `grads[0]` by fixed-order binary tree.
 ///
@@ -34,23 +29,18 @@ pub fn tree_all_reduce(grads: &mut [&mut GradStore]) {
     let n = grads.len();
     let mut stride = 1;
     while stride < n {
-        let pairs: Vec<(usize, usize)> = (0..n)
-            .step_by(2 * stride)
-            .filter(|k| k + stride < n)
-            .map(|k| (k, k + stride))
+        // A block of `2·stride` stores holds one pair: its first store and
+        // the one `stride` further on (absent from a short tail block).
+        // Blocks are disjoint, so each task locks a block of its own.
+        let pairs: Vec<Mutex<&mut [&mut GradStore]>> = grads
+            .chunks_mut(2 * stride)
+            .filter(|block| block.len() > stride)
+            .map(Mutex::new)
             .collect();
-        let base = SendPtr(grads.as_mut_ptr());
-        let base = &base;
         par_map(pairs.len(), |p| {
-            let (dst, src) = pairs[p];
-            // SAFETY: within a round every pair is disjoint (dst indices are
-            // multiples of 2·stride, src = dst + stride), so each task has
-            // exclusive access to its two slots.
-            unsafe {
-                let d: &mut GradStore = &mut *base.0.add(dst);
-                let s: &GradStore = &*base.0.add(src);
-                d.add_from(s);
-            }
+            let mut block = pairs[p].lock().expect("one task per pair");
+            let (dst, src) = block.split_at_mut(stride);
+            dst[0].add_from(src[0]);
         });
         stride *= 2;
     }

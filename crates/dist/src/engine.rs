@@ -1,22 +1,24 @@
 //! The data-parallel training engine.
 //!
-//! [`DataParallel`] owns R structurally identical [`ReModel`] replicas
-//! (replica 0 is the *primary*). Each optimizer step:
+//! [`DataParallel`] owns **one** [`ReModel`] and R [`ShardWorker`]s — a
+//! "replica" is a tape arena and a compact gradient store, not a copy of
+//! the parameters. Each optimizer step:
 //!
 //! 1. **Shard** — the mini-batch is split by `imre_core::replica_shard`
 //!    (strided, a pure function of the replica index);
-//! 2. **Fan out** — replicas run forward/backward concurrently on the
-//!    `imre-tensor` thread pool, each accumulating into its own `GradStore`
-//!    with dropout drawn from `bag_step_rng(seed, epoch, bag)` so a bag's
-//!    gradient is independent of which replica computed it;
-//! 3. **Reduce** — gradients combine via the fixed-order tree all-reduce
-//!    into the primary;
+//! 2. **Fan out** — `imre_core::accumulate_shards`, the fan-out
+//!    `train_epoch` uses, runs the replicas' forward/backward concurrently
+//!    on the `imre-tensor` thread pool against the shared parameters, each
+//!    accumulating into its own `GradStore` with dropout drawn from
+//!    `bag_step_rng(seed, epoch, bag)` so a bag's gradient is independent
+//!    of which replica computed it;
+//! 3. **Reduce** — the replica stores combine via the fixed-order tree
+//!    all-reduce into replica 0, which is added to the model's gradients;
 //! 4. **Clip + step** — global-norm clipping applies **once** to the
-//!    combined gradient, then the optimizer steps the primary exactly once
+//!    combined gradient, then the optimizer steps the model exactly once
 //!    (Adam's bias-correction clock advances once per step, regardless of
-//!    R);
-//! 5. **Broadcast** — updated parameters are memcpy'd back to every
-//!    replica.
+//!    R). There is nothing to broadcast: every replica reads the stepped
+//!    parameters in place.
 //!
 //! Determinism contract: for a fixed `(seed, replicas)` configuration the
 //! trained parameters are byte-identical across runs and across thread-pool
@@ -26,10 +28,10 @@
 use crate::allreduce::tree_all_reduce;
 use crate::checkpoint::{save_checkpoint, Checkpoint, OptState};
 use imre_core::{
-    accumulate_shard, epoch_order, replica_shard, BagContext, PreparedBag, ReModel, TrainConfig,
+    accumulate_shards, bag_step_rng, epoch_order, replica_shard, BagContext, PreparedBag, ReModel,
+    ShardWorker, TrainConfig,
 };
 use imre_nn::{Adam, GradStore, Sgd};
-use imre_tensor::pool::par_map;
 use imre_tensor::PoolStats;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -89,50 +91,33 @@ impl DistStats {
     }
 }
 
-/// Raw-pointer wrapper for the disjoint per-replica fan-out.
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-/// R model replicas plus the single optimizer that steps the primary.
+/// The model, its R replica workers and the single optimizer that steps it.
 pub struct DataParallel {
-    models: Vec<ReModel>,
+    model: ReModel,
+    replicas: Vec<ShardWorker>,
     opt: Optimizer,
 }
 
 impl DataParallel {
-    /// Wraps `primary` in an R-replica engine. Replicas 1..R are rebuilt
-    /// from the primary's architecture and receive a copy of its current
-    /// parameter values.
+    /// Wraps `model` in an R-replica engine.
     ///
     /// # Panics
     /// If `replicas` is 0.
-    pub fn new(primary: ReModel, replicas: usize, kind: OptimizerKind, lr: f32) -> Self {
+    pub fn new(model: ReModel, replicas: usize, kind: OptimizerKind, lr: f32) -> Self {
         assert!(
             replicas >= 1,
             "DataParallel::new: need at least one replica"
         );
         let opt = match kind {
             OptimizerKind::Sgd => Optimizer::Sgd(Sgd::new(lr)),
-            OptimizerKind::Adam => Optimizer::Adam(Adam::new(lr, &primary.store)),
+            OptimizerKind::Adam => Optimizer::Adam(Adam::new(lr, &model.store)),
         };
-        let mut models = Vec::with_capacity(replicas);
-        models.push(primary);
-        for r in 1..replicas {
-            let p = &models[0];
-            let mut m = ReModel::new(
-                p.spec,
-                &p.hp,
-                p.vocab_size(),
-                p.num_relations(),
-                p.num_types(),
-                p.entity_dim(),
-                r as u64,
-            );
-            m.store.copy_values_from(&p.store);
-            models.push(m);
+        let replicas = (0..replicas).map(|_| ShardWorker::new(&model)).collect();
+        DataParallel {
+            model,
+            replicas,
+            opt,
         }
-        DataParallel { models, opt }
     }
 
     /// Rebuilds an engine from a loaded [`Checkpoint`]. Returns the engine
@@ -158,19 +143,19 @@ impl DataParallel {
         (engine, next_epoch)
     }
 
-    /// The primary replica (source of truth for parameters).
+    /// The model being trained.
     pub fn primary(&self) -> &ReModel {
-        &self.models[0]
+        &self.model
     }
 
-    /// Consumes the engine, returning the trained primary model.
-    pub fn into_model(mut self) -> ReModel {
-        self.models.swap_remove(0)
+    /// Consumes the engine, returning the trained model.
+    pub fn into_model(self) -> ReModel {
+        self.model
     }
 
     /// Number of replicas.
     pub fn replicas(&self) -> usize {
-        self.models.len()
+        self.replicas.len()
     }
 
     /// Adam's step clock, if the engine runs Adam (for the once-per-step
@@ -227,8 +212,8 @@ impl DataParallel {
                 Optimizer::Adam(a) => a.lr = config.lr,
             }
         }
-        let r = self.models.len();
-        let pool_before: Vec<PoolStats> = self.models.iter().map(|m| m.arena_stats()).collect();
+        let r = self.replicas.len();
+        let pool_before: Vec<PoolStats> = self.replicas.iter().map(|w| w.arena_stats()).collect();
         let mut stats = DistStats::default();
         let run_start = Instant::now();
         let mut bags_done = 0u64;
@@ -242,44 +227,47 @@ impl DataParallel {
             for batch in order.chunks(config.batch_size.max(1)) {
                 let scale = 1.0 / batch.len() as f32;
                 let shards: Vec<Vec<usize>> = (0..r).map(|i| replica_shard(batch, i, r)).collect();
+                let shards: Vec<&[usize]> = shards.iter().map(Vec::as_slice).collect();
 
                 // Fan out: each replica accumulates its shard's gradients.
-                let base = SendPtr(self.models.as_mut_ptr());
-                let base = &base;
-                let losses: Vec<f64> = par_map(r, |i| {
-                    // SAFETY: each task takes exclusive access to replica i.
-                    let model = unsafe { &mut *base.0.add(i) };
-                    accumulate_shard(model, bags, ctx, &shards[i], scale, config.seed, epoch)
-                });
+                let model = &mut self.model;
+                let losses = accumulate_shards(
+                    model,
+                    &mut self.replicas,
+                    bags,
+                    ctx,
+                    &shards,
+                    scale,
+                    |i, k| bag_step_rng(config.seed, epoch, shards[i][k]),
+                );
                 epoch_loss += losses.iter().sum::<f64>();
                 bags_done += batch.len() as u64;
 
-                // Reduce into the primary, fixed tree order.
+                // Reduce into replica 0, fixed tree order, and from there
+                // into the model's (zeroed) gradients.
                 let t0 = Instant::now();
                 let mut grads: Vec<&mut GradStore> =
-                    self.models.iter_mut().map(|m| &mut m.grads).collect();
+                    self.replicas.iter_mut().map(|w| w.grads_mut()).collect();
                 tree_all_reduce(&mut grads);
+                model.grads.add_from(grads[0]);
                 reduce_ns += t0.elapsed().as_nanos() as u64;
 
                 // Clip once on the combined gradient, then one optimizer
-                // step on the primary.
-                let (primary, rest) = self.models.split_first_mut().expect("replicas >= 1");
+                // step.
                 if config.clip_norm > 0.0 {
-                    let n = primary.grads.global_norm();
+                    let n = model.grads.global_norm();
                     if n > config.clip_norm {
-                        primary.grads.scale(config.clip_norm / n);
+                        model.grads.scale(config.clip_norm / n);
                     }
                 }
                 match &mut self.opt {
-                    Optimizer::Sgd(s) => s.step(&mut primary.store, &mut primary.grads),
-                    Optimizer::Adam(a) => a.step(&mut primary.store, &mut primary.grads),
+                    Optimizer::Sgd(s) => s.step(&mut model.store, &mut model.grads),
+                    Optimizer::Adam(a) => a.step(&mut model.store, &mut model.grads),
                 }
 
-                // Broadcast updated parameters; clear the partial sums the
-                // tree left in non-primary stores.
-                for m in rest.iter_mut() {
-                    m.store.copy_values_from(&primary.store);
-                    m.grads.zero();
+                // Clear the partial sums the tree left in the replicas.
+                for g in grads {
+                    g.zero();
                 }
             }
 
@@ -298,7 +286,7 @@ impl DataParallel {
             if let Some(c) = ckpt {
                 if c.every > 0 && (epoch + 1) % c.every == 0 {
                     let state = self.opt_state();
-                    save_checkpoint(&self.models[0], epoch + 1, &state, &c.path)
+                    save_checkpoint(&self.model, epoch + 1, &state, &c.path)
                         .expect("checkpoint write failed");
                 }
             }
@@ -310,8 +298,8 @@ impl DataParallel {
         } else {
             0.0
         };
-        for (m, before) in self.models.iter().zip(&pool_before) {
-            stats.pool.merge(&m.arena_stats().since(before));
+        for (w, before) in self.replicas.iter().zip(&pool_before) {
+            stats.pool.merge(&w.arena_stats().since(before));
         }
         stats
     }

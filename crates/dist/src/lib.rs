@@ -5,7 +5,8 @@
 //! per-model buffer arenas (PR 4):
 //!
 //! * [`engine`] — [`DataParallel`]: shards each bag mini-batch across R
-//!   model replicas, runs forward/backward concurrently, combines
+//!   replica workers of one shared model (the fan-out `train_epoch` uses),
+//!   runs forward/backward concurrently, combines
 //!   gradients with a fixed-order tree all-reduce, and clips + steps the
 //!   optimizer exactly once on the combined gradient. A fixed
 //!   `(seed, replicas)` configuration trains to byte-identical parameters

@@ -4,31 +4,22 @@
 use crate::param::{GradStore, ParamStore};
 use imre_tensor::Tensor;
 
-/// Stochastic gradient descent with optional weight decay, gradient clipping
-/// and multiplicative learning-rate decay.
+/// Stochastic gradient descent with optional gradient clipping and
+/// multiplicative learning-rate decay.
 pub struct Sgd {
     /// Current learning rate.
     pub lr: f32,
-    /// L2 weight-decay coefficient (0 disables).
-    pub weight_decay: f32,
     /// Global-norm clip threshold (`None` disables).
     pub clip_norm: Option<f32>,
 }
 
 impl Sgd {
-    /// SGD with the given learning rate, no decay, no clipping.
+    /// SGD with the given learning rate, no clipping.
     pub fn new(lr: f32) -> Self {
         Sgd {
             lr,
-            weight_decay: 0.0,
             clip_norm: None,
         }
-    }
-
-    /// Builder: sets L2 weight decay.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
     }
 
     /// Builder: sets global-norm gradient clipping.
@@ -37,7 +28,9 @@ impl Sgd {
         self
     }
 
-    /// Applies one update: `θ ← θ − lr · (g + wd·θ)`, then zeroes the grads.
+    /// Applies one update, `θ ← θ − lr · g`, then zeroes the grads. Only
+    /// the rows `grads` recorded as written are visited (the rest of `g` is
+    /// exactly zero), so the step costs what the mini-batch touched.
     pub fn step(&self, params: &mut ParamStore, grads: &mut GradStore) {
         if let Some(c) = self.clip_norm {
             let n = grads.global_norm();
@@ -47,11 +40,10 @@ impl Sgd {
         }
         for i in 0..params.len() {
             let id = crate::param::ParamId(i);
-            if self.weight_decay > 0.0 {
-                let decay: Tensor = params.get(id).scale(self.weight_decay);
-                grads.get_mut(id).add_assign(&decay);
-            }
-            params.get_mut(id).axpy(-self.lr, grads.get(id));
+            let p = params.get_mut(id).data_mut();
+            grads.for_each_span(id, |at, g| {
+                imre_tensor::axpy(&mut p[at..at + g.len()], -self.lr, g)
+            });
         }
         grads.zero();
     }
@@ -194,16 +186,6 @@ mod tests {
             sgd.step(&mut params, &mut grads);
         }
         assert!(params.get(id).norm_l2() < 0.01);
-    }
-
-    #[test]
-    fn sgd_weight_decay_shrinks_params() {
-        let mut params = ParamStore::new();
-        let id = params.register("x", Tensor::from_vec(vec![1.0], &[1]));
-        let mut grads = GradStore::zeros_like(&params);
-        let sgd = Sgd::new(0.1).with_weight_decay(0.5);
-        sgd.step(&mut params, &mut grads); // zero grad, only decay applies
-        assert!((params.get(id).data()[0] - 0.95).abs() < 1e-6);
     }
 
     #[test]

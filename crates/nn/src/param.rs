@@ -6,6 +6,8 @@
 //! both and the grad store is zeroed between steps.
 
 use imre_tensor::{Tensor, TensorRng};
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Handle to a parameter registered in a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,31 +100,6 @@ impl ParamStore {
         self.tensors[id.0] = value;
     }
 
-    /// Copies every parameter value from `other` into this store — the
-    /// broadcast half of data-parallel training: after the optimizer steps
-    /// the primary replica, the updated values are memcpy'd into every
-    /// other replica's store. Both stores must have been built by the same
-    /// architecture (same registration order, names, and shapes).
-    ///
-    /// # Panics
-    /// If the stores differ in parameter count or any tensor shape.
-    pub fn copy_values_from(&mut self, other: &ParamStore) {
-        assert_eq!(
-            self.tensors.len(),
-            other.tensors.len(),
-            "ParamStore::copy_values_from: parameter count mismatch"
-        );
-        for (i, (dst, src)) in self.tensors.iter_mut().zip(&other.tensors).enumerate() {
-            assert_eq!(
-                dst.shape(),
-                src.shape(),
-                "ParamStore::copy_values_from: shape mismatch for {:?}",
-                self.names[i]
-            );
-            dst.data_mut().copy_from_slice(src.data());
-        }
-    }
-
     /// The registered name of a parameter.
     pub fn name(&self, id: ParamId) -> &str {
         &self.names[id.0]
@@ -158,44 +135,320 @@ impl ParamStore {
     }
 }
 
-/// Gradient buffers mirroring a [`ParamStore`].
+/// The indices of the set bits of a bitset, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
+
+/// A parameter-shaped tensor of zeros allocated at first use: a model that
+/// is only served never pays for its gradient buffers, and a store's
+/// never-written parameters cost nothing.
+struct LazyZeros {
+    shape: Vec<usize>,
+    cell: OnceLock<Tensor>,
+}
+
+impl LazyZeros {
+    fn get(&self) -> &Tensor {
+        self.cell.get_or_init(|| Tensor::zeros(&self.shape))
+    }
+
+    fn get_mut(&mut self) -> &mut Tensor {
+        self.get();
+        self.cell.get_mut().expect("initialised on the line above")
+    }
+}
+
+/// One parameter's gradient inside a [`GradStore`].
+enum Grad {
+    /// A parameter-shaped buffer — what [`GradStore::get`] hands out.
+    /// While `dense` is false every row outside `rows` is exactly zero, so
+    /// sweeps may skip it.
+    Full {
+        tensor: LazyZeros,
+        /// A write came through [`GradStore::accumulate`] or
+        /// [`GradStore::get_mut`] since the last zero: any element may be
+        /// non-zero.
+        dense: bool,
+        /// Bit `r` set ⇔ row `r` was written by
+        /// [`GradStore::scatter_add_rows`] since the last zero (one bit per
+        /// row of a rank-2 parameter; empty for other ranks).
+        rows: Vec<u64>,
+    },
+    /// Only the written rows of a rank-2 parameter are held: `slots[&r]` is
+    /// the index of row `r`'s `shape[1]` scalars in `data`. The form a
+    /// shard worker's store keeps an embedding table in.
+    Compact {
+        shape: [usize; 2],
+        slots: BTreeMap<usize, usize>,
+        data: Vec<f32>,
+    },
+}
+
+impl Grad {
+    fn full(shape: &[usize]) -> Grad {
+        let rows = if shape.len() == 2 { shape[0] } else { 0 };
+        Grad::Full {
+            tensor: LazyZeros {
+                shape: shape.to_vec(),
+                cell: OnceLock::new(),
+            },
+            dense: false,
+            rows: vec![0; rows.div_ceil(64)],
+        }
+    }
+
+    /// Adds `src` into row `row` and records the row as written.
+    fn add_row(&mut self, row: usize, src: &[f32]) {
+        let (rows, cols) = match self {
+            Grad::Full { tensor, .. } => match tensor.shape[..] {
+                [rows, cols] => (rows, cols),
+                _ => panic!("GradStore: rows of a rank-{} gradient", tensor.shape.len()),
+            },
+            Grad::Compact { shape, .. } => (shape[0], shape[1]),
+        };
+        assert!(
+            row < rows,
+            "GradStore: row {row} out of bounds for {rows} rows"
+        );
+        assert_eq!(
+            src.len(),
+            cols,
+            "GradStore: update width {} vs table width {cols}",
+            src.len()
+        );
+        let dst = match self {
+            Grad::Full { tensor, rows, .. } => {
+                rows[row / 64] |= 1 << (row % 64);
+                tensor.get_mut().row_mut(row)
+            }
+            Grad::Compact { slots, data, .. } => {
+                let next = slots.len();
+                let slot = *slots.entry(row).or_insert_with(|| {
+                    data.resize(data.len() + cols, 0.0);
+                    next
+                });
+                &mut data[slot * cols..(slot + 1) * cols]
+            }
+        };
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d += s;
+        }
+    }
+
+    /// Calls `f(row, values)` for every written row, in ascending row
+    /// order. Must not be called on a dense buffer (its row set is stale).
+    fn for_each_row(&self, mut f: impl FnMut(usize, &[f32])) {
+        match self {
+            Grad::Full { tensor, rows, .. } => {
+                for row in set_bits(rows) {
+                    f(row, tensor.get().row(row));
+                }
+            }
+            Grad::Compact { shape, slots, data } => {
+                let cols = shape[1];
+                for (&row, &slot) in slots {
+                    f(row, &data[slot * cols..(slot + 1) * cols]);
+                }
+            }
+        }
+    }
+
+    /// The whole buffer when any element may be non-zero, `None` while the
+    /// row set is authoritative.
+    fn dense(&self) -> Option<&Tensor> {
+        match self {
+            Grad::Full {
+                tensor,
+                dense: true,
+                ..
+            } => Some(tensor.get()),
+            _ => None,
+        }
+    }
+
+    /// The parameter-shaped buffer, marked dense; a compact gradient is
+    /// expanded first and stays full-size from then on.
+    fn make_dense(&mut self) -> &mut Tensor {
+        if let Grad::Compact { shape, .. } = self {
+            let mut full = Grad::full(&shape[..]);
+            self.for_each_row(|row, g| full.add_row(row, g));
+            *self = full;
+        }
+        match self {
+            Grad::Full { tensor, dense, .. } => {
+                *dense = true;
+                tensor.get_mut()
+            }
+            Grad::Compact { .. } => unreachable!("expanded above"),
+        }
+    }
+
+    /// Calls `f(offset, values)` for every run of scalars that may be
+    /// non-zero, `offset` being the run's position in the flat parameter,
+    /// in ascending order.
+    fn for_each_span(&self, mut f: impl FnMut(usize, &[f32])) {
+        match self.dense() {
+            Some(t) => f(0, t.data()),
+            None => self.for_each_row(|row, g| f(row * g.len(), g)),
+        }
+    }
+
+    fn scale(&mut self, s: f32) {
+        match self {
+            Grad::Full {
+                tensor,
+                dense: true,
+                ..
+            } => tensor.get_mut().map_in_place(|x| x * s),
+            Grad::Full { tensor, rows, .. } => {
+                for row in set_bits(rows) {
+                    let values = tensor.get_mut().row_mut(row);
+                    values.iter_mut().for_each(|x| *x *= s);
+                }
+            }
+            Grad::Compact { data, .. } => data.iter_mut().for_each(|x| *x *= s),
+        }
+    }
+
+    fn zero(&mut self) {
+        match self {
+            Grad::Full {
+                tensor,
+                dense,
+                rows,
+            } => {
+                if *dense {
+                    tensor.get_mut().fill_zero();
+                } else {
+                    for row in set_bits(rows) {
+                        tensor.get_mut().row_mut(row).fill(0.0);
+                    }
+                }
+                *dense = false;
+                rows.fill(0);
+            }
+            Grad::Compact { slots, data, .. } => {
+                slots.clear();
+                data.clear();
+            }
+        }
+    }
+}
+
+/// Gradient buffers mirroring a [`ParamStore`], **row-sparse**: per
+/// parameter the store remembers which rows were written since the last
+/// [`GradStore::zero`] as long as every write came through
+/// [`GradStore::scatter_add_rows`], and `zero`, `scale`, `global_norm`,
+/// `add_from` and [`crate::Sgd::step`] visit only those rows, in ascending
+/// row order. The skipped elements are exact zeros (`s + 0·0 = s`,
+/// `θ − lr·0 = θ`), so every result is bit-identical to a sweep over the
+/// whole buffer — an embedding table of 114,042 rows of which a mini-batch
+/// touches a few thousand costs what it touched. A write through
+/// [`GradStore::accumulate`] or [`GradStore::get_mut`] marks the parameter
+/// dense until the next zero.
+#[derive(Default)]
 pub struct GradStore {
-    grads: Vec<Tensor>,
+    grads: Vec<Grad>,
 }
 
 impl GradStore {
-    /// Creates zeroed gradient buffers matching `store`'s parameter shapes.
+    /// Creates zeroed, parameter-shaped gradient buffers matching `store`
+    /// (each allocated when it is first written or read).
     pub fn zeros_like(store: &ParamStore) -> Self {
         GradStore {
             grads: store
                 .tensors
                 .iter()
-                .map(|t| Tensor::zeros(t.shape()))
+                .map(|t| Grad::full(t.shape()))
+                .collect(),
+        }
+    }
+
+    /// A store for one shard of a mini-batch: a rank-2 parameter holds only
+    /// the rows [`GradStore::scatter_add_rows`] wrote (`[touched × cols]`
+    /// scalars and a row → slot index, never a table-sized buffer) until
+    /// its first dense write expands it for good. Merge it into a
+    /// [`GradStore::zeros_like`] store with [`GradStore::add_from`];
+    /// [`GradStore::get`] panics on a parameter still held compactly.
+    pub fn compact_like(store: &ParamStore) -> Self {
+        GradStore {
+            grads: store
+                .tensors
+                .iter()
+                .map(|t| match t.shape() {
+                    &[rows, cols] => Grad::Compact {
+                        shape: [rows, cols],
+                        slots: BTreeMap::new(),
+                        data: Vec::new(),
+                    },
+                    shape => Grad::full(shape),
+                })
                 .collect(),
         }
     }
 
     /// Borrow the gradient of a parameter.
+    ///
+    /// # Panics
+    /// If the parameter is held compactly ([`GradStore::compact_like`]).
     #[inline]
     pub fn get(&self, id: ParamId) -> &Tensor {
-        &self.grads[id.0]
+        match &self.grads[id.0] {
+            Grad::Full { tensor, .. } => tensor.get(),
+            Grad::Compact { .. } => panic!(
+                "GradStore::get: parameter {} is held compactly; add_from it into a zeros_like store",
+                id.0
+            ),
+        }
     }
 
-    /// Mutably borrow the gradient of a parameter.
+    /// Mutably borrow the gradient of a parameter (marks it dense).
     #[inline]
     pub fn get_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.grads[id.0]
+        self.grads[id.0].make_dense()
     }
 
-    /// Accumulates `delta` into a parameter's gradient.
+    /// Accumulates `delta` into a parameter's gradient (marks it dense).
     pub fn accumulate(&mut self, id: ParamId, delta: &Tensor) {
-        self.grads[id.0].add_assign(delta);
+        self.get_mut(id).add_assign(delta);
     }
 
-    /// Accumulates every gradient buffer of `other` into this store — the
-    /// pairwise combine of the data-parallel tree all-reduce. Summation
-    /// order inside each buffer is the element order, so for a fixed pair
-    /// the result is bit-identical no matter which thread runs it.
+    /// Adds row `k` of `updates` into row `indices[k]` of a rank-2
+    /// parameter's gradient (indices may repeat) — the gradient of an
+    /// embedding gather, and the one write that keeps the parameter
+    /// row-sparse.
+    ///
+    /// # Panics
+    /// If shapes disagree or any index is out of bounds.
+    pub fn scatter_add_rows(&mut self, id: ParamId, indices: &[usize], updates: &Tensor) {
+        assert_eq!(
+            updates.rows(),
+            indices.len(),
+            "GradStore::scatter_add_rows: {} updates for {} indices",
+            updates.rows(),
+            indices.len()
+        );
+        let g = &mut self.grads[id.0];
+        for (k, &i) in indices.iter().enumerate() {
+            g.add_row(i, updates.row(k));
+        }
+    }
+
+    /// Accumulates every gradient of `other` into this store — the pairwise
+    /// combine of the data-parallel tree all-reduce and the merge of a
+    /// shard's store into the primary. Only what `other` wrote is visited;
+    /// summation inside each buffer is in element order, so for a fixed
+    /// pair the result is bit-identical no matter which thread runs it.
     ///
     /// # Panics
     /// If the stores differ in buffer count or any tensor shape.
@@ -206,14 +459,17 @@ impl GradStore {
             "GradStore::add_from: buffer count mismatch"
         );
         for (dst, src) in self.grads.iter_mut().zip(&other.grads) {
-            dst.add_assign(src);
+            match src.dense() {
+                Some(t) => dst.make_dense().add_assign(t),
+                None => src.for_each_row(|row, g| dst.add_row(row, g)),
+            }
         }
     }
 
     /// Zeroes all gradients (between optimizer steps).
     pub fn zero(&mut self) {
         for g in &mut self.grads {
-            g.fill_zero();
+            g.zero();
         }
     }
 
@@ -222,18 +478,43 @@ impl GradStore {
         self.grads
             .iter()
             .map(|g| {
-                let n = g.norm_l2();
+                let mut sq = 0.0f32;
+                g.for_each_span(|_, values| {
+                    for &x in values {
+                        sq += x * x;
+                    }
+                });
+                let n = sq.sqrt();
                 n * n
             })
             .sum::<f32>()
             .sqrt()
     }
 
-    /// Scales all gradients by a constant (used for clipping / batch mean).
+    /// Scales all gradients by a finite, non-negative constant (clipping /
+    /// batch mean) — anything else would have to turn the skipped zeros
+    /// into `-0.0` or NaN.
     pub fn scale(&mut self, s: f32) {
         for g in &mut self.grads {
-            g.map_in_place(|x| x * s);
+            g.scale(s);
         }
+    }
+
+    /// [`Grad::for_each_span`] of one parameter (the optimizer's view).
+    pub(crate) fn for_each_span(&self, id: ParamId, f: impl FnMut(usize, &[f32])) {
+        self.grads[id.0].for_each_span(f);
+    }
+
+    /// How many gradient scalars this store holds buffers for.
+    #[cfg(test)]
+    fn held_scalars(&self) -> usize {
+        self.grads
+            .iter()
+            .map(|g| match g {
+                Grad::Full { tensor, .. } => tensor.cell.get().map_or(0, Tensor::len),
+                Grad::Compact { data, .. } => data.len(),
+            })
+            .sum()
     }
 
     /// Number of gradient buffers.
@@ -314,32 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_values_from_broadcasts() {
-        let mut a = ParamStore::new();
-        let id = a.register("w", Tensor::from_vec(vec![1.0, 2.0], &[2]));
-        let mut b = ParamStore::new();
-        b.register("w", Tensor::zeros(&[2]));
-        b.copy_values_from(&a);
-        assert_eq!(b.get(id).data(), &[1.0, 2.0]);
-        // Independent storage: mutating the source must not leak.
-        a.get_mut(id).data_mut()[0] = 9.0;
-        assert_eq!(b.get(id).data(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn copy_values_from_shape_mismatch_panics() {
-        let a = {
-            let mut s = ParamStore::new();
-            s.zeros("w", &[2]);
-            s
-        };
-        let mut b = ParamStore::new();
-        b.zeros("w", &[3]);
-        b.copy_values_from(&a);
-    }
-
-    #[test]
     fn add_from_accumulates_pairwise() {
         let mut store = ParamStore::new();
         let id = store.zeros("w", &[2]);
@@ -350,6 +605,42 @@ mod tests {
         a.add_from(&b);
         assert_eq!(a.get(id).data(), &[11.0, 22.0]);
         assert_eq!(b.get(id).data(), &[10.0, 20.0], "source unchanged");
+    }
+
+    /// A shard store costs the dense parameters plus the rows it touched — at
+    /// Table III's `[114042×50]` word table, not 5.7 M scalars per shard.
+    #[test]
+    fn compact_store_never_holds_a_table_sized_buffer() {
+        let (rows, cols, touched) = (114_042usize, 50usize, 2_000usize);
+        let mut params = ParamStore::new();
+        let table = params.zeros("table", &[rows, cols]);
+        let weight = params.zeros("weight", &[180, 230]);
+        let bias = params.zeros("bias", &[230]);
+        let mut shard = GradStore::compact_like(&params);
+        assert_eq!(shard.held_scalars(), 0, "nothing up front");
+
+        let mut rng = TensorRng::seed(1);
+        let mut indices: Vec<usize> = (0..touched).map(|i| i * 57).collect();
+        indices.extend([0, rows - 1, 57]); // repeats take no new slot
+        let updates = Tensor::rand_uniform(&[indices.len(), cols], -1.0, 1.0, &mut rng);
+        shard.scatter_add_rows(table, &indices, &updates);
+        shard.accumulate(weight, &Tensor::ones(&[180, 230]));
+        shard.get_mut(bias).data_mut()[0] = 1.0;
+        assert_eq!(
+            shard.held_scalars(),
+            (touched + 1) * cols + 180 * 230 + 230,
+            "touched rows + dense parameters"
+        );
+
+        // Merged into the primary, the rows land where they belong.
+        let mut primary = GradStore::zeros_like(&params);
+        primary.add_from(&shard);
+        let mut want = Tensor::zeros(&[rows, cols]);
+        want.scatter_add_rows(&indices, &updates);
+        assert_eq!(primary.get(table).data(), want.data());
+
+        shard.zero();
+        assert_eq!(shard.held_scalars(), 180 * 230 + 230, "zero drops the rows");
     }
 
     #[test]

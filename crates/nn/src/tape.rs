@@ -1015,7 +1015,7 @@ impl<'s> Tape<'s> {
                     pool.recycle(g);
                 }
                 Op::GatherParam(id, indices) => {
-                    grads.get_mut(*id).scatter_add_rows(indices, &g);
+                    grads.scatter_add_rows(*id, indices, &g);
                     pool.recycle(g);
                 }
                 Op::Add(a, b) => {

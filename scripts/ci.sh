@@ -34,8 +34,9 @@
 #           resume suites, then a CLI-level end-to-end check on the smoke
 #           corpus — two `imre train --data-parallel 4` runs plus a
 #           `--threads 1` run must produce byte-identical IMRM artifacts,
-#           and a checkpoint + `--resume` run must match the uninterrupted
-#           run bytewise
+#           a checkpoint + `--resume` run must match the uninterrupted
+#           run bytewise, and plain `imre train` must write one artifact
+#           at `--threads 1`, `--threads 4` and under IMRE_FORCE_SCALAR=1
 #   knn     the kNN-interpolation gate: the imre-ann determinism/serialize
 #           suites, the .imrb v1/v2 compatibility tests, the counting-
 #           allocator zero-alloc kNN query gate, and a CLI-level end-to-end
@@ -57,7 +58,7 @@
 #           quantized inference pass performs zero heap allocations, and a
 #           CLI-level end-to-end eval gate on the smoke corpus: train a
 #           bundle, `imre quantize --check smoke` it, and fail unless the
-#           int8 scores stay within max drift 1e-2 and P@N delta 0.5pt of
+#           int8 scores stay within max drift 1e-2 and P@N delta 1.5pt of
 #           f32
 #   stream  the streaming-ingest gate: the imre-stream suites (streamed
 #           vs offline proximity-graph byte-identity, canonical/refine
@@ -209,6 +210,18 @@ step_train_dp() {
     cmp "$dir/straight.imrm" "$dir/resumed.imrm" ||
         { echo "train-dp: resume diverged from the uninterrupted run" >&2; exit 1; }
     echo "train-dp: checkpoint resume matches the uninterrupted run"
+
+    # The plain loop shards every mini-batch the same way at any pool width
+    # and on either kernel tier: one artifact.
+    local plain=(train --dataset smoke --model pa-tmr --seed 5 --epochs 2)
+    "$imre" "${plain[@]}" --threads 1 --out "$dir/t1.imrm" >/dev/null
+    "$imre" "${plain[@]}" --threads 4 --out "$dir/t4.imrm" >/dev/null
+    IMRE_FORCE_SCALAR=1 "$imre" "${plain[@]}" --out "$dir/scalar.imrm" >/dev/null
+    cmp "$dir/t1.imrm" "$dir/t4.imrm" ||
+        { echo "train-dp: --threads changed the plain-train artifact" >&2; exit 1; }
+    cmp "$dir/t1.imrm" "$dir/scalar.imrm" ||
+        { echo "train-dp: IMRE_FORCE_SCALAR changed the plain-train artifact" >&2; exit 1; }
+    echo "train-dp: plain train byte-identical across --threads and kernel tiers"
 }
 
 step_simd() {
@@ -248,8 +261,10 @@ step_quant() {
     cargo test --offline -q -p imre-bench --test zero_alloc_quant
 
     # CLI-level end-to-end eval gate on the smoke corpus: the quantized
-    # model must track f32 within max score drift 1e-2 and P@N delta 0.5pt
-    # on the held-out split, or `imre quantize` exits nonzero.
+    # model must track f32 within max score drift 1e-2 — the real check —
+    # and at most one rank flip at a P@N cut (P@100 moves in 1.00pt steps,
+    # so a 0.5pt bound would assert "no flip" of scores 2-6e-3 apart), or
+    # `imre quantize` exits nonzero.
     cargo build --offline -q --release -p imre-cli
     local imre=target/release/imre
     local dir=target/quant-ci
@@ -257,8 +272,8 @@ step_quant() {
     "$imre" train --dataset smoke --model pa-tmr --seed 5 --epochs 2 \
         --out "$dir/m.imrm" --bundle "$dir/m.imrb" >/dev/null
     "$imre" quantize --bundle "$dir/m.imrb" --out "$dir/m.q.imrb" \
-        --check smoke --seed 5 --max-drift 0.01 --max-pn-delta 0.5
-    echo "quant: int8 eval gate held (drift <= 1e-2, P@N delta <= 0.5pt)"
+        --check smoke --seed 5 --max-drift 0.01 --max-pn-delta 1.5
+    echo "quant: int8 eval gate held (drift <= 1e-2, P@N delta <= 1.5pt)"
 }
 
 step_stream() {

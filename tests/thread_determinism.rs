@@ -1,6 +1,7 @@
 //! End-to-end determinism contract for the thread-pool compute backend:
-//! forward passes, gradients, and a full PCNN train step (including the SGD
-//! update) must be **bit-identical** between a 1-thread and a 4-thread pool.
+//! forward passes, gradients, a full PCNN train step (including the SGD
+//! update) and `train_epoch`'s sharded mini-batches must be
+//! **bit-identical** between a 1-thread and a 4-thread pool.
 //! Everything here compares raw f32 buffers with exact `==` — no tolerance.
 //!
 //! This is what keeps `IMRE_THREADS` a pure throughput knob: training
@@ -104,6 +105,65 @@ fn full_pcnn_train_step_bit_identical() {
     assert_eq!(l1.to_bits(), l4.to_bits(), "loss must be bit-identical");
     assert_eq!(g1, g4, "train-step gradients must be bit-identical");
     assert_eq!(p1, p4, "post-SGD parameters must be bit-identical");
+}
+
+/// `train_epoch` fans every mini-batch out over a fixed number of shards,
+/// so two optimizer steps leave exactly the same parameters on pools of 1,
+/// 2 and 4 threads — at batch lengths below the shard count (1, 7), at it
+/// (8), just past it (9: a ragged last shard) and at the paper's 160.
+#[test]
+fn train_epoch_bit_identical_across_pool_sizes() {
+    let ds = Dataset::generate(&smoke_config(1));
+    let hp = HyperParams::tiny();
+    let bags = imre_core::prepare_bags(&ds.train, &hp);
+    let types = imre_core::entity_type_table(&ds.world);
+    let mut rng = TensorRng::seed(5);
+    let embedding = EntityEmbedding::from_matrix(Tensor::rand_uniform(
+        &[ds.world.num_entities(), hp.entity_dim],
+        -1.0,
+        1.0,
+        &mut rng,
+    ));
+    let ctx = BagContext {
+        entity_embedding: Some(&embedding),
+        entity_types: &types,
+    };
+
+    for spec in [ModelSpec::pa_tmr(), ModelSpec::pcnn_att()] {
+        for batch in [1usize, 7, 8, 9, 160] {
+            // Two steps' worth of bags, wrapping around the small corpus.
+            let order: Vec<usize> = (0..2 * batch).map(|i| (i * 7) % bags.len()).collect();
+            let run = || {
+                let mut model = ReModel::new(
+                    spec,
+                    &hp,
+                    ds.vocab.len(),
+                    ds.num_relations(),
+                    imre_corpus::NUM_COARSE_TYPES,
+                    hp.entity_dim,
+                    7,
+                );
+                let mut sgd = Sgd::new(0.1).with_clip_norm(5.0);
+                let mut rng = TensorRng::seed(3);
+                let loss = imre_core::train_epoch(
+                    &mut model, &bags, &ctx, &order, batch, &mut sgd, &mut rng,
+                );
+                let params: Vec<Vec<u32>> = model
+                    .store
+                    .iter()
+                    .map(|(_, _, t)| t.data().iter().map(|x| x.to_bits()).collect())
+                    .collect();
+                (loss.to_bits(), params)
+            };
+            let one = with_pool(&ThreadPool::new(1), run);
+            for threads in [2, 4] {
+                let many = with_pool(&ThreadPool::new(threads), run);
+                let what = format!("{} batch {batch} on {threads} threads", spec.name());
+                assert_eq!(one.0, many.0, "{what}: loss");
+                assert!(one.1 == many.1, "{what}: parameters");
+            }
+        }
+    }
 }
 
 /// Batch representation export on a 4-thread pool (parallel across bags, one
