@@ -9,7 +9,8 @@ use imre_corpus::DatasetConfig;
 use imre_eval::Pipeline;
 use imre_graph::nearest;
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 
 /// CLI usage text.
 pub const USAGE: &str = "\
@@ -22,13 +23,11 @@ USAGE:
                   [--knn-index <0|1>]   include a kNN index over training-bag
                   representations in the bundle (default 1; enables the
                   serve-time knn=K lambda=L interpolation path)
-                  [--data-parallel R]   shard each mini-batch over R replica
-                  workers of the one model (deterministic: a fixed (seed, R) is
-                  byte-identical across runs and --threads)
                   [--checkpoint FILE] [--checkpoint-every N]   write an atomic
                   IMRC checkpoint every N epochs (default 1)
-                  [--resume FILE]   continue from an IMRC checkpoint
-                  (bit-identical to the uninterrupted run)
+                  [--resume FILE]   continue from an IMRC checkpoint written
+                  with the same --dataset, --seed and --model (bit-identical
+                  to the uninterrupted run)
   imre eval       --dataset <nyt|gds|smoke> --model-file FILE [--seed N]
                   [--knn <0|1>]   additionally report held-out metrics with
                   kNN label interpolation, per co-occurrence bucket
@@ -220,6 +219,23 @@ fn hp_with_epochs(epochs: usize) -> HyperParams {
     hp
 }
 
+/// The one "does this model fit this dataset" gate of `train --resume`,
+/// `eval` and `quantize --check`: the model `what` names must have been
+/// trained on the dataset the flags `data` regenerate, or that dataset's
+/// ids would index past the model's tables.
+fn check_fits(
+    pipeline: &Pipeline,
+    model: &imre_core::ReModel,
+    what: &str,
+    data: &str,
+) -> Result<(), CliError> {
+    pipeline.check_fits(model).map_err(|e| {
+        usage(format!(
+            "{what} does not fit {data}: {e}; pass the dataset and --seed it was trained with"
+        ))
+    })
+}
+
 /// Applies the global `--threads` flag: pins the compute pool size before
 /// any kernel runs. The pool is process-global and built once, so a second
 /// conflicting request (only possible when `run` is called repeatedly
@@ -299,7 +315,6 @@ const TRAIN_FLAGS: &[&str] = &[
     "out",
     "bundle",
     "knn-index",
-    "data-parallel",
     "checkpoint",
     "checkpoint-every",
     "resume",
@@ -308,55 +323,69 @@ const TRAIN_FLAGS: &[&str] = &[
 fn cmd_train(flags: &Flags) -> Result<(), CliError> {
     let seed = flags.number("seed", 1u64)?;
     let epochs = flags.number("epochs", 0usize)?;
-    let config = dataset_config(flags.required("dataset")?, seed)?;
+    let dataset = flags.required("dataset")?;
+    let config = dataset_config(dataset, seed)?;
     let spec = model_spec(flags.optional("model").unwrap_or("pa-tmr"))?;
     let out = PathBuf::from(flags.required("out")?);
-    let data_parallel = flags.number("data-parallel", 0usize)?;
-    let resume = flags.optional("resume").map(PathBuf::from);
-    let checkpoint = flags.optional("checkpoint").map(PathBuf::from);
-    let checkpoint_every = flags.number("checkpoint-every", 1usize)?;
+    let resume = flags.optional("resume");
+    let checkpoint = match resume {
+        Some(path) => {
+            let ck = imre_core::load_checkpoint(Path::new(path))
+                .map_err(|e| io::Error::new(e.kind(), format!("--resume {path}: {e}")))?;
+            if ck.model.spec != spec {
+                return Err(usage(format!(
+                    "--resume {path} holds a {} model, not the --model {} requested",
+                    ck.model.spec.name(),
+                    spec.name()
+                )));
+            }
+            Some(ck)
+        }
+        None => None,
+    };
+    let save = match flags.optional("checkpoint") {
+        Some(path) => {
+            // Fail before training, not at the first epoch boundary.
+            let dir = Path::new(path)
+                .parent()
+                .filter(|d| !d.as_os_str().is_empty())
+                .unwrap_or(Path::new("."));
+            if !dir.is_dir() {
+                return Err(usage(format!(
+                    "--checkpoint {path}: directory {} does not exist",
+                    dir.display()
+                )));
+            }
+            Some(imre_core::CheckpointCfg {
+                every: flags.number("checkpoint-every", 1usize)?.max(1),
+                path: PathBuf::from(path),
+            })
+        }
+        None => None,
+    };
 
     println!("building pipeline for {} …", config.name);
     let pipeline = Pipeline::build(&config, hp_with_epochs(epochs));
+    if let (Some(path), Some(ck)) = (resume, &checkpoint) {
+        let data = format!("--dataset {dataset} --seed {seed}");
+        check_fits(&pipeline, &ck.model, &format!("--resume {path}"), &data)?;
+    }
+    let start = checkpoint.as_ref().map_or(0, |ck| ck.at.next_epoch);
     println!("training {} …", spec.name());
-    // Any data-parallel / checkpoint / resume flag routes through the
-    // imre-dist engine (epoch-derived streams, so a run can resume);
-    // otherwise `train_model` runs. Both fan each mini-batch out over the
-    // pool and are byte-identical at any --threads.
-    let use_dist = data_parallel > 0 || resume.is_some() || checkpoint.is_some();
-    let model = if use_dist {
-        let replicas = data_parallel.max(1);
-        let ckpt_cfg = checkpoint.map(|path| imre_dist::CheckpointCfg {
-            every: checkpoint_every.max(1),
-            path,
-        });
-        let (model, stats) =
-            pipeline.train_system_dp(spec, seed, replicas, resume.as_deref(), ckpt_cfg.as_ref());
-        println!(
-            "data-parallel: {replicas} replica(s), {:.1} bags/s, reduce share {:.1}%, \
-             arena hits {} misses {}",
-            stats.bags_per_sec,
-            stats.reduce_share() * 100.0,
-            stats.pool.hits,
-            stats.pool.misses
-        );
-        for (i, ((loss, wall), reduce)) in stats
-            .epoch_losses
-            .iter()
-            .zip(&stats.epoch_wall_ns)
-            .zip(&stats.epoch_reduce_ns)
-            .enumerate()
-        {
-            println!(
-                "  epoch {i}: loss {loss:.4}, {:.2}s wall, {:.0}ms reduce",
-                *wall as f64 / 1e9,
-                *reduce as f64 / 1e6
-            );
-        }
-        model
-    } else {
-        pipeline.train_system(spec, seed)
-    };
+    let (model, stats) = pipeline
+        .train_system_from(spec, seed, checkpoint, save.as_ref())
+        .map_err(|e| match (resume, &save) {
+            (Some(path), _) if e.kind() == io::ErrorKind::InvalidInput => usage(format!(
+                "--resume {path}: {e}; pass the --seed it was trained with"
+            )),
+            (_, Some(c)) => {
+                io::Error::new(e.kind(), format!("--checkpoint {}: {e}", c.path.display())).into()
+            }
+            _ => e.into(),
+        })?;
+    for (i, loss) in stats.epoch_losses.iter().enumerate() {
+        println!("  epoch {}: loss {loss:.4}", start + i);
+    }
     let ev = pipeline.evaluate_model(&model);
     println!(
         "held-out: AUC {:.4}, F1 {:.4}, P@100 {:.2}",
@@ -426,27 +455,18 @@ fn cmd_quantize(flags: &Flags) -> Result<(), CliError> {
         let max_pn_delta = flags.number("max-pn-delta", f32::INFINITY)?;
         let config = dataset_config(dataset, seed)?;
         let pipeline = Pipeline::build(&config, bundle.model.hp.clone());
-        // The regenerated dataset's token / entity / relation ids index the
-        // bundle's tables: a dataset drawn under another seed has other
-        // table sizes and must not reach the forward pass.
+        let what = format!("--bundle {}", in_path.display());
+        let data = format!("--check {dataset} --seed {seed}");
+        check_fits(&pipeline, &bundle.model, &what, &data)?;
+        // The bundle's own entity table is indexed by the regenerated
+        // dataset's entity ids too.
         let dataset = &pipeline.dataset;
-        let regenerated = (
-            dataset.vocab.len(),
-            dataset.world.num_entities(),
-            dataset.num_relations(),
-        );
-        let bundled = (
-            bundle.vocab.len(),
-            bundle.entities.len(),
-            bundle.relations.len(),
-        );
-        if regenerated != bundled {
+        if bundle.entities.len() != dataset.world.num_entities() {
             return Err(usage(format!(
-                "--check {} --seed {seed} regenerates a dataset with (tokens, entities, \
-                 relations) = {regenerated:?}, but {} was trained on one with {bundled:?}; \
-                 pass the --seed the bundle was trained with",
-                config.name,
-                in_path.display()
+                "{what} does not fit {data}: the bundle has {} entities, but the dataset \
+                 regenerated here has {}; pass the dataset and --seed it was trained with",
+                bundle.entities.len(),
+                dataset.world.num_entities()
             )));
         }
         let types = imre_core::entity_type_table(&dataset.world);
@@ -712,7 +732,8 @@ const EVAL_FLAGS: &[&str] = &[
 
 fn cmd_eval(flags: &Flags) -> Result<(), CliError> {
     let seed = flags.number("seed", 1u64)?;
-    let config = dataset_config(flags.required("dataset")?, seed)?;
+    let dataset = flags.required("dataset")?;
+    let config = dataset_config(dataset, seed)?;
     let path = PathBuf::from(flags.required("model-file")?);
     let model = imre_core::load_model(&path)?;
     println!(
@@ -721,6 +742,12 @@ fn cmd_eval(flags: &Flags) -> Result<(), CliError> {
         model.store.num_scalars()
     );
     let pipeline = Pipeline::build(&config, model.hp.clone());
+    check_fits(
+        &pipeline,
+        &model,
+        &format!("--model-file {}", path.display()),
+        &format!("--dataset {dataset} --seed {seed}"),
+    )?;
     if flags.number("knn", 0usize)? != 0 {
         let k = flags.number("knn-k", 8usize)?;
         let lambda = flags.number("knn-lambda", 0.3f32)?;
@@ -1034,8 +1061,6 @@ mod tests {
     fn flags_dist_flag_set_parses() {
         let f = Flags::parse(
             &s(&[
-                "--data-parallel",
-                "4",
                 "--resume",
                 "ck.imrc",
                 "--checkpoint",
@@ -1048,58 +1073,193 @@ mod tests {
             &[TRAIN_FLAGS, COMPARE_FLAGS].concat(),
         )
         .unwrap();
-        assert_eq!(f.number("data-parallel", 0usize).unwrap(), 4);
         assert_eq!(f.optional("resume"), Some("ck.imrc"));
         assert_eq!(f.optional("checkpoint"), Some("ck.imrc"));
         assert_eq!(f.number("checkpoint-every", 1usize).unwrap(), 2);
         assert_eq!(f.number("parallel-seeds", 0usize).unwrap(), 3);
     }
 
+    /// `imre train` on the smoke corpus: `--model pcnn --seed 5` plus
+    /// `extra`, writing `<dir>/<model>`.
+    fn train_smoke(dir: &std::path::Path, model: &str, extra: &[&str]) -> Result<(), CliError> {
+        let out = dir.join(model);
+        let mut args = s(&[
+            "train",
+            "--dataset",
+            "smoke",
+            "--model",
+            "pcnn",
+            "--seed",
+            "5",
+        ]);
+        args.extend(s(&["--out", out.to_str().unwrap()]));
+        args.extend(s(extra));
+        run(&args)
+    }
+
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn dp_train_checkpoint_resume_roundtrip_on_smoke() {
-        let dir = std::env::temp_dir().join("imre_cli_dp_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let model_path = dir.join("dp.imrm");
-        let ckpt_path = dir.join("dp.imrc");
-        let (mp, cp) = (model_path.to_str().unwrap(), ckpt_path.to_str().unwrap());
-        // Data-parallel train with per-epoch checkpoints …
-        run(&s(&[
+        let dir = scratch_dir("imre_cli_resume_test");
+        let ck = dir.join("mid.imrc");
+        let cp = ck.to_str().unwrap();
+        // Plain train to epoch 1 with a checkpoint, resume to 2: the same
+        // bytes as a straight 2-epoch run.
+        train_smoke(&dir, "straight.imrm", &["--epochs", "2"]).unwrap();
+        train_smoke(&dir, "half.imrm", &["--epochs", "1", "--checkpoint", cp]).unwrap();
+        assert!(ck.exists(), "checkpoint must be written");
+        train_smoke(&dir, "resumed.imrm", &["--epochs", "2", "--resume", cp]).unwrap();
+        let read = |name: &str| std::fs::read(dir.join(name)).unwrap();
+        assert!(
+            read("straight.imrm") == read("resumed.imrm"),
+            "resume must replay the uninterrupted run"
+        );
+        // Resuming from the final checkpoint is a no-op epoch range: it
+        // must load, skip training, and still write the model.
+        train_smoke(&dir, "noop.imrm", &["--epochs", "1", "--resume", cp]).unwrap();
+        assert!(read("noop.imrm") == read("half.imrm"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The usage message `args` fail with.
+    fn usage_error(result: Result<(), CliError>) -> String {
+        match result {
+            Err(CliError::Usage(msg)) => msg,
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn resume_from_a_missing_checkpoint_names_the_file() {
+        let dir = scratch_dir("imre_cli_resume_missing");
+        match train_smoke(&dir, "m.imrm", &["--resume", "nope.imrc"]) {
+            Err(CliError::Io(e)) => {
+                assert_eq!(e.kind(), io::ErrorKind::NotFound);
+                assert!(e.to_string().contains("--resume nope.imrc"), "{e}");
+            }
+            other => panic!("expected an io error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_as_another_model_is_refused() {
+        let dir = scratch_dir("imre_cli_resume_model");
+        let (cp, out) = (dir.join("ck.imrc"), dir.join("out.imrm"));
+        let (cp, out) = (cp.to_str().unwrap(), out.to_str().unwrap());
+        train_smoke(&dir, "m.imrm", &["--epochs", "1", "--checkpoint", cp]).unwrap();
+        let args = [
             "train",
             "--dataset",
             "smoke",
             "--model",
-            "pcnn",
-            "--epochs",
-            "2",
-            "--data-parallel",
-            "2",
-            "--checkpoint",
-            cp,
-            "--out",
-            mp,
-        ]))
-        .unwrap();
-        assert!(ckpt_path.exists(), "checkpoint must be written");
-        // … then resume from the final checkpoint (a no-op epoch range is
-        // fine: it must load, skip training, and still write the model).
-        run(&s(&[
-            "train",
-            "--dataset",
-            "smoke",
-            "--model",
-            "pcnn",
-            "--epochs",
-            "2",
-            "--data-parallel",
-            "2",
+            "pa-tmr",
+            "--seed",
+            "5",
             "--resume",
             cp,
             "--out",
-            mp,
-        ]))
-        .unwrap();
-        std::fs::remove_file(&model_path).ok();
-        std::fs::remove_file(&ckpt_path).ok();
+            out,
+        ];
+        let msg = usage_error(run(&s(&args)));
+        assert!(msg.contains("PCNN") && msg.contains("PA-TMR"), "{msg}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_under_another_seed_or_dataset_is_refused() {
+        let dir = scratch_dir("imre_cli_resume_data");
+        let (cp, out) = (dir.join("ck.imrc"), dir.join("out.imrm"));
+        let (cp, out) = (cp.to_str().unwrap(), out.to_str().unwrap());
+        let resume = |dataset: &str, seed: &str| {
+            let args = [
+                "train",
+                "--dataset",
+                dataset,
+                "--model",
+                "pcnn",
+                "--seed",
+                seed,
+                "--epochs",
+                "2",
+                "--resume",
+                cp,
+                "--out",
+                out,
+            ];
+            usage_error(run(&s(&args)))
+        };
+        train_smoke(&dir, "m.imrm", &["--epochs", "1", "--checkpoint", cp]).unwrap();
+        // Other tables: the fit check names both sizes.
+        for (dataset, seed) in [("smoke", "6"), ("gds", "5")] {
+            let msg = resume(dataset, seed);
+            assert!(
+                msg.contains("--resume") && msg.contains("word rows"),
+                "{msg}"
+            );
+        }
+        // Smoke seeds 3 and 4 regenerate equally sized tables: the
+        // checkpoint's recorded seed refuses the other streams.
+        let args = [
+            "train",
+            "--dataset",
+            "smoke",
+            "--model",
+            "pcnn",
+            "--seed",
+            "3",
+            "--epochs",
+            "1",
+            "--checkpoint",
+            cp,
+            "--out",
+            out,
+        ];
+        run(&s(&args)).unwrap();
+        let msg = resume("smoke", "4");
+        assert!(
+            msg.contains("training seed") && msg.contains("--seed"),
+            "{msg}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpoint_into_a_missing_directory_fails_before_training() {
+        let dir = scratch_dir("imre_cli_checkpoint_dir");
+        let cp = dir.join("no/such/dir/ck.imrc");
+        let extra = ["--epochs", "1", "--checkpoint", cp.to_str().unwrap()];
+        let msg = usage_error(train_smoke(&dir, "m.imrm", &extra));
+        assert!(
+            msg.contains("--checkpoint") && msg.contains("does not exist"),
+            "{msg}"
+        );
+        assert!(!dir.join("m.imrm").exists(), "nothing was trained");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn eval_of_a_model_from_another_seed_is_refused() {
+        let dir = scratch_dir("imre_cli_eval_seed");
+        train_smoke(&dir, "m.imrm", &["--epochs", "1"]).unwrap();
+        let mp = dir.join("m.imrm");
+        let args = [
+            "eval",
+            "--dataset",
+            "smoke",
+            "--model-file",
+            mp.to_str().unwrap(),
+            "--seed",
+            "6",
+        ];
+        let msg = usage_error(run(&s(&args)));
+        assert!(msg.contains("--seed 6") && msg.contains("tokens"), "{msg}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use crate::model::{BagContext, PreparedBag, ReModel};
 use crate::train::{TrainConfig, TrainStats};
-use imre_nn::{GradStore, Sgd};
+use imre_nn::Sgd;
 use imre_tensor::{Tensor, TensorRng};
 
 /// Adversarial-training configuration.
@@ -130,7 +130,6 @@ pub fn train_adversarial(
         epoch_losses.push((epoch_loss / bags.len() as f64) as f32);
         sgd.decay_lr(tc.lr_decay);
     }
-    let _ = GradStore::zeros_like(&model.store); // grads zeroed by Sgd::step
     TrainStats { epoch_losses }
 }
 

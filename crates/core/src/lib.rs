@@ -14,13 +14,15 @@
 //!   Table IV and Figure 5 as one declarative spec (PCNN, PCNN+ATT,
 //!   CNN+ATT, GRU+ATT, BGWA, PA-T, PA-MR, PA-TMR, and arbitrary `+TMR`
 //!   compositions).
-//! * [`train`] — the bag-level mini-batch SGD loop.
+//! * [`train`] — the bag-level mini-batch SGD loop, the only epoch loop;
+//!   [`checkpoint`] — its IMRC resume points.
 //! * [`baselines`] — the non-neural comparators of Figure 4 (Mintz, MultiR,
 //!   MIMLRE) and the CNN+RL reinforcement-learning selector.
 
 pub mod adversarial;
 pub mod attention;
 pub mod baselines;
+pub mod checkpoint;
 pub mod components;
 pub mod config;
 pub mod encoder;
@@ -36,18 +38,14 @@ pub mod train;
 
 pub use adversarial::{adversarial_bag_step, train_adversarial, AdvConfig};
 pub use attention::{AggKind, SelectiveAttention, WordAttention};
+pub use checkpoint::{load_checkpoint, save_checkpoint, Checkpoint, CheckpointCfg, ResumePoint};
 pub use components::{Combiner, MrComponent, TypeComponent};
 pub use config::HyperParams;
 pub use encoder::{Encoder, EncoderKind, Frontend};
 pub use features::{featurize, SentenceFeatures};
-pub use model::{
-    entity_type_table, prepare_bags, BagContext, ModelSpec, PreparedBag, ReModel, ShardWorker,
-};
+pub use model::{entity_type_table, prepare_bags, BagContext, ModelSpec, PreparedBag, ReModel};
 pub use oov::prune_to_train_vocab;
 pub use persist::{load_model, read_model, save_model, write_model};
 pub use pretrain::{corpus_sentences, train_skipgram, SkipGramConfig};
 pub use quant::{QuantModel, QuantScratch, QuantizeError};
-pub use train::{
-    accumulate_shards, bag_step_rng, epoch_order, replica_shard, train_epoch, train_model,
-    TrainConfig, TrainStats,
-};
+pub use train::{epoch_stream, train_epoch, train_model, TrainConfig, TrainStats};

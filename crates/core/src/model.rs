@@ -196,7 +196,7 @@ pub struct BagContext<'a> {
 /// backward themselves only read the [`ReModel`]. The store holds the
 /// embedding tables compactly ([`GradStore::compact_like`]): a worker costs
 /// the dense parameters plus the rows its bags touched, not a second model.
-pub struct ShardWorker {
+pub(crate) struct ShardWorker {
     arena: BufferPool,
     grads: GradStore,
 }
@@ -414,7 +414,7 @@ impl ReModel {
     /// returns the training loss and accumulates its gradient, scaled by
     /// `scale` (typically `1 / batch_size`), into `worker`. Only reads the
     /// model, so any number of workers may run it concurrently.
-    pub fn bag_forward_backward(
+    pub(crate) fn bag_forward_backward(
         &self,
         bag: &PreparedBag,
         ctx: &BagContext,
@@ -462,8 +462,8 @@ impl ReModel {
         loss_val
     }
 
-    /// [`ReModel::bag_forward_backward`] into the model's own arena and
-    /// [`ReModel::grads`].
+    /// Forward and backward of one bag into the model's own arena and
+    /// [`ReModel::grads`], scaled by `scale`; returns the training loss.
     pub fn bag_loss_and_backward(
         &mut self,
         bag: &PreparedBag,

@@ -10,7 +10,7 @@ use crate::attention::AggKind;
 use crate::config::HyperParams;
 use crate::encoder::EncoderKind;
 use crate::model::{ModelSpec, ReModel};
-use imre_nn::serialize::{read_params, write_params};
+use imre_nn::serialize::{read_f32, read_params, read_u32, read_u64, write_params};
 use std::io::{self, Read, Write};
 use std::path::Path;
 
@@ -188,15 +188,17 @@ pub(crate) fn tmp_sibling(path: &Path) -> std::path::PathBuf {
     path.with_file_name(name)
 }
 
-/// Saves a model to a file **atomically**: the bytes are written to a
-/// `<path>.tmp` sibling, flushed, and renamed over `path`, so a crash
+/// Writes `path` **atomically**: the bytes go to a `<path>.tmp` sibling,
+/// are flushed and fsynced, and are renamed over `path`, so a crash
 /// mid-save (or a reader racing a checkpoint) can never observe a
-/// truncated `.imrm` — it sees either the old complete file or the new one.
-pub fn save_model(model: &ReModel, path: &Path) -> io::Result<()> {
+/// truncated file — it sees either the old complete file or the new one.
+pub(crate) fn save_atomically(
+    path: &Path,
+    write: impl FnOnce(&mut io::BufWriter<std::fs::File>) -> io::Result<()>,
+) -> io::Result<()> {
     let tmp = tmp_sibling(path);
-    let file = std::fs::File::create(&tmp)?;
-    let mut w = io::BufWriter::new(file);
-    write_model(model, &mut w)?;
+    let mut w = io::BufWriter::new(std::fs::File::create(&tmp)?);
+    write(&mut w)?;
     w.flush()?;
     w.into_inner()
         .map_err(|e| io::Error::other(e.to_string()))?
@@ -204,28 +206,15 @@ pub fn save_model(model: &ReModel, path: &Path) -> io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
+/// Saves a model to a file atomically (see `save_atomically`).
+pub fn save_model(model: &ReModel, path: &Path) -> io::Result<()> {
+    save_atomically(path, |w| write_model(model, w))
+}
+
 /// Loads a model from a file.
 pub fn load_model(path: &Path) -> io::Result<ReModel> {
     let mut file = io::BufReader::new(std::fs::File::open(path)?);
     read_model(&mut file)
-}
-
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn read_f32<R: Read>(r: &mut R) -> io::Result<f32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(f32::from_le_bytes(buf))
 }
 
 #[cfg(test)]
@@ -292,7 +281,7 @@ mod tests {
             clip_norm: 5.0,
             seed: 3,
         };
-        crate::train::train_model(&mut model, &bags, &ctx, &tc);
+        crate::train::train_model(&mut model, &bags, &ctx, &tc, None, None).unwrap();
         (model, ds)
     }
 

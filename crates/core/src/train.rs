@@ -1,34 +1,32 @@
 //! The bag-level training loop (SGD, mini-batched, lr decay, grad clipping).
 //!
-//! **One fan-out.** A mini-batch is always trained the same way: it is cut
-//! into shards, [`accumulate_shards`] runs every shard's forward/backward
-//! on its own [`ShardWorker`] (tape arena + compact gradient store) against
-//! the one shared `&ReModel`, in parallel on the `imre-tensor` pool, the
-//! shard stores are summed into the model's gradients in a fixed order, and
-//! one optimizer step follows. [`train_epoch`] and `imre-dist`'s
-//! `DataParallel` are the two callers and differ only in how they cut and
-//! seed:
+//! **One loop.** [`train_model`] is the only epoch loop. Epoch `e` draws
+//! its shuffle and then one dropout seed per bag from [`epoch_stream`]`(seed,
+//! e)` — a pure function of the run's seed and the epoch index, never of
+//! the epochs before it — and hands both to [`train_epoch`]. After the
+//! epoch the learning rate decays and, when one is due, an IMRC checkpoint
+//! ([`crate::checkpoint`]) records `(seed, next epoch, lr, model)`. Every
+//! epoch boundary is therefore a resume point: a run resumed from any
+//! checkpoint is bit-identical to one that never stopped.
 //!
-//! * [`train_epoch`] cuts [`TRAIN_SHARDS`] contiguous shards — a function
-//!   of the batch length only, never of the pool width — and gives every
-//!   bag its own dropout stream, seeded by one `rng.u64()` drawn in batch
-//!   order before the fan-out. What it computes is therefore a pure
-//!   function of `(seed, batch composition)`: bit-identical at any
-//!   `--threads`, run to run and scalar vs vector; `IMRE_THREADS=1` runs
-//!   the same shards inline. [`train_model`] threads one sequential RNG
-//!   through shuffling and those per-bag draws.
-//! * The replica-aware primitives ([`epoch_order`], [`bag_step_rng`],
-//!   [`replica_shard`]) **derive** an independent stream per `(seed,
-//!   epoch)` and per `(seed, epoch, bag)` instead. A bag's dropout noise
-//!   then depends only on its identity and the epoch — never on which
-//!   replica processed it, in what order, or on how many other bags came
-//!   before it — which is what lets `imre-dist` resume a checkpoint mid-run
-//!   bit-identically: every stream is a pure function of the epoch index.
+//! **One fan-out.** [`train_epoch`] cuts each mini-batch into
+//! [`TRAIN_SHARDS`] contiguous shards — a function of the batch length only,
+//! never of the pool width — and runs every shard's forward/backward on its
+//! own `ShardWorker` (tape arena + compact gradient store) against the one
+//! shared `&ReModel`, in parallel on the `imre-tensor` pool. Every bag gets
+//! its own dropout stream, seeded by one `rng.u64()` drawn in batch order
+//! before the fan-out. The shard stores are summed into the model's
+//! gradients in shard order and one optimizer step follows. What a run
+//! computes is therefore a pure function of `(seed, batch composition)`:
+//! bit-identical at any `--threads`, run to run and scalar vs vector;
+//! `IMRE_THREADS=1` runs the same shards inline.
 
+use crate::checkpoint::{save_checkpoint, CheckpointCfg, ResumePoint};
 use crate::model::{BagContext, PreparedBag, ReModel, ShardWorker};
 use imre_nn::Sgd;
 use imre_tensor::pool::par_map;
 use imre_tensor::{mix64, TensorRng};
+use std::io;
 use std::sync::Mutex;
 
 /// How many contiguous shards [`train_epoch`] cuts a mini-batch into. A
@@ -72,7 +70,7 @@ impl TrainConfig {
 /// Per-epoch summary returned by [`train_model`].
 #[derive(Debug, Clone)]
 pub struct TrainStats {
-    /// Mean training loss per epoch.
+    /// Mean training loss of each epoch this call trained.
     pub epoch_losses: Vec<f32>,
 }
 
@@ -83,24 +81,56 @@ impl TrainStats {
     }
 }
 
-/// Trains a model on prepared bags.
+/// The stream epoch `epoch` of a run seeded `seed` draws from: first its
+/// shuffle, then one dropout seed per bag in visiting order.
+pub fn epoch_stream(seed: u64, epoch: usize) -> TensorRng {
+    TensorRng::seed(mix64(seed ^ mix64(0x5049_4d52_4544_5231 ^ epoch as u64)))
+}
+
+/// Trains a model on prepared bags, epochs `resume.next_epoch` (0 when
+/// `resume` is `None`) through `config.epochs`.
 ///
 /// Gradients are averaged over each mini-batch (`scale = 1/batch`), clipped
 /// by global norm, and applied with SGD whose learning rate decays per
-/// epoch — the paper's optimisation setup.
+/// epoch — the paper's optimisation setup. A resumed run starts from the
+/// checkpoint's decayed learning rate instead of `config.lr`. With
+/// `checkpoint`, an IMRC checkpoint is written after every `every`-th epoch.
+///
+/// # Errors
+/// `InvalidInput` when `resume` was written by a run with another seed
+/// (its epochs drew other streams); any I/O error of a checkpoint write.
+///
+/// # Panics
+/// If `bags` is empty.
 pub fn train_model(
     model: &mut ReModel,
     bags: &[PreparedBag],
     ctx: &BagContext,
     config: &TrainConfig,
-) -> TrainStats {
+    resume: Option<ResumePoint>,
+    checkpoint: Option<&CheckpointCfg>,
+) -> io::Result<TrainStats> {
     assert!(!bags.is_empty(), "train_model: no training bags");
-    let mut rng = TensorRng::seed(config.seed);
-    let mut sgd = Sgd::new(config.lr).with_clip_norm(config.clip_norm);
-    let mut order: Vec<usize> = (0..bags.len()).collect();
-    let mut epoch_losses = Vec::with_capacity(config.epochs);
+    let start = resume.unwrap_or(ResumePoint {
+        seed: config.seed,
+        next_epoch: 0,
+        lr: config.lr,
+    });
+    if start.seed != config.seed {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "the checkpoint was written by a run with training seed {}, not {}",
+                start.seed, config.seed
+            ),
+        ));
+    }
+    let mut sgd = Sgd::new(start.lr).with_clip_norm(config.clip_norm);
+    let mut epoch_losses = Vec::new();
 
-    for _epoch in 0..config.epochs {
+    for epoch in start.next_epoch..config.epochs {
+        let mut rng = epoch_stream(config.seed, epoch);
+        let mut order: Vec<usize> = (0..bags.len()).collect();
         rng.shuffle(&mut order);
         let epoch_loss = train_epoch(
             model,
@@ -113,8 +143,16 @@ pub fn train_model(
         );
         epoch_losses.push((epoch_loss / bags.len() as f64) as f32);
         sgd.decay_lr(config.lr_decay);
+        if let Some(c) = checkpoint.filter(|c| c.every > 0 && (epoch + 1) % c.every == 0) {
+            let at = ResumePoint {
+                seed: config.seed,
+                next_epoch: epoch + 1,
+                lr: sgd.lr,
+            };
+            save_checkpoint(model, &at, &c.path)?;
+        }
     }
-    TrainStats { epoch_losses }
+    Ok(TrainStats { epoch_losses })
 }
 
 /// One epoch over `order`: per mini-batch, fan the bags out over
@@ -151,18 +189,15 @@ fn accumulate_batch(
     rng: &mut TensorRng,
 ) -> f64 {
     let scale = 1.0 / batch.len() as f32;
-    let streams: Vec<u64> = batch.iter().map(|_| rng.u64()).collect();
-    let per_shard = batch.len().div_ceil(TRAIN_SHARDS);
-    let shards: Vec<&[usize]> = batch.chunks(per_shard).collect();
+    let visits: Vec<(usize, u64)> = batch.iter().map(|&bi| (bi, rng.u64())).collect();
+    let shards: Vec<&[(usize, u64)]> = visits.chunks(visits.len().div_ceil(TRAIN_SHARDS)).collect();
 
     let mut workers = std::mem::take(&mut model.workers);
     while workers.len() < shards.len() {
         workers.push(ShardWorker::new(model));
     }
     let used = &mut workers[..shards.len()];
-    let losses = accumulate_shards(model, used, bags, ctx, &shards, scale, |s, k| {
-        TensorRng::seed(streams[s * per_shard + k])
-    });
+    let losses = accumulate_shards(model, used, bags, ctx, &shards, scale);
     for w in used {
         model.grads.add_from(w.grads_mut());
         w.grads_mut().zero();
@@ -172,94 +207,29 @@ fn accumulate_batch(
 }
 
 /// The fan-out: forward/backward of `shards[s]` on `workers[s]`, all shards
-/// in parallel on the current pool against the shared `model`; returns the
-/// summed loss of each shard. Bag `shards[s][k]` draws its dropout noise
-/// from `stream(s, k)`. No optimizer step and no reduce — the caller
-/// combines the workers' stores in whatever fixed order its contract names.
-/// Which thread runs which shard cannot change a bit of any store.
-///
-/// # Panics
-/// If there are fewer workers than shards.
-pub fn accumulate_shards(
+/// in parallel on the current pool against the shared `model`, each visit
+/// `(bag, seed)` under a dropout stream seeded by `seed`; returns the summed
+/// loss of each shard. Which thread runs which shard cannot change a bit of
+/// any store.
+fn accumulate_shards(
     model: &ReModel,
     workers: &mut [ShardWorker],
     bags: &[PreparedBag],
     ctx: &BagContext,
-    shards: &[&[usize]],
+    shards: &[&[(usize, u64)]],
     scale: f32,
-    stream: impl Fn(usize, usize) -> TensorRng + Sync,
 ) -> Vec<f64> {
-    assert!(
-        workers.len() >= shards.len(),
-        "accumulate_shards: {} workers for {} shards",
-        workers.len(),
-        shards.len()
-    );
     // One uncontended lock per shard hands task `s` its `&mut` worker.
     let workers: Vec<Mutex<&mut ShardWorker>> = workers.iter_mut().map(Mutex::new).collect();
     par_map(shards.len(), |s| {
         let mut worker = workers[s].lock().expect("one task per shard worker");
-        accumulate_shard(model, &mut worker, bags, ctx, shards[s], scale, |k| {
-            stream(s, k)
-        })
+        let mut loss = 0.0f64;
+        for &(bi, seed) in shards[s] {
+            let mut rng = TensorRng::seed(seed);
+            loss += model.bag_forward_backward(&bags[bi], ctx, scale, &mut rng, &mut worker) as f64;
+        }
+        loss
     })
-}
-
-/// Forward/backward over one shard of a mini-batch: accumulates
-/// `scale`-weighted gradients for every listed bag into `worker`, bag
-/// `shard[k]` under the dropout stream `stream(k)`. Returns the summed loss.
-fn accumulate_shard(
-    model: &ReModel,
-    worker: &mut ShardWorker,
-    bags: &[PreparedBag],
-    ctx: &BagContext,
-    shard: &[usize],
-    scale: f32,
-    stream: impl Fn(usize) -> TensorRng,
-) -> f64 {
-    let mut loss = 0.0f64;
-    for (k, &bi) in shard.iter().enumerate() {
-        let mut rng = stream(k);
-        loss += model.bag_forward_backward(&bags[bi], ctx, scale, &mut rng, worker) as f64;
-    }
-    loss
-}
-
-// ----------------------------------------------------------------------
-// Replica-aware primitives (the substrate `imre-dist` trains on)
-// ----------------------------------------------------------------------
-
-/// The deterministic bag visiting order for one epoch: a shuffle drawn from
-/// a stream that depends only on `(seed, epoch)`. Resuming at an epoch
-/// boundary therefore replays exactly the orders an uninterrupted run sees.
-pub fn epoch_order(seed: u64, epoch: usize, n: usize) -> Vec<usize> {
-    let mut rng = TensorRng::seed(mix64(seed ^ mix64(0x5049_4d52_4544_5231 ^ epoch as u64)));
-    let mut order: Vec<usize> = (0..n).collect();
-    rng.shuffle(&mut order);
-    order
-}
-
-/// The dropout stream for one bag visit, a pure function of
-/// `(seed, epoch, bag)`. Independent of sharding: replica count and batch
-/// position cannot change a bag's noise, so the gradient each bag
-/// contributes is the same at any `--data-parallel` width.
-pub fn bag_step_rng(seed: u64, epoch: usize, bag: usize) -> TensorRng {
-    TensorRng::seed(mix64(
-        mix64(seed ^ mix64(0x4241_4753_5445_5032 ^ epoch as u64)) ^ mix64(bag as u64),
-    ))
-}
-
-/// The slice of a mini-batch owned by `replica` out of `replicas`: positions
-/// `replica, replica + R, replica + 2R, …` of `batch`. Strided (rather than
-/// contiguous) so bags of uneven size spread across replicas. A pure
-/// function of `(batch, replica, replicas)` — scheduling cannot change it.
-pub fn replica_shard(batch: &[usize], replica: usize, replicas: usize) -> Vec<usize> {
-    batch
-        .iter()
-        .skip(replica)
-        .step_by(replicas.max(1))
-        .copied()
-        .collect()
 }
 
 #[cfg(test)]
@@ -294,8 +264,20 @@ mod tests {
         })
     }
 
-    #[test]
-    fn loss_decreases_over_epochs() {
+    fn tiny_config(epochs: usize, seed: u64) -> TrainConfig {
+        TrainConfig {
+            epochs,
+            batch_size: 8,
+            lr: 0.2,
+            lr_decay: 0.95,
+            clip_norm: 5.0,
+            seed,
+        }
+    }
+
+    /// Trains a fresh PCNN+ATT (weights seeded `model_seed`) on the tiny
+    /// dataset, returning the model and its stats.
+    fn train_tiny(model_seed: u64, tc: &TrainConfig) -> (ReModel, Vec<PreparedBag>, TrainStats) {
         let ds = tiny_dataset();
         let hp = HyperParams::tiny();
         let bags = prepare_bags(&ds.train, &hp);
@@ -311,17 +293,15 @@ mod tests {
             ds.num_relations(),
             38,
             8,
-            11,
+            model_seed,
         );
-        let tc = TrainConfig {
-            epochs: 8,
-            batch_size: 8,
-            lr: 0.2,
-            lr_decay: 0.95,
-            clip_norm: 5.0,
-            seed: 13,
-        };
-        let stats = train_model(&mut model, &bags, &ctx, &tc);
+        let stats = train_model(&mut model, &bags, &ctx, tc, None, None).unwrap();
+        (model, bags, stats)
+    }
+
+    #[test]
+    fn loss_decreases_over_epochs() {
+        let (_, _, stats) = train_tiny(11, &tiny_config(8, 13));
         assert_eq!(stats.epoch_losses.len(), 8);
         assert!(
             stats.final_loss() < stats.epoch_losses[0] * 0.85,
@@ -332,32 +312,12 @@ mod tests {
 
     #[test]
     fn trained_model_beats_chance_on_train_set() {
-        let ds = tiny_dataset();
-        let hp = HyperParams::tiny();
-        let bags = prepare_bags(&ds.train, &hp);
-        let types = entity_type_table(&ds.world);
+        let (model, bags, _) = train_tiny(17, &tiny_config(6, 19));
+        let types = entity_type_table(&tiny_dataset().world);
         let ctx = BagContext {
             entity_embedding: None,
             entity_types: &types,
         };
-        let mut model = ReModel::new(
-            ModelSpec::pcnn_att(),
-            &hp,
-            ds.vocab.len(),
-            ds.num_relations(),
-            38,
-            8,
-            17,
-        );
-        let tc = TrainConfig {
-            epochs: 6,
-            batch_size: 8,
-            lr: 0.2,
-            lr_decay: 0.95,
-            clip_norm: 5.0,
-            seed: 19,
-        };
-        train_model(&mut model, &bags, &ctx, &tc);
         let correct = bags
             .iter()
             .filter(|b| {
@@ -376,51 +336,30 @@ mod tests {
     }
 
     #[test]
-    fn epoch_order_is_a_pure_function_of_seed_and_epoch() {
-        let a = epoch_order(7, 3, 100);
-        let b = epoch_order(7, 3, 100);
-        assert_eq!(a, b, "same (seed, epoch) must give the same order");
-        assert_ne!(a, epoch_order(7, 4, 100), "epochs draw distinct orders");
-        assert_ne!(a, epoch_order(8, 3, 100), "seeds draw distinct orders");
-        let mut sorted = a.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>(), "a permutation");
+    fn different_seeds_differ() {
+        let bytes = |seed: u64| {
+            let (model, _, _) = train_tiny(7, &tiny_config(2, seed));
+            let mut out = Vec::new();
+            crate::persist::write_model(&model, &mut out).unwrap();
+            out
+        };
+        assert_ne!(bytes(11), bytes(12), "seed must matter");
     }
 
     #[test]
-    fn bag_step_rng_streams_are_independent() {
-        let draw = |seed, epoch, bag| bag_step_rng(seed, epoch, bag).u64();
-        assert_eq!(draw(1, 2, 3), draw(1, 2, 3));
-        assert_ne!(draw(1, 2, 3), draw(1, 2, 4));
-        assert_ne!(draw(1, 2, 3), draw(1, 3, 3));
-        assert_ne!(draw(1, 2, 3), draw(2, 2, 3));
-    }
-
-    #[test]
-    fn replica_shards_partition_the_batch() {
-        let batch: Vec<usize> = vec![10, 11, 12, 13, 14, 15, 16];
-        for r_total in [1usize, 2, 3, 4, 8] {
-            let mut seen: Vec<usize> = Vec::new();
-            for r in 0..r_total {
-                seen.extend(replica_shard(&batch, r, r_total));
-            }
-            seen.sort_unstable();
-            let mut want = batch.clone();
-            want.sort_unstable();
-            assert_eq!(seen, want, "replicas={r_total} must cover exactly");
-        }
-        assert_eq!(replica_shard(&batch, 0, 2), vec![10, 12, 14, 16]);
-        assert_eq!(replica_shard(&batch, 1, 2), vec![11, 13, 15]);
-        // More replicas than bags: the extras get empty shards.
-        assert!(replica_shard(&batch[..2], 3, 4).is_empty());
+    fn epoch_stream_is_a_pure_function_of_seed_and_epoch() {
+        let draw = |seed, epoch| epoch_stream(seed, epoch).u64();
+        assert_eq!(draw(7, 3), draw(7, 3), "same (seed, epoch), same stream");
+        assert_ne!(draw(7, 3), draw(7, 4), "epochs draw distinct streams");
+        assert_ne!(draw(7, 3), draw(8, 3), "seeds draw distinct streams");
     }
 
     #[test]
     fn accumulate_shard_is_sharding_invariant() {
         // A bag's loss depends on its stream, not on which shard visits it:
-        // the whole batch as one shard and as three strided shards must
-        // report the same total (the gradients sum in a different order, so
-        // only the losses are pinned here).
+        // the whole batch as one shard and as three shards must report the
+        // same total (the gradients sum in a different order, so only the
+        // losses are pinned here).
         let ds = tiny_dataset();
         let hp = HyperParams::tiny();
         let bags = prepare_bags(&ds.train, &hp);
@@ -429,7 +368,8 @@ mod tests {
             entity_embedding: None,
             entity_types: &types,
         };
-        let batch: Vec<usize> = (0..bags.len().min(6)).collect();
+        let visits: Vec<(usize, u64)> =
+            (0..bags.len().min(6)).map(|b| (b, 50 + b as u64)).collect();
         let model = ReModel::new(
             ModelSpec::pcnn_att(),
             &hp,
@@ -439,19 +379,15 @@ mod tests {
             8,
             11,
         );
-        let total = |shards: &[Vec<usize>]| {
+        let total = |shards: &[&[(usize, u64)]]| {
             let mut workers: Vec<ShardWorker> =
                 shards.iter().map(|_| ShardWorker::new(&model)).collect();
-            let shards: Vec<&[usize]> = shards.iter().map(Vec::as_slice).collect();
-            accumulate_shards(&model, &mut workers, &bags, &ctx, &shards, 1.0, |s, k| {
-                bag_step_rng(5, 0, shards[s][k])
-            })
-            .iter()
-            .sum::<f64>()
+            accumulate_shards(&model, &mut workers, &bags, &ctx, shards, 1.0)
+                .iter()
+                .sum::<f64>()
         };
-        let whole = total(std::slice::from_ref(&batch));
-        let strided: Vec<Vec<usize>> = (0..3).map(|r| replica_shard(&batch, r, 3)).collect();
-        let split = total(&strided);
+        let whole = total(&[&visits]);
+        let split = total(&visits.chunks(2).collect::<Vec<_>>());
         assert!(
             (whole - split).abs() < 1e-4 * whole.abs().max(1.0),
             "sharded loss {split} drifted from whole-batch loss {whole}"
@@ -563,13 +499,9 @@ mod tests {
         };
         let mut model = ReModel::new(ModelSpec::pcnn(), &hp, ds.vocab.len(), 4, 38, 8, 1);
         let tc = TrainConfig {
-            epochs: 1,
-            batch_size: 4,
-            lr: 0.1,
             lr_decay: 1.0,
-            clip_norm: 5.0,
-            seed: 1,
+            ..tiny_config(1, 1)
         };
-        let _ = train_model(&mut model, &[], &ctx, &tc);
+        let _ = train_model(&mut model, &[], &ctx, &tc, None, None);
     }
 }

@@ -8,8 +8,7 @@
 //! pair can never change *what* is added to *what*, and each pairwise
 //! [`GradStore::add_from`] sums element-by-element in buffer order. The
 //! combined gradient is therefore bit-identical across runs and across
-//! `--threads` settings, which is what extends the PR 2 determinism
-//! contract from inference to training.
+//! `--threads` settings.
 
 use imre_nn::GradStore;
 use imre_tensor::pool::par_map;
@@ -18,8 +17,7 @@ use std::sync::Mutex;
 /// Reduces every store into `grads[0]` by fixed-order binary tree.
 ///
 /// After the call `grads[0]` holds the element-wise sum of all inputs;
-/// the other stores hold partial sums and must be zeroed before reuse
-/// (the engine does this after each optimizer step).
+/// the other stores hold partial sums and must be zeroed before reuse.
 ///
 /// The pair schedule for `n` replicas, in rounds:
 /// `s=1: (0,1) (2,3) (4,5) …` → `s=2: (0,2) (4,6) …` → `s=4: (0,4) …`

@@ -8,11 +8,12 @@
 use crate::heldout::evaluate_system;
 use crate::metrics::Evaluation;
 use imre_core::{
-    entity_type_table, prepare_bags, BagContext, HyperParams, ModelSpec, PreparedBag, ReModel,
-    TrainConfig,
+    entity_type_table, prepare_bags, train_model, BagContext, Checkpoint, CheckpointCfg,
+    HyperParams, ModelSpec, PreparedBag, ReModel, TrainConfig, TrainStats,
 };
 use imre_corpus::{generate_unlabeled, CoOccurrence, Dataset, DatasetConfig, UnlabeledConfig};
 use imre_graph::{train_line, EntityEmbedding, LineConfig, ProximityGraph};
+use std::io;
 
 /// Everything shared by the systems compared within one experiment.
 pub struct Pipeline {
@@ -84,16 +85,27 @@ impl Pipeline {
 
     /// Trains one system variant with the given seed.
     pub fn train_system(&self, spec: ModelSpec, seed: u64) -> ReModel {
-        let mut model = ReModel::new(
-            spec,
-            &self.hp,
-            self.dataset.vocab.len(),
-            self.dataset.num_relations(),
-            imre_corpus::NUM_COARSE_TYPES,
-            self.embedding.dim(),
-            seed,
-        );
-        model.set_word_embeddings(self.word_vectors.clone());
+        self.train_system_from(spec, seed, None, None)
+            .expect("a run that writes no checkpoint does no I/O")
+            .0
+    }
+
+    /// [`train_system`](Self::train_system), resumable: continues `resume`
+    /// — a checkpoint of this `spec`, trained on this pipeline's dataset
+    /// ([`check_fits`](Self::check_fits)) — instead of training a fresh
+    /// model, and writes checkpoints per `save`. A resumed run is
+    /// byte-identical to the uninterrupted one.
+    ///
+    /// # Errors
+    /// `InvalidInput` when `resume` was written under another seed; any
+    /// I/O error of a checkpoint write.
+    pub fn train_system_from(
+        &self,
+        spec: ModelSpec,
+        seed: u64,
+        resume: Option<Checkpoint>,
+        save: Option<&CheckpointCfg>,
+    ) -> io::Result<(ReModel, TrainStats)> {
         let mut tc = TrainConfig::from_hp(&self.hp, seed ^ 0xabcd);
         if spec.encoder == imre_core::EncoderKind::Gru {
             // Recurrent encoders converge in steps, not sentences: at this
@@ -102,56 +114,14 @@ impl Pipeline {
             // count for identical per-epoch compute.
             tc.batch_size = (tc.batch_size / 4).max(2);
         }
-        imre_core::train_model(&mut model, &self.train_bags, &self.ctx(), &tc);
-        model
-    }
-
-    /// The training config [`train_system`](Self::train_system) would use
-    /// for this spec/seed (GRU batch-size adjustment included) — shared so
-    /// the data-parallel path trains under identical hyperparameters.
-    pub fn train_config(&self, spec: ModelSpec, seed: u64) -> TrainConfig {
-        let mut tc = TrainConfig::from_hp(&self.hp, seed ^ 0xabcd);
-        if spec.encoder == imre_core::EncoderKind::Gru {
-            tc.batch_size = (tc.batch_size / 4).max(2);
-        }
-        tc
-    }
-
-    /// Trains one system on the data-parallel engine with `replicas`
-    /// model replicas (`imre train --data-parallel R`). Optionally resumes
-    /// from an IMRC checkpoint and/or writes periodic checkpoints.
-    ///
-    /// For a fixed `(seed, replicas)` the result is byte-identical across
-    /// runs and thread counts; it is *not* bitwise-equal to the serial
-    /// [`train_system`](Self::train_system) path (different RNG
-    /// discipline; see `imre_core::train`).
-    ///
-    /// # Panics
-    /// If a resume checkpoint's architecture differs from `spec`, or the
-    /// checkpoint cannot be read.
-    pub fn train_system_dp(
-        &self,
-        spec: ModelSpec,
-        seed: u64,
-        replicas: usize,
-        resume: Option<&std::path::Path>,
-        checkpoint: Option<&imre_dist::CheckpointCfg>,
-    ) -> (ReModel, imre_dist::DistStats) {
-        let tc = self.train_config(spec, seed);
-        let (mut engine, start_epoch) = match resume {
-            Some(path) => {
-                let mut ck = imre_dist::load_checkpoint(path)
-                    .unwrap_or_else(|e| panic!("cannot resume from {}: {e}", path.display()));
-                assert_eq!(
-                    ck.model.spec, spec,
-                    "checkpoint architecture does not match the requested system"
-                );
+        let (mut model, at) = match resume {
+            Some(Checkpoint { at, mut model }) => {
                 // The IMRM header records the run's total epoch budget; the
-                // checkpoint froze the interrupted run's smaller one. Align
-                // it so a resumed artifact is byte-identical to an
-                // uninterrupted run's.
-                ck.model.hp.epochs = tc.epochs;
-                imre_dist::DataParallel::resume(ck, replicas)
+                // checkpoint froze the interrupted run's, which may be
+                // smaller. Align it so the artifact matches an
+                // uninterrupted run's byte for byte.
+                model.hp.epochs = tc.epochs;
+                (model, Some(at))
             }
             None => {
                 let mut model = ReModel::new(
@@ -164,19 +134,28 @@ impl Pipeline {
                     seed,
                 );
                 model.set_word_embeddings(self.word_vectors.clone());
-                (
-                    imre_dist::DataParallel::new(
-                        model,
-                        replicas,
-                        imre_dist::OptimizerKind::Sgd,
-                        tc.lr,
-                    ),
-                    0,
-                )
+                (model, None)
             }
         };
-        let stats = engine.train(&self.train_bags, &self.ctx(), &tc, start_epoch, checkpoint);
-        (engine.into_model(), stats)
+        let stats = train_model(&mut model, &self.train_bags, &self.ctx(), &tc, at, save)?;
+        Ok((model, stats))
+    }
+
+    /// Whether `model` was trained on this pipeline's dataset: its word
+    /// table and relation head must have the regenerated dataset's sizes,
+    /// or token and relation ids would index past them. The error names
+    /// both sides.
+    pub fn check_fits(&self, model: &ReModel) -> Result<(), String> {
+        let ours = (self.dataset.vocab.len(), self.dataset.num_relations());
+        let theirs = (model.vocab_size(), model.num_relations());
+        if ours == theirs {
+            return Ok(());
+        }
+        Err(format!(
+            "the model has {} word rows and {} relations, but the dataset \
+             regenerated here has {} tokens and {} relations",
+            theirs.0, theirs.1, ours.0, ours.1
+        ))
     }
 
     /// Held-out evaluation of a trained model on the test split.
@@ -245,8 +224,40 @@ impl Pipeline {
         if seeds.len() == 1 {
             return vec![self.run_system(spec, seeds[0])];
         }
-        imre_dist::run_seeds(seeds, max_parallel, |seed| self.run_system(spec, seed))
+        run_seeds(seeds, max_parallel, |seed| self.run_system(spec, seed))
     }
+}
+
+/// Runs `f(seed)` for every seed on scoped OS threads, at most
+/// `max_parallel` concurrently (`0` = all at once), returning results in
+/// input order. Each seed's run is deterministic in isolation, so the cap
+/// changes wall time and peak memory (every concurrent run holds a full
+/// model), never a result.
+///
+/// Panics in `f` propagate to the caller after the wave completes.
+fn run_seeds<T, F>(seeds: &[u64], max_parallel: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(u64) -> T + Sync,
+{
+    let cap = if max_parallel == 0 {
+        seeds.len().max(1)
+    } else {
+        max_parallel
+    };
+    let f = &f;
+    let mut out = Vec::with_capacity(seeds.len());
+    for wave in seeds.chunks(cap) {
+        let wave_results: Vec<T> = std::thread::scope(|s| {
+            let handles: Vec<_> = wave.iter().map(|&seed| s.spawn(move || f(seed))).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("seed run panicked"))
+                .collect()
+        });
+        out.extend(wave_results);
+    }
+    out
 }
 
 /// Seed-averaged scalar metrics (the paper reports five-run means).
@@ -359,32 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn dp_training_is_deterministic_and_learns() {
-        let p = smoke_pipeline();
-        let (m1, stats) = p.train_system_dp(ModelSpec::pcnn_att(), 5, 2, None, None);
-        let (m2, _) = p.train_system_dp(ModelSpec::pcnn_att(), 5, 2, None, None);
-        let bytes = |m: &ReModel| {
-            let mut out = Vec::new();
-            imre_core::write_model(m, &mut out).unwrap();
-            out
-        };
-        assert_eq!(bytes(&m1), bytes(&m2), "same (seed, replicas) must match");
-        assert!(
-            stats.final_loss() < stats.epoch_losses[0],
-            "losses {:?}",
-            stats.epoch_losses
-        );
-        let ev = p.evaluate_model(&m1);
-        let serial = p.run_system(ModelSpec::pcnn_att(), 5);
-        assert!(
-            (ev.auc - serial.auc).abs() < 0.25,
-            "dp-trained quality {} drifted far from serial {}",
-            ev.auc,
-            serial.auc
-        );
-    }
-
-    #[test]
     fn dp_resume_matches_uninterrupted_run_bytewise() {
         // Mirrors the CLI flow: one process trains to a mid-run checkpoint
         // with a smaller epoch budget, a second resumes with the full one.
@@ -396,16 +381,21 @@ mod tests {
         hp.epochs = 2;
         let half = Pipeline::build(&smoke_config(3), hp);
 
-        let dir = std::env::temp_dir().join("imre-eval-dp-resume");
+        let dir = std::env::temp_dir().join("imre-eval-resume");
         std::fs::create_dir_all(&dir).unwrap();
-        let ck = dir.join("mid.imrc");
-        let ckpt = imre_dist::CheckpointCfg {
+        let ckpt = CheckpointCfg {
             every: 1,
-            path: ck.clone(),
+            path: dir.join("mid.imrc"),
         };
-        let (straight, _) = full.train_system_dp(ModelSpec::pcnn_att(), 5, 2, None, None);
-        let (_, _) = half.train_system_dp(ModelSpec::pcnn_att(), 5, 2, None, Some(&ckpt));
-        let (resumed, _) = full.train_system_dp(ModelSpec::pcnn_att(), 5, 2, Some(&ck), None);
+        let straight = full.train_system(ModelSpec::pcnn_att(), 5);
+        half.train_system_from(ModelSpec::pcnn_att(), 5, None, Some(&ckpt))
+            .unwrap();
+        let ck = imre_core::load_checkpoint(&ckpt.path).unwrap();
+        assert_eq!(full.check_fits(&ck.model), Ok(()));
+        let (resumed, stats) = full
+            .train_system_from(ModelSpec::pcnn_att(), 5, Some(ck), None)
+            .unwrap();
+        assert_eq!(stats.epoch_losses.len(), 2, "epochs 2 and 3 remained");
         let bytes = |m: &ReModel| {
             let mut out = Vec::new();
             imre_core::write_model(m, &mut out).unwrap();
@@ -417,6 +407,16 @@ mod tests {
             "resume must replay the uninterrupted run exactly"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_model_of_another_dataset_does_not_fit() {
+        let p = smoke_pipeline();
+        let other = Pipeline::build(&smoke_config(5), HyperParams::tiny());
+        let model = other.train_system(ModelSpec::pcnn(), 1);
+        assert_eq!(other.check_fits(&model), Ok(()));
+        let msg = p.check_fits(&model).unwrap_err();
+        assert!(msg.contains("word rows") && msg.contains("tokens"), "{msg}");
     }
 
     #[test]
@@ -442,5 +442,35 @@ mod tests {
         assert_eq!(mean.n_seeds, 2);
         let expected = (evals[0].auc + evals[1].auc) / 2.0;
         assert!((mean.auc - expected).abs() < 1e-6);
+    }
+
+    #[test]
+    fn results_come_back_in_seed_order() {
+        let seeds: Vec<u64> = (0..7).collect();
+        for cap in [0usize, 1, 2, 7, 16] {
+            let got = run_seeds(&seeds, cap, |s| s * 10);
+            assert_eq!(got, vec![0, 10, 20, 30, 40, 50, 60], "cap={cap}");
+        }
+    }
+
+    #[test]
+    fn concurrency_is_bounded_by_cap() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let live = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let seeds: Vec<u64> = (0..8).collect();
+        run_seeds(&seeds, 2, |_| {
+            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            live.fetch_sub(1, Ordering::SeqCst);
+        });
+        assert!(peak.load(Ordering::SeqCst) <= 2);
+    }
+
+    #[test]
+    fn empty_seed_list_is_fine() {
+        let got: Vec<u64> = run_seeds(&[], 4, |s| s);
+        assert!(got.is_empty());
     }
 }

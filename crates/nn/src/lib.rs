@@ -16,7 +16,7 @@
 //!   what the paper's CNN/PCNN/GRU relation extractors require.
 //! * Layers: [`Linear`], [`Conv1d`] (+ the PCNN segment helpers),
 //!   [`GruCell`] / [`BiGru`], [`Dropout`].
-//! * Optimizers: [`Sgd`] (the paper's choice, lr 0.3) and [`Adam`].
+//! * Optimizer: [`Sgd`] (the paper's choice, lr 0.3).
 //! * [`gradcheck`] verifies every backward rule against central finite
 //!   differences; downstream crates reuse it in their own tests.
 
@@ -34,7 +34,7 @@ pub use conv::{pcnn_segments, pcnn_segments_array, Conv1d};
 pub use dropout::Dropout;
 pub use gru::{BiGru, GruCell, GruVars};
 pub use linear::Linear;
-pub use optim::{Adam, Sgd};
+pub use optim::Sgd;
 pub use param::{GradStore, ParamId, ParamStore};
 pub use serialize::{load_params, read_params, save_params, write_params};
 pub use tape::{Segment, Tape, Var, LN_EPS};

@@ -1,8 +1,7 @@
-//! Optimizers: plain SGD (the paper trains with SGD, lr 0.3) and Adam
-//! (used for the graph-embedding substrate where it converges faster).
+//! The optimizer: plain SGD, as the paper trains every system (lr 0.3,
+//! per-epoch decay, global-norm clipping).
 
 use crate::param::{GradStore, ParamStore};
-use imre_tensor::Tensor;
 
 /// Stochastic gradient descent with optional gradient clipping and
 /// multiplicative learning-rate decay.
@@ -54,112 +53,12 @@ impl Sgd {
     }
 }
 
-/// Adam optimizer (Kingma & Ba, 2015) with bias correction.
-pub struct Adam {
-    /// Learning rate.
-    pub lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    t: u64,
-    m: Vec<Tensor>,
-    v: Vec<Tensor>,
-}
-
-impl Adam {
-    /// Adam with default moments (β₁ 0.9, β₂ 0.999, ε 1e-8), buffers sized
-    /// to match `params`.
-    pub fn new(lr: f32, params: &ParamStore) -> Self {
-        let m = params
-            .iter()
-            .map(|(_, _, t)| Tensor::zeros(t.shape()))
-            .collect();
-        let v = params
-            .iter()
-            .map(|(_, _, t)| Tensor::zeros(t.shape()))
-            .collect();
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 0,
-            m,
-            v,
-        }
-    }
-
-    /// Rebuilds an Adam optimizer from checkpointed state: the step count
-    /// and both moment vectors, exactly as returned by [`Adam::steps`] and
-    /// [`Adam::moments`]. Resuming training from a checkpoint restored this
-    /// way is bit-identical to never having stopped.
-    ///
-    /// # Panics
-    /// If the moment vectors disagree in length.
-    pub fn restore(lr: f32, t: u64, m: Vec<Tensor>, v: Vec<Tensor>) -> Self {
-        assert_eq!(m.len(), v.len(), "Adam::restore: moment count mismatch");
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t,
-            m,
-            v,
-        }
-    }
-
-    /// Number of optimizer steps taken so far (the bias-correction clock).
-    /// Data-parallel training must advance this exactly once per combined
-    /// mini-batch, no matter how many replicas contributed gradients.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
-    /// The first and second moment buffers, in parameter order (for
-    /// checkpointing).
-    pub fn moments(&self) -> (&[Tensor], &[Tensor]) {
-        (&self.m, &self.v)
-    }
-
-    /// Applies one Adam update and zeroes the grads.
-    ///
-    /// # Panics
-    /// If `params` gained parameters since construction.
-    pub fn step(&mut self, params: &mut ParamStore, grads: &mut GradStore) {
-        assert_eq!(
-            params.len(),
-            self.m.len(),
-            "Adam::step: parameter count changed since Adam::new"
-        );
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..params.len() {
-            let id = crate::param::ParamId(i);
-            let g = grads.get(id);
-            let m = &mut self.m[i];
-            let v = &mut self.v[i];
-            for ((mi, vi), &gi) in m.data_mut().iter_mut().zip(v.data_mut()).zip(g.data()) {
-                *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
-                *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
-            }
-            let p = params.get_mut(id);
-            for ((pi, &mi), &vi) in p.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
-                let m_hat = mi / bc1;
-                let v_hat = vi / bc2;
-                *pi -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-            }
-        }
-        grads.zero();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::param::{GradStore, ParamStore};
     use crate::tape::Tape;
+    use imre_tensor::Tensor;
 
     fn quadratic_loss_grad(
         params: &ParamStore,
@@ -207,56 +106,6 @@ mod tests {
         let mut sgd = Sgd::new(0.3);
         sgd.decay_lr(0.5);
         assert!((sgd.lr - 0.15).abs() < 1e-7);
-    }
-
-    #[test]
-    fn adam_minimises_quadratic() {
-        let mut params = ParamStore::new();
-        let id = params.register("x", Tensor::from_vec(vec![5.0, -3.0, 2.0], &[3]));
-        let mut grads = GradStore::zeros_like(&params);
-        let mut adam = Adam::new(0.1, &params);
-        for _ in 0..300 {
-            let _ = quadratic_loss_grad(&params, &mut grads, id);
-            adam.step(&mut params, &mut grads);
-        }
-        assert!(
-            params.get(id).norm_l2() < 0.05,
-            "norm {}",
-            params.get(id).norm_l2()
-        );
-    }
-
-    #[test]
-    fn adam_restore_resumes_bit_identically() {
-        let mut params_a = ParamStore::new();
-        let id_a = params_a.register("x", Tensor::from_vec(vec![5.0, -3.0], &[2]));
-        let mut params_b = ParamStore::new();
-        let id_b = params_b.register("x", Tensor::from_vec(vec![5.0, -3.0], &[2]));
-        let mut grads_a = GradStore::zeros_like(&params_a);
-        let mut grads_b = GradStore::zeros_like(&params_b);
-
-        let mut adam_a = Adam::new(0.1, &params_a);
-        let mut adam_b = Adam::new(0.1, &params_b);
-        for _ in 0..5 {
-            let _ = quadratic_loss_grad(&params_a, &mut grads_a, id_a);
-            adam_a.step(&mut params_a, &mut grads_a);
-            let _ = quadratic_loss_grad(&params_b, &mut grads_b, id_b);
-            adam_b.step(&mut params_b, &mut grads_b);
-        }
-        assert_eq!(adam_a.steps(), 5);
-
-        // Checkpoint b, rebuild it, continue both: trajectories must agree
-        // exactly.
-        let (m, v) = adam_b.moments();
-        let mut adam_b = Adam::restore(adam_b.lr, adam_b.steps(), m.to_vec(), v.to_vec());
-        for _ in 0..5 {
-            let _ = quadratic_loss_grad(&params_a, &mut grads_a, id_a);
-            adam_a.step(&mut params_a, &mut grads_a);
-            let _ = quadratic_loss_grad(&params_b, &mut grads_b, id_b);
-            adam_b.step(&mut params_b, &mut grads_b);
-        }
-        assert_eq!(params_a.get(id_a).data(), params_b.get(id_b).data());
-        assert_eq!(adam_a.steps(), adam_b.steps());
     }
 
     #[test]

@@ -444,9 +444,9 @@ impl GradStore {
         }
     }
 
-    /// Accumulates every gradient of `other` into this store — the pairwise
-    /// combine of the data-parallel tree all-reduce and the merge of a
-    /// shard's store into the primary. Only what `other` wrote is visited;
+    /// Accumulates every gradient of `other` into this store — the merge of
+    /// a shard's store into the primary and the pairwise combine of
+    /// `imre_dist::tree_all_reduce`. Only what `other` wrote is visited;
     /// summation inside each buffer is in element order, so for a fixed
     /// pair the result is bit-identical no matter which thread runs it.
     ///

@@ -103,7 +103,7 @@ fn read_bytes<R: Read>(r: &mut R, len: usize) -> io::Result<Vec<u8>> {
 /// `len` is whatever an untrusted header claimed, so the output grows with
 /// the bytes that actually arrive: a short input ends in `UnexpectedEof`
 /// having allocated no more than a constant factor of what it delivered.
-/// Shared by the IMRP, IMRC and `.imrb` readers.
+/// Shared by the IMRP and `.imrb` readers.
 pub fn read_f32s<R: Read>(r: &mut R, len: usize) -> io::Result<Vec<f32>> {
     let mut data = Vec::new();
     let mut buf = [0u8; 1 << 16];
@@ -135,16 +135,26 @@ pub fn load_params(path: &Path) -> io::Result<ParamStore> {
     read_params(&mut file)
 }
 
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
+/// Reads one little-endian `u32`. Shared, like [`read_f32s`], by every
+/// binary reader in the workspace.
+pub fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
     let mut buf = [0u8; 4];
     r.read_exact(&mut buf)?;
     Ok(u32::from_le_bytes(buf))
 }
 
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
+/// Reads one little-endian `u64`.
+pub fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
     let mut buf = [0u8; 8];
     r.read_exact(&mut buf)?;
     Ok(u64::from_le_bytes(buf))
+}
+
+/// Reads one little-endian `f32`.
+pub fn read_f32<R: Read>(r: &mut R) -> io::Result<f32> {
+    let mut buf = [0u8; 4];
+    r.read_exact(&mut buf)?;
+    Ok(f32::from_le_bytes(buf))
 }
 
 #[cfg(test)]

@@ -31,6 +31,7 @@ use imre_ann::AnnIndex;
 use imre_core::{read_model, write_model, QuantModel, ReModel};
 use imre_corpus::{Vocab, World};
 use imre_graph::EntityEmbedding;
+use imre_nn::serialize::{read_f32s, read_u32, read_u64};
 use imre_tensor::Tensor;
 use std::any::Any;
 use std::io::{self, Read, Write};
@@ -393,7 +394,7 @@ fn read_tables<R: Read>(
             let len = rows
                 .checked_mul(cols)
                 .ok_or_else(|| bad("embedding matrix size overflows"))?;
-            let data = imre_nn::serialize::read_f32s(r, len)?;
+            let data = read_f32s(r, len)?;
             Some(EntityEmbedding::from_matrix(Tensor::from_vec(
                 data,
                 &[rows, cols],
@@ -613,18 +614,6 @@ fn write_str<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
     let bytes = s.as_bytes();
     w.write_all(&(bytes.len() as u32).to_le_bytes())?;
     w.write_all(bytes)
-}
-
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
 }
 
 fn read_str<R: Read>(r: &mut R) -> io::Result<String> {

@@ -65,7 +65,7 @@ impl PoolStats {
     }
 
     /// Accumulates another pool's counters into this one (used to sum the
-    /// data-parallel replicas' arena deltas into one training report).
+    /// training shard workers' arenas into `ReModel::arena_stats`).
     pub fn merge(&mut self, other: &PoolStats) {
         self.hits += other.hits;
         self.misses += other.misses;

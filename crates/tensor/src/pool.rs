@@ -290,7 +290,7 @@ pub fn current_threads() -> usize {
 }
 
 // ----------------------------------------------------------------------
-// Deterministic data-parallel helpers
+// Deterministic sharding helpers
 // ----------------------------------------------------------------------
 
 /// Raw pointer wrapper so disjoint-shard writers can be captured by `Sync`

@@ -80,7 +80,10 @@ fn main() {
         &train_bags,
         &ctx,
         &TrainConfig::from_hp(&hp, 13),
-    );
+        None,
+        None,
+    )
+    .expect("a run that writes no checkpoint does no I/O");
     println!("trained GRU+ATT: per-epoch loss {:?}", stats.epoch_losses);
 
     // 3. Evaluate and inspect one prediction.

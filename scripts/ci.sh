@@ -4,13 +4,13 @@
 #
 # Usage:
 #   scripts/ci.sh                # full gate: fmt, clippy, build, test,
-#                                # serve-faults, alloc-gate, train-dp, knn,
+#                                # serve-faults, alloc-gate, train, knn,
 #                                # simd, quant, stream, bench, repo-bench
 #   scripts/ci.sh --fast         # quick gate: fmt, clippy, test, serve-faults
 #                                # (skips the release build and bench smoke)
 #   scripts/ci.sh <step>...      # run only the named steps, in order:
 #                                #   fmt clippy build test serve-faults
-#                                #   alloc-gate train-dp knn simd quant
+#                                #   alloc-gate train knn simd quant
 #                                #   stream bench repo-bench
 #
 # Steps:
@@ -29,14 +29,12 @@
 #           (zero buffer-pool misses across ≥100 warm requests) plus the
 #           stricter counting-global-allocator check that a warm inference
 #           pass performs zero heap allocations process-wide
-#   train-dp
-#           the data-parallel training gate: the imre-dist determinism and
+#   train   the training-loop gate: the imre-core epoch-stream, IMRC and
 #           resume suites, then a CLI-level end-to-end check on the smoke
-#           corpus — two `imre train --data-parallel 4` runs plus a
-#           `--threads 1` run must produce byte-identical IMRM artifacts,
-#           a checkpoint + `--resume` run must match the uninterrupted
-#           run bytewise, and plain `imre train` must write one artifact
-#           at `--threads 1`, `--threads 4` and under IMRE_FORCE_SCALAR=1
+#           corpus — `imre train` must write one artifact at `--threads 1`,
+#           `--threads 4` and under IMRE_FORCE_SCALAR=1, and 2 epochs with
+#           `--checkpoint` at `--threads 1` resumed to 4 at `--threads 4`
+#           must match a straight 4-epoch run bytewise
 #   knn     the kNN-interpolation gate: the imre-ann determinism/serialize
 #           suites, the .imrb v1/v2 compatibility tests, the counting-
 #           allocator zero-alloc kNN query gate, and a CLI-level end-to-end
@@ -177,51 +175,38 @@ step_knn() {
     echo "knn: eval --knn reports the per-bucket table"
 }
 
-step_train_dp() {
-    # Engine-level determinism, clip/step audit, and resume suites.
-    cargo test --offline -q -p imre-dist
+step_train() {
+    # The loop's own suites: epoch streams, IMRC v2, resume at every epoch.
+    cargo test --offline -q -p imre-core --lib -- train::tests checkpoint::tests
+    cargo test --offline -q -p imre-core --test checkpoint_resume
 
-    # CLI-level end-to-end: byte-identical artifacts across repeat runs,
-    # across --threads, and across a checkpoint + resume split.
+    # CLI-level end-to-end on the smoke corpus. The loop shards every
+    # mini-batch the same way at any pool width and on either kernel tier:
+    # one artifact.
     cargo build --offline -q --release -p imre-cli
     local imre=target/release/imre
-    local dir=target/train-dp
+    local dir=target/train-ci
     rm -rf "$dir" && mkdir -p "$dir"
-    local common=(--dataset smoke --model pcnn --seed 5)
+    local plain=(train --dataset smoke --model pa-tmr --seed 5)
+    "$imre" "${plain[@]}" --epochs 2 --threads 1 --out "$dir/t1.imrm" >/dev/null
+    "$imre" "${plain[@]}" --epochs 2 --threads 4 --out "$dir/t4.imrm" >/dev/null
+    IMRE_FORCE_SCALAR=1 "$imre" "${plain[@]}" --epochs 2 --out "$dir/scalar.imrm" >/dev/null
+    cmp "$dir/t1.imrm" "$dir/t4.imrm" ||
+        { echo "train: --threads changed the artifact" >&2; exit 1; }
+    cmp "$dir/t1.imrm" "$dir/scalar.imrm" ||
+        { echo "train: IMRE_FORCE_SCALAR changed the artifact" >&2; exit 1; }
+    echo "train: byte-identical across --threads and kernel tiers"
 
-    "$imre" train "${common[@]}" --epochs 2 --data-parallel 4 --threads 4 \
-        --out "$dir/a.imrm" >/dev/null
-    "$imre" train "${common[@]}" --epochs 2 --data-parallel 4 --threads 4 \
-        --out "$dir/b.imrm" >/dev/null
-    cmp "$dir/a.imrm" "$dir/b.imrm" ||
-        { echo "train-dp: repeat runs differ" >&2; exit 1; }
-    "$imre" train "${common[@]}" --epochs 2 --data-parallel 4 --threads 1 \
-        --out "$dir/c.imrm" >/dev/null
-    cmp "$dir/a.imrm" "$dir/c.imrm" ||
-        { echo "train-dp: --threads changed the artifact" >&2; exit 1; }
-    echo "train-dp: byte-identical across runs and --threads"
-
-    "$imre" train "${common[@]}" --epochs 4 --data-parallel 2 \
-        --out "$dir/straight.imrm" >/dev/null
-    "$imre" train "${common[@]}" --epochs 2 --data-parallel 2 \
+    # Every epoch boundary is a resume point: 2 epochs with a checkpoint on
+    # one thread, resumed to 4 on four, equal a straight 4-epoch run.
+    "$imre" "${plain[@]}" --epochs 4 --out "$dir/straight.imrm" >/dev/null
+    "$imre" "${plain[@]}" --epochs 2 --threads 1 \
         --checkpoint "$dir/mid.imrc" --out "$dir/half.imrm" >/dev/null
-    "$imre" train "${common[@]}" --epochs 4 --data-parallel 2 \
+    "$imre" "${plain[@]}" --epochs 4 --threads 4 \
         --resume "$dir/mid.imrc" --out "$dir/resumed.imrm" >/dev/null
     cmp "$dir/straight.imrm" "$dir/resumed.imrm" ||
-        { echo "train-dp: resume diverged from the uninterrupted run" >&2; exit 1; }
-    echo "train-dp: checkpoint resume matches the uninterrupted run"
-
-    # The plain loop shards every mini-batch the same way at any pool width
-    # and on either kernel tier: one artifact.
-    local plain=(train --dataset smoke --model pa-tmr --seed 5 --epochs 2)
-    "$imre" "${plain[@]}" --threads 1 --out "$dir/t1.imrm" >/dev/null
-    "$imre" "${plain[@]}" --threads 4 --out "$dir/t4.imrm" >/dev/null
-    IMRE_FORCE_SCALAR=1 "$imre" "${plain[@]}" --out "$dir/scalar.imrm" >/dev/null
-    cmp "$dir/t1.imrm" "$dir/t4.imrm" ||
-        { echo "train-dp: --threads changed the plain-train artifact" >&2; exit 1; }
-    cmp "$dir/t1.imrm" "$dir/scalar.imrm" ||
-        { echo "train-dp: IMRE_FORCE_SCALAR changed the plain-train artifact" >&2; exit 1; }
-    echo "train-dp: plain train byte-identical across --threads and kernel tiers"
+        { echo "train: resume diverged from the uninterrupted run" >&2; exit 1; }
+    echo "train: checkpoint resume matches the uninterrupted run"
 }
 
 step_simd() {
@@ -346,7 +331,7 @@ case "${1:-}" in
     steps=(fmt clippy test serve-faults)
     ;;
 "")
-    steps=(fmt clippy build test serve-faults alloc-gate train-dp knn simd quant stream bench repo-bench)
+    steps=(fmt clippy build test serve-faults alloc-gate train knn simd quant stream bench repo-bench)
     ;;
 *)
     steps=("$@")
@@ -355,13 +340,12 @@ esac
 
 for s in "${steps[@]}"; do
     case "$s" in
-    fmt | clippy | build | test | knn | simd | quant | stream | bench) run_step "$s" "step_$s" ;;
+    fmt | clippy | build | test | train | knn | simd | quant | stream | bench) run_step "$s" "step_$s" ;;
     serve-faults) run_step "$s" step_serve_faults ;;
     alloc-gate) run_step "$s" step_alloc_gate ;;
-    train-dp) run_step "$s" step_train_dp ;;
     repo-bench) run_step "$s" step_repo_bench ;;
     *)
-        echo "ci.sh: unknown step '$s' (valid: fmt clippy build test serve-faults alloc-gate train-dp knn simd quant stream bench repo-bench)" >&2
+        echo "ci.sh: unknown step '$s' (valid: fmt clippy build test serve-faults alloc-gate train knn simd quant stream bench repo-bench)" >&2
         exit 2
         ;;
     esac

@@ -8,12 +8,12 @@
 //! | crate | role |
 //! |---|---|
 //! | [`tensor`] | dense f32 tensors, matmul, reductions (no BLAS) |
-//! | [`nn`] | tape-based autograd, CNN/PCNN/GRU layers, SGD/Adam |
+//! | [`nn`] | tape-based autograd, CNN/PCNN/GRU layers, SGD |
 //! | [`corpus`] | synthetic distant-supervision corpora (NYT-sim, GDS-sim) and the unlabeled corpus standing in for Wikipedia |
 //! | [`graph`] | entity proximity graph + LINE embeddings (the implicit mutual relations) |
-//! | [`core`] | the paper's models: PCNN(+ATT), CNN+ATT, GRU+ATT, BGWA, CNN+RL, Mintz/MultiR/MIMLRE, PA-T / PA-MR / PA-TMR |
-//! | [`dist`] | deterministic data-parallel training: replica sharding, fixed-order tree all-reduce, checkpoints, parallel multi-seed runner |
-//! | [`eval`] | held-out PR/AUC/P@N metrics, slice analyses, the experiment pipeline |
+//! | [`core`] | the paper's models: PCNN(+ATT), CNN+ATT, GRU+ATT, BGWA, CNN+RL, Mintz/MultiR/MIMLRE, PA-T / PA-MR / PA-TMR; the training loop with checkpoints and bit-identical resume |
+//! | [`dist`] | fixed-order tree all-reduce of gradient stores |
+//! | [`eval`] | held-out PR/AUC/P@N metrics, slice analyses, the experiment pipeline and its parallel multi-seed runs |
 //! | [`serve`] | multi-threaded inference serving: model registry, bounded queue + worker pool, TCP front-end, latency metrics |
 //! | [`stream`] | streaming corpus ingestion: merged co-occurrence table, online LINE refinement, live bundle hot-swap publishing |
 //!
@@ -40,7 +40,7 @@ pub use imre_serve as serve;
 pub use imre_stream as stream;
 pub use imre_tensor as tensor;
 
-/// The paper's models and training loops (re-export of `imre-core`; named
+/// The paper's models and training loop (re-export of `imre-core`; named
 /// `core` here for discoverability — use the full path `imre::core`).
 pub mod core {
     pub use imre_core::*;
