@@ -24,6 +24,18 @@ fn bench_matmul(c: &mut Criterion) {
             bch.iter(|| std::hint::black_box(a.matmul(&b)));
         });
     }
+    // The shapes the model serves, whose widths are not tile multiples:
+    // the Table III conv of a 65-token sentence and the head projection of
+    // an 8-sentence bag onto 53 relations.
+    for (m, k, n) in [(65usize, 180usize, 230usize), (8, 690, 53)] {
+        let mut rng = TensorRng::seed(1);
+        let a = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng);
+        let b = Tensor::rand_uniform(&[k, n], -1.0, 1.0, &mut rng);
+        let id = BenchmarkId::from_parameter(format!("{m}x{k}x{n}"));
+        group.bench_function(id, |bch| {
+            bch.iter(|| std::hint::black_box(a.matmul(&b)));
+        });
+    }
     group.finish();
 }
 

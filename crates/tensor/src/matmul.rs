@@ -171,10 +171,14 @@ impl Tensor {
 /// register tile on the vector backends) accumulating every element in
 /// ascending-`l` order, so backend and threading both leave the float
 /// result bit-identical to the naive triple loop.
+///
+/// # Panics
+/// If a slice length disagrees with `m`, `k` and `n` — in every profile,
+/// since the vector kernels index the slices through raw pointers.
 pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
+    assert_eq!(a.len(), m * k, "matmul_into: a is not {m}×{k}");
+    assert_eq!(b.len(), k * n, "matmul_into: b is not {k}×{n}");
+    assert_eq!(out.len(), m * n, "matmul_into: out is not {m}×{n}");
     let be = simd::backend();
     simd::note(be);
     pool::for_rows(out, m, n, row_grain(k, n), |lo, hi, shard| {
@@ -188,10 +192,13 @@ pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n:
 /// of the output walks column `i` of `a` (stride `m`) through the same
 /// multi-row microkernel, so every `out[i][j]` accumulates in exactly the
 /// ascending-`l` order the sequential rank-1-update sweep uses.
+///
+/// # Panics
+/// As [`matmul_into`].
 pub fn matmul_tn_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
+    assert_eq!(a.len(), k * m, "matmul_tn_into: a is not {k}×{m}");
+    assert_eq!(b.len(), k * n, "matmul_tn_into: b is not {k}×{n}");
+    assert_eq!(out.len(), m * n, "matmul_tn_into: out is not {m}×{n}");
     let be = simd::backend();
     simd::note(be);
     pool::for_rows(out, m, n, row_grain(k, n), |lo, hi, shard| {
@@ -203,10 +210,13 @@ pub fn matmul_tn_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize,
 ///
 /// Parallel over output-row ranges; each element is one independent
 /// fixed-lane [`simd::dot`], so partitioning cannot change results.
+///
+/// # Panics
+/// As [`matmul_into`].
 pub fn matmul_nt_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
+    assert_eq!(a.len(), m * k, "matmul_nt_into: a is not {m}×{k}");
+    assert_eq!(b.len(), n * k, "matmul_nt_into: b is not {n}×{k}");
+    assert_eq!(out.len(), m * n, "matmul_nt_into: out is not {m}×{n}");
     let be = simd::backend();
     simd::note(be);
     pool::for_rows(out, m, n, row_grain(k, n), |lo, hi, shard| {
@@ -246,6 +256,57 @@ mod tests {
     #[should_panic(expected = "inner dimension mismatch")]
     fn matmul_mismatch_panics() {
         let _ = Tensor::zeros(&[2, 3]).matmul(&Tensor::zeros(&[2, 3]));
+    }
+
+    /// The `*_into` entry points check slice lengths in release too: the
+    /// row kernels behind them index through raw pointers.
+    #[test]
+    #[should_panic(expected = "matmul_into: a is not 4×180")]
+    fn matmul_into_short_a_panics() {
+        let mut out = [0.0; 4 * 32];
+        matmul_into(&[1.0; 8], &[1.0; 180 * 32], &mut out, 4, 180, 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul_into: b is not 180×32")]
+    fn matmul_into_short_b_panics() {
+        let mut out = [0.0; 4 * 32];
+        matmul_into(&[1.0; 4 * 180], &[1.0; 16], &mut out, 4, 180, 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul_into: out is not 4×32")]
+    fn matmul_into_short_out_panics() {
+        let mut out = [0.0; 4 * 32 - 1];
+        matmul_into(&[1.0; 4 * 180], &[1.0; 180 * 32], &mut out, 4, 180, 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul_tn_into: a is not 180×4")]
+    fn matmul_tn_into_short_a_panics() {
+        let mut out = [0.0; 4 * 32];
+        matmul_tn_into(&[1.0; 8], &[1.0; 180 * 32], &mut out, 4, 180, 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul_tn_into: b is not 180×32")]
+    fn matmul_tn_into_short_b_panics() {
+        let mut out = [0.0; 4 * 32];
+        matmul_tn_into(&[1.0; 180 * 4], &[1.0; 16], &mut out, 4, 180, 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul_tn_into: out is not 4×32")]
+    fn matmul_tn_into_short_out_panics() {
+        let mut out = [0.0; 8];
+        matmul_tn_into(&[1.0; 180 * 4], &[1.0; 180 * 32], &mut out, 4, 180, 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul_nt_into: b is not 32×180")]
+    fn matmul_nt_into_short_b_panics() {
+        let mut out = [0.0; 4 * 32];
+        matmul_nt_into(&[1.0; 4 * 180], &[1.0; 16], &mut out, 4, 180, 32);
     }
 
     #[test]

@@ -356,11 +356,19 @@ fn align_grain(grain: usize, cols: usize) -> usize {
 /// rows independently of the chunk bounds it is handed. With one thread or
 /// a single chunk, `f(0, rows, out)` is called directly on the caller
 /// thread.
+///
+/// # Panics
+/// If `out.len() != rows * cols`, in every profile: the shards are cut
+/// from raw pointers.
 pub fn for_rows<F>(out: &mut [f32], rows: usize, cols: usize, grain: usize, f: F)
 where
     F: Fn(usize, usize, &mut [f32]) + Sync,
 {
-    debug_assert_eq!(out.len(), rows * cols, "pool::for_rows: shape mismatch");
+    assert_eq!(
+        out.len(),
+        rows * cols,
+        "pool::for_rows: out is not {rows}×{cols}"
+    );
     if rows == 0 {
         return;
     }
@@ -375,7 +383,8 @@ where
         pool.run(chunks, &|c| {
             let lo = c * grain;
             let hi = ((c + 1) * grain).min(rows);
-            // SAFETY: chunks cover disjoint row ranges of `out`.
+            // SAFETY: chunks cover disjoint row ranges of `out`, which the
+            // assert above makes exactly `rows * cols` long.
             let shard = unsafe {
                 std::slice::from_raw_parts_mut(base.get().add(lo * cols), (hi - lo) * cols)
             };
@@ -515,6 +524,18 @@ mod tests {
                     }
                 }
             }
+        });
+    }
+
+    /// A short `out` must panic before any shard is cut from it, in every
+    /// profile (shards are raw-pointer slices on a multi-thread pool).
+    #[test]
+    #[should_panic(expected = "pool::for_rows: out is not 64×16")]
+    fn for_rows_short_out_panics() {
+        let pool = ThreadPool::new(2);
+        with_pool(&pool, || {
+            let mut out = vec![0.0f32; 16];
+            for_rows(&mut out, 64, 16, 1, |_, _, shard| shard.fill(1.0));
         });
     }
 

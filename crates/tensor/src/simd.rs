@@ -15,10 +15,13 @@
 //! * Kernels vectorised across independent output elements (matmul rows,
 //!   elementwise ops, broadcasts) perform exactly the same IEEE-754
 //!   `mul`/`add`/`div` per element in exactly the same order as the scalar
-//!   loop; lane width cannot be observed. No FMA is used anywhere — a fused
-//!   multiply-add rounds differently, and `f32::mul_add` in the scalar
-//!   mirror would fall back to a slow soft-float libm call on baseline
-//!   x86-64 builds.
+//!   loop; lane width cannot be observed. A matmul row's columns past its
+//!   last full vector run as one masked vector step: masked-off lanes load
+//!   zeros and are never stored, so the tail keeps the per-lane op order
+//!   and no row kernel has a scalar column loop. No FMA is used anywhere —
+//!   a fused multiply-add rounds differently, and `f32::mul_add` in the
+//!   scalar mirror would fall back to a slow soft-float libm call on
+//!   baseline x86-64 builds.
 //! * Kernels that reduce *across* elements (`dot`, row max/sum for softmax)
 //!   have a **fixed virtual lane structure** that is part of their
 //!   definition: `dot` accumulates into 32 stride-32 partial sums and
@@ -381,7 +384,9 @@ fn row_sum_scalar(xs: &[f32]) -> f32 {
 ///
 /// The vector paths hold a tile of the output row in registers (6×f32x8 on
 /// AVX2, 4×f32x16 on AVX-512) and stream rows of `b` through it, so each
-/// output element is loaded and stored exactly once per call.
+/// output element is loaded and stored exactly once per call. Columns past
+/// the last full tile go one vector at a time, the last step under a lane
+/// mask, so a width like the conv's 230 never falls back to scalar.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn row_times_mat(
     be: Backend,
@@ -399,10 +404,12 @@ pub(crate) fn row_times_mat(
     match be {
         Backend::Scalar => row_times_mat_scalar(a, a_off, a_stride, k, b, n, out),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: vector backends imply the matching CPU features.
+        // SAFETY: Avx2 is only reported when avx2 is detected; the bounds
+        // above are the `assert_eq!`s of `matmul_into` / `matmul_tn_into`.
         Backend::Avx2 => unsafe { row_times_mat_avx2(a, a_off, a_stride, k, b, n, out) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx512 is only reported when avx512f is detected.
+        // SAFETY: Avx512 is only reported when avx512f is detected; bounds
+        // as for Avx2.
         Backend::Avx512 => unsafe { row_times_mat_avx512(a, a_off, a_stride, k, b, n, out) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => row_times_mat_scalar(a, a_off, a_stride, k, b, n, out),
@@ -451,7 +458,10 @@ pub(crate) fn rows_times_mat(
                 a_off + (r + 3) * a_row_step,
             ];
             let chunk = &mut out[r * n..(r + 4) * n];
-            // SAFETY: vector backends imply the matching CPU features.
+            // SAFETY: vector backends imply the matching CPU features. The
+            // `a` and `b` reads stay in bounds by the `assert_eq!`s of
+            // `matmul_into` / `matmul_tn_into`, the only callers; `chunk`
+            // is a checked slice of exactly `4n`.
             unsafe {
                 if be == Backend::Avx512 {
                     rows4_times_mat_avx512(a, offs, a_stride, k, b, n, chunk);
@@ -760,22 +770,20 @@ mod x86 {
             _mm256_storeu_ps(o.add(40), c5);
             j += 48;
         }
-        while j + 8 <= n {
+        // The rest 8 columns at a time; the last step's mask keeps the
+        // lanes below `n`. Masked-off lanes load zeros and are never stored.
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        while j < n {
+            let m = _mm256_cmpgt_epi32(_mm256_set1_epi32((n - j).min(8) as i32), lane);
             let o = op_.add(j);
-            let mut c0 = _mm256_loadu_ps(o);
+            let mut c0 = _mm256_maskload_ps(o, m);
             for l in 0..k {
                 let va = _mm256_set1_ps(*ap.add(l * a_stride));
-                c0 = _mm256_add_ps(c0, _mm256_mul_ps(va, _mm256_loadu_ps(bp.add(l * n + j))));
+                let b0 = _mm256_maskload_ps(bp.add(l * n + j), m);
+                c0 = _mm256_add_ps(c0, _mm256_mul_ps(va, b0));
             }
-            _mm256_storeu_ps(o, c0);
+            _mm256_maskstore_ps(o, m, c0);
             j += 8;
-        }
-        for jj in j..n {
-            let mut s = out[jj];
-            for l in 0..k {
-                s += *ap.add(l * a_stride) * b[l * n + jj];
-            }
-            out[jj] = s;
         }
     }
 
@@ -817,22 +825,19 @@ mod x86 {
             _mm512_storeu_ps(o.add(48), c3);
             j += 64;
         }
-        while j + 16 <= n {
+        // The rest 16 columns at a time; the last step's mask keeps the
+        // lanes below `n`. Masked-off lanes load zeros and are never stored.
+        while j < n {
+            let m = ((1u32 << (n - j).min(16)) - 1) as __mmask16;
             let o = op_.add(j);
-            let mut c0 = _mm512_loadu_ps(o);
+            let mut c0 = _mm512_maskz_loadu_ps(m, o);
             for l in 0..k {
                 let va = _mm512_set1_ps(*ap.add(l * a_stride));
-                c0 = _mm512_add_ps(c0, _mm512_mul_ps(va, _mm512_loadu_ps(bp.add(l * n + j))));
+                let b0 = _mm512_maskz_loadu_ps(m, bp.add(l * n + j));
+                c0 = _mm512_add_ps(c0, _mm512_mul_ps(va, b0));
             }
-            _mm512_storeu_ps(o, c0);
+            _mm512_mask_storeu_ps(o, m, c0);
             j += 16;
-        }
-        for jj in j..n {
-            let mut s = out[jj];
-            for l in 0..k {
-                s += *ap.add(l * a_stride) * b[l * n + jj];
-            }
-            out[jj] = s;
         }
     }
 
@@ -898,33 +903,28 @@ mod x86 {
             _mm256_storeu_ps(op_.add(3 * n + j + 8), c31);
             j += 16;
         }
-        while j + 8 <= n {
-            let mut c0 = _mm256_loadu_ps(op_.add(j));
-            let mut c1 = _mm256_loadu_ps(op_.add(n + j));
-            let mut c2 = _mm256_loadu_ps(op_.add(2 * n + j));
-            let mut c3 = _mm256_loadu_ps(op_.add(3 * n + j));
+        // The rest 8 columns at a time, the last step masked as in
+        // `row_times_mat_avx2`.
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        while j < n {
+            let m = _mm256_cmpgt_epi32(_mm256_set1_epi32((n - j).min(8) as i32), lane);
+            let mut c0 = _mm256_maskload_ps(op_.add(j), m);
+            let mut c1 = _mm256_maskload_ps(op_.add(n + j), m);
+            let mut c2 = _mm256_maskload_ps(op_.add(2 * n + j), m);
+            let mut c3 = _mm256_maskload_ps(op_.add(3 * n + j), m);
             for l in 0..k {
-                let b0 = _mm256_loadu_ps(bp.add(l * n + j));
+                let b0 = _mm256_maskload_ps(bp.add(l * n + j), m);
                 let s = l * a_stride;
                 c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(*a0.add(s)), b0));
                 c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_set1_ps(*a1.add(s)), b0));
                 c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_set1_ps(*a2.add(s)), b0));
                 c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_set1_ps(*a3.add(s)), b0));
             }
-            _mm256_storeu_ps(op_.add(j), c0);
-            _mm256_storeu_ps(op_.add(n + j), c1);
-            _mm256_storeu_ps(op_.add(2 * n + j), c2);
-            _mm256_storeu_ps(op_.add(3 * n + j), c3);
+            _mm256_maskstore_ps(op_.add(j), m, c0);
+            _mm256_maskstore_ps(op_.add(n + j), m, c1);
+            _mm256_maskstore_ps(op_.add(2 * n + j), m, c2);
+            _mm256_maskstore_ps(op_.add(3 * n + j), m, c3);
             j += 8;
-        }
-        for (r, ar) in [a0, a1, a2, a3].into_iter().enumerate() {
-            for jj in j..n {
-                let mut s = out[r * n + jj];
-                for l in 0..k {
-                    s += *ar.add(l * a_stride) * b[l * n + jj];
-                }
-                out[r * n + jj] = s;
-            }
         }
     }
 
@@ -989,33 +989,27 @@ mod x86 {
             _mm512_storeu_ps(op_.add(3 * n + j + 16), c31);
             j += 32;
         }
-        while j + 16 <= n {
-            let mut c0 = _mm512_loadu_ps(op_.add(j));
-            let mut c1 = _mm512_loadu_ps(op_.add(n + j));
-            let mut c2 = _mm512_loadu_ps(op_.add(2 * n + j));
-            let mut c3 = _mm512_loadu_ps(op_.add(3 * n + j));
+        // The rest 16 columns at a time, the last step masked as in
+        // `row_times_mat_avx512`.
+        while j < n {
+            let m = ((1u32 << (n - j).min(16)) - 1) as __mmask16;
+            let mut c0 = _mm512_maskz_loadu_ps(m, op_.add(j));
+            let mut c1 = _mm512_maskz_loadu_ps(m, op_.add(n + j));
+            let mut c2 = _mm512_maskz_loadu_ps(m, op_.add(2 * n + j));
+            let mut c3 = _mm512_maskz_loadu_ps(m, op_.add(3 * n + j));
             for l in 0..k {
-                let b0 = _mm512_loadu_ps(bp.add(l * n + j));
+                let b0 = _mm512_maskz_loadu_ps(m, bp.add(l * n + j));
                 let s = l * a_stride;
                 c0 = _mm512_add_ps(c0, _mm512_mul_ps(_mm512_set1_ps(*a0.add(s)), b0));
                 c1 = _mm512_add_ps(c1, _mm512_mul_ps(_mm512_set1_ps(*a1.add(s)), b0));
                 c2 = _mm512_add_ps(c2, _mm512_mul_ps(_mm512_set1_ps(*a2.add(s)), b0));
                 c3 = _mm512_add_ps(c3, _mm512_mul_ps(_mm512_set1_ps(*a3.add(s)), b0));
             }
-            _mm512_storeu_ps(op_.add(j), c0);
-            _mm512_storeu_ps(op_.add(n + j), c1);
-            _mm512_storeu_ps(op_.add(2 * n + j), c2);
-            _mm512_storeu_ps(op_.add(3 * n + j), c3);
+            _mm512_mask_storeu_ps(op_.add(j), m, c0);
+            _mm512_mask_storeu_ps(op_.add(n + j), m, c1);
+            _mm512_mask_storeu_ps(op_.add(2 * n + j), m, c2);
+            _mm512_mask_storeu_ps(op_.add(3 * n + j), m, c3);
             j += 16;
-        }
-        for (r, ar) in [a0, a1, a2, a3].into_iter().enumerate() {
-            for jj in j..n {
-                let mut s = out[r * n + jj];
-                for l in 0..k {
-                    s += *ar.add(l * a_stride) * b[l * n + jj];
-                }
-                out[r * n + jj] = s;
-            }
         }
     }
 
@@ -1057,7 +1051,8 @@ mod tests {
     }
 
     /// The row microkernel must agree bitwise with the scalar KC-blocked
-    /// sweep across tile widths (64/48/16/8 tails) and both strides.
+    /// sweep across tile widths (full 64/48-wide tiles, then 16/8-lane
+    /// steps whose last one is masked) and both strides.
     #[test]
     fn row_times_mat_bitwise_matches_scalar() {
         for (k, n) in [
@@ -1087,51 +1082,62 @@ mod tests {
         }
     }
 
-    /// The 4-row register tiles (and their row/column tails) must be
-    /// bitwise equal to per-row scalar calls for both access patterns:
-    /// `matmul` (`a_row_step = k, a_stride = 1`) and `matmul_tn`
+    /// The 4-row register tiles and their row/column tails, on every tier,
+    /// must be bitwise equal to per-row scalar calls for both access
+    /// patterns: `matmul` (`a_row_step = k, a_stride = 1`) and `matmul_tn`
     /// (`a_row_step = 1, a_stride = m`). Row counts straddle the 4-row
-    /// grouping; widths cross the 32/16/8-lane tails.
+    /// grouping. Widths are the ones the model runs (53 relations, 230
+    /// filters, 690 = 3·230) and every masked tail: `n` in 1..=33 leaves
+    /// 1..15 columns past a 16-lane step and 1..7 past an 8-lane one. `a`,
+    /// `b` and `out` are cut to exactly their length from NaN-padded
+    /// buffers, so the last masked step touches the last element of each
+    /// slice: reading past `a` or `b` into a stored lane would change its
+    /// bits, and writing past `out` would clobber the pad.
     #[test]
     fn rows_times_mat_bitwise_matches_scalar() {
-        for nrows in [1usize, 3, 4, 5, 8, 11] {
-            for (k, n) in [(1usize, 1usize), (5, 8), (7, 47), (33, 70), (17, 131)] {
-                let m = nrows + 2; // tn-style leading dimension
-                let a = seq(k * m, |i| (i as f32 * 0.37).sin());
-                let b = seq(k * n, |i| (i as f32 * 0.11).cos());
-                for (a_row_step, a_stride) in [(k, 1usize), (1usize, m)] {
-                    let mut want = seq(nrows * n, |i| i as f32 * 0.01 - 0.3);
-                    let mut got = want.clone();
-                    for r in 0..nrows {
-                        row_times_mat(
-                            Backend::Scalar,
-                            &a,
-                            r * a_row_step,
-                            a_stride,
-                            k,
-                            &b,
-                            n,
-                            &mut want[r * n..(r + 1) * n],
-                        );
-                    }
-                    rows_times_mat(
-                        hardware_backend(),
-                        &a,
-                        0,
-                        a_row_step,
-                        a_stride,
-                        nrows,
-                        k,
-                        &b,
-                        n,
-                        &mut got,
-                    );
-                    for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-                        assert_eq!(
-                            w.to_bits(),
-                            g.to_bits(),
-                            "nrows={nrows} k={k} n={n} stride={a_stride} i={i}"
-                        );
+        const PAD: usize = 16;
+        let padded = |len: usize, f: fn(usize) -> f32| {
+            let mut v = seq(len + PAD, f);
+            v[len..].fill(f32::NAN);
+            v
+        };
+        let tiers =
+            [Backend::Scalar, Backend::Avx2, Backend::Avx512].map(|be| with_backend(be, backend));
+        for n in (1..=33).chain([53, 230, 690]) {
+            for k in [1usize, 180, 690] {
+                let b = padded(k * n, |i| ((i * 53 + 29) % 97) as f32 * 0.021 - 1.0);
+                for nrows in 1..=9 {
+                    let a = padded(nrows * k, |i| (i as f32 * 0.37).sin());
+                    let init = |i: usize| i as f32 * 0.01 - 0.3;
+                    for (a_row_step, a_stride) in [(k, 1usize), (1usize, nrows)] {
+                        let mut want = seq(nrows * n, init);
+                        for (r, row) in want.chunks_mut(n).enumerate() {
+                            let (a, b) = (&a[..nrows * k], &b[..k * n]);
+                            row_times_mat_scalar(a, r * a_row_step, a_stride, k, b, n, row);
+                        }
+                        for be in tiers {
+                            let mut got = padded(nrows * n, init);
+                            rows_times_mat(
+                                be,
+                                &a[..nrows * k],
+                                0,
+                                a_row_step,
+                                a_stride,
+                                nrows,
+                                k,
+                                &b[..k * n],
+                                n,
+                                &mut got[..nrows * n],
+                            );
+                            let at = format!(
+                                "{} nrows={nrows} k={k} n={n} a_stride={a_stride}",
+                                be.name()
+                            );
+                            for (i, (w, g)) in want.iter().zip(&got).enumerate() {
+                                assert_eq!(w.to_bits(), g.to_bits(), "{at} i={i}");
+                            }
+                            assert!(got[nrows * n..].iter().all(|x| x.is_nan()), "{at} pad");
+                        }
                     }
                 }
             }

@@ -48,7 +48,10 @@
 #           path was really taken) and once under IMRE_FORCE_SCALAR=1, so
 #           the scalar fallback stays exercised on every runner; both passes
 #           also hold the fused conv-pool-tanh tape op, whose backward is
-#           built from the axpy kernel, to its unfused oracle
+#           built from the axpy kernel, to its unfused oracle, and run the
+#           whole imre-tensor suite in release, where the kernels' masked
+#           column tails and the entry points' length asserts are compiled
+#           as they ship (debug_assert! is compiled out there)
 #   quant   the int8 quantized-inference gate: the i8 kernel bit-identity
 #           proptests with runtime dispatch and again under
 #           IMRE_FORCE_SCALAR=1, the .imrb v3 layout + int8 serving
@@ -220,6 +223,8 @@ step_simd() {
     # The fused conv-pool-tanh op's backward is row axpys through the
     # dispatched kernel: hold it to the unfused oracle on each tier.
     cargo test --offline -q -p imre-nn --lib conv::tests::fused_
+    # Release: the kernels and the length asserts as they ship.
+    cargo test --release --offline -q -p imre-tensor
 
     # Pass 2 — forced scalar fallback: the same suites must hold with the
     # vector kernels pinned off, so the fallback path stays green on every
@@ -227,6 +232,7 @@ step_simd() {
     IMRE_FORCE_SCALAR=1 cargo test --offline -q -p imre-tensor --test proptest_into_kernels
     IMRE_FORCE_SCALAR=1 cargo test --offline -q -p imre-tensor --test simd_dispatch
     IMRE_FORCE_SCALAR=1 cargo test --offline -q -p imre-nn --lib conv::tests::fused_
+    IMRE_FORCE_SCALAR=1 cargo test --release --offline -q -p imre-tensor
     echo "simd: vector and forced-scalar passes both green"
 }
 
