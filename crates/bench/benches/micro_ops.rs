@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks for the hot substrate operations: matmul,
-//! PCNN forward+backward, the fused encoder op, the row-sparse optimizer
-//! step, selective attention, LINE
-//! epochs and refine-mode updates, proximity-graph construction, and
-//! featurization.
+//! the int8 conv (packed GEMM vs per-row matvec), PCNN forward+backward,
+//! the fused encoder op, the row-sparse optimizer step, selective
+//! attention, LINE epochs and refine-mode updates, proximity-graph
+//! construction, and featurization.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use imre_core::{featurize, HyperParams, ModelSpec, ReModel};
@@ -12,7 +12,8 @@ use imre_graph::{
     train_line, EntityEmbedding, LineConfig, LineState, ProximityGraph, RefineConfig,
 };
 use imre_nn::{pcnn_segments_array, Conv1d, GradStore, ParamStore, Tape};
-use imre_tensor::{BufferPool, Tensor, TensorRng};
+use imre_tensor::quant::{self, QuantPack};
+use imre_tensor::{BufferPool, QuantTensor, Tensor, TensorRng};
 
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul");
@@ -36,6 +37,46 @@ fn bench_matmul(c: &mut Criterion) {
             bch.iter(|| std::hint::black_box(a.matmul(&b)));
         });
     }
+    group.finish();
+}
+
+/// The int8 conv of one 65-token sentence at Table III widths, as one GEMM
+/// over the packed bank and as the per-row `qmatvec` loop it replaces.
+fn bench_quant(c: &mut Criterion) {
+    let mut group = c.benchmark_group("quant");
+    let (m, k, n) = (65usize, 180usize, 230usize);
+    let mut rng = TensorRng::seed(1);
+    let w = QuantTensor::quantize(&Tensor::rand_uniform(&[n, k], -1.0, 1.0, &mut rng));
+    let pack = QuantPack::new(&w);
+    let x = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng);
+    let mut act = vec![0i8; m * k];
+    let params: Vec<_> = x
+        .data()
+        .chunks_exact(k)
+        .zip(act.chunks_exact_mut(k))
+        .map(|(row, q)| quant::quantize_row_into(row, q))
+        .collect();
+    let bias = vec![0.1f32; n];
+    let mut out = vec![0f32; m * n];
+    let id = format!("{m}x{k}x{n}");
+    group.bench_function(BenchmarkId::new("qgemm", &id), |bch| {
+        bch.iter(|| {
+            quant::qgemm_into(&w, &pack, &act, &params, Some(&bias), &mut out);
+            std::hint::black_box(&out);
+        });
+    });
+    group.bench_function(BenchmarkId::new("qmatvec_rows", &id), |bch| {
+        bch.iter(|| {
+            for ((a, &p), o) in act
+                .chunks_exact(k)
+                .zip(&params)
+                .zip(out.chunks_exact_mut(n))
+            {
+                quant::qmatvec_into(&w, a, p, Some(&bias), o);
+            }
+            std::hint::black_box(&out);
+        });
+    });
     group.finish();
 }
 
@@ -250,6 +291,7 @@ fn bench_featurize(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_matmul,
+    bench_quant,
     bench_pcnn_step,
     bench_conv_pool_tanh,
     bench_sparse_sgd_step,

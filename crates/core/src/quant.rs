@@ -14,7 +14,7 @@
 //! nonlinearity boundaries (tanh, softmax) and the attention-weighted sums:
 //!
 //! ```text
-//! gather-dequant embeddings → unfold → qmatvec(conv) → piecewise max →
+//! gather-dequant embeddings → unfold → qgemm(conv) → piecewise max →
 //! tanh → [per sentence, one quantized row: qmatvec(a⊙q), qmatvec(re_head)]
 //! → [f32: attention softmax per relation → mix projections + bias →
 //! softmax → diagonal] → combiner (f32 mix → qmatvec → softmax)
@@ -41,7 +41,7 @@ use crate::config::HyperParams;
 use crate::model::{ModelSpec, PreparedBag};
 use imre_graph::EntityEmbedding;
 use imre_nn::pcnn_segments_array;
-use imre_tensor::quant::{self, QuantRowParams};
+use imre_tensor::quant::{self, QuantPack, QuantRowParams};
 use imre_tensor::{softmax_in_place, QuantTensor, Tensor};
 
 use crate::attention::{diagonal_scores, AggKind};
@@ -133,6 +133,9 @@ pub struct QuantModel {
     pub tail_pos_emb: QuantTensor,
     /// Conv filter bank `[filters, window·in_dim]` (transposed).
     pub conv: QuantLinear,
+    /// `conv.w` packed for [`quant::qgemm_into`]: `QuantPack::new(&conv.w)`,
+    /// built with the model, never per request.
+    pub conv_pack: QuantPack,
     /// Selective-attention query rows `a ⊙ q_r`, `[num_relations,
     /// sent_dim]` (absent under mean aggregation).
     pub att_queries: Option<QuantTensor>,
@@ -229,6 +232,7 @@ impl QuantModel {
             word_emb,
             head_pos_emb,
             tail_pos_emb,
+            conv_pack: QuantPack::new(&conv.w),
             conv,
             att_queries,
             re_head,
@@ -311,6 +315,11 @@ impl QuantModel {
         {
             return Err("conv table shape inconsistent with hyperparameters".to_string());
         }
+        if (self.conv_pack.rows(), self.conv_pack.cols())
+            != (self.conv.w.rows(), self.conv.w.cols())
+        {
+            return Err("packed conv bank shape differs from the conv table".to_string());
+        }
         if (self.spec.agg == AggKind::Att) != self.att_queries.is_some() {
             return Err("attention queries presence does not match spec.agg".to_string());
         }
@@ -358,6 +367,8 @@ pub struct QuantScratch {
     emb: Vec<f32>,
     unf: Vec<f32>,
     qrow: Vec<i8>,
+    qact: Vec<i8>,
+    qparams: Vec<QuantRowParams>,
     conv: Vec<f32>,
     xs: Vec<f32>,
     att_scores: Vec<f32>,
@@ -438,17 +449,17 @@ impl QuantModel {
                     &mut emb[base + wd + pd..base + in_dim],
                 );
             }
-            // Conv as unfold → quantized matvec per output row. The
-            // unfolded window is zero-padded exactly like `Tape::unfold`,
-            // and quantization keeps zeros exact, so padding contributes
-            // nothing — matching the f32 graph.
-            let conv = {
-                scratch.conv.clear();
-                scratch.conv.resize(t * filters, 0.0);
-                &mut scratch.conv
-            };
-            for row in 0..t {
-                let unf = reuse(&mut scratch.unf, window * in_dim);
+            // Conv as unfold → one quantized GEMM over the sentence's rows.
+            // Each unfolded window is zero-padded exactly like
+            // `Tape::unfold` and quantized as its own row; quantization
+            // keeps zeros exact, so padding contributes nothing — matching
+            // the f32 graph.
+            let k = window * in_dim;
+            scratch.qact.clear();
+            scratch.qact.resize(t * k, 0);
+            scratch.qparams.clear();
+            for (row, qa) in scratch.qact.chunks_exact_mut(k).enumerate() {
+                let unf = reuse(&mut scratch.unf, k);
                 for o in 0..window {
                     let src = row as isize + o as isize - half as isize;
                     if src >= 0 && (src as usize) < t {
@@ -456,33 +467,36 @@ impl QuantModel {
                         unf[o * in_dim..(o + 1) * in_dim].copy_from_slice(&emb[s..s + in_dim]);
                     }
                 }
-                scratch.qrow.clear();
-                scratch.qrow.resize(window * in_dim, 0);
-                let p = quant::quantize_row_into(unf, &mut scratch.qrow);
-                self.conv.apply(
-                    &scratch.qrow,
-                    p,
-                    &mut conv[row * filters..(row + 1) * filters],
-                );
+                scratch.qparams.push(quant::quantize_row_into(unf, qa));
             }
-            // Piecewise max-pool + tanh into this sentence's xs row.
+            let conv = reuse(&mut scratch.conv, t * filters);
+            quant::qgemm_into(
+                &self.conv.w,
+                &self.conv_pack,
+                &scratch.qact,
+                &scratch.qparams,
+                Some(&self.conv.b),
+                conv,
+            );
+            // Piecewise max-pool + tanh into this sentence's xs row: rows
+            // fold in ascending order into a −∞ start with a strict `>`
+            // select (branch-free, as `Tensor::max_over_rows_into`); the
+            // CNN's one segment fills its single `filters`-wide chunk.
             let segs = match self.spec.encoder {
                 EncoderKind::Cnn => [(0, t); 3],
                 EncoderKind::Pcnn => pcnn_segments_array(t, feats.head_pos, feats.tail_pos),
                 EncoderKind::Gru => unreachable!(),
             };
-            let n_segs = sent_dim / filters;
             let xrow = &mut scratch.xs[j * sent_dim..(j + 1) * sent_dim];
-            for (si, &(lo, hi)) in segs.iter().take(n_segs).enumerate() {
-                for c in 0..filters {
-                    let mut m = f32::NEG_INFINITY;
-                    for r in lo..hi {
-                        let v = conv[r * filters + c];
-                        if v > m {
-                            m = v;
-                        }
+            for (&(lo, hi), pooled) in segs.iter().zip(xrow.chunks_exact_mut(filters)) {
+                pooled.fill(f32::NEG_INFINITY);
+                for row in conv[lo * filters..hi * filters].chunks_exact(filters) {
+                    for (m, &v) in pooled.iter_mut().zip(row) {
+                        *m = if v > *m { v } else { *m };
                     }
-                    xrow[si * filters + c] = m.tanh();
+                }
+                for m in pooled.iter_mut() {
+                    *m = m.tanh();
                 }
             }
         }

@@ -32,7 +32,7 @@ use imre_core::{read_model, write_model, QuantModel, ReModel};
 use imre_corpus::{Vocab, World};
 use imre_graph::EntityEmbedding;
 use imre_nn::serialize::{read_f32s, read_u32, read_u64};
-use imre_tensor::Tensor;
+use imre_tensor::{QuantTensor, Tensor};
 use std::any::Any;
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -133,6 +133,22 @@ impl Bundle {
         self
     }
 
+    /// Re-quantizes the attached int8 model's entity table from the f32
+    /// entity embedding, as [`QuantModel::from_model`] builds it. Call after
+    /// swapping in a new `embedding` (a stream refresh does): the int8 path
+    /// would otherwise score MR with the old vectors, and an admitted
+    /// entity would have no int8 row. Does nothing without a quantized
+    /// entity table, or when the embedding's width differs from it (left
+    /// for [`Bundle::validate`] to report).
+    pub fn requantize_entities(&mut self) {
+        let (Some(quant), Some(emb)) = (self.quant.as_mut(), self.embedding.as_ref()) else {
+            return;
+        };
+        if let Some(table) = quant.entity_emb.as_mut().filter(|t| t.cols() == emb.dim()) {
+            *table = QuantTensor::quantize(emb.matrix());
+        }
+    }
+
     /// Checks the cross-references between the tables and the model.
     ///
     /// # Errors
@@ -201,6 +217,25 @@ impl Bundle {
             quant.validate().map_err(|e| {
                 io::Error::new(io::ErrorKind::InvalidData, format!("quantized model: {e}"))
             })?;
+            // Lookup tables are indexed by ids from this bundle's tables,
+            // so their row counts must match them, not just their widths.
+            let lookups = [
+                ("word", Some(&quant.word_emb), self.vocab.len()),
+                ("entity", quant.entity_emb.as_ref(), self.entities.len()),
+                (
+                    "type",
+                    quant.ty.as_ref().map(|ty| &ty.emb),
+                    self.model.num_types(),
+                ),
+            ];
+            for (name, table, want) in lookups {
+                if let Some(t) = table.filter(|t| t.rows() != want) {
+                    return fail(format!(
+                        "quantized {name} table has {} rows, bundle needs {want}",
+                        t.rows()
+                    ));
+                }
+            }
         }
         if let Some(ann) = &self.ann {
             if ann.dim() != self.model.sent_dim() {

@@ -81,12 +81,25 @@ pub struct ServingModel {
 }
 
 impl ServingModel {
-    /// Wraps a validated bundle.
+    /// Wraps a validated bundle. An int8 entity table whose row count is not
+    /// the entity count is first re-quantized from the f32 embedding
+    /// ([`Bundle::requantize_entities`]).
     ///
     /// # Errors
     /// [`ServeError::BadArtifact`] when the bundle's tables are inconsistent
     /// with the model architecture.
-    pub fn new(bundle: Bundle) -> Result<Self, ServeError> {
+    pub fn new(mut bundle: Bundle) -> Result<Self, ServeError> {
+        // The int8 entity table is derived from the embedding, and a caller
+        // that swaps in a grown entity table and embedding (a stream
+        // refresh) leaves it short: re-derive it rather than refuse.
+        let short = bundle
+            .quant
+            .as_ref()
+            .and_then(|q| q.entity_emb.as_ref())
+            .is_some_and(|t| t.rows() != bundle.entities.len());
+        if short {
+            bundle.requantize_entities();
+        }
         bundle
             .validate()
             .map_err(|e| ServeError::BadArtifact(e.to_string()))?;

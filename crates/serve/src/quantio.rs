@@ -32,6 +32,7 @@
 
 use imre_core::quant::{QuantCombiner, QuantLinear, QuantType};
 use imre_core::{QuantModel, ReModel};
+use imre_tensor::quant::QuantPack;
 use imre_tensor::QuantTensor;
 use std::any::Any;
 use std::io;
@@ -342,16 +343,18 @@ pub fn read_quant_section(
     };
 
     let spec = model.spec;
+    let conv = QuantLinear {
+        w: take_tab(T_CONV_W)?,
+        b: take_bias(B_CONV)?,
+    };
     let qm = QuantModel {
         spec,
         hp: model.hp.clone(),
         word_emb: take_tab(T_WORD_EMB)?,
         head_pos_emb: take_tab(T_HEAD_POS)?,
         tail_pos_emb: take_tab(T_TAIL_POS)?,
-        conv: QuantLinear {
-            w: take_tab(T_CONV_W)?,
-            b: take_bias(B_CONV)?,
-        },
+        conv_pack: QuantPack::new(&conv.w),
+        conv,
         att_queries: if spec.agg == imre_core::AggKind::Att {
             Some(take_tab(T_ATT_Q)?)
         } else {

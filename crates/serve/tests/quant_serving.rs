@@ -1,5 +1,6 @@
 //! End-to-end int8 serving: `--precision int8` engine behavior, drift vs
-//! the f32 engine, the typed error for quant-less bundles, and mmap-backed
+//! the f32 engine, the typed error for quant-less bundles, the typed
+//! rejection of int8 lookup tables shorter than the bundle's, and mmap-backed
 //! hot-swap (the old mapping must outlive the swap until its last borrower
 //! drops).
 
@@ -10,6 +11,8 @@ use imre_serve::{
     load_bundle, save_bundle, Bundle, EngineConfig, InferRequest, Precision, Registry, ServeError,
     ServeHandle, ServingModel,
 };
+use imre_tensor::{QuantTensor, Tensor};
+use std::io;
 use std::sync::{Arc, OnceLock};
 
 struct Fixture {
@@ -165,6 +168,68 @@ fn int8_engine_rejects_quantless_bundle_with_typed_error() {
     }
     assert_eq!(ServeError::NoQuantModel.code(), "no-quant-model");
     int8_engine.shutdown();
+}
+
+/// Swaps one int8 lookup table of a quantized bundle for a 2-row table of
+/// the right width: `"word"`, `"entity"` or `"type"`.
+fn with_short_table(mut b: Bundle, which: &str) -> Bundle {
+    let q = b.quant.as_mut().expect("quantized bundle");
+    let table = match which {
+        "word" => &mut q.word_emb,
+        "entity" => q.entity_emb.as_mut().expect("PA-TMR has entity rows"),
+        _ => &mut q.ty.as_mut().expect("PA-TMR has a type head").emb,
+    };
+    *table = QuantTensor::quantize(&Tensor::zeros(&[2, table.cols()]));
+    b
+}
+
+/// Every width still matches, so only a row-count check stands between a
+/// short int8 table and an out-of-range row in the first int8 request.
+#[test]
+fn short_int8_lookup_tables_fail_validation_with_typed_errors() {
+    for which in ["word", "entity", "type"] {
+        let err = with_short_table(bundle(true), which)
+            .validate()
+            .expect_err("a 2-row table must not validate");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(&format!("{which} table")), "{err}");
+    }
+    for which in ["word", "type"] {
+        match ServingModel::new(with_short_table(bundle(true), which)) {
+            Err(ServeError::BadArtifact(msg)) => assert!(msg.contains("has 2 rows"), "{msg}"),
+            Err(other) => panic!("{which}: expected BadArtifact, got {other:?}"),
+            Ok(_) => panic!("{which}: a 2-row table must not serve"),
+        }
+    }
+}
+
+/// The int8 entity table is the quantization of the f32 embedding, which
+/// validation holds to the entity table: a short one is re-derived from it.
+#[test]
+fn serving_model_requantizes_a_short_int8_entity_table() {
+    let full = bundle(true);
+    let want = full.quant.as_ref().unwrap().entity_emb.as_ref().unwrap();
+    let model =
+        ServingModel::new(with_short_table(bundle(true), "entity")).expect("re-derived, serves");
+    let got = model.quant().unwrap().entity_emb.as_ref().unwrap();
+    assert_eq!(got.rows(), model.bundle().entities.len());
+    assert_eq!(got.data(), want.data());
+    assert_eq!(got.scales(), want.scales());
+}
+
+#[test]
+fn short_int8_word_table_fails_to_load_after_a_save() {
+    let dir = std::env::temp_dir().join(format!("imre_short_table_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("short.imrb");
+    save_bundle(&with_short_table(bundle(true), "word"), &path).expect("writes");
+    let err = match load_bundle(&path) {
+        Err(err) => err,
+        Ok(_) => panic!("a 2-row word table must not load"),
+    };
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("word table has 2 rows"), "{err}");
 }
 
 #[cfg(target_os = "linux")]

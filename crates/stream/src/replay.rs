@@ -79,6 +79,7 @@ pub fn replay(
     let refreshed = build.embedding()?;
     bundle.entities = build.catalog().entries().to_vec();
     bundle.embedding = Some(refreshed);
+    bundle.requantize_entities();
     report.entities_admitted = build.catalog().admitted();
     report.n_edges = build.graph().n_edges();
     write_bundle(&bundle, &mut report.bundle)?;

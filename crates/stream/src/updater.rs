@@ -8,8 +8,9 @@
 //! 1. computes the embedding refresh (canonical rebuild by default — see
 //!    [`RefreshMode`](crate::RefreshMode));
 //! 2. reloads the base `.imrb` from disk (a v3 bundle gets a fresh mmap),
-//!    swaps in the extended entity table and the new embedding, and keeps
-//!    the model / ANN / quant sections as-is;
+//!    swaps in the extended entity table and the new embedding, re-quantizes
+//!    the int8 entity table (if any) from that embedding, and keeps the
+//!    model / ANN sections and the other int8 tables as-is;
 //! 3. optionally writes the refreshed bundle atomically (tmp + rename);
 //! 4. registers it under the serving name via [`Registry::insert`] — a
 //!    pointer swap; in-flight requests finish on the old `Arc`, and an old
@@ -183,6 +184,7 @@ fn publish(
     let mut bundle = load_bundle(base_path)?;
     bundle.entities = build.catalog().entries().to_vec();
     bundle.embedding = Some(embedding);
+    bundle.requantize_entities();
     if let Some(out) = &config.out_path {
         let tmp = out.with_extension("imrb.tmp");
         save_bundle(&bundle, &tmp)?;

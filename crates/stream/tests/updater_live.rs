@@ -3,16 +3,17 @@
 //! and verify the cold-start entity becomes answerable through the engine
 //! after a live publish — with serving active the whole time.
 
-use imre_core::{HyperParams, ModelSpec};
+use imre_core::{HyperParams, ModelSpec, QuantModel};
 use imre_eval::{smoke_config, Pipeline};
 use imre_graph::{EntityEmbedding, LineConfig};
 use imre_serve::{
-    load_bundle, save_bundle, write_bundle, Bundle, EngineConfig, InferRequest, Registry,
-    ServeHandle, ServingModel,
+    load_bundle, save_bundle, write_bundle, Bundle, EngineConfig, InferRequest, Precision,
+    Registry, ServeHandle, ServingModel,
 };
 use imre_stream::{
     RefreshMode, StreamBuildConfig, StreamUpdateError, StreamUpdater, StreamUpdaterConfig,
 };
+use imre_tensor::QuantTensor;
 use std::io::Cursor;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -190,6 +191,74 @@ fn cold_start_entity_becomes_answerable_after_live_publish() {
         ServingModel::new(published).is_ok(),
         "published bundle validates"
     );
+
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A v3 base carries an int8 entity table: the publish re-quantizes it from
+/// the refreshed embedding, so the persisted bundle passes the row-count
+/// check and the int8 engine has a row for the admitted entity.
+#[test]
+fn publish_requantizes_the_int8_entity_table() {
+    let dir = temp_dir("int8");
+    let base_path = dir.join("base_v3.imrb");
+    let mut base =
+        imre_serve::read_bundle(&mut fixture().bundle_bytes.as_slice()).expect("fixture parses");
+    let quant = QuantModel::from_model(&base.model, base.embedding.as_ref()).expect("quantizes");
+    base = base.with_quant(quant);
+    save_bundle(&base, &base_path).expect("save v3 base");
+    let out_path = dir.join("published.imrb");
+
+    let registry = Arc::new(Registry::new());
+    let handle = ServeHandle::start(
+        Arc::clone(&registry),
+        EngineConfig {
+            precision: Precision::Int8,
+            ..EngineConfig::default()
+        },
+    );
+    let names = &fixture().entity_names;
+    let source = imre_corpus::LineDeltaSource::new(Cursor::new(
+        delta_text(&names[0], &names[1]).into_bytes(),
+    ));
+    let updater = StreamUpdater::spawn(
+        source,
+        base_path,
+        Arc::clone(&registry),
+        handle.metrics_arc(),
+        StreamUpdaterConfig {
+            model_name: "smoke".to_string(),
+            publish_every: 0,
+            build: build_config(),
+            out_path: Some(out_path.clone()),
+        },
+    )
+    .expect("updater spawns");
+    assert_eq!(
+        updater.join().expect("stream completes").entities_admitted,
+        1
+    );
+
+    let published = load_bundle(&out_path).expect("published v3 bundle loads");
+    let table = published
+        .quant
+        .as_ref()
+        .unwrap()
+        .entity_emb
+        .as_ref()
+        .unwrap();
+    assert_eq!(table.rows(), published.entities.len());
+    let want = QuantTensor::quantize(published.embedding.as_ref().unwrap().matrix());
+    assert_eq!(
+        table.data(),
+        want.data(),
+        "int8 rows follow the new embedding"
+    );
+    let reply = handle
+        .infer(infer_request("novastar", &names[0]))
+        .expect("the admitted entity answers at int8");
+    assert!(reply.ranked[0].score.is_finite());
 
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();

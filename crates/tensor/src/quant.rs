@@ -29,6 +29,12 @@
 //! f32 appears only at dequantization boundaries: nonlinearities (tanh,
 //! softmax), attention-weighted sums, and bias adds.
 //!
+//! [`qgemm_into`] runs many activation rows (a sentence's conv windows)
+//! against a bank repacked once into a [`QuantPack`]. On AVX-512 VNNI it is
+//! one register-blocked GEMM whose wrapping-`i32` epilogue reproduces
+//! [`qmatvec_into`] bit for bit up to [`QGEMM_MAX_COLS`]; elsewhere it is
+//! the per-row [`qmatvec_into`] loop.
+//!
 //! ## Storage
 //!
 //! [`QuantTensor`] buffers are either owned (`Vec`) or *borrowed* from a
@@ -676,6 +682,322 @@ unsafe fn qmatvec_avx512vnni(
             }
             out[r] = epilogue(r, _mm512_reduce_add_epi32(a) as i64);
             r += 1;
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// GEMM over a packed weight bank
+// ----------------------------------------------------------------------
+
+/// Widest row [`qgemm_into`] runs as one VNNI GEMM. Its epilogue works in
+/// wrapping `i32`, which is exact whenever the true result fits: with
+/// every quantized value and zero point an `i8`, `|Σ (a−za)(w−zw)| ≤
+/// cols·255²`, inside `i32` up to this width. Wider rows take the per-row
+/// [`qmatvec_into`] loop.
+pub const QGEMM_MAX_COLS: usize = i32::MAX as usize / (255 * 255);
+
+/// Weight rows per packed block: one zmm of `i32` lanes.
+const QGEMM_LANES: usize = 16;
+
+/// Four columns of one packed block: lane `l` holds the four weights of
+/// the block's row `l`. Cache-line aligned, so each load is one line.
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+struct Group([i8; 4 * QGEMM_LANES]);
+
+/// A [`QuantTensor`] weight bank repacked for [`qgemm_into`], built once
+/// per bank (at model build or load), never per call.
+///
+/// Rows are cut into blocks of 16. A block stores its columns four at a
+/// time as one 64-byte [`Group`], so a broadcast of four activation bytes
+/// against one group feeds 16 rows' `i32` lanes of a single `vpdpbusd`
+/// and no horizontal reduction is left. Columns pad to a multiple of 4 and
+/// rows to a multiple of 16 with zero weights, which contribute exact
+/// zeros. The per-row epilogue terms are copied beside it, zero-padded the
+/// same way, so the epilogue loads whole blocks.
+pub struct QuantPack {
+    rows: usize,
+    cols: usize,
+    /// `[blocks][cols.div_ceil(4)]` groups, block-major.
+    groups: Vec<Group>,
+    zeros: Vec<i32>,
+    sums: Vec<i32>,
+    scales: Vec<f32>,
+}
+
+impl QuantPack {
+    /// Packs `w`'s rows.
+    pub fn new(w: &QuantTensor) -> QuantPack {
+        let (rows, cols) = (w.rows, w.cols);
+        let blocks = rows.div_ceil(QGEMM_LANES);
+        let per_block = cols.div_ceil(4);
+        let mut groups = vec![Group([0; 4 * QGEMM_LANES]); blocks * per_block];
+        for (r, row) in w.data().chunks_exact(cols).enumerate() {
+            let (block, lane) = (r / QGEMM_LANES, r % QGEMM_LANES);
+            for (c, &q) in row.iter().enumerate() {
+                groups[block * per_block + c / 4].0[4 * lane + c % 4] = q;
+            }
+        }
+        let padded = blocks * QGEMM_LANES;
+        let mut zeros: Vec<i32> = w.zeros().iter().map(|&z| z as i32).collect();
+        let mut sums = w.row_sums().to_vec();
+        let mut scales = w.scales().to_vec();
+        zeros.resize(padded, 0);
+        sums.resize(padded, 0);
+        scales.resize(padded, 0.0);
+        QuantPack {
+            rows,
+            cols,
+            groups,
+            zeros,
+            sums,
+            scales,
+        }
+    }
+
+    /// Number of weight rows packed.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Row width.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+}
+
+/// `out[i, r] = dequant(act_i · weight_row_r) + bias[r]` for every
+/// activation row `i` — [`qmatvec_into`] on each row of `act`, bit for
+/// bit, in one call.
+///
+/// `act` is `[m × cols]` row-major with row `i` quantized by
+/// [`quantize_row_into`] into `params[i]` (`m = params.len()`); `out` is
+/// `[m × rows]`; `pack` is `QuantPack::new(w)`. On AVX-512 with VNNI the
+/// rows run as one register-blocked GEMM over the packed bank. Its integer
+/// sums are exact and its epilogue is [`qmatvec_into`]'s expression in
+/// wrapping `i32`, exact up to [`QGEMM_MAX_COLS`], so the bits agree. Every
+/// other tier, and wider rows, runs the per-row loop.
+///
+/// # Panics
+/// When `pack`'s shape is not `w`'s, or `act`, `bias` or `out` is not the
+/// length `params.len()` and `w` imply.
+pub fn qgemm_into(
+    w: &QuantTensor,
+    pack: &QuantPack,
+    act: &[i8],
+    params: &[QuantRowParams],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+) {
+    let (m, k, n) = (params.len(), w.cols, w.rows);
+    assert_eq!(
+        (pack.rows, pack.cols),
+        (n, k),
+        "qgemm_into: pack of [{}, {}] for a [{n}, {k}] bank",
+        pack.rows,
+        pack.cols
+    );
+    assert_eq!(
+        act.len(),
+        m * k,
+        "qgemm_into: act of len {} is not {m} rows (one per params entry) of {k}",
+        act.len()
+    );
+    assert_eq!(
+        out.len(),
+        m * n,
+        "qgemm_into: out of len {} for {m} rows of {n}",
+        out.len()
+    );
+    if let Some(b) = bias {
+        assert_eq!(
+            b.len(),
+            n,
+            "qgemm_into: bias of len {} for {n} rows",
+            b.len()
+        );
+    }
+    #[cfg(target_arch = "x86_64")]
+    if simd::backend() == Backend::Avx512 && k <= QGEMM_MAX_COLS && avx512vnni_available() {
+        note_quant(Backend::Avx512);
+        let mut g = Qgemm {
+            pack,
+            act,
+            params,
+            bias,
+            out,
+        };
+        // SAFETY: runtime-detected avx512f (backend) + avx512vnni; the
+        // asserts above fix every length the kernel indexes by.
+        unsafe { qgemm_avx512vnni(&mut g) };
+        return;
+    }
+    for (i, &p) in params.iter().enumerate() {
+        qmatvec_into(
+            w,
+            &act[i * k..(i + 1) * k],
+            p,
+            bias,
+            &mut out[i * n..(i + 1) * n],
+        );
+    }
+}
+
+/// The operands of one [`qgemm_into`] call, lengths already checked:
+/// `act` is `params.len() × pack.cols`, `out` is `params.len() ×
+/// pack.rows`, `bias` is `pack.rows`.
+#[cfg(target_arch = "x86_64")]
+struct Qgemm<'a> {
+    pack: &'a QuantPack,
+    act: &'a [i8],
+    params: &'a [QuantRowParams],
+    bias: Option<&'a [f32]>,
+    out: &'a mut [f32],
+}
+
+/// The VNNI GEMM: strips of 4 activation rows (then the 1–3 left over),
+/// each against every block of the pack, 4 blocks per register tile. The
+/// helpers below are `#[inline(always)]` so they compile inside this
+/// function, with its features.
+///
+/// # Safety
+/// The CPU has avx512f and avx512vnni, and `g`'s lengths are as documented
+/// on [`Qgemm`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f", enable = "avx512vnni")]
+unsafe fn qgemm_avx512vnni(g: &mut Qgemm) {
+    let m = g.params.len();
+    let mut i = 0;
+    while i + 4 <= m {
+        qgemm_strip::<4>(g, i);
+        i += 4;
+    }
+    match m - i {
+        1 => qgemm_strip::<1>(g, i),
+        2 => qgemm_strip::<2>(g, i),
+        3 => qgemm_strip::<3>(g, i),
+        _ => {}
+    }
+}
+
+/// Activation rows `i..i + R` against every block: 4 blocks per tile, then
+/// the 1–3 left over as one narrower tile.
+///
+/// # Safety
+/// As [`qgemm_avx512vnni`], and `i + R ≤ g.params.len()`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn qgemm_strip<const R: usize>(g: &mut Qgemm, i: usize) {
+    let blocks = g.pack.rows.div_ceil(QGEMM_LANES);
+    let mut b = 0;
+    while b + 4 <= blocks {
+        qgemm_tile::<R, 4>(g, i, b);
+        b += 4;
+    }
+    match blocks - b {
+        1 => qgemm_tile::<R, 1>(g, i, b),
+        2 => qgemm_tile::<R, 2>(g, i, b),
+        3 => qgemm_tile::<R, 3>(g, i, b),
+        _ => {}
+    }
+}
+
+/// One `R`-row × `F`-block register tile (`R·F ≤ 16` accumulators): per
+/// group of four columns, `F` aligned weight loads and `R` broadcasts of
+/// four activation bytes biased to `u8` (`a ⊕ 0x80 = a + 128`, as in
+/// [`qmatvec_avx512vnni`]), then `R·F` `vpdpbusd`s. The epilogue removes
+/// the bias and the zero points per 16 rows in wrapping `i32` and runs
+/// [`qmatvec_into`]'s f32 expression lane for lane; the last block's
+/// store is masked to the rows that exist.
+///
+/// # Safety
+/// As [`qgemm_avx512vnni`], `i0 + R ≤ g.params.len()` and `b0 + F` blocks
+/// at most cover `g.pack.rows`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn qgemm_tile<const R: usize, const F: usize>(g: &mut Qgemm, i0: usize, b0: usize) {
+    use std::arch::x86_64::*;
+    let pack = g.pack;
+    let (k, n) = (pack.cols, pack.rows);
+    let per_block = k.div_ceil(4);
+    let full = k / 4;
+    let groups = pack.groups.as_ptr().add(b0 * per_block);
+    let act = g.act.as_ptr().add(i0 * k);
+    let mut acc = [[_mm512_setzero_si512(); F]; R];
+    for q in 0..full {
+        let mut four = [0i32; R];
+        for (r, f) in four.iter_mut().enumerate() {
+            *f = (act.add(r * k + 4 * q) as *const i32).read_unaligned();
+        }
+        qgemm_step(&mut acc, groups.add(q), per_block, &four);
+    }
+    if full < per_block {
+        // The last 1–3 columns; the pad bytes meet zero weights.
+        let mut four = [0i32; R];
+        for (r, f) in four.iter_mut().enumerate() {
+            let tail = &g.act[(i0 + r) * k + 4 * full..(i0 + r + 1) * k];
+            let mut bytes = [0u8; 4];
+            for (d, &a) in bytes.iter_mut().zip(tail) {
+                *d = a as u8;
+            }
+            *f = i32::from_le_bytes(bytes);
+        }
+        qgemm_step(&mut acc, groups.add(full), per_block, &four);
+    }
+    // int = Σ(a+128)·w − (128 + za)·Σw + zw·(k·za − Σa)
+    //     = Σa·w − zw·Σa − za·Σw + k·za·zw.
+    for (r, acc_r) in acc.iter().enumerate() {
+        let p = g.params[i0 + r];
+        let za = p.zero_point as i32;
+        let c_sum = _mm512_set1_epi32(128 + za);
+        let c_zero = _mm512_set1_epi32((k as i32).wrapping_mul(za).wrapping_sub(p.sum));
+        let p_scale = _mm512_set1_ps(p.scale);
+        for (j, &a) in acc_r.iter().enumerate() {
+            let f0 = (b0 + j) * QGEMM_LANES;
+            let sums = _mm512_loadu_si512(pack.sums.as_ptr().add(f0) as *const _);
+            let zeros = _mm512_loadu_si512(pack.zeros.as_ptr().add(f0) as *const _);
+            let scales = _mm512_loadu_ps(pack.scales.as_ptr().add(f0));
+            let int = _mm512_add_epi32(
+                _mm512_sub_epi32(a, _mm512_mullo_epi32(c_sum, sums)),
+                _mm512_mullo_epi32(c_zero, zeros),
+            );
+            let mut real = _mm512_mul_ps(_mm512_cvtepi32_ps(int), _mm512_mul_ps(p_scale, scales));
+            let live = (n - f0).min(QGEMM_LANES);
+            let mask = ((1u32 << live) - 1) as __mmask16;
+            if let Some(b) = g.bias {
+                real = _mm512_add_ps(real, _mm512_maskz_loadu_ps(mask, b.as_ptr().add(f0)));
+            }
+            let dst = g.out.as_mut_ptr().add((i0 + r) * n + f0);
+            _mm512_mask_storeu_ps(dst, mask, real);
+        }
+    }
+}
+
+/// One group of four columns into an `R × F` tile: `F` aligned weight
+/// loads (`group`, then a block's stride apart), `R` broadcasts of `four`
+/// activation bytes biased to `u8`, `R·F` `vpdpbusd`s.
+///
+/// # Safety
+/// As [`qgemm_avx512vnni`], and `group.add(j * per_block)` is a group of
+/// the pack for every `j < F`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn qgemm_step<const R: usize, const F: usize>(
+    acc: &mut [[std::arch::x86_64::__m512i; F]; R],
+    group: *const Group,
+    per_block: usize,
+    four: &[i32; R],
+) {
+    use std::arch::x86_64::*;
+    let mut w = [_mm512_setzero_si512(); F];
+    for (j, v) in w.iter_mut().enumerate() {
+        *v = _mm512_load_si512(group.add(j * per_block) as *const _);
+    }
+    for (acc_r, &f) in acc.iter_mut().zip(four) {
+        let a = _mm512_set1_epi32(f ^ 0x8080_8080u32 as i32);
+        for (c, &v) in acc_r.iter_mut().zip(&w) {
+            *c = _mm512_dpbusd_epi32(*c, a, v);
         }
     }
 }

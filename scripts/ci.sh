@@ -53,9 +53,11 @@
 #           column tails and the entry points' length asserts are compiled
 #           as they ship (debug_assert! is compiled out there)
 #   quant   the int8 quantized-inference gate: the i8 kernel bit-identity
-#           proptests with runtime dispatch and again under
-#           IMRE_FORCE_SCALAR=1, the .imrb v3 layout + int8 serving
-#           integration suites, the counting-allocator check that a warm
+#           proptests (qgemm against per-row qmatvec included) with runtime
+#           dispatch and again under IMRE_FORCE_SCALAR=1, in the dev profile
+#           and in release, where the VNNI GEMM's masked tail and wrapping
+#           epilogue are compiled as they ship; the .imrb v3 layout + int8
+#           serving integration suites, the counting-allocator check that a warm
 #           quantized inference pass performs zero heap allocations, and a
 #           CLI-level end-to-end eval gate on the smoke corpus: train a
 #           bundle, `imre quantize --check smoke` it, and fail unless the
@@ -239,9 +241,13 @@ step_simd() {
 step_quant() {
     # Bit-identity of the i8 kernels across backends and thread counts —
     # once with runtime dispatch, once with the scalar fallback pinned, so
-    # the exact-integer determinism contract holds on every runner.
+    # the exact-integer determinism contract holds on every runner. Again
+    # in release: the GEMM's masked tail and wrapping-i32 epilogue as they
+    # ship, and its length asserts with debug_assert! compiled out.
     cargo test --offline -q -p imre-tensor --test proptest_quant
     IMRE_FORCE_SCALAR=1 cargo test --offline -q -p imre-tensor --test proptest_quant
+    cargo test --release --offline -q -p imre-tensor --test proptest_quant
+    IMRE_FORCE_SCALAR=1 cargo test --release --offline -q -p imre-tensor --test proptest_quant
 
     # .imrb v3 layout (alignment, checksums, zero-copy borrows, v1/v2
     # passthrough) and the int8 serving integration suite.
