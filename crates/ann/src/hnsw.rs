@@ -1,13 +1,15 @@
 //! The HNSW graph: deterministic construction and zero-allocation search.
 //!
 //! Hierarchical Navigable Small World (Malkov & Yashunin, 2016) with the
-//! simple closest-M neighbor selection. Distances are squared Euclidean,
-//! accumulated in a fixed loop order. All priority decisions operate on
+//! simple closest-M neighbor selection. Distances are squared Euclidean
+//! from [`imre_tensor::l2sq`], whose fixed 32-lane accumulation gives the
+//! same bits on every SIMD tier. All priority decisions operate on
 //! packed `u64` keys — distance bits in the high half, node id in the low
 //! half — which gives a total order with id tie-breaks for free (squared
 //! distances are non-negative, so their IEEE-754 bit patterns sort like the
 //! values themselves).
 
+use imre_tensor::{l2sq, mix64};
 use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
@@ -260,42 +262,31 @@ fn heap_pop(h: &mut Vec<u64>) -> Option<u64> {
     }
 }
 
-/// SplitMix64 finalizer — the same mix `imre-tensor`'s RNG family builds on.
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Geometric layer assignment from `(seed, id)` alone.
 fn level_for(seed: u64, id: u64, ml: f64) -> u8 {
-    let bits = splitmix64(seed ^ splitmix64(id ^ 0xA076_1D64_78BD_642F));
+    let bits = mix64(seed ^ mix64(id ^ 0xA076_1D64_78BD_642F));
     // 53 mantissa-ish bits to a uniform in (0, 1): never exactly 0, so the
     // log below is always finite.
     let u = ((bits >> 11) as f64 + 0.5) * (1.0 / 9_007_199_254_740_992.0);
     ((-u.ln() * ml) as usize).min(MAX_LEVEL) as u8
 }
 
-/// Squared Euclidean distance, fixed accumulation order.
-#[inline]
-fn l2sq(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut s = 0.0f32;
-    for (&x, &y) in a.iter().zip(b) {
-        let d = x - y;
-        s += d * d;
-    }
-    s
-}
-
 /// Exact brute-force kNN over row-major `[n, dim]` vectors — the reference
 /// the property tests hold [`AnnIndex::search`] against, and a sanity tool
 /// for offline analysis. Returns up to `k` neighbors sorted ascending by
 /// `(dist, id)`.
+///
+/// # Panics
+/// If `dim == 0`, `vectors` is not a whole number of rows, or
+/// `query.len() != dim`.
 pub fn exact_knn(dim: usize, vectors: &[f32], query: &[f32], k: usize) -> Vec<Neighbor> {
     assert!(dim > 0 && vectors.len().is_multiple_of(dim));
+    assert_eq!(
+        query.len(),
+        dim,
+        "exact_knn: query of len {} for {dim}-d vectors",
+        query.len()
+    );
     let mut keys: Vec<u64> = vectors
         .chunks_exact(dim)
         .enumerate()
@@ -737,6 +728,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "exact_knn: query of len 2 for 3-d vectors")]
+    fn exact_knn_rejects_a_short_query() {
+        exact_knn(3, &[0.0; 12], &[0.0, 1.0], 2);
+    }
+
+    #[test]
     fn single_vector_index_works() {
         let index = AnnIndex::build(2, vec![1.0, 2.0], vec![4], HnswConfig::default()).unwrap();
         let mut scratch = SearchScratch::new();
@@ -800,6 +797,28 @@ mod tests {
     fn structure_validates_after_build() {
         let index = line_index(100, HnswConfig::with_seed(11));
         index.validate_structure().expect("built index is valid");
+    }
+
+    /// Layer assignments are part of the index bytes, so their values are
+    /// pinned. `m = 2` spreads ids over several layers.
+    #[test]
+    fn level_for_is_pinned() {
+        let ml = 1.0 / 2f64.ln();
+        let levels = |seed: u64| -> Vec<u8> { (0..48).map(|id| level_for(seed, id, ml)).collect() };
+        assert_eq!(
+            levels(0),
+            [
+                0, 8, 2, 0, 10, 3, 0, 0, 1, 1, 3, 0, 0, 0, 0, 0, 3, 1, 2, 2, 2, 1, 1, 1, 1, 1, 1,
+                0, 0, 1, 0, 1, 2, 1, 2, 0, 5, 1, 2, 1, 1, 1, 1, 0, 1, 0, 0, 2
+            ]
+        );
+        assert_eq!(
+            levels(42),
+            [
+                1, 4, 0, 1, 1, 0, 1, 6, 2, 0, 0, 3, 3, 0, 0, 0, 0, 0, 2, 0, 0, 7, 1, 0, 1, 0, 0, 1,
+                0, 2, 1, 2, 3, 4, 1, 3, 0, 1, 0, 1, 0, 7, 0, 1, 0, 1, 0, 2
+            ]
+        );
     }
 
     #[test]

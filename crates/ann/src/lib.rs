@@ -21,17 +21,22 @@
 //!
 //! Index construction is a pure function of `(vectors, labels, config)`:
 //!
-//! - every node's top layer is derived from `(seed, id)` through a
-//!   SplitMix64 mix — no global RNG, no insertion-time state;
+//! - every node's top layer is derived from `(seed, id)` through
+//!   [`imre_tensor::mix64`] (SplitMix64) — no global RNG, no
+//!   insertion-time state;
 //! - nodes are inserted in ascending id order on a single thread;
+//! - every distance is [`imre_tensor::l2sq`]: 32 stride-32 partial sums
+//!   of `(a−b)²`, a fixed reduction tree, then the tail in order — a lane
+//!   structure that never widens with the hardware, so the scalar, AVX2 and
+//!   AVX-512 tiers produce the same bits;
 //! - every ordering decision (candidate pops, neighbor selection, overflow
 //!   pruning, result ranking) compares packed `(distance_bits, id)` keys,
 //!   so ties break by id, never by heap accident.
 //!
 //! Two builds from the same inputs are byte-identical after serialization,
-//! regardless of `--threads` (the compute pool is simply not consulted).
-//! Searches are likewise deterministic: same index + query + k → same
-//! neighbor slice, bit for bit.
+//! regardless of `--threads` (the compute pool is simply not consulted) and
+//! of the SIMD tier (`IMRE_FORCE_SCALAR=1` included). Searches are likewise
+//! deterministic: same index + query + k → same neighbor slice, bit for bit.
 //!
 //! # Allocation contract
 //!

@@ -7,6 +7,7 @@
 //! `imre-ann` itself never consults the thread pool.
 
 use imre_ann::{AnnIndex, HnswConfig, SearchScratch};
+use imre_tensor::simd::{self, Backend};
 
 fn clustered_vectors(n: usize, dim: usize) -> (Vec<f32>, Vec<u32>) {
     // Three deterministic Gaussian-ish blobs via an LCG — no std RNG, so
@@ -59,6 +60,40 @@ fn search_is_reproducible_across_scratches_and_roundtrips() {
     let mut sb = SearchScratch::new();
     for q in vectors.chunks_exact(6).step_by(17) {
         assert_eq!(a.search(q, 8, &mut sa), b.search(q, 8, &mut sb));
+    }
+}
+
+/// Distances go through the dispatched `l2sq` kernel, whose fixed lane
+/// structure hides the tier: the scalar fallback builds the same bytes and
+/// answers the same neighbor slices as the detected tier. 70 dims put two
+/// full 32-lane blocks and a tail in every distance.
+#[test]
+fn index_does_not_depend_on_the_simd_tier() {
+    let dim = 70;
+    let (vectors, labels) = clustered_vectors(300, dim);
+    let build = || {
+        let index = AnnIndex::build(
+            dim,
+            vectors.clone(),
+            labels.clone(),
+            HnswConfig::with_seed(9),
+        )
+        .unwrap();
+        let mut bytes = Vec::new();
+        index.write_to(&mut bytes).unwrap();
+        (index, bytes)
+    };
+    let (scalar, scalar_bytes) = simd::with_backend(Backend::Scalar, build);
+    let (detected, detected_bytes) = build();
+    assert_eq!(scalar_bytes, detected_bytes);
+
+    let mut scratch = SearchScratch::new();
+    for row in vectors.chunks_exact(dim).step_by(7) {
+        let q: Vec<f32> = row.iter().map(|x| x * 0.9 + 0.05).collect();
+        let want = simd::with_backend(Backend::Scalar, || {
+            scalar.search(&q, 16, &mut scratch).to_vec()
+        });
+        assert_eq!(detected.search(&q, 16, &mut scratch), want);
     }
 }
 

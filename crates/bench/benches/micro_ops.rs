@@ -1,10 +1,11 @@
 //! Criterion micro-benchmarks for the hot substrate operations: matmul,
-//! the int8 conv (packed GEMM vs per-row matvec), PCNN forward+backward,
-//! the fused encoder op, the row-sparse optimizer step, selective
-//! attention, LINE epochs and refine-mode updates, proximity-graph
-//! construction, and featurization.
+//! the int8 conv (packed GEMM vs per-row matvec), the kNN distance and
+//! search, PCNN forward+backward, the fused encoder op, the row-sparse
+//! optimizer step, selective attention, LINE epochs and refine-mode
+//! updates, proximity-graph construction, and featurization.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use imre_ann::{AnnIndex, HnswConfig, SearchScratch};
 use imre_core::{featurize, HyperParams, ModelSpec, ReModel};
 use imre_corpus::{generate_unlabeled, Dataset, UnlabeledConfig};
 use imre_eval::smoke_config;
@@ -77,6 +78,42 @@ fn bench_quant(c: &mut Criterion) {
             std::hint::black_box(&out);
         });
     });
+    group.finish();
+}
+
+/// The kNN row at `paper_int8_knn`'s shape: one 690-d squared distance,
+/// and a k=16 search of an 8192-vector index. The vectors are 53 seeded
+/// Gaussian clusters, one per relation, built once outside the timer.
+fn bench_ann(c: &mut Criterion) {
+    let (n, dim) = (8192usize, 690usize);
+    let mut rng = TensorRng::seed(8);
+    let centers = Tensor::rand_normal(&[53, dim], 1.0, &mut rng);
+    let noise = Tensor::rand_normal(&[n + 64, dim], 0.5, &mut rng);
+    let mut vectors = noise.data().to_vec();
+    for (i, row) in vectors.chunks_exact_mut(dim).enumerate() {
+        for (x, &c) in row.iter_mut().zip(centers.row(i % 53)) {
+            *x += c;
+        }
+    }
+    let queries = vectors.split_off(n * dim);
+    let labels = (0..n as u32).map(|i| i % 53).collect();
+    let mut group = c.benchmark_group("ann");
+    let (a, b) = (&vectors[..dim], &vectors[dim..2 * dim]);
+    group.bench_function(BenchmarkId::new("l2sq", dim), |bch| {
+        bch.iter(|| std::hint::black_box(imre_tensor::l2sq(a, b)));
+    });
+    let index = AnnIndex::build(dim, vectors, labels, HnswConfig::with_seed(1)).expect("index");
+    let mut scratch = SearchScratch::new();
+    let mut qs = queries.chunks_exact(dim).cycle();
+    group.bench_function(
+        BenchmarkId::new("search", format!("{n}x{dim}/k16")),
+        |bch| {
+            bch.iter(|| {
+                let q = qs.next().expect("cycled queries");
+                std::hint::black_box(index.search(q, 16, &mut scratch).len())
+            });
+        },
+    );
     group.finish();
 }
 
@@ -292,6 +329,7 @@ criterion_group!(
     benches,
     bench_matmul,
     bench_quant,
+    bench_ann,
     bench_pcnn_step,
     bench_conv_pool_tanh,
     bench_sparse_sgd_step,

@@ -455,6 +455,27 @@ pub fn axpy(dst: &mut [f32], alpha: f32, src: &[f32]) {
     simd::axpy(simd::backend(), dst, alpha, src);
 }
 
+/// Squared Euclidean distance `Σ (a_i − b_i)²` on the calling thread, with
+/// the fixed 32-lane structure of the dot-product kernel: 32 stride-32
+/// partial sums, a fixed reduction tree, then the tail in order. Every
+/// backend produces the scalar twin's bits, so a kNN index built from it is
+/// the same on every tier. Like [`axpy`], the call is not counted as a
+/// kernel dispatch (a kNN query makes hundreds of them).
+///
+/// # Panics
+/// If the slices differ in length.
+#[inline]
+pub fn l2sq(a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(
+        a.len(),
+        b.len(),
+        "l2sq: slices of len {} and {}",
+        a.len(),
+        b.len()
+    );
+    simd::l2sq(simd::backend(), a, b)
+}
+
 /// Numerically stable logistic sigmoid for scalars, shared across the workspace.
 #[inline]
 pub fn sigmoid_scalar(x: f32) -> f32 {

@@ -22,10 +22,12 @@
 //!   a fused multiply-add rounds differently, and `f32::mul_add` in the
 //!   scalar mirror would fall back to a slow soft-float libm call on
 //!   baseline x86-64 builds.
-//! * Kernels that reduce *across* elements (`dot`, row max/sum for softmax)
-//!   have a **fixed virtual lane structure** that is part of their
-//!   definition: `dot` accumulates into 32 stride-32 partial sums and
-//!   reduces them in a fixed tree order; row max/sum use 8 stride-8 lanes.
+//! * Kernels that reduce *across* elements (`dot`, `l2sq`, row max/sum for
+//!   softmax) have a **fixed virtual lane structure** that is part of their
+//!   definition: `dot` and `l2sq` share one body, which sums its per-element
+//!   term (`a·b`, `(a−b)²`) into 32 stride-32 partial sums, reduces them in
+//!   a fixed tree order and adds the tail in order; row max/sum use 8
+//!   stride-8 lanes.
 //!   The scalar fallback implements that exact structure with plain arrays,
 //!   so scalar and vector runs agree bitwise — and so do AVX2 and AVX-512
 //!   machines, because the lane structure never widens with the hardware.
@@ -270,35 +272,62 @@ fn maxps(a: f32, b: f32) -> f32 {
     }
 }
 
+/// The per-element term of a 32-lane sum: `x·y`, or `(x−y)²` when
+/// `DIFF`. The AVX2 body performs the same IEEE-754 ops per lane (no FMA),
+/// so the lane structure alone fixes the bits.
+#[inline(always)]
+fn term<const DIFF: bool>(x: f32, y: f32) -> f32 {
+    if DIFF {
+        let d = x - y;
+        d * d
+    } else {
+        x * y
+    }
+}
+
 /// Dot product with the fixed 32-lane accumulator structure.
 pub(crate) fn dot(be: Backend, a: &[f32], b: &[f32]) -> f32 {
+    lanes32::<false>(be, a, b)
+}
+
+/// Squared Euclidean distance `Σ (a_i − b_i)²`, with the same 32-lane
+/// structure as [`dot`].
+pub(crate) fn l2sq(be: Backend, a: &[f32], b: &[f32]) -> f32 {
+    lanes32::<true>(be, a, b)
+}
+
+/// `Σ term(a_i, b_i)` with the fixed 32-lane structure shared by every
+/// cross-element sum of two slices.
+#[inline(always)]
+fn lanes32<const DIFF: bool>(be: Backend, a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     #[cfg(target_arch = "x86_64")]
     if be != Backend::Scalar {
         // SAFETY: vector backends imply avx2 support (see `backend()`).
-        return unsafe { dot_avx2(a, b) };
+        return unsafe { lanes32_avx2::<DIFF>(a, b) };
     }
     let _ = be;
-    dot_scalar(a, b)
+    lanes32_scalar::<DIFF>(a, b)
 }
 
-/// Scalar mirror of the 32-lane dot: stride-32 partial sums, pairwise
-/// 32→8 fold, then the 8-lane tree the AVX horizontal sum performs.
-fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
+/// Scalar twin of the 32-lane sum: stride-32 partial sums, pairwise
+/// 32→8 fold, then the 8-lane tree the AVX horizontal sum performs, then
+/// the tail in order.
+fn lanes32_scalar<const DIFF: bool>(a: &[f32], b: &[f32]) -> f32 {
     let n = a.len();
     let blocks = n / DOT_LANES;
     let mut acc = [0.0f32; DOT_LANES];
     for i in 0..blocks {
         let base = i * DOT_LANES;
         for (w, aw) in acc.iter_mut().enumerate() {
-            *aw += a[base + w] * b[base + w];
+            *aw += term::<DIFF>(a[base + w], b[base + w]);
         }
     }
     let mut s = hsum8_tree(core::array::from_fn(|j| {
         (acc[j] + acc[j + 8]) + (acc[j + 16] + acc[j + 24])
     }));
     for i in blocks * DOT_LANES..n {
-        s += a[i] * b[i];
+        s += term::<DIFF>(a[i], b[i]);
     }
     s
 }
@@ -519,7 +548,7 @@ fn row_times_mat_scalar(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{hmax8_tree, hsum8_tree, maxps, EwOp, DOT_LANES, ROW_LANES};
+    use super::{hmax8_tree, hsum8_tree, maxps, term, EwOp, DOT_LANES, ROW_LANES};
     use core::arch::x86_64::*;
 
     /// # Safety
@@ -641,50 +670,41 @@ mod x86 {
         _mm_cvtss_f32(s1)
     }
 
+    /// The 32-lane sum of [`super::lanes32`]: four 8-lane accumulators
+    /// whose lane `w` of register `r` is virtual lane `8r + w`.
+    ///
     /// # Safety
     /// Requires AVX2; `a.len() == b.len()`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
+    pub(super) unsafe fn lanes32_avx2<const DIFF: bool>(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len();
         let blocks = n / DOT_LANES;
         let (ap, bp) = (a.as_ptr(), b.as_ptr());
+        let lanes = |off: usize| {
+            let (x, y) = (_mm256_loadu_ps(ap.add(off)), _mm256_loadu_ps(bp.add(off)));
+            if DIFF {
+                let d = _mm256_sub_ps(x, y);
+                _mm256_mul_ps(d, d)
+            } else {
+                _mm256_mul_ps(x, y)
+            }
+        };
         let mut c0 = _mm256_setzero_ps();
         let mut c1 = _mm256_setzero_ps();
         let mut c2 = _mm256_setzero_ps();
         let mut c3 = _mm256_setzero_ps();
         for i in 0..blocks {
             let base = i * DOT_LANES;
-            c0 = _mm256_add_ps(
-                c0,
-                _mm256_mul_ps(_mm256_loadu_ps(ap.add(base)), _mm256_loadu_ps(bp.add(base))),
-            );
-            c1 = _mm256_add_ps(
-                c1,
-                _mm256_mul_ps(
-                    _mm256_loadu_ps(ap.add(base + 8)),
-                    _mm256_loadu_ps(bp.add(base + 8)),
-                ),
-            );
-            c2 = _mm256_add_ps(
-                c2,
-                _mm256_mul_ps(
-                    _mm256_loadu_ps(ap.add(base + 16)),
-                    _mm256_loadu_ps(bp.add(base + 16)),
-                ),
-            );
-            c3 = _mm256_add_ps(
-                c3,
-                _mm256_mul_ps(
-                    _mm256_loadu_ps(ap.add(base + 24)),
-                    _mm256_loadu_ps(bp.add(base + 24)),
-                ),
-            );
+            c0 = _mm256_add_ps(c0, lanes(base));
+            c1 = _mm256_add_ps(c1, lanes(base + 8));
+            c2 = _mm256_add_ps(c2, lanes(base + 16));
+            c3 = _mm256_add_ps(c3, lanes(base + 24));
         }
         // 32 → 8 lanes: (c0+c1) + (c2+c3), lane j = (v[j]+v[j+8]) + (v[j+16]+v[j+24]).
         let t = _mm256_add_ps(_mm256_add_ps(c0, c1), _mm256_add_ps(c2, c3));
         let mut s = hsum8(t);
         for i in blocks * DOT_LANES..n {
-            s += a[i] * b[i];
+            s += term::<DIFF>(a[i], b[i]);
         }
         s
     }
@@ -1020,9 +1040,9 @@ mod x86 {
 
 #[cfg(target_arch = "x86_64")]
 use x86::{
-    add_assign_avx2, axpy_avx2, div_inplace_avx2, dot_avx2, ew_avx2, row_max_avx2, row_sum_avx2,
-    row_times_mat_avx2, row_times_mat_avx512, rows4_times_mat_avx2, rows4_times_mat_avx512,
-    scale_avx2,
+    add_assign_avx2, axpy_avx2, div_inplace_avx2, ew_avx2, lanes32_avx2, row_max_avx2,
+    row_sum_avx2, row_times_mat_avx2, row_times_mat_avx512, rows4_times_mat_avx2,
+    rows4_times_mat_avx512, scale_avx2,
 };
 
 #[cfg(test)]

@@ -318,4 +318,42 @@ proptest! {
             r
         });
     }
+
+    // Squared L2 runs `dot`'s 32-lane body: lengths 0..=70 put every tail
+    // width against the 32 lanes, 690/691 are the kNN width and one past
+    // it, and the offsets start both slices at every 4-byte misalignment
+    // of a 32-byte vector. Each tier must give the scalar twin's bits, a
+    // symmetric non-negative value close to the f64 sum, and exactly 0 on
+    // equal slices.
+    #[test]
+    fn l2sq_bitwise_matches_across_backends(
+        seed in 0u64..1000, off_a in 0usize..8, off_b in 0usize..8
+    ) {
+        let mut rng = imre_tensor::TensorRng::seed(seed);
+        let buf_a = Tensor::rand_uniform(&[691 + 8], -5.0, 5.0, &mut rng);
+        let buf_b = Tensor::rand_uniform(&[691 + 8], -5.0, 5.0, &mut rng);
+        for len in (0..=70).chain([690, 691]) {
+            let a = &buf_a.data()[off_a..off_a + len];
+            let b = &buf_b.data()[off_b..off_b + len];
+            let exact: f64 = a.iter().zip(b).map(|(&x, &y)| (x as f64 - y as f64).powi(2)).sum();
+            let want = simd::with_backend(Backend::Scalar, || imre_tensor::l2sq(a, b));
+            prop_assert!((want as f64 - exact).abs() <= 1e-5 * exact.max(1.0), "len={len}");
+            for be in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
+                let at = format!("{} len={len}", be.name());
+                let (ab, ba, aa) = simd::with_backend(be, || {
+                    (imre_tensor::l2sq(a, b), imre_tensor::l2sq(b, a), imre_tensor::l2sq(a, a))
+                });
+                prop_assert_eq!(ab.to_bits(), want.to_bits(), "{}", at);
+                prop_assert_eq!(ba.to_bits(), ab.to_bits(), "{} symmetry", at);
+                prop_assert!(ab >= 0.0, "{}", at);
+                prop_assert_eq!(aa.to_bits(), 0.0f32.to_bits(), "{} self-distance", at);
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "l2sq: slices of len 3 and 2")]
+fn l2sq_length_mismatch_panics() {
+    imre_tensor::l2sq(&[1.0, 2.0, 3.0], &[1.0, 2.0]);
 }

@@ -36,12 +36,15 @@
 #           `--checkpoint` at `--threads 1` resumed to 4 at `--threads 4`
 #           must match a straight 4-epoch run bytewise
 #   knn     the kNN-interpolation gate: the imre-ann determinism/serialize
-#           suites, the .imrb v1/v2 compatibility tests, the counting-
+#           suites (in the dev profile and in release, where only the
+#           assert!s guard query lengths), the .imrb v1/v2 compatibility
+#           tests, the counting-
 #           allocator zero-alloc kNN query gate, and a CLI-level end-to-end
 #           check on the smoke corpus — a bundle trained with the default
-#           kNN index must serve, two index builds (--threads 1 vs 4) must
-#           be byte-identical, and `imre eval --knn` must report the
-#           per-bucket table
+#           kNN index must serve, three index builds (--threads 4, --threads
+#           1, and IMRE_FORCE_SCALAR=1, since every distance goes through
+#           the dispatched l2sq kernel) must be byte-identical, and
+#           `imre eval --knn` must report the per-bucket table
 #   simd    the SIMD kernel gate: the bit-identity proptests and the
 #           dispatch suite run twice — once with runtime detection (on
 #           capable hardware the dispatch counters must show the vector
@@ -146,7 +149,10 @@ step_alloc_gate() {
 
 step_knn() {
     # Index-structure suites: HNSW determinism, serialization, blending.
+    # Again in release, where debug_assert! is compiled out: the length
+    # checks on queries must still fire.
     cargo test --offline -q -p imre-ann
+    cargo test --release --offline -q -p imre-ann
 
     # Bundle compatibility: v1/v2 layouts, corruption rejection, λ=0
     # bit-identity, thread-count determinism of the index build.
@@ -156,8 +162,9 @@ step_knn() {
     cargo test --offline -q -p imre-bench --test zero_alloc_knn
 
     # CLI-level end-to-end on the smoke corpus: bundles embed the index by
-    # default, index builds are byte-identical across --threads, and
-    # `imre eval --knn` reports the per-bucket comparison table.
+    # default, index builds are byte-identical across --threads and kernel
+    # tiers (distances are the dispatched l2sq), and `imre eval --knn`
+    # reports the per-bucket comparison table.
     cargo build --offline -q --release -p imre-cli
     local imre=target/release/imre
     local dir=target/knn-ci
@@ -168,9 +175,13 @@ step_knn() {
         --out "$dir/a.imrm" --bundle "$dir/a.imrb" >/dev/null
     "$imre" train "${common[@]}" --threads 1 \
         --out "$dir/b.imrm" --bundle "$dir/b.imrb" >/dev/null
+    IMRE_FORCE_SCALAR=1 "$imre" train "${common[@]}" \
+        --out "$dir/s.imrm" --bundle "$dir/s.imrb" >/dev/null
     cmp "$dir/a.imrb" "$dir/b.imrb" ||
         { echo "knn: --threads changed the bundle (index not deterministic)" >&2; exit 1; }
-    echo "knn: bundle byte-identical across --threads"
+    cmp "$dir/a.imrb" "$dir/s.imrb" ||
+        { echo "knn: IMRE_FORCE_SCALAR changed the bundle" >&2; exit 1; }
+    echo "knn: bundle byte-identical across --threads and kernel tiers"
 
     "$imre" eval --dataset smoke --model-file "$dir/a.imrm" --seed 5 \
         --knn 1 --knn-k 4 --knn-lambda 0.3 --knn-buckets 3 >"$dir/eval.txt"
