@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks for the hot substrate operations: matmul,
-//! the int8 conv (packed GEMM vs per-row matvec), the kNN distance and
+//! the int8 conv (packed GEMM vs per-row matvec, and the per-row loop on
+//! the AVX2 tier), the int8 gather, `axpy` and row softmax, the kNN distance and
 //! search, PCNN forward+backward, the fused encoder op, the row-sparse
 //! optimizer step, selective attention, LINE epochs and refine-mode
 //! updates, proximity-graph construction, and featurization.
@@ -14,6 +15,7 @@ use imre_graph::{
 };
 use imre_nn::{pcnn_segments_array, Conv1d, GradStore, ParamStore, Tape};
 use imre_tensor::quant::{self, QuantPack};
+use imre_tensor::simd::{self, Backend};
 use imre_tensor::{BufferPool, QuantTensor, Tensor, TensorRng};
 
 fn bench_matmul(c: &mut Criterion) {
@@ -66,16 +68,61 @@ fn bench_quant(c: &mut Criterion) {
             std::hint::black_box(&out);
         });
     });
+    let qmatvec_rows = |out: &mut [f32]| {
+        for ((a, &p), o) in act
+            .chunks_exact(k)
+            .zip(&params)
+            .zip(out.chunks_exact_mut(n))
+        {
+            quant::qmatvec_into(&w, a, p, Some(&bias), o);
+        }
+        std::hint::black_box(out);
+    };
     group.bench_function(BenchmarkId::new("qmatvec_rows", &id), |bch| {
+        bch.iter(|| qmatvec_rows(&mut out));
+    });
+    // The same loop on the AVX2 tier, which runs the plain-loop i8 `qdot`
+    // in place of the VNNI matvec an AVX-512 box otherwise takes.
+    group.bench_function(
+        BenchmarkId::new("qmatvec_rows", format!("{id}@avx2")),
+        |bch| {
+            simd::with_backend(Backend::Avx2, || bch.iter(|| qmatvec_rows(&mut out)));
+        },
+    );
+    // The int8 embedding lookup of one 65-token sentence: 60-wide rows
+    // (Table III word + position widths) gathered and dequantized.
+    let table = QuantTensor::quantize(&Tensor::rand_uniform(&[1000, 60], -1.0, 1.0, &mut rng));
+    let ids: Vec<usize> = (0..65).map(|_| rng.below(1000)).collect();
+    let mut rows = vec![0f32; 65 * 60];
+    group.bench_function(BenchmarkId::new("dequant_gather", "65x60"), |bch| {
         bch.iter(|| {
-            for ((a, &p), o) in act
-                .chunks_exact(k)
-                .zip(&params)
-                .zip(out.chunks_exact_mut(n))
-            {
-                quant::qmatvec_into(&w, a, p, Some(&bias), o);
-            }
-            std::hint::black_box(&out);
+            quant::gather_dequant_into(&table, &ids, &mut rows);
+            std::hint::black_box(&rows);
+        });
+    });
+    group.finish();
+}
+
+/// Plain-loop and 8-lane kernels at the model's widths: the conv
+/// backward's row `axpy` at 690 and the attention softmax of an 8-sentence
+/// bag over 53 relations.
+fn bench_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernels");
+    let mut rng = TensorRng::seed(2);
+    let src = Tensor::rand_uniform(&[690], -1.0, 1.0, &mut rng);
+    let mut dst = Tensor::rand_uniform(&[690], -1.0, 1.0, &mut rng);
+    group.bench_function(BenchmarkId::new("axpy", 690), |bch| {
+        bch.iter(|| {
+            imre_tensor::axpy(dst.data_mut(), 1e-3, src.data());
+            std::hint::black_box(&dst);
+        });
+    });
+    let logits = Tensor::rand_uniform(&[8, 53], -3.0, 3.0, &mut rng);
+    let mut probs = Tensor::zeros(&[8, 53]);
+    group.bench_function(BenchmarkId::new("softmax_rows", "8x53"), |bch| {
+        bch.iter(|| {
+            logits.softmax_rows_into(&mut probs);
+            std::hint::black_box(&probs);
         });
     });
     group.finish();
@@ -329,6 +376,7 @@ criterion_group!(
     benches,
     bench_matmul,
     bench_quant,
+    bench_kernels,
     bench_ann,
     bench_pcnn_step,
     bench_conv_pool_tanh,

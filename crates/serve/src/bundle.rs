@@ -195,12 +195,15 @@ impl Bundle {
             }
         }
         if self.model.spec.use_type {
-            if let Some((name, tys)) = self
-                .entities
-                .iter()
-                .find(|(_, tys)| tys.iter().any(|&t| t >= self.model.num_types()))
-            {
-                return fail(format!("entity {name:?} has type id {tys:?} out of range"));
+            // The type component averages an entity's type embeddings: an
+            // empty list would score NaN.
+            for (name, tys) in &self.entities {
+                if tys.is_empty() {
+                    return fail(format!("entity {name:?} has no type id"));
+                }
+                if tys.iter().any(|&t| t >= self.model.num_types()) {
+                    return fail(format!("entity {name:?} has type id {tys:?} out of range"));
+                }
             }
         }
         if let Some(quant) = &self.quant {

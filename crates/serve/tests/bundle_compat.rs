@@ -17,7 +17,8 @@ use imre_core::{HyperParams, ModelSpec};
 use imre_eval::{build_index, smoke_config, Pipeline};
 use imre_graph::EntityEmbedding;
 use imre_serve::{
-    read_bundle, write_bundle, Bundle, ServeError, ServingModel, VERSION_V1, VERSION_V2,
+    load_bundle, read_bundle, save_bundle, write_bundle, Bundle, ServeError, ServingModel,
+    VERSION_V1, VERSION_V2,
 };
 use imre_tensor::pool::{with_pool, ThreadPool};
 use std::sync::OnceLock;
@@ -299,4 +300,34 @@ fn out_of_range_lambda_is_rejected_before_the_forward_pass() {
             other => panic!("lambda={lambda}: expected BadRequest, got {other:?}"),
         }
     }
+}
+
+/// A typed model needs every entity to have a type: the type component
+/// averages the entity's type embeddings, and over an empty list it scored
+/// NaN in f32 (and unrelated finite scores at int8). Loading such a bundle
+/// is a typed `InvalidData` error naming the entity.
+#[test]
+fn typeless_entity_in_a_typed_bundle_is_rejected_at_load() {
+    let mut b = bundle(false);
+    assert!(b.model.spec.use_type, "the fixture is a typed model");
+    b.entities[1].1.clear();
+    let name = b.entities[1].0.clone();
+    let dir = std::env::temp_dir().join(format!("imre_typeless_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("typeless.imrb");
+    save_bundle(&b, &path).expect("saves");
+    let err = load_bundle(&path)
+        .map(|_| ())
+        .expect_err("a typeless entity must not load");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(
+        err.to_string()
+            .contains(&format!("{name:?} has no type id")),
+        "{err}"
+    );
+    assert!(
+        ServingModel::new(b).is_err(),
+        "an in-memory bundle is checked too"
+    );
 }

@@ -1,8 +1,8 @@
 //! Matrix multiplication kernels, row-parallel on the [`crate::pool`] backend
 //! and SIMD-dispatched through [`crate::simd`].
 //!
-//! Each output row is produced by [`simd::row_times_mat`] (register-blocked
-//! AVX2/AVX-512 tiles with a scalar `ikj` fallback) for the `nn`/`tn` forms,
+//! Each output row is produced by [`simd::rows_times_mat`] (one
+//! register-blocked tile body, at `[f32; 8]`, AVX2 or AVX-512 lanes) for the `nn`/`tn` forms,
 //! or by the fixed-lane [`simd::dot`] for the `nt`/`matvec` dot forms. All
 //! backends perform the same IEEE ops per output element in the same order,
 //! so backend choice never changes the bits (see `simd` module docs).

@@ -297,6 +297,8 @@ pub fn current_threads() -> usize {
 /// task closures. Safety is the caller's obligation: tasks must write
 /// disjoint regions.
 struct SendPtr<T>(*mut T);
+// SAFETY: the pointer is only written through by tasks that own disjoint
+// shards of the buffer it points into, which outlives every task.
 unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}
 

@@ -23,8 +23,8 @@
 //! scalar, AVX2, AVX-512 — produces the same `i32` regardless of summation
 //! order, and the single f32 epilogue expression is shared; the quantized
 //! kernels are therefore bit-identical across backends *by construction*
-//! (a stronger property than the fixed-virtual-lane f32 kernels in `simd`,
-//! which must emulate the vector reduction shape in scalar code).
+//! (a stronger property than the fixed-virtual-lane f32 reductions in
+//! `simd`, whose lane structure is part of their definition).
 //!
 //! f32 appears only at dequantization boundaries: nonlinearities (tanh,
 //! softmax), attention-weighted sums, and bias adds.
@@ -42,10 +42,21 @@
 //! used by memory-mapped `.imrb` v3 bundles, where the i8 payload, scales,
 //! zero points, and row sums are read straight out of the file mapping.
 //!
-//! Dispatch mirrors the `simd` module: `simd::backend()` picks the backend
-//! (honoring `IMRE_FORCE_SCALAR` and `simd::with_backend` overrides), and
-//! every kernel invocation is counted — see
+//! ## Kernels and dispatch
+//!
+//! Dispatch mirrors the `simd` module: `simd::backend()` picks the tier
+//! (honoring `IMRE_FORCE_SCALAR` and `simd::with_backend` overrides),
+//! `simd::vnni` says whether that tier runs the VNNI kernels, and every
+//! kernel invocation is counted — see
 //! [`quant_vector_kernels`]/[`quant_scalar_kernels`].
+//!
+//! The i8 dot (`qdot`) and `dequant` are one plain scalar loop each, run
+//! through `simd::on_tier`: LLVM vectorizes them under its AVX2 shim. The
+//! VNNI matvec, the VNNI GEMM and `quantize_row_avx512` are each the only
+//! vector form of their kernel, written in AVX-512 intrinsics beside a
+//! portable loop that every other tier runs and the tests use as oracle.
+//! `Backend::Avx512` guarantees their `avx512f`/`avx512bw`/`avx512vl`;
+//! `simd::vnni` adds `avx512vnni`.
 
 use crate::simd::{self, Backend};
 use crate::Tensor;
@@ -157,56 +168,24 @@ impl QuantTensor {
     pub fn quantize(t: &Tensor) -> QuantTensor {
         let (rows, cols) = dims2(t);
         let mut data = vec![0i8; rows * cols];
-        let mut scales = vec![0f32; rows];
-        let mut zeros = vec![0i8; rows];
-        let mut row_sums = vec![0i32; rows];
-        for r in 0..rows {
-            let p = quantize_row_into(
-                &t.data()[r * cols..(r + 1) * cols],
-                &mut data[r * cols..(r + 1) * cols],
-            );
-            scales[r] = p.scale;
-            zeros[r] = p.zero_point;
-            row_sums[r] = p.sum;
-        }
-        QuantTensor {
-            rows,
-            cols,
-            data: Buf::Owned(data),
-            scales: Buf::Owned(scales),
-            zeros: Buf::Owned(zeros),
-            row_sums: Buf::Owned(row_sums),
-        }
+        let params: Vec<QuantRowParams> = t
+            .data()
+            .chunks_exact(cols)
+            .zip(data.chunks_exact_mut(cols))
+            .map(|(src, dst)| quantize_row_into(src, dst))
+            .collect();
+        let scales = params.iter().map(|p| p.scale).collect();
+        let zeros = params.iter().map(|p| p.zero_point).collect();
+        let row_sums = params.iter().map(|p| p.sum).collect();
+        QuantTensor::from_owned_parts(rows, cols, data, scales, zeros, row_sums)
+            .expect("parts are built to [rows, cols]")
     }
 
     /// Quantizes the *transpose* of a 2-D `Tensor` row-wise — the layout
     /// [`qmatvec_into`] wants for a `[in, out]` linear weight: the result
     /// has one row per output unit.
     pub fn quantize_transposed(t: &Tensor) -> QuantTensor {
-        let (trows, tcols) = dims2(t);
-        let (rows, cols) = (tcols, trows);
-        let mut scratch = vec![0f32; cols];
-        let mut data = vec![0i8; rows * cols];
-        let mut scales = vec![0f32; rows];
-        let mut zeros = vec![0i8; rows];
-        let mut row_sums = vec![0i32; rows];
-        for r in 0..rows {
-            for (c, s) in scratch.iter_mut().enumerate() {
-                *s = t.data()[c * tcols + r];
-            }
-            let p = quantize_row_into(&scratch, &mut data[r * cols..(r + 1) * cols]);
-            scales[r] = p.scale;
-            zeros[r] = p.zero_point;
-            row_sums[r] = p.sum;
-        }
-        QuantTensor {
-            rows,
-            cols,
-            data: Buf::Owned(data),
-            scales: Buf::Owned(scales),
-            zeros: Buf::Owned(zeros),
-            row_sums: Buf::Owned(row_sums),
-        }
+        QuantTensor::quantize(&t.transpose())
     }
 
     /// Rebuilds a tensor from owned parts (the owned `.imrb` v3 load path).
@@ -332,16 +311,7 @@ impl QuantTensor {
 
     /// Dequantizes row `r` into `out` (len `cols`).
     pub fn dequant_row_into(&self, r: usize, out: &mut [f32]) {
-        assert!(r < self.rows && out.len() == self.cols);
-        let be = simd::backend();
-        note_quant(be);
-        dequant(
-            be,
-            &self.data.as_slice()[r * self.cols..(r + 1) * self.cols],
-            self.zeros.as_slice()[r],
-            self.scales.as_slice()[r],
-            out,
-        );
+        gather_dequant_into(self, &[r], out);
     }
 }
 
@@ -375,8 +345,8 @@ pub fn quantize_row_into(src: &[f32], dst: &mut [i8]) -> QuantRowParams {
     assert_eq!(src.len(), dst.len());
     assert!(src.len() <= MAX_COLS, "row wider than MAX_COLS");
     #[cfg(target_arch = "x86_64")]
-    if simd::backend() == Backend::Avx512 && avx512bw_available() && avx512vl_available() {
-        // SAFETY: runtime-detected avx512f (backend) + avx512bw + avx512vl.
+    if simd::backend() == Backend::Avx512 {
+        // SAFETY: the Avx512 tier has avx512f, avx512bw and avx512vl.
         return unsafe { quantize_row_avx512(src, dst) };
     }
     quantize_row_scalar(src, dst)
@@ -429,11 +399,16 @@ fn quantize_row_scalar(src: &[f32], dst: &mut [i8]) -> QuantRowParams {
 /// so the two agree bitwise. Rows with non-finite elements (or a subnormal
 /// scale, whose reciprocal overflows) fall back to the scalar loop rather
 /// than emulating Rust's saturating-cast edge cases lane by lane.
+///
+/// # Safety
+/// The CPU has avx512f, avx512bw and avx512vl, and `src.len() == dst.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vl")]
 unsafe fn quantize_row_avx512(src: &[f32], dst: &mut [i8]) -> QuantRowParams {
     use std::arch::x86_64::*;
     let n = src.len();
+    // SAFETY: the features are the caller's; every load and store is a full
+    // 16-lane block below `n` or the one masked tail, inside both slices.
     unsafe {
         // Pass 1: min/max over finite lanes, starting from 0.0 like scalar.
         let absmask = _mm512_castsi512_ps(_mm512_set1_epi32(0x7fff_ffff));
@@ -522,15 +497,6 @@ unsafe fn quantize_row_avx512(src: &[f32], dst: &mut [i8]) -> QuantRowParams {
     }
 }
 
-/// Whether the 128/256-bit forms of AVX-512 ops (`avx512vl`) are available.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn avx512vl_available() -> bool {
-    use std::sync::OnceLock;
-    static VL: OnceLock<bool> = OnceLock::new();
-    *VL.get_or_init(|| std::arch::is_x86_feature_detected!("avx512vl"))
-}
-
 // ----------------------------------------------------------------------
 // Kernels
 // ----------------------------------------------------------------------
@@ -555,135 +521,100 @@ pub fn qmatvec_into(
     }
     let be = simd::backend();
     note_quant(be);
-    #[cfg(target_arch = "x86_64")]
-    if be == Backend::Avx512
-        && w.cols <= VNNI_MAX_COLS
-        && avx512bw_available()
-        && avx512vnni_available()
-    {
-        // SAFETY: runtime-detected avx512f (backend) + avx512bw + avx512vnni.
-        unsafe { qmatvec_avx512vnni(w, act, p, bias, out) };
-        return;
-    }
-    let n = w.cols as i64;
-    let za = p.zero_point as i64;
-    let data = w.data.as_slice();
-    let scales = w.scales.as_slice();
-    let zeros = w.zeros.as_slice();
-    let sums = w.row_sums.as_slice();
-    for r in 0..w.rows {
-        let acc = qdot(be, act, &data[r * w.cols..(r + 1) * w.cols]);
+    let (n, za) = (w.cols as i64, p.zero_point as i64);
+    let (scales, zeros, sums) = (w.scales(), w.zeros(), w.row_sums());
+    let mut epilogue = |r: usize, acc: i64| {
         let zw = zeros[r] as i64;
-        let int = acc as i64 - zw * p.sum as i64 - za * sums[r] as i64 + n * za * zw;
+        let int = acc - zw * p.sum as i64 - za * sums[r] as i64 + n * za * zw;
         let real = int as f32 * (p.scale * scales[r]);
         out[r] = match bias {
             Some(b) => real + b[r],
             None => real,
         };
+    };
+    #[cfg(target_arch = "x86_64")]
+    if w.cols <= VNNI_MAX_COLS && simd::vnni(be) {
+        // SAFETY: the Avx512 tier has avx512f and avx512bw, `vnni` checked
+        // avx512vnni, and the asserts above fix every length it reads.
+        unsafe { qmatvec_avx512vnni(w, act, epilogue) };
+        return;
     }
+    simd::on_tier(be, move || {
+        for (r, row) in w.data().chunks_exact(w.cols).enumerate() {
+            epilogue(r, qdot(act, row) as i64);
+        }
+    })
 }
 
 /// Width cap of the VNNI matvec: the biased-u8 dot is bounded by
 /// `255·128·cols`, which must stay inside the exact-i32 accumulator.
 #[cfg(target_arch = "x86_64")]
-const VNNI_MAX_COLS: usize = 1 << 16;
+pub(crate) const VNNI_MAX_COLS: usize = 1 << 16;
 
-/// Whether AVX512-VNNI (`vpdpbusd`) is available.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn avx512vnni_available() -> bool {
-    use std::sync::OnceLock;
-    static VNNI: OnceLock<bool> = OnceLock::new();
-    *VNNI.get_or_init(|| std::arch::is_x86_feature_detected!("avx512vnni"))
-}
-
-/// VNNI matvec: `vpdpbusd` needs an unsigned left operand, so activations
-/// are biased to u8 on the fly (`a ⊕ 0x80 = a + 128`) and the exact
-/// surplus `128·Σw_r` is subtracted per row — all in integers, so the
-/// result is bit-identical to the scalar/qdot paths. Weight rows run four
-/// at a time sharing each activation load; the sub-64 tail is a zero-masked
-/// load on the *weight* side (zeroed weight lanes annihilate whatever the
-/// biased activation holds there).
+/// VNNI matvec: calls `row(r, Σ act·w_r)` for every weight row `r`.
+/// `vpdpbusd` needs an unsigned left operand, so activations are biased to
+/// u8 on the fly (`a ⊕ 0x80 = a + 128`) and the exact surplus `128·Σw_r`
+/// is subtracted per row — all in integers, so each dot is exactly
+/// `qdot`'s. Weight rows run four at a time sharing each activation load,
+/// then one at a time.
+///
+/// # Safety
+/// The CPU has avx512f, avx512bw and avx512vnni, and `act.len() == w.cols`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vnni")]
-unsafe fn qmatvec_avx512vnni(
-    w: &QuantTensor,
-    act: &[i8],
-    p: QuantRowParams,
-    bias: Option<&[f32]>,
-    out: &mut [f32],
-) {
-    use std::arch::x86_64::*;
-    let cols = w.cols;
-    let n = cols as i64;
-    let za = p.zero_point as i64;
-    let data = w.data.as_slice();
-    let scales = w.scales.as_slice();
-    let zeros = w.zeros.as_slice();
-    let sums = w.row_sums.as_slice();
-    let vbias = _mm512_set1_epi8(-128i8);
-    let blocks = cols / 64;
-    let tail = cols % 64;
-    let kmask: __mmask64 = if tail == 0 { 0 } else { (1u64 << tail) - 1 };
-
-    let epilogue = |r: usize, biased: i64| {
-        let acc = biased - 128 * sums[r] as i64;
-        let zw = zeros[r] as i64;
-        let int = acc - zw * p.sum as i64 - za * sums[r] as i64 + n * za * zw;
-        let real = int as f32 * (p.scale * scales[r]);
-        match bias {
-            Some(b) => real + b[r],
-            None => real,
-        }
-    };
-
+unsafe fn qmatvec_avx512vnni(w: &QuantTensor, act: &[i8], mut row: impl FnMut(usize, i64)) {
+    let (data, sums) = (w.data(), w.row_sums());
     let mut r = 0;
+    // SAFETY: the features and `act`'s length are the caller's, and
+    // `r + R` stays within `w.rows`.
     unsafe {
         while r + 4 <= w.rows {
-            let mut acc = [_mm512_setzero_si512(); 4];
-            for bi in 0..blocks {
-                let i = bi * 64;
-                let va =
-                    _mm512_xor_si512(_mm512_loadu_si512(act.as_ptr().add(i) as *const _), vbias);
-                for (j, a) in acc.iter_mut().enumerate() {
-                    let vw = _mm512_loadu_si512(data.as_ptr().add((r + j) * cols + i) as *const _);
-                    *a = _mm512_dpbusd_epi32(*a, va, vw);
-                }
-            }
-            if tail != 0 {
-                let i = blocks * 64;
-                let va =
-                    _mm512_xor_si512(_mm512_maskz_loadu_epi8(kmask, act.as_ptr().add(i)), vbias);
-                for (j, a) in acc.iter_mut().enumerate() {
-                    let vw = _mm512_maskz_loadu_epi8(kmask, data.as_ptr().add((r + j) * cols + i));
-                    *a = _mm512_dpbusd_epi32(*a, va, vw);
-                }
-            }
-            for (j, a) in acc.iter().enumerate() {
-                out[r + j] = epilogue(r + j, _mm512_reduce_add_epi32(*a) as i64);
+            for (j, d) in vnni_dots::<4>(data, act, r).into_iter().enumerate() {
+                row(r + j, d - 128 * sums[r + j] as i64);
             }
             r += 4;
         }
-        while r < w.rows {
-            let mut a = _mm512_setzero_si512();
-            for bi in 0..blocks {
-                let i = bi * 64;
-                let va =
-                    _mm512_xor_si512(_mm512_loadu_si512(act.as_ptr().add(i) as *const _), vbias);
-                let vw = _mm512_loadu_si512(data.as_ptr().add(r * cols + i) as *const _);
-                a = _mm512_dpbusd_epi32(a, va, vw);
-            }
-            if tail != 0 {
-                let i = blocks * 64;
-                let va =
-                    _mm512_xor_si512(_mm512_maskz_loadu_epi8(kmask, act.as_ptr().add(i)), vbias);
-                let vw = _mm512_maskz_loadu_epi8(kmask, data.as_ptr().add(r * cols + i));
-                a = _mm512_dpbusd_epi32(a, va, vw);
-            }
-            out[r] = epilogue(r, _mm512_reduce_add_epi32(a) as i64);
-            r += 1;
+        for (r, &sum) in sums.iter().enumerate().skip(r) {
+            row(r, vnni_dots::<1>(data, act, r)[0] - 128 * sum as i64);
         }
     }
+}
+
+/// The biased dots `Σ (a + 128)·w` of weight rows `r..r + R` of `data`
+/// (rows of `act.len()`), 64 columns per step, then the rest as one masked
+/// step: a zeroed weight lane annihilates whatever the biased activation
+/// holds.
+///
+/// # Safety
+/// As [`qmatvec_avx512vnni`], and `(r + R) · act.len() ≤ data.len()`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn vnni_dots<const R: usize>(data: &[i8], act: &[i8], r: usize) -> [i64; R] {
+    use std::arch::x86_64::*;
+    let cols = act.len();
+    let vbias = _mm512_set1_epi8(-128i8);
+    let mut acc = [_mm512_setzero_si512(); R];
+    let full = cols / 64 * 64;
+    for i in (0..full).step_by(64) {
+        let va = _mm512_xor_si512(_mm512_loadu_si512(act.as_ptr().add(i).cast()), vbias);
+        for (j, a) in acc.iter_mut().enumerate() {
+            let vw = _mm512_loadu_si512(data.as_ptr().add((r + j) * cols + i).cast());
+            *a = _mm512_dpbusd_epi32(*a, va, vw);
+        }
+    }
+    if full < cols {
+        let k: __mmask64 = (1 << (cols - full)) - 1;
+        let va = _mm512_xor_si512(_mm512_maskz_loadu_epi8(k, act.as_ptr().add(full)), vbias);
+        for (j, a) in acc.iter_mut().enumerate() {
+            let vw = _mm512_maskz_loadu_epi8(k, data.as_ptr().add((r + j) * cols + full));
+            *a = _mm512_dpbusd_epi32(*a, va, vw);
+        }
+    }
+    let mut dots = [0; R];
+    for (d, a) in dots.iter_mut().zip(acc) {
+        *d = _mm512_reduce_add_epi32(a) as i64;
+    }
+    dots
 }
 
 // ----------------------------------------------------------------------
@@ -819,7 +750,7 @@ pub fn qgemm_into(
         );
     }
     #[cfg(target_arch = "x86_64")]
-    if simd::backend() == Backend::Avx512 && k <= QGEMM_MAX_COLS && avx512vnni_available() {
+    if k <= QGEMM_MAX_COLS && simd::vnni(simd::backend()) {
         note_quant(Backend::Avx512);
         let mut g = Qgemm {
             pack,
@@ -828,8 +759,8 @@ pub fn qgemm_into(
             bias,
             out,
         };
-        // SAFETY: runtime-detected avx512f (backend) + avx512vnni; the
-        // asserts above fix every length the kernel indexes by.
+        // SAFETY: the Avx512 tier has avx512f, `vnni` checked avx512vnni,
+        // and the asserts above fix every length the kernel indexes by.
         unsafe { qgemm_avx512vnni(&mut g) };
         return;
     }
@@ -1012,172 +943,45 @@ pub fn gather_dequant_into(table: &QuantTensor, ids: &[usize], out: &mut [f32]) 
     );
     let be = simd::backend();
     note_quant(be);
-    let data = table.data.as_slice();
-    let scales = table.scales.as_slice();
-    let zeros = table.zeros.as_slice();
-    for (i, &id) in ids.iter().enumerate() {
-        assert!(
-            id < table.rows,
-            "gather id {id} out of range {}",
-            table.rows
-        );
-        dequant(
-            be,
-            &data[id * table.cols..(id + 1) * table.cols],
-            zeros[id],
-            scales[id],
-            &mut out[i * table.cols..(i + 1) * table.cols],
-        );
-    }
+    let (cols, data) = (table.cols, table.data());
+    let (zeros, scales) = (table.zeros(), table.scales());
+    simd::on_tier(be, move || {
+        for (&id, row) in ids.iter().zip(out.chunks_exact_mut(cols)) {
+            assert!(
+                id < table.rows,
+                "gather id {id} out of range {}",
+                table.rows
+            );
+            dequant(
+                &data[id * cols..(id + 1) * cols],
+                zeros[id],
+                scales[id],
+                row,
+            );
+        }
+    })
 }
 
-/// Whether the byte-granular AVX-512 tier (`avx512bw`) is available.
-/// `Backend::Avx512` alone only guarantees `avx512f`, which has no 8/16-bit
-/// integer ops.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn avx512bw_available() -> bool {
-    use std::sync::OnceLock;
-    static BW: OnceLock<bool> = OnceLock::new();
-    *BW.get_or_init(|| std::arch::is_x86_feature_detected!("avx512bw"))
-}
-
-/// Exact integer dot `Σ a[i]·b[i]` over i8 operands.
-fn qdot(be: Backend, a: &[i8], b: &[i8]) -> i32 {
+/// Exact integer dot `Σ a[i]·b[i]` over i8 operands: a plain loop, which
+/// LLVM vectorizes under the AVX2 shim of `simd::on_tier` (`vpmovsxbw` +
+/// `vpmaddwd`). Integer adds are associative and the sum stays far below
+/// `i32::MAX` for widths ≤ [`MAX_COLS`], so every lane structure yields the
+/// same `i32`.
+#[inline(always)]
+pub(crate) fn qdot(a: &[i8], b: &[i8]) -> i32 {
     debug_assert_eq!(a.len(), b.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        if be == Backend::Avx512 && avx512bw_available() {
-            // SAFETY: gated on runtime avx512f (backend) + avx512bw checks.
-            return unsafe { qdot_avx512(a, b) };
-        }
-        if be != Backend::Scalar {
-            // SAFETY: vector backends imply avx2 support (see `simd::backend`).
-            return unsafe { qdot_avx2(a, b) };
-        }
-    }
-    let _ = be;
-    let mut sum = 0i32;
-    for (&x, &y) in a.iter().zip(b) {
-        sum += x as i32 * y as i32;
-    }
-    sum
+    a.iter().zip(b).map(|(&x, &y)| x as i32 * y as i32).sum()
 }
 
-/// `out[i] = (q[i] − zp) · scale`. The scalar and vector forms both
-/// compute `float(q) − float(zp)` on exactly representable small integers
-/// followed by one multiply, so they agree bitwise.
-fn dequant(be: Backend, q: &[i8], zp: i8, scale: f32, out: &mut [f32]) {
+/// `out[i] = (q[i] − zp) · scale`: `float(q) − float(zp)` on exactly
+/// representable small integers, then one multiply, per element — a plain
+/// loop with no reduction, so every tier gives its bits.
+#[inline(always)]
+pub(crate) fn dequant(q: &[i8], zp: i8, scale: f32, out: &mut [f32]) {
     debug_assert_eq!(q.len(), out.len());
-    #[cfg(target_arch = "x86_64")]
-    if be != Backend::Scalar {
-        // SAFETY: vector backends imply avx2 support (see `simd::backend`).
-        unsafe { dequant_avx2(q, zp as f32, scale, out) };
-        return;
-    }
-    let _ = be;
     let zpf = zp as f32;
     for (o, &x) in out.iter_mut().zip(q) {
         *o = (x as f32 - zpf) * scale;
-    }
-}
-
-// ----------------------------------------------------------------------
-// AVX2 bodies
-// ----------------------------------------------------------------------
-
-/// i8 dot via sign-extension to i16 and 512-bit `madd_epi16`
-/// pair-accumulation into sixteen i32 lanes; the sub-64 tail is one
-/// zero-masked load (zeroed lanes contribute exact zeros), so no element
-/// ever takes a scalar path. Integer adds are associative, so any lane
-/// structure yields the scalar sum exactly; per-lane magnitude stays far
-/// below `i32::MAX` for all widths ≤ [`MAX_COLS`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx512bw")]
-unsafe fn qdot_avx512(a: &[i8], b: &[i8]) -> i32 {
-    use std::arch::x86_64::*;
-    let n = a.len();
-    let mut acc = _mm512_setzero_si512();
-    let mut i = 0;
-    unsafe {
-        let mut fma = |va: __m512i, vb: __m512i| {
-            let alo = _mm512_cvtepi8_epi16(_mm512_castsi512_si256(va));
-            let ahi = _mm512_cvtepi8_epi16(_mm512_extracti64x4_epi64(va, 1));
-            let blo = _mm512_cvtepi8_epi16(_mm512_castsi512_si256(vb));
-            let bhi = _mm512_cvtepi8_epi16(_mm512_extracti64x4_epi64(vb, 1));
-            acc = _mm512_add_epi32(acc, _mm512_madd_epi16(alo, blo));
-            acc = _mm512_add_epi32(acc, _mm512_madd_epi16(ahi, bhi));
-        };
-        while i + 64 <= n {
-            let va = _mm512_loadu_si512(a.as_ptr().add(i) as *const _);
-            let vb = _mm512_loadu_si512(b.as_ptr().add(i) as *const _);
-            fma(va, vb);
-            i += 64;
-        }
-        if i < n {
-            let k: __mmask64 = (1u64 << (n - i)) - 1; // n - i in 1..=63
-            let va = _mm512_maskz_loadu_epi8(k, a.as_ptr().add(i));
-            let vb = _mm512_maskz_loadu_epi8(k, b.as_ptr().add(i));
-            fma(va, vb);
-        }
-    }
-    _mm512_reduce_add_epi32(acc)
-}
-
-/// i8 dot via sign-extension to i16 and `madd_epi16` pair-accumulation
-/// into eight i32 lanes. Integer adds are associative, so any lane
-/// structure yields the scalar sum exactly; per-lane magnitude stays far
-/// below `i32::MAX` for all widths ≤ [`MAX_COLS`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn qdot_avx2(a: &[i8], b: &[i8]) -> i32 {
-    use std::arch::x86_64::*;
-    let n = a.len();
-    let mut acc = _mm256_setzero_si256();
-    let mut i = 0;
-    while i + 32 <= n {
-        let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-        let vb = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-        let alo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(va));
-        let ahi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(va, 1));
-        let blo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(vb));
-        let bhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(vb, 1));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(alo, blo));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(ahi, bhi));
-        i += 32;
-    }
-    let mut lanes = [0i32; 8];
-    _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-    let mut sum: i32 = lanes.iter().sum();
-    while i < n {
-        sum += a[i] as i32 * b[i] as i32;
-        i += 1;
-    }
-    sum
-}
-
-/// Vector dequant: sign-extend 8 bytes to i32, convert, subtract the zero
-/// point, scale. Element-wise — no reduction — so bit-identity with the
-/// scalar loop needs no lane emulation.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dequant_avx2(q: &[i8], zpf: f32, scale: f32, out: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let n = q.len();
-    let vz = _mm256_set1_ps(zpf);
-    let vs = _mm256_set1_ps(scale);
-    let mut i = 0;
-    while i + 8 <= n {
-        let raw = _mm_loadl_epi64(q.as_ptr().add(i) as *const __m128i);
-        let vi = _mm256_cvtepi8_epi32(raw);
-        let vf = _mm256_cvtepi32_ps(vi);
-        let r = _mm256_mul_ps(_mm256_sub_ps(vf, vz), vs);
-        _mm256_storeu_ps(out.as_mut_ptr().add(i), r);
-        i += 8;
-    }
-    while i < n {
-        *out.get_unchecked_mut(i) = (*q.get_unchecked(i) as f32 - zpf) * scale;
-        i += 1;
     }
 }
 
@@ -1347,6 +1151,8 @@ mod tests {
             zeros: owned.zeros().to_vec(),
             sums: owned.row_sums().to_vec(),
         });
+        // SAFETY: each `Backing` vector holds exactly the stated count and
+        // lives in `keep`, which the tensor holds.
         let borrowed = unsafe {
             QuantTensor::from_borrowed_parts(
                 4,

@@ -99,3 +99,61 @@ fn grain_sizing_pins_inline_and_dispatch_paths() {
         );
     });
 }
+
+/// Folds output bits into one `u64` with [`imre_tensor::mix64`].
+fn digest(h: u64, xs: &[f32]) -> u64 {
+    xs.iter()
+        .fold(h, |h, x| imre_tensor::mix64(h ^ x.to_bits() as u64))
+}
+
+/// The kernels' output bits at the served shapes, on every tier, equal
+/// constants recorded before the kernels were last rewritten: this pins
+/// "the same bits as before", not only "the same bits on every tier".
+/// Covered: the conv-shaped `matmul` (65×180×230) and its `matmul_tn`
+/// transpose, `l2sq` and the 32-lane `dot` (via `matmul_nt`) at 690,
+/// `softmax_rows` at 8×53, `axpy` at 690, the int8 `qmatvec_into` and
+/// the dequantizing gather.
+#[test]
+fn kernel_output_bits_match_recorded_digests() {
+    use imre_tensor::quant::{self, QuantTensor};
+    let (m, k, n) = (65usize, 180usize, 230usize);
+    let a = mat(m, k, 21);
+    let b = mat(k, n, 22);
+    let at = mat(k, m, 23);
+    let x = mat(2, 690, 24);
+    let logits = mat(8, 53, 25);
+    let w = QuantTensor::quantize(&mat(n, k, 26));
+    let table = QuantTensor::quantize(&mat(40, 60, 27));
+    let run = || {
+        let mut h = 0u64;
+        let mut out = vec![0f32; m * n];
+        imre_tensor::matmul_into(a.data(), b.data(), &mut out, m, k, n);
+        h = digest(h, &out);
+        imre_tensor::matmul_tn_into(at.data(), b.data(), &mut out, m, k, n);
+        h = digest(h, &out);
+        let (x0, x1) = (x.row(0), x.row(1));
+        h = digest(h, &[imre_tensor::l2sq(x0, x1)]);
+        let mut dots = [0f32; 4];
+        imre_tensor::matmul_nt_into(x.data(), x.data(), &mut dots, 2, 690, 2);
+        h = digest(h, &dots);
+        h = digest(h, logits.softmax_rows().data());
+        let mut y = x1.to_vec();
+        imre_tensor::axpy(&mut y, -0.37, x0);
+        h = digest(h, &y);
+        let mut q = vec![0i8; k];
+        let p = quant::quantize_row_into(a.row(0), &mut q);
+        let mut qout = vec![0f32; n];
+        quant::qmatvec_into(&w, &q, p, Some(&b.data()[..n]), &mut qout);
+        h = digest(h, &qout);
+        let mut deq = vec![0f32; 5 * 60];
+        quant::gather_dequant_into(&table, &[3, 0, 39, 17, 3], &mut deq);
+        digest(h, &deq)
+    };
+    for be in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
+        let got = simd::with_backend(be, run);
+        assert_eq!(
+            got, 0x0401_d392_35cf_de87,
+            "{be:?}: kernel output bits changed ({got:#018x})"
+        );
+    }
+}
