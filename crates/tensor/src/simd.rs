@@ -944,18 +944,54 @@ mod tests {
         }
     }
 
-    /// Every kernel, on every tier, equals its sequential oracle bit for
-    /// bit. Lengths 0..=33 hit every tail of 8, 16 and 32 lanes; 53, 230
-    /// and 690 = 3·230 are the model's widths. Each slice is cut at offset
-    /// 0, 1 or 3 from a NaN-padded buffer, so a tail touches the last
-    /// element of its slice: a read past `a` or `b` into a stored lane
-    /// would change its bits, and a write past `out` would clobber a pad.
+    /// The differential cases: lengths 0..=33 hit every tail of 8, 16 and
+    /// 32 lanes; 53, 230 and 690 = 3·230 are the model's widths. Each
+    /// slice is cut at offset 0, 1 or 3 from a NaN-padded buffer, so a
+    /// tail touches the last element of its slice: a read past `a` or `b`
+    /// into a stored lane would change its bits, and a write past `out`
+    /// would clobber a pad.
+    fn cases() -> impl Iterator<Item = (usize, usize)> {
+        (0..=33)
+            .chain([53, 230, 690])
+            .flat_map(|len| [0, 1, 3].map(|off| (len, off)))
+    }
+
+    /// The NaN-padded `a` and `b` of one case.
+    fn case_inputs(len: usize, off: usize) -> (Vec<f32>, Vec<f32>) {
+        let a = padded(off, len, |i| spread(i as u64));
+        let b = padded(off, len, |i| spread(!(i as u64)));
+        (a, b)
+    }
+
+    /// The fixed-lane reductions, on every tier, equal their plain-index
+    /// oracles bit for bit.
+    #[test]
+    fn lane_structured_reductions_bitwise_match_scalar() {
+        for (len, off) in cases() {
+            let (a, b) = case_inputs(len, off);
+            let (sa, sb) = (&a[off..off + len], &b[off..off + len]);
+            for be in tiers() {
+                let at = |what: &str| format!("{} {what} len={len} off={off}", be.name());
+                let bits = |x: f32| x.to_bits();
+                let want = lanes32_oracle(sa, sb, false);
+                assert_eq!(bits(dot(be, sa, sb)), bits(want), "{}", at("dot"));
+                let want = lanes32_oracle(sa, sb, true);
+                assert_eq!(bits(l2sq(be, sa, sb)), bits(want), "{}", at("l2sq"));
+                let want = lanes8_oracle(sa, true);
+                assert_eq!(bits(row_max(be, sa)), bits(want), "{}", at("row_max"));
+                let want = lanes8_oracle(sa, false);
+                assert_eq!(bits(row_sum(be, sa)), bits(want), "{}", at("row_sum"));
+            }
+        }
+    }
+
+    /// The elementwise and int8 kernels on every tier, and `qmatvec_into`
+    /// either side of the VNNI width cap, equal their sequential oracles
+    /// bit for bit.
     #[test]
     fn every_kernel_bitwise_matches_its_oracle_on_every_tier() {
-        let lengths = || (0..=33).chain([53, 230, 690]);
-        for (len, off) in lengths().flat_map(|len| [0, 1, 3].map(|off| (len, off))) {
-            let a = padded(off, len, |i| spread(i as u64));
-            let b = padded(off, len, |i| spread(!(i as u64)));
+        for (len, off) in cases() {
+            let (a, b) = case_inputs(len, off);
             let (sa, sb) = (&a[off..off + len], &b[off..off + len]);
             let qa: Vec<i8> = (0..len)
                 .map(|i| (((i * 37) % 255) as i32 - 127) as i8)
@@ -973,15 +1009,6 @@ mod tests {
             };
             for be in tiers() {
                 let at = |what: &str| format!("{} {what} len={len} off={off}", be.name());
-                let bits = |x: f32| x.to_bits();
-                let want = lanes32_oracle(sa, sb, false);
-                assert_eq!(bits(dot(be, sa, sb)), bits(want), "{}", at("dot"));
-                let want = lanes32_oracle(sa, sb, true);
-                assert_eq!(bits(l2sq(be, sa, sb)), bits(want), "{}", at("l2sq"));
-                let want = lanes8_oracle(sa, true);
-                assert_eq!(bits(row_max(be, sa)), bits(want), "{}", at("row_max"));
-                let want = lanes8_oracle(sa, false);
-                assert_eq!(bits(row_sum(be, sa)), bits(want), "{}", at("row_sum"));
                 for op in [EwOp::Add, EwOp::Sub, EwOp::Mul, EwOp::Div] {
                     let mut out = padded(off, len, |_| 0.0);
                     ew(be, op, sa, sb, &mut out[off..off + len]);
@@ -1011,37 +1038,6 @@ mod tests {
                 });
                 let want: Vec<f32> = qa.iter().map(|&q| (q as f32 - -3.0) * 0.25).collect();
                 check(&out, off, &want, &at("dequant"));
-            }
-        }
-
-        // The row tiles: `k = 0` and both access patterns — `matmul`
-        // (`a_row_step = k, a_stride = 1`) and `matmul_tn` (`a_row_step = 1,
-        // a_stride = nrows`) — with row counts around the 4-row grouping.
-        for (n, off) in lengths().flat_map(|n| [0, 1, 3].map(|off| (n, off))) {
-            for k in [0usize, 1, 180, 690] {
-                let b = padded(off, k * n, |i| ((i * 53 + 29) % 97) as f32 * 0.021 - 1.0);
-                let b = &b[off..off + k * n];
-                for nrows in [0usize, 1, 3, 4, 5, 8, 9] {
-                    let a = padded(off, nrows * k, |i| (i as f32 * 0.37).sin());
-                    let a = &a[off..off + nrows * k];
-                    let init = |i: usize| i as f32 * 0.01 - 0.3;
-                    for (a_row_step, a_stride) in [(k, 1usize), (1usize, nrows)] {
-                        let mut want: Vec<f32> = (0..nrows * n).map(init).collect();
-                        for (r, row) in want.chunks_mut(n.max(1)).enumerate() {
-                            row_times_mat_scalar(a, r * a_row_step, a_stride, (k, n), b, row);
-                        }
-                        for be in tiers() {
-                            let mut got = padded(off, nrows * n, init);
-                            let out = &mut got[off..off + nrows * n];
-                            rows_times_mat(be, a, 0, a_row_step, a_stride, nrows, k, b, n, out);
-                            let at = format!(
-                                "{} rows_times_mat nrows={nrows} k={k} n={n} off={off} a_stride={a_stride}",
-                                be.name()
-                            );
-                            check(&got, off, &want, &at);
-                        }
-                    }
-                }
             }
         }
 
@@ -1079,6 +1075,52 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The row tiles at each of `row_counts` rows, on every tier, equal the
+    /// per-row oracle bit for bit: `k = 0` and both access patterns —
+    /// `matmul` (`a_row_step = k, a_stride = 1`) and `matmul_tn`
+    /// (`a_row_step = 1, a_stride = nrows`).
+    fn check_row_tiles(row_counts: &[usize]) {
+        for (n, off) in cases() {
+            for k in [0usize, 1, 180, 690] {
+                let b = padded(off, k * n, |i| ((i * 53 + 29) % 97) as f32 * 0.021 - 1.0);
+                let b = &b[off..off + k * n];
+                for &nrows in row_counts {
+                    let a = padded(off, nrows * k, |i| (i as f32 * 0.37).sin());
+                    let a = &a[off..off + nrows * k];
+                    let init = |i: usize| i as f32 * 0.01 - 0.3;
+                    for (a_row_step, a_stride) in [(k, 1usize), (1usize, nrows)] {
+                        let mut want: Vec<f32> = (0..nrows * n).map(init).collect();
+                        for (r, row) in want.chunks_mut(n.max(1)).enumerate() {
+                            row_times_mat_scalar(a, r * a_row_step, a_stride, (k, n), b, row);
+                        }
+                        for be in tiers() {
+                            let mut got = padded(off, nrows * n, init);
+                            let out = &mut got[off..off + nrows * n];
+                            rows_times_mat(be, a, 0, a_row_step, a_stride, nrows, k, b, n, out);
+                            let at = format!(
+                                "{} rows_times_mat nrows={nrows} k={k} n={n} off={off} a_stride={a_stride}",
+                                be.name()
+                            );
+                            check(&got, off, &want, &at);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A single row is the 1-row tile of `rows_times_mat`.
+    #[test]
+    fn row_times_mat_bitwise_matches_scalar() {
+        check_row_tiles(&[1]);
+    }
+
+    /// Row counts around the 4-row grouping, and none.
+    #[test]
+    fn rows_times_mat_bitwise_matches_scalar() {
+        check_row_tiles(&[0, 3, 4, 5, 8, 9]);
     }
 
     /// The length checks hold in release too: two rows of `k = 3` need six
