@@ -9,68 +9,13 @@
 //! distances are non-negative, so their IEEE-754 bit patterns sort like the
 //! values themselves).
 
+use imre_tensor::bytes::Storage;
 use imre_tensor::{l2sq, mix64};
-use std::any::Any;
 use std::fmt;
-use std::sync::Arc;
 
 /// Hard cap on a node's top layer; `u8`-sized and far above what the
 /// geometric level distribution reaches for any realistic corpus.
 pub(crate) const MAX_LEVEL: usize = 15;
-
-/// Backing storage for the vector matrix: owned (built or stream-loaded
-/// indices) or borrowed zero-copy from an external allocation — in practice
-/// the 64-byte-aligned vectors block of a memory-mapped v3 bundle section.
-/// The `_keep` handle (the mapping) outlives every borrow by construction.
-pub(crate) enum VecStorage {
-    Owned(Vec<f32>),
-    Borrowed {
-        ptr: *const f32,
-        len: usize,
-        _keep: Arc<dyn Any + Send + Sync>,
-    },
-}
-
-// SAFETY: the borrowed variant is an immutable view of memory owned by the
-// `Send + Sync` keepalive; nothing ever writes through `ptr`.
-#[allow(unsafe_code)]
-unsafe impl Send for VecStorage {}
-#[allow(unsafe_code)]
-unsafe impl Sync for VecStorage {}
-
-impl VecStorage {
-    #[inline]
-    pub(crate) fn as_slice(&self) -> &[f32] {
-        match self {
-            VecStorage::Owned(v) => v,
-            // SAFETY: constructor contract — `ptr..ptr+len` stays valid and
-            // unmodified for as long as `_keep` is alive.
-            #[allow(unsafe_code)]
-            VecStorage::Borrowed { ptr, len, .. } => unsafe {
-                std::slice::from_raw_parts(*ptr, *len)
-            },
-        }
-    }
-
-    fn is_borrowed(&self) -> bool {
-        matches!(self, VecStorage::Borrowed { .. })
-    }
-}
-
-impl fmt::Debug for VecStorage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "VecStorage({}, {} floats)",
-            if self.is_borrowed() {
-                "borrowed"
-            } else {
-                "owned"
-            },
-            self.as_slice().len()
-        )
-    }
-}
 
 /// Construction and search parameters for [`AnnIndex`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -190,8 +135,8 @@ impl SearchScratch {
 pub struct AnnIndex {
     cfg: HnswConfig,
     dim: usize,
-    /// Row-major `[n, dim]` vectors, insertion order (owned or mmap-borrowed).
-    vectors: VecStorage,
+    /// Row-major `[n, dim]` vectors, insertion order (owned or mapped).
+    vectors: Storage<f32>,
     /// Relation label per vector.
     labels: Vec<u32>,
     /// Top layer per node.
@@ -319,7 +264,7 @@ pub(crate) struct RawParts<'a> {
 pub(crate) struct OwnedParts {
     pub cfg: HnswConfig,
     pub dim: usize,
-    pub vectors: VecStorage,
+    pub vectors: Storage<f32>,
     pub labels: Vec<u32>,
     pub levels: Vec<u8>,
     pub links: Vec<Vec<Vec<u32>>>,
@@ -379,7 +324,7 @@ impl AnnIndex {
         let mut index = AnnIndex {
             cfg,
             dim,
-            vectors: VecStorage::Owned(vectors),
+            vectors: vectors.into(),
             labels,
             levels,
             links,
@@ -425,10 +370,10 @@ impl AnnIndex {
         &self.vectors.as_slice()[id as usize * d..(id as usize + 1) * d]
     }
 
-    /// Whether the vector matrix borrows from an external mapping rather
-    /// than owning its storage.
+    /// Whether the vector matrix is a view into a file mapping rather
+    /// than owned.
     pub fn is_borrowed(&self) -> bool {
-        self.vectors.is_borrowed()
+        self.vectors.is_mapped()
     }
 
     pub(crate) fn raw_parts(&self) -> RawParts<'_> {

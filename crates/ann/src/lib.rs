@@ -47,17 +47,15 @@
 //! buffer-pool arena (DESIGN.md §4e/§4g).
 
 #![deny(missing_docs)]
-// Unsafe is denied, not forbidden: the one sanctioned exception is the
-// zero-copy vector storage (`hnsw::VecStorage::Borrowed`) that lets a v3
-// bundle's memory-mapped vectors back an index without a copy. Each use
-// site carries an `allow` plus a SAFETY comment; everything else is safe.
-#![deny(unsafe_code)]
+// A mapped vector matrix is an `imre_tensor::bytes::Storage`, which owns
+// its mapping, so this crate is safe code only.
+#![forbid(unsafe_code)]
 
 mod hnsw;
 mod serialize;
 
 pub use hnsw::{exact_knn, AnnError, AnnIndex, HnswConfig, Neighbor, SearchScratch};
-pub use serialize::{ANN_ALIGNED_VERSION, ANN_MAGIC, ANN_SECTION_ALIGN, ANN_VERSION};
+pub use serialize::{ANN_ALIGNED_VERSION, ANN_MAGIC, ANN_VERSION};
 
 /// Blends a model score vector with a kNN label distribution in place:
 /// `s_r ← (1 − λ)·s_r + λ·votes_r`.

@@ -1,105 +1,63 @@
-//! The `IMRA` wire format: the ANN section appended to `.imrb` bundles.
-//!
-//! Layout (all integers little-endian):
+//! The `IMRA` format: the HNSW index inside `.imrb` v2 and v3 bundles, in
+//! two layouts around one body, written by one encoder and read by one
+//! decoder.
 //!
 //! ```text
-//! magic     "IMRA"
-//! version   u32   (currently 1)
-//! body_len  u64
-//! body      body_len bytes:
+//! stream layout (v2 bundles), version 1:
+//!   magic "IMRA" · version u32 · body_len u64 · body · FNV-1a u64 of body
+//! aligned layout (v3 bundle sections), version 2:
+//!   magic "IMRA" · version u32 · body, padded before the vectors
+//!
+//! body (all integers little-endian):
 //!   seed u64 · m u32 · ef_construction u32 · ef_search u32
 //!   dim u32 · n u32 · entry u32 · max_level u32
 //!   labels   n × u32
 //!   levels   n × u8
-//!   vectors  n·dim × f32
+//!   (aligned layout only: zero padding to a multiple of 64 bytes from the
+//!    section start)
+//!   vectors  n·dim × f32          ← mappable in the aligned layout
 //!   links    per node, per layer 0..=level: count u32, count × u32
-//! checksum  u64   FNV-1a over body
 //! ```
 //!
-//! The body is length-prefixed and checksummed so a corrupt or truncated
-//! section surfaces as a typed `io::Error` (kind `InvalidData`) before any
-//! structural parsing happens — never a panic, and never a silently wrong
-//! index. After the checksum passes, the parsed graph is still run through
-//! the same structural validation the builder guarantees.
+//! The stream body is length-prefixed and checksummed, so a corrupt or
+//! truncated section is a typed `InvalidData` error before any structural
+//! parsing; the aligned layout is checksummed by the v3 section table.
+//! Either way the decoded graph then passes the structural validation the
+//! builder guarantees. The version tags differ so neither reader can
+//! misparse the other layout.
 
-use crate::hnsw::{AnnIndex, HnswConfig, VecStorage, MAX_LEVEL};
-use std::any::Any;
+use crate::hnsw::{AnnIndex, HnswConfig, MAX_LEVEL};
+use imre_tensor::bytes::{expect_header, extend, invalid, pad, put, Cursor, Fnv1a, Mapping, ALIGN};
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
 /// Section magic, distinct from the bundle's `IMRB`.
 pub const ANN_MAGIC: &[u8; 4] = b"IMRA";
 
-/// Current section format version.
+/// Version tag of the stream layout.
 pub const ANN_VERSION: u32 = 1;
 
-/// Version tag of the 64-byte-aligned layout used inside v3 bundle
-/// sections ([`AnnIndex::write_aligned`]). Distinct from [`ANN_VERSION`]
-/// so a classic stream reader can never misparse an aligned section.
+/// Version tag of the aligned layout of v3 bundle sections.
 pub const ANN_ALIGNED_VERSION: u32 = 2;
 
-/// Alignment of the vectors block inside an aligned section, relative to
-/// the section start (which the bundle layer places at a 64-byte-aligned
-/// file offset — and mappings are page-aligned, so file alignment carries
-/// over to memory).
-pub const ANN_SECTION_ALIGN: usize = 64;
-
-/// Sections larger than this are rejected as corrupt before allocation
-/// (1 GiB of index for a research corpus means the length field is garbage).
+/// Stream bodies larger than this are rejected as corrupt before
+/// allocation (1 GiB of index for a research corpus means the length field
+/// is garbage).
 const MAX_BODY: u64 = 1 << 30;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| bad("ANN section body truncated"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
 impl AnnIndex {
-    /// Serializes the index as one self-delimiting `IMRA` section.
+    /// Serializes the index as one self-delimiting stream-layout section.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        let body = self.body_bytes();
+        let mut body = Vec::with_capacity(self.body_len());
+        self.encode(&mut body, false);
         w.write_all(ANN_MAGIC)?;
-        w.write_all(&ANN_VERSION.to_le_bytes())?;
-        w.write_all(&(body.len() as u64).to_le_bytes())?;
+        put(w, &[ANN_VERSION])?;
+        put(w, &[body.len() as u64])?;
         w.write_all(&body)?;
-        w.write_all(&fnv1a(&body).to_le_bytes())?;
-        Ok(())
+        put(w, &[Fnv1a::digest(&body)])
     }
 
-    /// Exact on-disk size of the serialized section in bytes.
+    /// Exact on-disk size of the stream-layout section in bytes.
     pub fn serialized_len(&self) -> usize {
         // magic + version + body_len + body + checksum
         4 + 4 + 8 + self.body_len() + 8
@@ -116,311 +74,122 @@ impl AnnIndex {
         8 + 4 * 7 + 4 * n + n + 4 * n * p.dim + 4 * link_words
     }
 
-    fn body_bytes(&self) -> Vec<u8> {
-        let p = self.raw_parts();
-        let mut b = Vec::with_capacity(self.body_len());
-        b.extend_from_slice(&p.cfg.seed.to_le_bytes());
-        for v in [
-            p.cfg.m as u32,
-            p.cfg.ef_construction as u32,
-            p.cfg.ef_search as u32,
-            p.dim as u32,
-            p.labels.len() as u32,
-            p.entry,
-            p.max_level as u32,
-        ] {
-            b.extend_from_slice(&v.to_le_bytes());
-        }
-        for &l in p.labels {
-            b.extend_from_slice(&l.to_le_bytes());
-        }
-        b.extend_from_slice(p.levels);
-        for &v in p.vectors {
-            b.extend_from_slice(&v.to_le_bytes());
-        }
-        for layers in p.links {
-            for list in layers {
-                b.extend_from_slice(&(list.len() as u32).to_le_bytes());
-                for &nb in list {
-                    b.extend_from_slice(&nb.to_le_bytes());
-                }
-            }
-        }
-        b
+    /// Serializes the index in the aligned layout of a v3 bundle section.
+    pub fn write_aligned(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(8 + ALIGN + self.body_len());
+        out.extend_from_slice(ANN_MAGIC);
+        extend(&mut out, &[ANN_ALIGNED_VERSION]);
+        self.encode(&mut out, true);
+        out
     }
 
-    /// Reads one `IMRA` section. Corruption of any kind — bad magic,
-    /// unknown version, wrong length, checksum mismatch, truncated body,
-    /// or a structurally invalid graph — comes back as `InvalidData`.
+    /// Appends the body; `aligned` pads `out` before the vectors.
+    fn encode(&self, out: &mut Vec<u8>, aligned: bool) {
+        let p = self.raw_parts();
+        extend(out, &[p.cfg.seed]);
+        extend(
+            out,
+            &[
+                p.cfg.m as u32,
+                p.cfg.ef_construction as u32,
+                p.cfg.ef_search as u32,
+                p.dim as u32,
+                p.labels.len() as u32,
+                p.entry,
+                p.max_level as u32,
+            ],
+        );
+        extend(out, p.labels);
+        extend(out, p.levels);
+        if aligned {
+            pad(out);
+        }
+        extend(out, p.vectors);
+        for list in p.links.iter().flatten() {
+            extend(out, &[list.len() as u32]);
+            extend(out, list);
+        }
+    }
+
+    /// Reads one stream-layout section. Corruption of any kind — bad
+    /// magic, unknown version, wrong length, checksum mismatch, truncated
+    /// body, or a structurally invalid graph — comes back as `InvalidData`.
     pub fn read_from(r: &mut impl Read) -> io::Result<AnnIndex> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != ANN_MAGIC {
-            return Err(bad("bad ANN section magic (expected IMRA)"));
-        }
-        let mut word = [0u8; 4];
-        r.read_exact(&mut word)?;
-        let version = u32::from_le_bytes(word);
-        if version != ANN_VERSION {
-            return Err(bad(format!("unsupported ANN section version {version}")));
-        }
+        expect_header(r, ANN_MAGIC, &[ANN_VERSION])?;
         let mut len8 = [0u8; 8];
         r.read_exact(&mut len8)?;
         let body_len = u64::from_le_bytes(len8);
         if body_len > MAX_BODY {
-            return Err(bad(format!("ANN section claims {body_len} bytes")));
+            return Err(invalid(format!("IMRA section claims {body_len} bytes")));
         }
         let mut body = vec![0u8; body_len as usize];
         r.read_exact(&mut body)
-            .map_err(|_| bad("ANN section body truncated"))?;
+            .map_err(|_| invalid("IMRA body truncated"))?;
         r.read_exact(&mut len8)
-            .map_err(|_| bad("ANN section checksum missing"))?;
-        if u64::from_le_bytes(len8) != fnv1a(&body) {
-            return Err(bad("ANN section checksum mismatch"));
+            .map_err(|_| invalid("IMRA checksum missing"))?;
+        if u64::from_le_bytes(len8) != Fnv1a::digest(&body) {
+            return Err(invalid("IMRA checksum mismatch"));
         }
-        Self::parse_body(&body)
-    }
-
-    fn parse_body(body: &[u8]) -> io::Result<AnnIndex> {
-        let mut c = Cursor { buf: body, pos: 0 };
-        let seed = c.u64()?;
-        let m = c.u32()? as usize;
-        let ef_construction = c.u32()? as usize;
-        let ef_search = c.u32()? as usize;
-        let dim = c.u32()? as usize;
-        let n = c.u32()? as usize;
-        let entry = c.u32()?;
-        let max_level = c.u32()?;
-        if dim == 0 || n == 0 || m < 2 {
-            return Err(bad("ANN section header degenerate"));
-        }
-        if max_level as usize > MAX_LEVEL {
-            return Err(bad("ANN section max level out of range"));
-        }
-        // The fixed-size arrays alone must fit the remaining body. `n` and
-        // `dim` are attacker-controlled (each up to u32::MAX), so the size
-        // is computed with checked arithmetic — `4 * n * dim` can exceed
-        // usize, and an overflow panic in a debug build would break this
-        // module's never-panic contract on corrupt-but-checksummed input.
-        let fixed = n
-            .checked_mul(4)
-            .and_then(|labels| labels.checked_add(n))
-            .and_then(|head| {
-                n.checked_mul(dim)
-                    .and_then(|elems| elems.checked_mul(4))
-                    .and_then(|vectors| head.checked_add(vectors))
-            })
-            .ok_or_else(|| bad("ANN section header sizes overflow"))?;
-        if body.len() - c.pos < fixed {
-            return Err(bad("ANN section body shorter than its header claims"));
-        }
-        let labels: Vec<u32> = c
-            .take(4 * n)?
-            .chunks_exact(4)
-            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
-            .collect();
-        let levels: Vec<u8> = c.take(n)?.to_vec();
-        let vectors: Vec<f32> = c
-            .take(4 * n * dim)?
-            .chunks_exact(4)
-            .map(|w| f32::from_le_bytes(w.try_into().unwrap()))
-            .collect();
-        let mut links = Vec::with_capacity(n);
-        for &level in &levels {
-            let mut layers = Vec::with_capacity(level as usize + 1);
-            for _ in 0..=level {
-                let count = c.u32()? as usize;
-                if count > n {
-                    return Err(bad("ANN section neighbor count exceeds node count"));
-                }
-                let list: Vec<u32> = c
-                    .take(4 * count)?
-                    .chunks_exact(4)
-                    .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
-                    .collect();
-                layers.push(list);
-            }
-            links.push(layers);
-        }
-        if c.pos != body.len() {
-            return Err(bad("ANN section has trailing bytes"));
-        }
-        let cfg = HnswConfig {
-            m,
-            ef_construction: ef_construction.max(1),
-            ef_search: ef_search.max(1),
-            seed,
-        };
-        let index = AnnIndex::from_raw_parts(crate::hnsw::OwnedParts {
-            cfg,
-            dim,
-            vectors: VecStorage::Owned(vectors),
-            labels,
-            levels,
-            links,
-            entry,
-            max_level: max_level as u8,
-        });
-        index.validate_structure().map_err(|e| bad(e.to_string()))?;
-        Ok(index)
-    }
-
-    /// Serializes the index in the **aligned** layout used by v3 bundle
-    /// sections: the fixed header and small arrays first, then zero padding
-    /// so the f32 vectors block starts at a multiple of
-    /// [`ANN_SECTION_ALIGN`] *relative to the section start*, then the link
-    /// lists. No trailing checksum — the v3 section table checksums every
-    /// section as a whole.
-    ///
-    /// ```text
-    /// magic "IMRA" · version u32 (=2)
-    /// seed u64 · m u32 · ef_construction u32 · ef_search u32
-    /// dim u32 · n u32 · entry u32 · max_level u32
-    /// labels n × u32 · levels n × u8
-    /// zero padding to 64-alignment
-    /// vectors n·dim × f32          ← zero-copy borrowable
-    /// links   per node, per layer 0..=level: count u32, count × u32
-    /// ```
-    pub fn write_aligned(&self) -> Vec<u8> {
-        let p = self.raw_parts();
-        let n = p.labels.len();
-        let mut b = Vec::with_capacity(64 + 5 * n + 4 * n * p.dim);
-        b.extend_from_slice(ANN_MAGIC);
-        b.extend_from_slice(&ANN_ALIGNED_VERSION.to_le_bytes());
-        b.extend_from_slice(&p.cfg.seed.to_le_bytes());
-        for v in [
-            p.cfg.m as u32,
-            p.cfg.ef_construction as u32,
-            p.cfg.ef_search as u32,
-            p.dim as u32,
-            n as u32,
-            p.entry,
-            p.max_level as u32,
-        ] {
-            b.extend_from_slice(&v.to_le_bytes());
-        }
-        for &l in p.labels {
-            b.extend_from_slice(&l.to_le_bytes());
-        }
-        b.extend_from_slice(p.levels);
-        let pad = b.len().next_multiple_of(ANN_SECTION_ALIGN) - b.len();
-        b.resize(b.len() + pad, 0);
-        for &v in p.vectors {
-            b.extend_from_slice(&v.to_le_bytes());
-        }
-        for layers in p.links {
-            for list in layers {
-                b.extend_from_slice(&(list.len() as u32).to_le_bytes());
-                for &nb in list {
-                    b.extend_from_slice(&nb.to_le_bytes());
-                }
-            }
-        }
-        b
+        Self::decode(Cursor::new(&body, "IMRA body"), None, false)
     }
 
     /// Parses an aligned section written by [`AnnIndex::write_aligned`].
     ///
-    /// With `keep = Some(owner)` and a suitably aligned vectors block (the
-    /// mmap case), the vector matrix is **borrowed zero-copy** from
-    /// `bytes`, kept alive by `owner`; the caller guarantees `bytes`
-    /// remains valid and unmodified for `owner`'s lifetime. Otherwise (or
-    /// on a big-endian target) the vectors are copied. Small arrays and
-    /// link lists are always copied. Corruption of any kind surfaces as
-    /// `InvalidData` — callers are expected to have verified the section
-    /// checksum already, so this guards structure, not bit rot.
-    pub fn read_aligned(
-        bytes: &[u8],
-        keep: Option<Arc<dyn Any + Send + Sync>>,
+    /// With `map` given and `bytes` inside it (the mmap load), the vector
+    /// matrix is a view into the mapping, which the index then holds;
+    /// anything the view constructor refuses is copied. Labels, levels and
+    /// links are always copied. Corruption of any kind is `InvalidData`.
+    pub fn read_aligned(bytes: &[u8], map: Option<&Arc<Mapping>>) -> io::Result<AnnIndex> {
+        let mut c = Cursor::new(bytes, "IMRA section");
+        expect_header(&mut c, ANN_MAGIC, &[ANN_ALIGNED_VERSION])?;
+        Self::decode(c, map, true)
+    }
+
+    /// Reads the body [`AnnIndex::encode`] wrote, to the end of `c`.
+    fn decode(
+        mut c: Cursor<'_>,
+        map: Option<&Arc<Mapping>>,
+        aligned: bool,
     ) -> io::Result<AnnIndex> {
-        let mut c = Cursor { buf: bytes, pos: 0 };
-        if c.take(4)? != ANN_MAGIC {
-            return Err(bad("bad ANN section magic (expected IMRA)"));
-        }
-        let version = c.u32()?;
-        if version != ANN_ALIGNED_VERSION {
-            return Err(bad(format!("unsupported aligned ANN version {version}")));
-        }
-        let seed = c.u64()?;
-        let m = c.u32()? as usize;
-        let ef_construction = c.u32()? as usize;
-        let ef_search = c.u32()? as usize;
-        let dim = c.u32()? as usize;
-        let n = c.u32()? as usize;
-        let entry = c.u32()?;
-        let max_level = c.u32()?;
+        let seed = c.get::<u64>()?;
+        let [m, ef_construction, ef_search, dim, n, entry, max_level] =
+            <[u32; 7]>::try_from(c.vec::<u32>(7)?).expect("seven words");
+        let (m, dim, n) = (m as usize, dim as usize, n as usize);
         if dim == 0 || n == 0 || m < 2 {
-            return Err(bad("ANN section header degenerate"));
+            return Err(invalid("IMRA header degenerate"));
         }
         if max_level as usize > MAX_LEVEL {
-            return Err(bad("ANN section max level out of range"));
+            return Err(invalid("IMRA max level out of range"));
         }
-        // `n`/`dim` come from the file: all size math is checked so a
-        // corrupt header reports InvalidData instead of overflowing.
-        let vec_bytes = n
+        let labels = c.vec::<u32>(n)?;
+        let levels = c.vec::<u8>(n)?;
+        if aligned {
+            c.align()?;
+        }
+        let cells = n
             .checked_mul(dim)
-            .and_then(|e| e.checked_mul(4))
-            .ok_or_else(|| bad("ANN section header sizes overflow"))?;
-        let labels: Vec<u32> = c
-            .take(4 * n)?
-            .chunks_exact(4)
-            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
-            .collect();
-        let levels: Vec<u8> = c.take(n)?.to_vec();
-        let pad = c.pos.next_multiple_of(ANN_SECTION_ALIGN) - c.pos;
-        if c.take(pad)?.iter().any(|&b| b != 0) {
-            return Err(bad("ANN section alignment padding not zeroed"));
-        }
-        let vec_slice = c.take(vec_bytes)?;
-        let vectors = match &keep {
-            Some(owner)
-                if cfg!(target_endian = "little")
-                    && (vec_slice.as_ptr() as usize).is_multiple_of(4) =>
-            {
-                // SAFETY: alignment just checked, any bit pattern is a
-                // valid f32, and `owner` keeps the backing memory alive
-                // and immutable per this function's contract.
-                VecStorage::Borrowed {
-                    ptr: vec_slice.as_ptr() as *const f32,
-                    len: n * dim,
-                    _keep: Arc::clone(owner),
-                }
-            }
-            _ => VecStorage::Owned(
-                vec_slice
-                    .chunks_exact(4)
-                    .map(|w| f32::from_le_bytes(w.try_into().unwrap()))
-                    .collect(),
-            ),
-        };
+            .ok_or_else(|| invalid("IMRA sizes overflow"))?;
+        let vectors = c.storage::<f32>(cells, map)?;
         let mut links = Vec::with_capacity(n);
         for &level in &levels {
             let mut layers = Vec::with_capacity(level as usize + 1);
             for _ in 0..=level {
-                let count = c.u32()? as usize;
+                let count = c.get::<u32>()? as usize;
                 if count > n {
-                    return Err(bad("ANN section neighbor count exceeds node count"));
+                    return Err(invalid("IMRA neighbor count exceeds node count"));
                 }
-                let list: Vec<u32> = c
-                    .take(4 * count)?
-                    .chunks_exact(4)
-                    .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
-                    .collect();
-                layers.push(list);
+                layers.push(c.vec::<u32>(count)?);
             }
             links.push(layers);
         }
-        if c.pos != bytes.len() {
-            return Err(bad("ANN section has trailing bytes"));
-        }
-        let cfg = HnswConfig {
-            m,
-            ef_construction: ef_construction.max(1),
-            ef_search: ef_search.max(1),
-            seed,
-        };
+        c.finish()?;
         let index = AnnIndex::from_raw_parts(crate::hnsw::OwnedParts {
-            cfg,
+            cfg: HnswConfig {
+                m,
+                ef_construction: (ef_construction as usize).max(1),
+                ef_search: (ef_search as usize).max(1),
+                seed,
+            },
             dim,
             vectors,
             labels,
@@ -429,7 +198,9 @@ impl AnnIndex {
             entry,
             max_level: max_level as u8,
         });
-        index.validate_structure().map_err(|e| bad(e.to_string()))?;
+        index
+            .validate_structure()
+            .map_err(|e| invalid(e.to_string()))?;
         Ok(index)
     }
 }
@@ -516,7 +287,7 @@ mod tests {
         bytes[36..40].copy_from_slice(&u32::MAX.to_le_bytes()); // dim (body offset 20)
         bytes[44..48].copy_from_slice(&u32::MAX.to_le_bytes()); // n (body offset 24)
         let body_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        let sum = fnv1a(&bytes[16..16 + body_len]);
+        let sum = Fnv1a::digest(&bytes[16..16 + body_len]);
         bytes[16 + body_len..16 + body_len + 8].copy_from_slice(&sum.to_le_bytes());
         let err = AnnIndex::read_from(&mut &bytes[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
@@ -526,17 +297,19 @@ mod tests {
     fn aligned_roundtrip_owned_and_borrowed_agree() {
         let index = sample_index(9);
         let bytes = index.write_aligned();
-        // Owned parse (no keepalive).
+        let path = std::env::temp_dir().join(format!("imre_imra_{}.bin", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let map = Arc::new(Mapping::of_path(&path).unwrap());
+        std::fs::remove_file(&path).ok();
         let owned = AnnIndex::read_aligned(&bytes, None).unwrap();
         assert!(!owned.is_borrowed());
-        // Borrowed parse: the Vec is 4-aligned in practice, but the code
-        // copies if not, so either storage mode must give identical results.
-        let keep: Arc<Vec<u8>> = Arc::new(bytes.clone());
-        // SAFETY: `keep` is cloned into the index as its keepalive, so the
-        // view outlives every borrow taken from it.
-        #[allow(unsafe_code)]
-        let view = unsafe { std::slice::from_raw_parts(keep.as_ptr(), keep.len()) };
-        let borrowed = AnnIndex::read_aligned(view, Some(keep.clone() as _)).unwrap();
+        // Bytes outside the passed mapping are copied, not viewed.
+        assert!(!AnnIndex::read_aligned(&bytes, Some(&map))
+            .unwrap()
+            .is_borrowed());
+        let borrowed = AnnIndex::read_aligned(map.as_slice(), Some(&map)).unwrap();
+        assert!(borrowed.is_borrowed());
+        drop(map);
         let mut s = crate::SearchScratch::new();
         let q = [1.0f32, 2.0, 3.0];
         let want = index.search(&q, 7, &mut s).to_vec();
@@ -555,7 +328,7 @@ mod tests {
             let index = sample_index(seed);
             let bytes = index.write_aligned();
             let n = index.len();
-            let voff = (44 + 5 * n).next_multiple_of(ANN_SECTION_ALIGN);
+            let voff = (44 + 5 * n).next_multiple_of(ALIGN);
             let dim = index.dim();
             let got: Vec<f32> = bytes[voff..voff + 4 * n * dim]
                 .chunks_exact(4)

@@ -18,7 +18,7 @@
 
 use crate::model::ReModel;
 use crate::persist::{read_model, save_atomically, write_model};
-use imre_nn::serialize::{read_f32, read_u32, read_u64};
+use imre_tensor::bytes::{expect_header, put, read_le};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
@@ -56,10 +56,9 @@ pub struct CheckpointCfg {
 /// Writes a checkpoint: the header, then the embedded IMRM model.
 pub fn write_checkpoint<W: Write>(model: &ReModel, at: &ResumePoint, w: &mut W) -> io::Result<()> {
     w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&at.seed.to_le_bytes())?;
-    w.write_all(&(at.next_epoch as u64).to_le_bytes())?;
-    w.write_all(&at.lr.to_le_bytes())?;
+    put(w, &[VERSION])?;
+    put(w, &[at.seed, at.next_epoch as u64])?;
+    put(w, &[at.lr])?;
     write_model(model, w)
 }
 
@@ -69,20 +68,11 @@ pub fn write_checkpoint<W: Write>(model: &ReModel, at: &ResumePoint, w: &mut W) 
 /// On a wrong magic, a version other than 2, truncated input or a corrupt
 /// embedded model.
 pub fn read_checkpoint<R: Read>(r: &mut R) -> io::Result<Checkpoint> {
-    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(invalid("not an IMRC checkpoint file".into()));
-    }
-    let version = read_u32(r)?;
-    if version != VERSION {
-        return Err(invalid(format!("unsupported IMRC version {version}")));
-    }
+    expect_header(r, MAGIC, &[VERSION])?;
     let at = ResumePoint {
-        seed: read_u64(r)?,
-        next_epoch: read_u64(r)? as usize,
-        lr: read_f32(r)?,
+        seed: read_le::<u64>(r)?,
+        next_epoch: read_le::<u64>(r)? as usize,
+        lr: read_le::<f32>(r)?,
     };
     Ok(Checkpoint {
         at,

@@ -10,7 +10,8 @@ use crate::attention::AggKind;
 use crate::config::HyperParams;
 use crate::encoder::EncoderKind;
 use crate::model::{ModelSpec, ReModel};
-use imre_nn::serialize::{read_f32, read_params, read_u32, read_u64, write_params};
+use imre_nn::serialize::{read_params, write_params};
+use imre_tensor::bytes::{expect_header, invalid, put, read_le};
 use std::io::{self, Read, Write};
 use std::path::Path;
 
@@ -20,7 +21,7 @@ const VERSION: u32 = 1;
 /// Saves a model (architecture + weights) to a writer.
 pub fn write_model<W: Write>(model: &ReModel, w: &mut W) -> io::Result<()> {
     w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
+    put(w, &[VERSION])?;
     // spec
     let enc = match model.spec.encoder {
         EncoderKind::Cnn => 0u8,
@@ -39,17 +40,18 @@ pub fn write_model<W: Write>(model: &ReModel, w: &mut W) -> io::Result<()> {
         model.spec.use_mr as u8,
     ])?;
     // shape arguments
-    for v in [
-        model.vocab_size() as u64,
-        model.num_relations() as u64,
-        model.num_types() as u64,
-        model.entity_dim() as u64,
-    ] {
-        w.write_all(&v.to_le_bytes())?;
-    }
+    put(
+        w,
+        &[
+            model.vocab_size() as u64,
+            model.num_relations() as u64,
+            model.num_types() as u64,
+            model.entity_dim() as u64,
+        ],
+    )?;
     // hyperparameters
     let hp = &model.hp;
-    for v in [
+    let sizes = [
         hp.entity_dim as u64,
         hp.type_dim as u64,
         hp.window as u64,
@@ -61,11 +63,9 @@ pub fn write_model<W: Write>(model: &ReModel, w: &mut W) -> io::Result<()> {
         hp.batch_size as u64,
         hp.epochs as u64,
         hp.pos_clip as u64,
-    ] {
-        w.write_all(&v.to_le_bytes())?;
-    }
-    w.write_all(&hp.lr.to_le_bytes())?;
-    w.write_all(&hp.dropout.to_le_bytes())?;
+    ];
+    put(w, &sizes)?;
+    put(w, &[hp.lr, hp.dropout])?;
     // weights
     write_params(&model.store, w)
 }
@@ -75,43 +75,19 @@ pub fn write_model<W: Write>(model: &ReModel, w: &mut W) -> io::Result<()> {
 /// # Errors
 /// On malformed input or an architecture/weight mismatch.
 pub fn read_model<R: Read>(r: &mut R) -> io::Result<ReModel> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not an IMRM model file",
-        ));
-    }
-    let version = read_u32(r)?;
-    if version != VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported IMRM version {version}"),
-        ));
-    }
+    expect_header(r, MAGIC, &[VERSION])?;
     let mut flags = [0u8; 5];
     r.read_exact(&mut flags)?;
     let encoder = match flags[0] {
         0 => EncoderKind::Cnn,
         1 => EncoderKind::Pcnn,
         2 => EncoderKind::Gru,
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad encoder tag {other}"),
-            ))
-        }
+        other => return Err(invalid(format!("bad encoder tag {other}"))),
     };
     let agg = match flags[1] {
         0 => AggKind::Mean,
         1 => AggKind::Att,
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad aggregation tag {other}"),
-            ))
-        }
+        other => return Err(invalid(format!("bad aggregation tag {other}"))),
     };
     let spec = ModelSpec {
         encoder,
@@ -120,24 +96,24 @@ pub fn read_model<R: Read>(r: &mut R) -> io::Result<ReModel> {
         use_type: flags[3] != 0,
         use_mr: flags[4] != 0,
     };
-    let vocab_size = read_u64(r)? as usize;
-    let num_relations = read_u64(r)? as usize;
-    let num_types = read_u64(r)? as usize;
-    let entity_dim = read_u64(r)? as usize;
+    let vocab_size = read_le::<u64>(r)? as usize;
+    let num_relations = read_le::<u64>(r)? as usize;
+    let num_types = read_le::<u64>(r)? as usize;
+    let entity_dim = read_le::<u64>(r)? as usize;
     let mut hp = HyperParams::scaled();
-    hp.entity_dim = read_u64(r)? as usize;
-    hp.type_dim = read_u64(r)? as usize;
-    hp.window = read_u64(r)? as usize;
-    hp.filters = read_u64(r)? as usize;
-    hp.pos_dim = read_u64(r)? as usize;
-    hp.word_dim = read_u64(r)? as usize;
-    hp.gru_hidden = read_u64(r)? as usize;
-    hp.max_len = read_u64(r)? as usize;
-    hp.batch_size = read_u64(r)? as usize;
-    hp.epochs = read_u64(r)? as usize;
-    hp.pos_clip = read_u64(r)? as usize;
-    hp.lr = read_f32(r)?;
-    hp.dropout = read_f32(r)?;
+    hp.entity_dim = read_le::<u64>(r)? as usize;
+    hp.type_dim = read_le::<u64>(r)? as usize;
+    hp.window = read_le::<u64>(r)? as usize;
+    hp.filters = read_le::<u64>(r)? as usize;
+    hp.pos_dim = read_le::<u64>(r)? as usize;
+    hp.word_dim = read_le::<u64>(r)? as usize;
+    hp.gru_hidden = read_le::<u64>(r)? as usize;
+    hp.max_len = read_le::<u64>(r)? as usize;
+    hp.batch_size = read_le::<u64>(r)? as usize;
+    hp.epochs = read_le::<u64>(r)? as usize;
+    hp.pos_clip = read_le::<u64>(r)? as usize;
+    hp.lr = read_le::<f32>(r)?;
+    hp.dropout = read_le::<f32>(r)?;
 
     let loaded = read_params(r)?;
 
@@ -153,27 +129,19 @@ pub fn read_model<R: Read>(r: &mut R) -> io::Result<ReModel> {
         0,
     );
     if loaded.len() != model.store.len() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "weight count mismatch: file has {}, architecture needs {}",
-                loaded.len(),
-                model.store.len()
-            ),
-        ));
+        return Err(invalid(format!(
+            "weight count mismatch: file has {}, architecture needs {}",
+            loaded.len(),
+            model.store.len()
+        )));
     }
     for (_, name, tensor) in loaded.iter() {
-        let id = model.store.find(name).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected parameter {name:?} in file"),
-            )
-        })?;
+        let id = model
+            .store
+            .find(name)
+            .ok_or_else(|| invalid(format!("unexpected parameter {name:?} in file")))?;
         if model.store.get(id).shape() != tensor.shape() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("shape mismatch for {name:?}"),
-            ));
+            return Err(invalid(format!("shape mismatch for {name:?}")));
         }
         model.store.set(id, tensor.clone());
     }

@@ -36,6 +36,7 @@
 //! Any batching of the same event sequence yields the same surviving
 //! sequence, so streamed and offline corpora featurize identically.
 
+use imre_tensor::bytes::Fnv1a;
 use imre_tensor::mix64;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -296,25 +297,15 @@ impl StableDedup {
 /// mention's name and type list, all length-prefixed by separators that
 /// cannot appear in the fields).
 fn fingerprint(event: &SentenceEvent) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(&event.ts.to_le_bytes());
+    let mut h = Fnv1a::default();
+    h.write(&event.ts.to_le_bytes());
     for m in &event.entities {
-        eat(&[0x09]); // field separator
-        eat(m.name.as_bytes());
+        h.write(&[0x09]).write(m.name.as_bytes()); // field separator
         for &t in &m.types {
-            eat(&[0x3a]); // type separator
-            eat(&(t as u64).to_le_bytes());
+            h.write(&[0x3a]).write(&(t as u64).to_le_bytes()); // type separator
         }
     }
-    h
+    h.finish()
 }
 
 /// Deterministic synthetic delta stream for tests, benches, and CI.

@@ -11,6 +11,7 @@
 //! ```
 
 use crate::param::ParamStore;
+use imre_tensor::bytes::{expect_header, invalid, put, put_str, read_le, read_str};
 use imre_tensor::Tensor;
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -21,19 +22,13 @@ const VERSION: u32 = 1;
 /// Writes every parameter of `store` to `w`.
 pub fn write_params<W: Write>(store: &ParamStore, w: &mut W) -> io::Result<()> {
     w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&(store.len() as u32).to_le_bytes())?;
+    put(w, &[VERSION, store.len() as u32])?;
     for (_, name, tensor) in store.iter() {
-        let name_bytes = name.as_bytes();
-        w.write_all(&(name_bytes.len() as u32).to_le_bytes())?;
-        w.write_all(name_bytes)?;
-        w.write_all(&(tensor.rank() as u32).to_le_bytes())?;
-        for &d in tensor.shape() {
-            w.write_all(&(d as u64).to_le_bytes())?;
-        }
-        for &x in tensor.data() {
-            w.write_all(&x.to_le_bytes())?;
-        }
+        put_str(w, name)?;
+        put(w, &[tensor.rank() as u32])?;
+        let dims: Vec<u64> = tensor.shape().iter().map(|&d| d as u64).collect();
+        put(w, &dims)?;
+        put(w, tensor.data())?;
     }
     Ok(())
 }
@@ -43,37 +38,22 @@ pub fn write_params<W: Write>(store: &ParamStore, w: &mut W) -> io::Result<()> {
 /// # Errors
 /// On malformed input (wrong magic, truncated data, bad version).
 pub fn read_params<R: Read>(r: &mut R) -> io::Result<ParamStore> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not an IMRP parameter file",
-        ));
-    }
-    let version = read_u32(r)?;
-    if version != VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported IMRP version {version}"),
-        ));
-    }
-    let n = read_u32(r)?;
+    expect_header(r, MAGIC, &[VERSION])?;
+    let n = read_le::<u32>(r)?;
     let mut store = ParamStore::new();
     for _ in 0..n {
-        let name_len = read_u32(r)? as usize;
-        let name = String::from_utf8(read_bytes(r, name_len)?).map_err(invalid)?;
+        let name = read_str(r)?;
         if store.find(&name).is_some() {
             return Err(invalid(format!("duplicate parameter name {name:?}")));
         }
-        let rank = read_u32(r)?;
+        let rank = read_le::<u32>(r)?;
         // No count in this file sizes an allocation: entries are pushed as
         // they are read, so a short file fails having allocated no more
         // than it held.
         let mut shape = Vec::new();
         let mut len = 1usize;
         for _ in 0..rank {
-            let dim = usize::try_from(read_u64(r)?).map_err(invalid)?;
+            let dim = usize::try_from(read_le::<u64>(r)?).map_err(|e| invalid(e.to_string()))?;
             len = len
                 .checked_mul(dim)
                 .ok_or_else(|| invalid("tensor shape overflows"))?;
@@ -82,21 +62,6 @@ pub fn read_params<R: Read>(r: &mut R) -> io::Result<ParamStore> {
         store.register(&name, Tensor::from_vec(read_f32s(r, len)?, &shape));
     }
     Ok(store)
-}
-
-fn invalid(e: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e)
-}
-
-/// Reads exactly `len` bytes, `len` being untrusted: the buffer grows with
-/// the bytes that actually arrive, never from `len` itself.
-fn read_bytes<R: Read>(r: &mut R, len: usize) -> io::Result<Vec<u8>> {
-    let mut bytes = Vec::new();
-    r.take(len as u64).read_to_end(&mut bytes)?;
-    if bytes.len() != len {
-        return Err(io::ErrorKind::UnexpectedEof.into());
-    }
-    Ok(bytes)
 }
 
 /// Reads `len` little-endian `f32`s, decoding through a fixed 64 KiB buffer.
@@ -123,38 +88,18 @@ pub fn read_f32s<R: Read>(r: &mut R, len: usize) -> io::Result<Vec<f32>> {
     Ok(data)
 }
 
-/// Saves a parameter store to a file.
+/// Saves a parameter store to a file. Every write error is returned,
+/// including the ones only the final flush of the buffered writer sees.
 pub fn save_params(store: &ParamStore, path: &Path) -> io::Result<()> {
     let mut file = io::BufWriter::new(std::fs::File::create(path)?);
-    write_params(store, &mut file)
+    write_params(store, &mut file)?;
+    file.flush()
 }
 
 /// Loads a parameter store from a file.
 pub fn load_params(path: &Path) -> io::Result<ParamStore> {
     let mut file = io::BufReader::new(std::fs::File::open(path)?);
     read_params(&mut file)
-}
-
-/// Reads one little-endian `u32`. Shared, like [`read_f32s`], by every
-/// binary reader in the workspace.
-pub fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-/// Reads one little-endian `u64`.
-pub fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-/// Reads one little-endian `f32`.
-pub fn read_f32<R: Read>(r: &mut R) -> io::Result<f32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(f32::from_le_bytes(buf))
 }
 
 #[cfg(test)]

@@ -22,18 +22,20 @@
 //! `QNT8` (int8 tables, [`crate::quantio`]), and optionally `IMRA` (the
 //! aligned ANN layout). Aligned sections let [`load_bundle`] memory-map the
 //! file and hand the int8 tables and ANN vectors to the model **zero-copy**
-//! (`crate::mmap`), with the mapping's `Arc` dropped — and the pages
-//! unmapped — only when the last borrower goes away. Reading a v3 bundle
-//! from a generic stream still works; it simply owns all buffers. v1/v2
-//! writing and loading are byte-for-byte unchanged.
+//! as mapped [`imre_tensor::bytes::Storage`] views, each holding the
+//! mapping's `Arc`, so the pages are unmapped only when the last view goes
+//! away. Reading a v3 bundle from a generic stream still works; it simply
+//! owns all buffers. v1/v2 writing and loading are byte-for-byte unchanged.
 
 use imre_ann::AnnIndex;
 use imre_core::{read_model, write_model, QuantModel, ReModel};
 use imre_corpus::{Vocab, World};
 use imre_graph::EntityEmbedding;
-use imre_nn::serialize::{read_f32s, read_u32, read_u64};
+use imre_nn::serialize::read_f32s;
+use imre_tensor::bytes::{
+    expect_header, invalid, put, put_str, read_le, read_str, Cursor, Fnv1a, Mapping, ALIGN,
+};
 use imre_tensor::{QuantTensor, Tensor};
-use std::any::Any;
 use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -46,8 +48,7 @@ pub const VERSION_V2: u32 = 2;
 /// Section-table bundle carrying a quantized model (and mmap-able payloads).
 pub const VERSION_V3: u32 = 3;
 
-/// File-offset alignment of every v3 section.
-pub const SECTION_ALIGN: usize = 64;
+const VERSIONS: [u32; 3] = [VERSION_V1, VERSION_V2, VERSION_V3];
 
 const TAG_META: &[u8; 4] = b"META";
 const TAG_MODL: &[u8; 4] = b"MODL";
@@ -56,19 +57,6 @@ const TAG_IMRA: &[u8; 4] = b"IMRA";
 
 /// Size of one v3 section-table entry: tag + offset + length + checksum.
 const ENTRY_LEN: usize = 4 + 8 + 8 + 8;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
 
 /// A frozen serving artifact: model plus the lookup tables that turn raw
 /// text and entity names into model inputs.
@@ -268,40 +256,34 @@ impl Bundle {
 /// section in v3).
 fn write_tables<W: Write>(bundle: &Bundle, w: &mut W) -> io::Result<()> {
     // vocabulary (all words in id order, specials included)
-    write_u64(w, bundle.vocab.len() as u64)?;
+    put(w, &[bundle.vocab.len() as u64])?;
     for id in 0..bundle.vocab.len() {
-        write_str(w, bundle.vocab.word(id))?;
+        put_str(w, bundle.vocab.word(id))?;
     }
     // entity table
-    write_u64(w, bundle.entities.len() as u64)?;
+    put(w, &[bundle.entities.len() as u64])?;
     for (name, types) in &bundle.entities {
-        write_str(w, name)?;
-        write_u64(w, types.len() as u64)?;
+        put_str(w, name)?;
+        put(w, &[types.len() as u64])?;
         for &t in types {
-            write_u64(w, t as u64)?;
+            put(w, &[t as u64])?;
         }
     }
     // relation names
-    write_u64(w, bundle.relations.len() as u64)?;
+    put(w, &[bundle.relations.len() as u64])?;
     for name in &bundle.relations {
-        write_str(w, name)?;
+        put_str(w, name)?;
     }
     // optional entity embedding
     match &bundle.embedding {
-        None => w.write_all(&[0u8])?,
+        None => put(w, &[0u8]),
         Some(emb) => {
-            w.write_all(&[1u8])?;
             let m = emb.matrix();
-            write_u64(w, m.rows() as u64)?;
-            write_u64(w, m.cols() as u64)?;
-            let mut bytes = Vec::with_capacity(4 * m.data().len());
-            for &x in m.data() {
-                bytes.extend_from_slice(&x.to_le_bytes());
-            }
-            w.write_all(&bytes)?;
+            put(w, &[1u8])?;
+            put(w, &[m.rows() as u64, m.cols() as u64])?;
+            put(w, m.data())
         }
     }
-    Ok(())
 }
 
 /// Writes a bundle to a writer. Version is chosen by content: quantized
@@ -317,7 +299,7 @@ pub fn write_bundle<W: Write>(bundle: &Bundle, w: &mut W) -> io::Result<()> {
         VERSION_V1
     };
     w.write_all(MAGIC)?;
-    w.write_all(&version.to_le_bytes())?;
+    put(w, &[version])?;
     write_tables(bundle, w)?;
     write_model(&bundle.model, w)?;
     if let Some(ann) = &bundle.ann {
@@ -344,20 +326,17 @@ fn write_bundle_v3<W: Write>(bundle: &Bundle, w: &mut W) -> io::Result<()> {
     }
 
     w.write_all(MAGIC)?;
-    w.write_all(&VERSION_V3.to_le_bytes())?;
-    w.write_all(&(sections.len() as u32).to_le_bytes())?;
+    put(w, &[VERSION_V3, sections.len() as u32])?;
     let header_len = 12 + ENTRY_LEN * sections.len();
-    let mut offset = header_len.next_multiple_of(SECTION_ALIGN);
+    let mut offset = header_len.next_multiple_of(ALIGN);
     for (tag, body) in &sections {
         w.write_all(*tag)?;
-        write_u64(w, offset as u64)?;
-        write_u64(w, body.len() as u64)?;
-        write_u64(w, fnv1a(body))?;
-        offset = (offset + body.len()).next_multiple_of(SECTION_ALIGN);
+        put(w, &[offset as u64, body.len() as u64, Fnv1a::digest(body)])?;
+        offset = (offset + body.len()).next_multiple_of(ALIGN);
     }
     let mut pos = header_len;
     for (_, body) in &sections {
-        let pad = pos.next_multiple_of(SECTION_ALIGN) - pos;
+        let pad = pos.next_multiple_of(ALIGN) - pos;
         w.write_all(&vec![0u8; pad])?;
         w.write_all(body)?;
         pos = pos + pad + body.len();
@@ -375,12 +354,9 @@ fn read_tables<R: Read>(
     Vec<String>,
     Option<EntityEmbedding>,
 )> {
-    let vocab_len = read_u64(r)? as usize;
+    let vocab_len = read_le::<u64>(r)? as usize;
     if vocab_len < 2 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "vocabulary misses the special tokens",
-        ));
+        return Err(invalid("vocabulary misses the special tokens"));
     }
     let mut vocab = Vocab::new();
     for id in 0..vocab_len {
@@ -388,62 +364,49 @@ fn read_tables<R: Read>(
         if id < 2 {
             // `Vocab::new` pre-interns <pad>/<unk>; just check they match.
             if vocab.word(id) != word {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "special token {id} is {word:?}, expected {:?}",
-                        vocab.word(id)
-                    ),
-                ));
+                return Err(invalid(format!(
+                    "special token {id} is {word:?}, expected {:?}",
+                    vocab.word(id)
+                )));
             }
         } else if vocab.intern(&word) != id {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("duplicate vocabulary word {word:?}"),
-            ));
+            return Err(invalid(format!("duplicate vocabulary word {word:?}")));
         }
     }
     // The three counts below are untrusted and size nothing: entries are
     // pushed as they are read, so a short file ends in `UnexpectedEof`
     // having allocated no more than it held.
-    let num_entities = read_u64(r)?;
+    let num_entities = read_le::<u64>(r)?;
     let mut entities = Vec::new();
     for _ in 0..num_entities {
         let name = read_str(r)?;
-        let n_types = read_u64(r)?;
+        let n_types = read_le::<u64>(r)?;
         let mut types = Vec::new();
         for _ in 0..n_types {
-            types.push(read_u64(r)? as usize);
+            types.push(read_le::<u64>(r)? as usize);
         }
         entities.push((name, types));
     }
-    let num_relations = read_u64(r)?;
+    let num_relations = read_le::<u64>(r)?;
     let mut relations = Vec::new();
     for _ in 0..num_relations {
         relations.push(read_str(r)?);
     }
-    let mut has_embedding = [0u8];
-    r.read_exact(&mut has_embedding)?;
-    let embedding = match has_embedding[0] {
+    let embedding = match read_le::<u8>(r)? {
         0 => None,
         1 => {
-            let rows = read_u64(r)? as usize;
-            let cols = read_u64(r)? as usize;
+            let rows = read_le::<u64>(r)? as usize;
+            let cols = read_le::<u64>(r)? as usize;
             let len = rows
                 .checked_mul(cols)
-                .ok_or_else(|| bad("embedding matrix size overflows"))?;
+                .ok_or_else(|| invalid("embedding matrix size overflows"))?;
             let data = read_f32s(r, len)?;
             Some(EntityEmbedding::from_matrix(Tensor::from_vec(
                 data,
                 &[rows, cols],
             )))
         }
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad embedding flag {other}"),
-            ));
-        }
+        other => return Err(invalid(format!("bad embedding flag {other}"))),
     };
     Ok((vocab, entities, relations, embedding))
 }
@@ -457,12 +420,11 @@ fn read_tables<R: Read>(
 /// # Errors
 /// On malformed input or inconsistent tables.
 pub fn read_bundle<R: Read>(r: &mut R) -> io::Result<Bundle> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("not an IMRB bundle file"));
-    }
-    let version = read_u32(r)?;
+    read_versioned(expect_header(r, MAGIC, &VERSIONS)?, r)
+}
+
+/// Reads the rest of a bundle whose header said `version`.
+fn read_versioned(version: u32, r: &mut impl Read) -> io::Result<Bundle> {
     match version {
         VERSION_V1 | VERSION_V2 => {
             let (vocab, entities, relations, embedding) = read_tables(r)?;
@@ -484,110 +446,78 @@ pub fn read_bundle<R: Read>(r: &mut R) -> io::Result<Bundle> {
             bundle.validate()?;
             Ok(bundle)
         }
-        VERSION_V3 => {
+        _ => {
             // Rebuild the full file image so the directory's absolute
             // offsets stay meaningful, then parse owned.
-            let mut full = Vec::new();
-            full.extend_from_slice(MAGIC);
+            let mut full = MAGIC.to_vec();
             full.extend_from_slice(&version.to_le_bytes());
             r.read_to_end(&mut full)?;
             parse_v3(&full, None)
         }
-        other => Err(bad(format!(
-            "unsupported IMRB version {other} (this reader supports 1-3)"
-        ))),
     }
 }
 
 /// One parsed v3 directory entry.
-struct Section {
+struct Section<'a> {
     tag: [u8; 4],
-    offset: usize,
-    len: usize,
+    body: &'a [u8],
 }
 
-/// Parses a complete v3 file image. With `keep = Some(mapping)` the large
-/// payloads (int8 tables, ANN vectors) borrow from `bytes` zero-copy and
-/// hold the mapping alive; without, everything is copied into owned
+/// Parses a complete v3 file image. With `map` given and `bytes` inside
+/// it, the large payloads (int8 tables, ANN vectors) are views into the
+/// mapping, each holding it alive; otherwise they are copied into owned
 /// buffers. Either way every section's FNV-1a checksum is verified first.
-fn parse_v3(bytes: &[u8], keep: Option<Arc<dyn Any + Send + Sync>>) -> io::Result<Bundle> {
-    if bytes.len() < 12 || &bytes[0..4] != MAGIC {
-        return Err(bad("not an IMRB bundle file"));
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != VERSION_V3 {
-        return Err(bad(format!("expected IMRB version 3, found {version}")));
-    }
-    let n = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+fn parse_v3(bytes: &[u8], map: Option<&Arc<Mapping>>) -> io::Result<Bundle> {
+    let mut c = Cursor::new(bytes, "IMRB v3 header");
+    expect_header(&mut c, MAGIC, &[VERSION_V3])?;
+    let n = c.get::<u32>()? as usize;
     if !(3..=8).contains(&n) {
-        return Err(bad(format!("implausible v3 section count {n}")));
+        return Err(invalid(format!("implausible v3 section count {n}")));
     }
-    let header_len = 12usize
-        .checked_add(ENTRY_LEN.checked_mul(n).ok_or_else(|| bad("overflow"))?)
-        .filter(|&e| e <= bytes.len())
-        .ok_or_else(|| bad("v3 section table truncated"))?;
+    let header_len = 12 + ENTRY_LEN * n;
     let mut sections = Vec::with_capacity(n);
-    for i in 0..n {
-        let e = &bytes[12 + i * ENTRY_LEN..12 + (i + 1) * ENTRY_LEN];
-        let tag: [u8; 4] = e[0..4].try_into().unwrap();
-        let offset = u64::from_le_bytes(e[4..12].try_into().unwrap());
-        let len = u64::from_le_bytes(e[12..20].try_into().unwrap());
-        let checksum = u64::from_le_bytes(e[20..28].try_into().unwrap());
+    for _ in 0..n {
+        let tag: [u8; 4] = c.slice(4)?.try_into().expect("four bytes");
+        let name = String::from_utf8_lossy(&tag);
         // All directory fields are untrusted: checked math end to end.
-        let offset = usize::try_from(offset).map_err(|_| bad("section offset overflows"))?;
-        let len = usize::try_from(len).map_err(|_| bad("section length overflows"))?;
-        let end = offset
+        let [offset, len, checksum] = [c.get::<u64>()?, c.get::<u64>()?, c.get::<u64>()?];
+        let offset = usize::try_from(offset).map_err(|_| invalid("section offset overflows"))?;
+        let len = usize::try_from(len).map_err(|_| invalid("section length overflows"))?;
+        let body = offset
             .checked_add(len)
-            .filter(|&e| e <= bytes.len())
-            .ok_or_else(|| {
-                bad(format!(
-                    "section {} out of bounds",
-                    String::from_utf8_lossy(&tag)
-                ))
-            })?;
-        if offset < header_len || !offset.is_multiple_of(SECTION_ALIGN) {
-            return Err(bad(format!(
-                "section {} misaligned at offset {offset}",
-                String::from_utf8_lossy(&tag)
+            .and_then(|end| bytes.get(offset..end))
+            .ok_or_else(|| invalid(format!("section {name} out of bounds")))?;
+        if offset < header_len || !offset.is_multiple_of(ALIGN) {
+            return Err(invalid(format!(
+                "section {name} misaligned at offset {offset}"
             )));
         }
         if sections.iter().any(|s: &Section| s.tag == tag) {
-            return Err(bad(format!(
-                "duplicate section {}",
-                String::from_utf8_lossy(&tag)
-            )));
+            return Err(invalid(format!("duplicate section {name}")));
         }
-        if fnv1a(&bytes[offset..end]) != checksum {
-            return Err(bad(format!(
-                "section {} checksum mismatch",
-                String::from_utf8_lossy(&tag)
-            )));
+        if Fnv1a::digest(body) != checksum {
+            return Err(invalid(format!("section {name} checksum mismatch")));
         }
-        sections.push(Section { tag, offset, len });
+        sections.push(Section { tag, body });
     }
-    let find = |tag: &[u8; 4]| -> Option<&[u8]> {
-        sections
-            .iter()
-            .find(|s| &s.tag == tag)
-            .map(|s| &bytes[s.offset..s.offset + s.len])
-    };
-    let meta = find(TAG_META).ok_or_else(|| bad("v3 bundle misses META section"))?;
-    let modl = find(TAG_MODL).ok_or_else(|| bad("v3 bundle misses MODL section"))?;
-    let qnt8 = find(TAG_QNT8).ok_or_else(|| bad("v3 bundle misses QNT8 section"))?;
+    let find = |tag: &[u8; 4]| sections.iter().find(|s| &s.tag == tag).map(|s| s.body);
+    let meta = find(TAG_META).ok_or_else(|| invalid("v3 bundle misses META section"))?;
+    let modl = find(TAG_MODL).ok_or_else(|| invalid("v3 bundle misses MODL section"))?;
+    let qnt8 = find(TAG_QNT8).ok_or_else(|| invalid("v3 bundle misses QNT8 section"))?;
 
     let mut meta_r = meta;
     let (vocab, entities, relations, embedding) = read_tables(&mut meta_r)?;
     if !meta_r.is_empty() {
-        return Err(bad("META section has trailing bytes"));
+        return Err(invalid("META section has trailing bytes"));
     }
     let mut modl_r = modl;
     let model = read_model(&mut modl_r)?;
     if !modl_r.is_empty() {
-        return Err(bad("MODL section has trailing bytes"));
+        return Err(invalid("MODL section has trailing bytes"));
     }
-    let quant = crate::quantio::read_quant_section(qnt8, &model, keep.clone())?;
+    let quant = crate::quantio::read_quant_section(qnt8, &model, map)?;
     let ann = match find(TAG_IMRA) {
-        Some(sec) => Some(AnnIndex::read_aligned(sec, keep)?),
+        Some(sec) => Some(AnnIndex::read_aligned(sec, map)?),
         None => None,
     };
     let bundle = Bundle {
@@ -603,66 +533,28 @@ fn parse_v3(bytes: &[u8], keep: Option<Arc<dyn Any + Send + Sync>>) -> io::Resul
     Ok(bundle)
 }
 
-/// Saves a bundle to a file.
+/// Saves a bundle to a file. Every write error is returned, including the
+/// ones only the final flush of the buffered writer sees.
 pub fn save_bundle(bundle: &Bundle, path: &Path) -> io::Result<()> {
     let mut file = io::BufWriter::new(std::fs::File::create(path)?);
-    write_bundle(bundle, &mut file)
+    write_bundle(bundle, &mut file)?;
+    file.flush()
 }
 
 /// Loads a bundle from a file.
 ///
 /// v1/v2 files stream through the owned reader, byte-identically to
 /// previous releases. A v3 file is **memory-mapped** (on Linux): the int8
-/// tables and ANN vectors borrow the mapping zero-copy, and the pages stay
-/// mapped until the last model/batch holding them drops — which is what
+/// tables and ANN vectors are views into the mapping, and the pages stay
+/// mapped until the last model/request holding them drops — which is what
 /// makes registry hot-swap a pointer swap.
 pub fn load_bundle(path: &Path) -> io::Result<Bundle> {
-    let file = std::fs::File::open(path)?;
+    let mut file = std::fs::File::open(path)?;
+    let version = expect_header(&mut file, MAGIC, &VERSIONS)?;
     #[cfg(target_os = "linux")]
-    {
-        let mut head = [0u8; 8];
-        use std::io::Read as _;
-        (&file).read_exact(&mut head)?;
-        if &head[0..4] == MAGIC && u32::from_le_bytes(head[4..8].try_into().unwrap()) == VERSION_V3
-        {
-            let map = Arc::new(crate::mmap::Mapping::of_file(&file)?);
-            // SAFETY-free borrow: the slice lives as long as `map`, and
-            // every borrower holds an `Arc<Mapping>` clone.
-            let bytes: &[u8] = map.as_slice();
-            // The borrow checker cannot see that `map` outlives the parse,
-            // so extend the slice lifetime manually; the Arc keepalives
-            // inside the parsed bundle uphold it.
-            #[allow(unsafe_code)]
-            let bytes: &'static [u8] =
-                unsafe { std::slice::from_raw_parts(bytes.as_ptr(), bytes.len()) };
-            return parse_v3(bytes, Some(map));
-        }
-        // Not v3: rewind by reopening through the buffered stream path.
+    if version == VERSION_V3 {
+        let map = Arc::new(Mapping::of_file(&file)?);
+        return parse_v3(map.as_slice(), Some(&map));
     }
-    drop(file);
-    let mut file = io::BufReader::new(std::fs::File::open(path)?);
-    read_bundle(&mut file)
-}
-
-fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_str<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
-    let bytes = s.as_bytes();
-    w.write_all(&(bytes.len() as u32).to_le_bytes())?;
-    w.write_all(bytes)
-}
-
-fn read_str<R: Read>(r: &mut R) -> io::Result<String> {
-    let len = read_u32(r)? as usize;
-    if len > 1 << 20 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("implausible string length {len}"),
-        ));
-    }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    read_versioned(version, &mut io::BufReader::new(file))
 }

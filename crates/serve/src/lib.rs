@@ -45,8 +45,6 @@ pub mod error;
 #[cfg(unix)]
 pub(crate) mod eventloop;
 pub mod metrics;
-#[cfg(target_os = "linux")]
-pub mod mmap;
 pub mod pipeline;
 pub mod protocol;
 pub mod quantio;
@@ -67,5 +65,4 @@ pub use server::{FrontendConfig, TcpServer};
 
 #[cfg(target_os = "linux")]
 pub use eventloop::sys::raise_nofile_limit;
-#[cfg(target_os = "linux")]
-pub use mmap::live_mappings;
+pub use imre_tensor::bytes::live_mappings;

@@ -25,16 +25,16 @@
 //! cross-checks every shape via [`QuantModel::validate`], so the two
 //! sections can never drift apart silently.
 //!
-//! With a keepalive `Arc` (the mmap path) and an aligned base address, all
-//! table payloads are **borrowed zero-copy**; otherwise they are copied
-//! into owned buffers. Both paths produce models with bit-identical
+//! Read from a mapped file (the mmap load), every table array is a view
+//! into the mapping, holding it alive; whatever the view constructor
+//! refuses is copied. Both paths produce models with bit-identical
 //! predictions — the bytes are the same either way.
 
 use imre_core::quant::{QuantCombiner, QuantLinear, QuantType};
 use imre_core::{QuantModel, ReModel};
-use imre_tensor::quant::QuantPack;
+use imre_tensor::bytes::{expect_header, extend, invalid, pad, Cursor, Mapping, ALIGN};
+use imre_tensor::quant::{QuantPack, MAX_COLS};
 use imre_tensor::QuantTensor;
-use std::any::Any;
 use std::io;
 use std::sync::Arc;
 
@@ -42,8 +42,6 @@ use std::sync::Arc;
 pub const QUANT_MAGIC: &[u8; 4] = b"QNT8";
 /// Current `QNT8` layout version.
 pub const QUANT_VERSION: u32 = 1;
-/// Alignment of every array payload, relative to the section start.
-pub const QUANT_ALIGN: usize = 64;
 
 // Table tags, fixed for the format's lifetime.
 const T_WORD_EMB: u32 = 0;
@@ -64,10 +62,6 @@ const B_RE_HEAD: u32 = 1;
 const B_MR: u32 = 2;
 const B_TY_FC: u32 = 3;
 const B_COMB_OUT: u32 = 4;
-
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
 
 /// `(tag, tensor)` pairs in canonical write order.
 fn tables(qm: &QuantModel) -> Vec<(u32, &QuantTensor)> {
@@ -112,192 +106,105 @@ fn biases(qm: &QuantModel) -> Vec<(u32, &[f32])> {
     out
 }
 
-fn pad_to(b: &mut Vec<u8>, align: usize) {
-    b.resize(b.len().next_multiple_of(align), 0);
-}
-
 /// Serializes a quantized model as one `QNT8` section.
 pub fn write_quant_section(qm: &QuantModel) -> Vec<u8> {
     let tabs = tables(qm);
     let bs = biases(qm);
-    let mut b = Vec::with_capacity(qm.bytes() + 64 * (4 * tabs.len() + 2));
+    let mut b = Vec::with_capacity(qm.bytes() + ALIGN * (4 * tabs.len() + 2));
     b.extend_from_slice(QUANT_MAGIC);
-    b.extend_from_slice(&QUANT_VERSION.to_le_bytes());
+    extend(&mut b, &[QUANT_VERSION]);
     let (alpha, beta, gamma) = qm
         .comb
         .as_ref()
         .map(|c| (c.alpha, c.beta, c.gamma))
         .unwrap_or((0.0, 0.0, 0.0));
-    for v in [alpha, beta, gamma] {
-        b.extend_from_slice(&v.to_le_bytes());
-    }
-    b.extend_from_slice(&(tabs.len() as u32).to_le_bytes());
-    b.extend_from_slice(&(bs.len() as u32).to_le_bytes());
+    extend(&mut b, &[alpha, beta, gamma]);
+    extend(&mut b, &[tabs.len() as u32, bs.len() as u32]);
     for (tag, t) in &tabs {
-        b.extend_from_slice(&tag.to_le_bytes());
-        b.extend_from_slice(&(t.rows() as u64).to_le_bytes());
-        b.extend_from_slice(&(t.cols() as u64).to_le_bytes());
+        extend(&mut b, &[*tag]);
+        extend(&mut b, &[t.rows() as u64, t.cols() as u64]);
     }
     for (tag, bias) in &bs {
-        b.extend_from_slice(&tag.to_le_bytes());
-        b.extend_from_slice(&(bias.len() as u64).to_le_bytes());
+        extend(&mut b, &[*tag]);
+        extend(&mut b, &[bias.len() as u64]);
     }
     for (_, bias) in &bs {
-        for &x in *bias {
-            b.extend_from_slice(&x.to_le_bytes());
-        }
+        extend(&mut b, bias);
     }
     for (_, t) in &tabs {
-        pad_to(&mut b, QUANT_ALIGN);
-        // i8 slices reinterpret to u8 bytes one-to-one.
-        b.extend(t.data().iter().map(|&v| v as u8));
-        pad_to(&mut b, QUANT_ALIGN);
-        for &s in t.scales() {
-            b.extend_from_slice(&s.to_le_bytes());
-        }
-        pad_to(&mut b, QUANT_ALIGN);
-        b.extend(t.zeros().iter().map(|&v| v as u8));
-        pad_to(&mut b, QUANT_ALIGN);
-        for &s in t.row_sums() {
-            b.extend_from_slice(&s.to_le_bytes());
-        }
+        pad(&mut b);
+        extend(&mut b, t.data());
+        pad(&mut b);
+        extend(&mut b, t.scales());
+        pad(&mut b);
+        extend(&mut b, t.zeros());
+        pad(&mut b);
+        extend(&mut b, t.row_sums());
     }
     b
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| bad("QNT8 section truncated"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f32(&mut self) -> io::Result<f32> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn align(&mut self, align: usize) -> io::Result<()> {
-        let pad = self.pos.next_multiple_of(align) - self.pos;
-        if self.take(pad)?.iter().any(|&b| b != 0) {
-            return Err(bad("QNT8 alignment padding not zeroed"));
-        }
-        Ok(())
-    }
-}
-
-/// One parsed table payload, either borrowed or copied.
+/// One table's four arrays, each viewed in `map` or copied. The shape is
+/// untrusted: `cols` must be a width the kernels accept, and every size is
+/// checked arithmetic.
 fn read_table(
     c: &mut Cursor<'_>,
     rows: usize,
     cols: usize,
-    keep: &Option<Arc<dyn Any + Send + Sync>>,
+    map: Option<&Arc<Mapping>>,
 ) -> io::Result<QuantTensor> {
+    if cols == 0 || cols > MAX_COLS {
+        return Err(invalid(format!("QNT8 table width {cols} out of range")));
+    }
     let cells = rows
         .checked_mul(cols)
-        .filter(|&n| n <= (1 << 31))
-        .ok_or_else(|| bad("QNT8 table shape overflows"))?;
-    c.align(QUANT_ALIGN)?;
-    let data = c.take(cells)?;
-    c.align(QUANT_ALIGN)?;
-    let scales = c.take(4 * rows)?;
-    c.align(QUANT_ALIGN)?;
-    let zeros = c.take(rows)?;
-    c.align(QUANT_ALIGN)?;
-    let sums = c.take(4 * rows)?;
-    let borrowable = cfg!(target_endian = "little")
-        && (scales.as_ptr() as usize).is_multiple_of(4)
-        && (sums.as_ptr() as usize).is_multiple_of(4);
-    if let (Some(owner), true) = (keep, borrowable) {
-        // SAFETY: alignment checked above (i8 needs none), lengths match
-        // the directory entry, and `owner` keeps the mapping alive and
-        // immutable for the tensor's lifetime.
-        return Ok(unsafe {
-            QuantTensor::from_borrowed_parts(
-                rows,
-                cols,
-                data.as_ptr() as *const i8,
-                scales.as_ptr() as *const f32,
-                zeros.as_ptr() as *const i8,
-                sums.as_ptr() as *const i32,
-                Arc::clone(owner),
-            )
-        });
-    }
-    QuantTensor::from_owned_parts(
-        rows,
-        cols,
-        data.iter().map(|&b| b as i8).collect(),
-        scales
-            .chunks_exact(4)
-            .map(|w| f32::from_le_bytes(w.try_into().unwrap()))
-            .collect(),
-        zeros.iter().map(|&b| b as i8).collect(),
-        sums.chunks_exact(4)
-            .map(|w| i32::from_le_bytes(w.try_into().unwrap()))
-            .collect(),
-    )
-    .map_err(bad)
+        .ok_or_else(|| invalid("QNT8 table shape overflows"))?;
+    c.align()?;
+    let data = c.storage::<i8>(cells, map)?;
+    c.align()?;
+    let scales = c.storage::<f32>(rows, map)?;
+    c.align()?;
+    let zeros = c.storage::<i8>(rows, map)?;
+    c.align()?;
+    let sums = c.storage::<i32>(rows, map)?;
+    QuantTensor::from_parts(rows, cols, data, scales, zeros, sums).map_err(invalid)
 }
 
 /// Parses a `QNT8` section against the bundle's f32 `model` (which supplies
 /// the architecture) and rebuilds the [`QuantModel`].
 ///
-/// With `keep = Some(mapping)` the table payloads are borrowed zero-copy
-/// from `bytes` (the caller guarantees `bytes` outlives `keep`); without,
-/// everything is copied. All shapes are cross-checked against the model via
+/// With `map` given and `bytes` inside it, the table arrays are views into
+/// the mapping; otherwise, or wherever the view constructor refuses, they
+/// are copied. All shapes are cross-checked against the model via
 /// [`QuantModel::validate`] — mismatches are `InvalidData`.
 pub fn read_quant_section(
     bytes: &[u8],
     model: &ReModel,
-    keep: Option<Arc<dyn Any + Send + Sync>>,
+    map: Option<&Arc<Mapping>>,
 ) -> io::Result<QuantModel> {
-    let mut c = Cursor { buf: bytes, pos: 0 };
-    if c.take(4)? != QUANT_MAGIC {
-        return Err(bad("bad QNT8 section magic"));
-    }
-    let version = c.u32()?;
-    if version != QUANT_VERSION {
-        return Err(bad(format!("unsupported QNT8 version {version}")));
-    }
-    let alpha = c.f32()?;
-    let beta = c.f32()?;
-    let gamma = c.f32()?;
-    let n_tables = c.u32()? as usize;
-    let n_biases = c.u32()? as usize;
+    let mut c = Cursor::new(bytes, "QNT8 section");
+    expect_header(&mut c, QUANT_MAGIC, &[QUANT_VERSION])?;
+    let alpha = c.get::<f32>()?;
+    let beta = c.get::<f32>()?;
+    let gamma = c.get::<f32>()?;
+    let n_tables = c.get::<u32>()? as usize;
+    let n_biases = c.get::<u32>()? as usize;
     if n_tables > 16 || n_biases > 16 {
-        return Err(bad("QNT8 directory implausibly large"));
+        return Err(invalid("QNT8 directory implausibly large"));
     }
     let mut tab_dir = Vec::with_capacity(n_tables);
     for _ in 0..n_tables {
-        let tag = c.u32()?;
-        let rows = c.u64()? as usize;
-        let cols = c.u64()? as usize;
+        let tag = c.get::<u32>()?;
+        let rows = c.get::<u64>()? as usize;
+        let cols = c.get::<u64>()? as usize;
         tab_dir.push((tag, rows, cols));
     }
     let mut bias_dir = Vec::with_capacity(n_biases);
     for _ in 0..n_biases {
-        let tag = c.u32()?;
-        let len = c.u64()? as usize;
+        let tag = c.get::<u32>()?;
+        let len = c.get::<u64>()? as usize;
         if len > 1 << 24 {
-            return Err(bad("QNT8 bias implausibly large"));
+            return Err(invalid("QNT8 bias implausibly large"));
         }
         bias_dir.push((tag, len));
     }
@@ -305,41 +212,33 @@ pub fn read_quant_section(
     for (tag, len) in bias_dir {
         let slot = bias
             .get_mut(tag as usize)
-            .ok_or_else(|| bad(format!("unknown QNT8 bias tag {tag}")))?;
+            .ok_or_else(|| invalid(format!("unknown QNT8 bias tag {tag}")))?;
         if slot.is_some() {
-            return Err(bad(format!("duplicate QNT8 bias tag {tag}")));
+            return Err(invalid(format!("duplicate QNT8 bias tag {tag}")));
         }
-        *slot = Some(
-            c.take(4 * len)?
-                .chunks_exact(4)
-                .map(|w| f32::from_le_bytes(w.try_into().unwrap()))
-                .collect(),
-        );
+        *slot = Some(c.vec::<f32>(len)?);
     }
     let mut table: [Option<QuantTensor>; 11] = Default::default();
     for (tag, rows, cols) in tab_dir {
-        let slot = (tag as usize) < table.len();
-        if !slot {
-            return Err(bad(format!("unknown QNT8 table tag {tag}")));
+        let slot = table
+            .get_mut(tag as usize)
+            .ok_or_else(|| invalid(format!("unknown QNT8 table tag {tag}")))?;
+        if slot.is_some() {
+            return Err(invalid(format!("duplicate QNT8 table tag {tag}")));
         }
-        if table[tag as usize].is_some() {
-            return Err(bad(format!("duplicate QNT8 table tag {tag}")));
-        }
-        table[tag as usize] = Some(read_table(&mut c, rows, cols, &keep)?);
+        *slot = Some(read_table(&mut c, rows, cols, map)?);
     }
-    if c.pos != bytes.len() {
-        return Err(bad("QNT8 section has trailing bytes"));
-    }
+    c.finish()?;
 
     let mut take_tab = |tag: u32| -> io::Result<QuantTensor> {
         table[tag as usize]
             .take()
-            .ok_or_else(|| bad(format!("QNT8 section misses table {tag}")))
+            .ok_or_else(|| invalid(format!("QNT8 section misses table {tag}")))
     };
     let mut take_bias = |tag: u32| -> io::Result<Vec<f32>> {
         bias[tag as usize]
             .take()
-            .ok_or_else(|| bad(format!("QNT8 section misses bias {tag}")))
+            .ok_or_else(|| invalid(format!("QNT8 section misses bias {tag}")))
     };
 
     let spec = model.spec;
@@ -403,6 +302,6 @@ pub fn read_quant_section(
         },
         num_relations: model.num_relations(),
     };
-    qm.validate().map_err(bad)?;
+    qm.validate().map_err(invalid)?;
     Ok(qm)
 }

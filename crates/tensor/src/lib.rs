@@ -39,8 +39,10 @@
 //! ```
 
 pub mod bufpool;
+pub mod bytes;
 mod init;
 mod matmul;
+mod mmap;
 mod ops;
 pub mod pool;
 pub mod quant;

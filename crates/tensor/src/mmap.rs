@@ -1,12 +1,13 @@
-//! Read-only file memory mappings for zero-copy v3 bundle loading.
+//! Read-only file memory mappings, the backing of every mapped
+//! [`crate::bytes::Storage`].
 //!
 //! The workspace is std-only (no libc crate), so `mmap`/`munmap` are
-//! declared here directly, in the style of `eventloop::sys`. A [`Mapping`]
-//! is an immutable byte view of a whole file; v3 bundle sections hand
-//! `Arc<Mapping>` clones to every zero-copy borrower (`QuantTensor` tables,
-//! the ANN vector matrix), so the registry's hot-swap is a pointer swap and
-//! the pages are unmapped only when the **last** borrower — including any
-//! in-flight batch still holding the previous model — drops its `Arc`.
+//! declared here directly. A [`Mapping`] is an immutable byte view of a
+//! whole file; a v3 bundle load hands `Arc<Mapping>` clones to every
+//! mapped `Storage` (the `QuantTensor` tables, the ANN vector matrix), so
+//! the registry's hot-swap is a pointer swap and the pages are unmapped only
+//! when the **last** holder — including any in-flight request still using
+//! the previous model — drops its `Arc`.
 //!
 //! The mapping is `MAP_PRIVATE` + `PROT_READ`: serving never writes through
 //! it, and mutations of the underlying file by other processes are not part
@@ -50,8 +51,8 @@ extern "C" {
 
 /// A read-only memory mapping of an entire file.
 ///
-/// Pages are mapped on creation and unmapped on drop; `Arc<Mapping>` is the
-/// keepalive handed to zero-copy borrowers.
+/// Pages are mapped on creation and unmapped on drop; a mapped `Storage`
+/// holds an `Arc<Mapping>`, so its view cannot outlive the pages.
 pub struct Mapping {
     ptr: *const u8,
     len: usize,
@@ -114,8 +115,8 @@ impl Mapping {
         Mapping::of_file(&File::open(path)?)
     }
 
-    /// The mapped bytes. The returned slice borrows `self`; zero-copy
-    /// consumers that outlive this call must hold an `Arc<Mapping>` instead.
+    /// The mapped bytes. The returned slice borrows `self`; a view that
+    /// must outlive this borrow is a `Storage::mapped` over it.
     pub fn as_slice(&self) -> &[u8] {
         // SAFETY: `ptr..ptr+len` is a live PROT_READ mapping until drop.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
@@ -144,14 +145,14 @@ impl Drop for Mapping {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::io::Write;
     use std::sync::Arc;
 
     /// Held by every test that creates a `Mapping`, so the gauge test's
     /// before/after deltas are its own even with tests running in parallel.
-    static MAPPING_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    pub(crate) static MAPPING_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn tmp_file(name: &str, content: &[u8]) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("imre_mmap_test");

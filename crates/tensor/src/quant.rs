@@ -37,10 +37,9 @@
 //!
 //! ## Storage
 //!
-//! [`QuantTensor`] buffers are either owned (`Vec`) or *borrowed* from a
-//! caller-provided allocation kept alive by an `Arc` — the zero-copy path
-//! used by memory-mapped `.imrb` v3 bundles, where the i8 payload, scales,
-//! zero points, and row sums are read straight out of the file mapping.
+//! [`QuantTensor`] holds its four arrays as [`Storage`]: owned, or viewed
+//! in place inside the file mapping of a `.imrb` v3 bundle, whose
+//! `Arc<Mapping>` the view itself holds (see [`crate::bytes`]).
 //!
 //! ## Kernels and dispatch
 //!
@@ -58,11 +57,10 @@
 //! `Backend::Avx512` guarantees their `avx512f`/`avx512bw`/`avx512vl`;
 //! `simd::vnni` adds `avx512vnni`.
 
+use crate::bytes::Storage;
 use crate::simd::{self, Backend};
 use crate::Tensor;
-use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Smallest quantized value. −128 is excluded so `-q` never overflows.
 pub const QMIN: i8 = -127;
@@ -107,46 +105,16 @@ pub fn quant_scalar_kernels() -> u64 {
 // Storage
 // ----------------------------------------------------------------------
 
-/// Owned-or-borrowed buffer. The borrowed form carries an `Arc` keepalive
-/// (typically the file mapping the pointer points into).
-enum Buf<T: Copy> {
-    Owned(Vec<T>),
-    Borrowed {
-        ptr: *const T,
-        len: usize,
-        _keep: Arc<dyn Any + Send + Sync>,
-    },
-}
-
-// SAFETY: `Borrowed` is an immutable view of memory owned by the `Arc`
-// keepalive; `T` is a plain `Copy` scalar, so sharing/sending the view is
-// as safe as sharing the owning allocation.
-unsafe impl<T: Copy + Send + Sync> Send for Buf<T> {}
-unsafe impl<T: Copy + Send + Sync> Sync for Buf<T> {}
-
-impl<T: Copy> Buf<T> {
-    #[inline]
-    fn as_slice(&self) -> &[T] {
-        match self {
-            Buf::Owned(v) => v,
-            // SAFETY: construction contract (`from_borrowed_parts`)
-            // guarantees `ptr` is valid for `len` elements for as long as
-            // the keepalive is alive, which is at least `&self`'s lifetime.
-            Buf::Borrowed { ptr, len, .. } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
-        }
-    }
-}
-
 /// A 2-D int8 matrix quantized row-wise: `data` is `[rows, cols]`
 /// row-major i8, and each row `r` carries `scales[r]`, `zeros[r]`, and the
 /// precomputed integer row sum `row_sums[r] = Σ data[r][..] as i32`.
 pub struct QuantTensor {
     rows: usize,
     cols: usize,
-    data: Buf<i8>,
-    scales: Buf<f32>,
-    zeros: Buf<i8>,
-    row_sums: Buf<i32>,
+    data: Storage<i8>,
+    scales: Storage<f32>,
+    zeros: Storage<i8>,
+    row_sums: Storage<i32>,
 }
 
 /// One quantized activation row, as produced by [`quantize_row_into`].
@@ -174,10 +142,10 @@ impl QuantTensor {
             .zip(data.chunks_exact_mut(cols))
             .map(|(src, dst)| quantize_row_into(src, dst))
             .collect();
-        let scales = params.iter().map(|p| p.scale).collect();
-        let zeros = params.iter().map(|p| p.zero_point).collect();
-        let row_sums = params.iter().map(|p| p.sum).collect();
-        QuantTensor::from_owned_parts(rows, cols, data, scales, zeros, row_sums)
+        let scales: Vec<f32> = params.iter().map(|p| p.scale).collect();
+        let zeros: Vec<i8> = params.iter().map(|p| p.zero_point).collect();
+        let row_sums: Vec<i32> = params.iter().map(|p| p.sum).collect();
+        QuantTensor::from_parts(rows, cols, data, scales, zeros, row_sums)
             .expect("parts are built to [rows, cols]")
     }
 
@@ -188,22 +156,26 @@ impl QuantTensor {
         QuantTensor::quantize(&t.transpose())
     }
 
-    /// Rebuilds a tensor from owned parts (the owned `.imrb` v3 load path).
-    pub fn from_owned_parts(
+    /// Assembles a tensor from its four arrays, owned or mapped (the
+    /// `.imrb` v3 load paths). Fails when `cols` is out of range or a
+    /// length disagrees with `[rows, cols]`.
+    pub fn from_parts(
         rows: usize,
         cols: usize,
-        data: Vec<i8>,
-        scales: Vec<f32>,
-        zeros: Vec<i8>,
-        row_sums: Vec<i32>,
+        data: impl Into<Storage<i8>>,
+        scales: impl Into<Storage<f32>>,
+        zeros: impl Into<Storage<i8>>,
+        row_sums: impl Into<Storage<i32>>,
     ) -> Result<QuantTensor, String> {
+        let (data, scales, zeros, row_sums) =
+            (data.into(), scales.into(), zeros.into(), row_sums.into());
         if cols == 0 || cols > MAX_COLS {
             return Err(format!("quant tensor cols {cols} out of range"));
         }
-        if data.len() != rows * cols
-            || scales.len() != rows
-            || zeros.len() != rows
-            || row_sums.len() != rows
+        if rows.checked_mul(cols) != Some(data.as_slice().len())
+            || scales.as_slice().len() != rows
+            || zeros.as_slice().len() != rows
+            || row_sums.as_slice().len() != rows
         {
             return Err(format!(
                 "quant tensor part lengths inconsistent with [{rows}, {cols}]"
@@ -212,60 +184,11 @@ impl QuantTensor {
         Ok(QuantTensor {
             rows,
             cols,
-            data: Buf::Owned(data),
-            scales: Buf::Owned(scales),
-            zeros: Buf::Owned(zeros),
-            row_sums: Buf::Owned(row_sums),
+            data,
+            scales,
+            zeros,
+            row_sums,
         })
-    }
-
-    /// Builds a tensor whose buffers *borrow* from memory owned by `keep`
-    /// (the zero-copy mmap load path). The tensor holds `keep` alive, so
-    /// dropping the last clone of the mapping `Arc` is deferred until the
-    /// tensor itself drops.
-    ///
-    /// # Safety
-    /// Every pointer must be properly aligned for its element type and
-    /// valid for the stated element count (`data`: `rows * cols`; the
-    /// rest: `rows`) for as long as `keep` is alive, and the memory must
-    /// not be mutated for that lifetime.
-    pub unsafe fn from_borrowed_parts(
-        rows: usize,
-        cols: usize,
-        data: *const i8,
-        scales: *const f32,
-        zeros: *const i8,
-        row_sums: *const i32,
-        keep: Arc<dyn Any + Send + Sync>,
-    ) -> QuantTensor {
-        assert!(
-            cols > 0 && cols <= MAX_COLS,
-            "quant tensor cols out of range"
-        );
-        QuantTensor {
-            rows,
-            cols,
-            data: Buf::Borrowed {
-                ptr: data,
-                len: rows * cols,
-                _keep: Arc::clone(&keep),
-            },
-            scales: Buf::Borrowed {
-                ptr: scales,
-                len: rows,
-                _keep: Arc::clone(&keep),
-            },
-            zeros: Buf::Borrowed {
-                ptr: zeros,
-                len: rows,
-                _keep: Arc::clone(&keep),
-            },
-            row_sums: Buf::Borrowed {
-                ptr: row_sums,
-                len: rows,
-                _keep: keep,
-            },
-        }
     }
 
     /// Number of rows.
@@ -298,9 +221,9 @@ impl QuantTensor {
         self.row_sums.as_slice()
     }
 
-    /// Whether the buffers borrow from an external allocation (mmap).
+    /// Whether the buffers are views into a file mapping.
     pub fn is_borrowed(&self) -> bool {
-        matches!(self.data, Buf::Borrowed { .. })
+        self.data.is_mapped()
     }
 
     /// Total payload bytes across all four buffers (the serialized and
@@ -989,6 +912,7 @@ pub(crate) fn dequant(q: &[i8], zp: i8, scale: f32, out: &mut [f32]) {
 mod tests {
     use super::*;
     use crate::TensorRng;
+    use std::sync::Arc;
 
     fn random_matrix(rng: &mut TensorRng, rows: usize, cols: usize, amp: f32) -> Tensor {
         let mut t = Tensor::zeros(&[rows, cols]);
@@ -1135,42 +1059,45 @@ mod tests {
 
     #[test]
     fn borrowed_parts_read_identically_and_keepalive_holds() {
+        use crate::bytes::{extend, pad, Mapping, Storage};
+        let _gauge = crate::mmap::tests::MAPPING_TESTS
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let mut rng = TensorRng::seed(31);
         let t = random_matrix(&mut rng, 4, 16, 1.0);
         let owned = QuantTensor::quantize(&t);
-        // Back the borrowed view with boxed copies owned by one Arc.
-        struct Backing {
-            data: Vec<i8>,
-            scales: Vec<f32>,
-            zeros: Vec<i8>,
-            sums: Vec<i32>,
-        }
-        let keep = Arc::new(Backing {
-            data: owned.data().to_vec(),
-            scales: owned.scales().to_vec(),
-            zeros: owned.zeros().to_vec(),
-            sums: owned.row_sums().to_vec(),
-        });
-        // SAFETY: each `Backing` vector holds exactly the stated count and
-        // lives in `keep`, which the tensor holds.
-        let borrowed = unsafe {
-            QuantTensor::from_borrowed_parts(
-                4,
-                16,
-                keep.data.as_ptr(),
-                keep.scales.as_ptr(),
-                keep.zeros.as_ptr(),
-                keep.sums.as_ptr(),
-                keep.clone(),
-            )
-        };
+        // The four arrays at 64-aligned offsets of one mapped file.
+        let mut file = Vec::new();
+        let mut offsets = [0usize; 4];
+        offsets[0] = file.len();
+        extend(&mut file, owned.data());
+        pad(&mut file);
+        offsets[1] = file.len();
+        extend(&mut file, owned.scales());
+        pad(&mut file);
+        offsets[2] = file.len();
+        extend(&mut file, owned.zeros());
+        pad(&mut file);
+        offsets[3] = file.len();
+        extend(&mut file, owned.row_sums());
+        let path = std::env::temp_dir().join(format!("imre_quant_{}.bin", std::process::id()));
+        std::fs::write(&path, &file).unwrap();
+        let map = Arc::new(Mapping::of_path(&path).unwrap());
+        std::fs::remove_file(&path).ok();
+        let at = |i: usize, len: usize| &map.as_slice()[offsets[i]..offsets[i] + len];
+        let borrowed = QuantTensor::from_parts(
+            4,
+            16,
+            Storage::mapped(&map, at(0, 64)).unwrap(),
+            Storage::mapped(&map, at(1, 16)).unwrap(),
+            Storage::mapped(&map, at(2, 4)).unwrap(),
+            Storage::mapped(&map, at(3, 16)).unwrap(),
+        )
+        .unwrap();
         assert!(borrowed.is_borrowed() && !owned.is_borrowed());
-        let weak = Arc::downgrade(&keep);
-        drop(keep);
-        assert!(
-            weak.upgrade().is_some(),
-            "tensor must keep the backing alive"
-        );
+        let weak = Arc::downgrade(&map);
+        drop(map);
+        assert!(weak.upgrade().is_some(), "tensor must keep the mapping");
         assert_eq!(owned.data(), borrowed.data());
         assert_eq!(owned.row_sums(), borrowed.row_sums());
         let mut a = vec![0f32; 16];
@@ -1179,9 +1106,6 @@ mod tests {
         borrowed.dequant_row_into(2, &mut b);
         assert_eq!(a, b);
         drop(borrowed);
-        assert!(
-            weak.upgrade().is_none(),
-            "backing must free after last drop"
-        );
+        assert!(weak.upgrade().is_none(), "mapping must go with the tensor");
     }
 }

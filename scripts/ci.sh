@@ -5,13 +5,14 @@
 # Usage:
 #   scripts/ci.sh                # full gate: fmt, clippy, build, test,
 #                                # serve-faults, alloc-gate, train, knn,
-#                                # simd, quant, stream, bench, repo-bench
+#                                # simd, quant, stream, formats, bench,
+#                                # repo-bench
 #   scripts/ci.sh --fast         # quick gate: fmt, clippy, test, serve-faults
 #                                # (skips the release build and bench smoke)
 #   scripts/ci.sh <step>...      # run only the named steps, in order:
 #                                #   fmt clippy build test serve-faults
 #                                #   alloc-gate train knn simd quant
-#                                #   stream bench repo-bench
+#                                #   stream formats bench repo-bench
 #
 # Steps:
 #   fmt     cargo fmt --check over the whole workspace
@@ -29,16 +30,15 @@
 #           (zero buffer-pool misses across ≥100 warm requests) plus the
 #           stricter counting-global-allocator check that a warm inference
 #           pass performs zero heap allocations process-wide
-#   train   the training-loop gate: the imre-core epoch-stream, IMRC and
-#           resume suites, then a CLI-level end-to-end check on the smoke
+#   train   the training-loop gate: the imre-core epoch-stream and resume
+#           suites, then a CLI-level end-to-end check on the smoke
 #           corpus — `imre train` must write one artifact at `--threads 1`,
 #           `--threads 4` and under IMRE_FORCE_SCALAR=1, and 2 epochs with
 #           `--checkpoint` at `--threads 1` resumed to 4 at `--threads 4`
 #           must match a straight 4-epoch run bytewise
-#   knn     the kNN-interpolation gate: the imre-ann determinism/serialize
+#   knn     the kNN-interpolation gate: the imre-ann determinism and search
 #           suites (in the dev profile and in release, where only the
-#           assert!s guard query lengths), the .imrb v1/v2 compatibility
-#           tests, the counting-
+#           assert!s guard query lengths), the counting-
 #           allocator zero-alloc kNN query gate, and a CLI-level end-to-end
 #           check on the smoke corpus — a bundle trained with the default
 #           kNN index must serve, three index builds (--threads 4, --threads
@@ -59,8 +59,8 @@
 #           proptests (qgemm against per-row qmatvec included) with runtime
 #           dispatch and again under IMRE_FORCE_SCALAR=1, in the dev profile
 #           and in release, where the VNNI GEMM's masked tail and wrapping
-#           epilogue are compiled as they ship; the .imrb v3 layout + int8
-#           serving integration suites, the counting-allocator check that a warm
+#           epilogue are compiled as they ship; the int8 serving
+#           integration suite, the counting-allocator check that a warm
 #           quantized inference pass performs zero heap allocations, and a
 #           CLI-level end-to-end eval gate on the smoke corpus: train a
 #           bundle, `imre quantize --check smoke` it, and fail unless the
@@ -69,11 +69,17 @@
 #   stream  the streaming-ingest gate: the imre-stream suites (streamed
 #           vs offline proximity-graph byte-identity, canonical/refine
 #           determinism proptests, the live updater with cold-start
-#           admission), the 256-connection hot-swap-under-load fault
-#           injection with its deferred mmap-unmap assertion, and a
-#           CLI-level end-to-end check that `imre stream-replay` of a
+#           admission), and a CLI-level end-to-end check that `imre stream-replay` of a
 #           3-batch delta stream is byte-identical to the single-batch
 #           build on the merged corpus at --threads 1 and 4
+#   formats every artifact codec, in the dev profile and in release
+#           (overflow checks differ between them): the golden digests of
+#           IMRP/IMRM/IMRC/.imrb v1-v3, the imre_tensor::bytes primitives
+#           and file mappings, the IMRP/IMRM/IMRC and IMRA unit tests, the
+#           QNT8/IMRA hostile-input sweeps (every prefix and byte flip,
+#           owned and mapped), the .imrb v1/v2 and v3 suites, and the
+#           256-connection hot-swap-under-load fault injection with its
+#           deferred mmap-unmap assertion
 #   bench   1ms-sample smoke of the micro_ops bench, so the criterion
 #           harness keeps compiling and running; no number is read from it
 #           (speed is measured by the repo benchmark, two revisions are
@@ -148,15 +154,12 @@ step_alloc_gate() {
 }
 
 step_knn() {
-    # Index-structure suites: HNSW determinism, serialization, blending.
-    # Again in release, where debug_assert! is compiled out: the length
-    # checks on queries must still fire.
-    cargo test --offline -q -p imre-ann
-    cargo test --release --offline -q -p imre-ann
-
-    # Bundle compatibility: v1/v2 layouts, corruption rejection, λ=0
-    # bit-identity, thread-count determinism of the index build.
-    cargo test --offline -q -p imre-serve --test bundle_compat
+    # Index-structure suites: HNSW determinism, search, blending (the IMRA
+    # codec runs in the formats step). Again in release, where
+    # debug_assert! is compiled out: the length checks on queries must
+    # still fire.
+    cargo test --offline -q -p imre-ann -- --skip serialize::
+    cargo test --release --offline -q -p imre-ann -- --skip serialize::
 
     # Process-global zero-allocation budget of a warm kNN query.
     cargo test --offline -q -p imre-bench --test zero_alloc_knn
@@ -192,8 +195,9 @@ step_knn() {
 }
 
 step_train() {
-    # The loop's own suites: epoch streams, IMRC v2, resume at every epoch.
-    cargo test --offline -q -p imre-core --lib -- train::tests checkpoint::tests
+    # The loop's own suites: epoch streams, resume at every epoch (IMRC
+    # itself runs in the formats step).
+    cargo test --offline -q -p imre-core --lib -- train::tests
     cargo test --offline -q -p imre-core --test checkpoint_resume
 
     # CLI-level end-to-end on the smoke corpus. The loop shards every
@@ -260,9 +264,8 @@ step_quant() {
     cargo test --release --offline -q -p imre-tensor --test proptest_quant
     IMRE_FORCE_SCALAR=1 cargo test --release --offline -q -p imre-tensor --test proptest_quant
 
-    # .imrb v3 layout (alignment, checksums, zero-copy borrows, v1/v2
-    # passthrough) and the int8 serving integration suite.
-    cargo test --offline -q -p imre-serve --test bundle_v3
+    # The int8 serving integration suite (the .imrb v3 layout runs in the
+    # formats step).
     cargo test --offline -q -p imre-serve --test quant_serving
 
     # Process-global zero-allocation budget of a warm quantized pass.
@@ -286,12 +289,10 @@ step_quant() {
 
 step_stream() {
     # Streaming-ingest suites: streamed-graph byte-identity and refine
-    # determinism proptests, the live background-updater integration (cold
-    # start entity answerable after a hot-swap publish), and the
-    # 256-connection hot-swap-under-load fault injection with the deferred
-    # mmap-unmap assertion.
+    # determinism proptests, and the live background-updater integration
+    # (cold start entity answerable after a hot-swap publish). The
+    # hot-swap-under-load fault injection runs in the formats step.
     cargo test --offline -q -p imre-stream
-    cargo test --offline -q -p imre-serve --test hot_swap_under_load
 
     # CLI-level end-to-end: replaying a 3-batch delta stream must produce a
     # bundle byte-identical to the single-batch build on the merged corpus,
@@ -326,6 +327,24 @@ step_stream() {
     echo "stream: replay byte-identical across batching and --threads"
 }
 
+step_formats() {
+    # Twice: the dev profile panics on integer overflow, release wraps, so
+    # a size check that only one of them exercises is caught either way.
+    local profile
+    for profile in dev release; do
+        local flags=(--offline -q)
+        [[ "$profile" == release ]] && flags+=(--release)
+        cargo test "${flags[@]}" -p imre --test golden_digests
+        cargo test "${flags[@]}" -p imre-tensor --lib -- bytes:: mmap::
+        cargo test "${flags[@]}" -p imre-nn --lib -- serialize::
+        cargo test "${flags[@]}" -p imre-core --lib -- persist:: checkpoint::
+        cargo test "${flags[@]}" -p imre-ann --lib -- serialize::
+        cargo test "${flags[@]}" -p imre-serve --test artifact_bytes \
+            --test bundle_compat --test bundle_v3 --test hot_swap_under_load
+    done
+    echo "formats: every codec green in the dev and release profiles"
+}
+
 step_bench() {
     CRITERION_SAMPLE_MS=1 cargo bench --offline -p imre-bench --bench micro_ops
 }
@@ -354,7 +373,7 @@ case "${1:-}" in
     steps=(fmt clippy test serve-faults)
     ;;
 "")
-    steps=(fmt clippy build test serve-faults alloc-gate train knn simd quant stream bench repo-bench)
+    steps=(fmt clippy build test serve-faults alloc-gate train knn simd quant stream formats bench repo-bench)
     ;;
 *)
     steps=("$@")
@@ -363,12 +382,12 @@ esac
 
 for s in "${steps[@]}"; do
     case "$s" in
-    fmt | clippy | build | test | train | knn | simd | quant | stream | bench) run_step "$s" "step_$s" ;;
+    fmt | clippy | build | test | train | knn | simd | quant | stream | formats | bench) run_step "$s" "step_$s" ;;
     serve-faults) run_step "$s" step_serve_faults ;;
     alloc-gate) run_step "$s" step_alloc_gate ;;
     repo-bench) run_step "$s" step_repo_bench ;;
     *)
-        echo "ci.sh: unknown step '$s' (valid: fmt clippy build test serve-faults alloc-gate train knn simd quant stream bench repo-bench)" >&2
+        echo "ci.sh: unknown step '$s' (valid: fmt clippy build test serve-faults alloc-gate train knn simd quant stream formats bench repo-bench)" >&2
         exit 2
         ;;
     esac
