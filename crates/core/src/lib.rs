@@ -19,7 +19,6 @@
 //! * [`baselines`] — the non-neural comparators of Figure 4 (Mintz, MultiR,
 //!   MIMLRE) and the CNN+RL reinforcement-learning selector.
 
-pub mod adversarial;
 pub mod attention;
 pub mod baselines;
 pub mod checkpoint;
@@ -36,7 +35,6 @@ pub mod quant;
 pub(crate) mod testutil;
 pub mod train;
 
-pub use adversarial::{adversarial_bag_step, train_adversarial, AdvConfig};
 pub use attention::{AggKind, SelectiveAttention, WordAttention};
 pub use checkpoint::{load_checkpoint, save_checkpoint, Checkpoint, CheckpointCfg, ResumePoint};
 pub use components::{Combiner, MrComponent, TypeComponent};

@@ -20,7 +20,6 @@
 //! ```
 
 pub mod alias;
-pub mod gnn;
 pub mod knn;
 pub mod line;
 pub mod pca;
@@ -28,7 +27,6 @@ pub mod proximity;
 pub mod refine;
 
 pub use alias::AliasTable;
-pub use gnn::{propagate, PropagationConfig};
 pub use knn::{nearest, nearest_pairs};
 pub use line::{train_line, EntityEmbedding, LineConfig};
 pub use pca::pca_project;
