@@ -29,17 +29,32 @@ fn main() {
             let m = p.dataset.num_relations();
             let mut mintz = Mintz::new(m, 16);
             mintz.train(&p.train_bags, &p.types, 5, 0.1, seed);
-            let ev = evaluate_system(&p.test_bags, m, |b| mintz.predict(b, &p.types));
+            let scores: Vec<Vec<f32>> = p
+                .test_bags
+                .iter()
+                .map(|b| mintz.predict(b, &p.types))
+                .collect();
+            let ev = evaluate_system(&p.test_bags, m, &scores);
             println!("{}", format_pr_series("Mintz", &ev.curve, 60));
 
             let mut multir = MultiR::new(m, 16);
             multir.train(&p.train_bags, &p.types, 5, 0.5, seed);
-            let ev = evaluate_system(&p.test_bags, m, |b| multir.predict(b, &p.types));
+            let scores: Vec<Vec<f32>> = p
+                .test_bags
+                .iter()
+                .map(|b| multir.predict(b, &p.types))
+                .collect();
+            let ev = evaluate_system(&p.test_bags, m, &scores);
             println!("{}", format_pr_series("MultiR", &ev.curve, 60));
 
             let mut mimlre = Mimlre::new(m, 16);
             mimlre.train(&p.train_bags, &p.types, 3, 0.1, seed);
-            let ev = evaluate_system(&p.test_bags, m, |b| mimlre.predict(b, &p.types));
+            let scores: Vec<Vec<f32>> = p
+                .test_bags
+                .iter()
+                .map(|b| mimlre.predict(b, &p.types))
+                .collect();
+            let ev = evaluate_system(&p.test_bags, m, &scores);
             println!("{}", format_pr_series("MIMLRE", &ev.curve, 60));
         }
 

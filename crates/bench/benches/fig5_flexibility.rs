@@ -26,7 +26,7 @@ fn main() {
         let mut rows = Vec::new();
         let all_specs: Vec<imre_core::ModelSpec> =
             bases.iter().flat_map(|&b| [b, b.with_tmr()]).collect();
-        let all_evals = p.run_systems_parallel(&all_specs, &seed_list);
+        let all_evals = p.run_grid(&all_specs, &seed_list, 0);
         for (i, base) in bases.iter().enumerate() {
             let base = *base;
             let ev_base = mean_evaluation(&all_evals[2 * i]);

@@ -20,11 +20,10 @@ fn main() {
         let p = build_pipeline(&config);
         let base = p.train_system(ModelSpec::pcnn_att(), seed);
         let full = p.train_system(ModelSpec::pa_tmr(), seed);
-        let ctx = p.ctx();
         let base_f1 =
-            f1_by_cooccurrence_quantile(&p.test_bags, &p.co, BUCKETS, |b| base.predict(b, &ctx));
+            f1_by_cooccurrence_quantile(&p.test_bags, &p.co, BUCKETS, &p.test_scores(&base));
         let full_f1 =
-            f1_by_cooccurrence_quantile(&p.test_bags, &p.co, BUCKETS, |b| full.predict(b, &ctx));
+            f1_by_cooccurrence_quantile(&p.test_bags, &p.co, BUCKETS, &p.test_scores(&full));
         let rows: Vec<Vec<String>> = base_f1
             .iter()
             .zip(&full_f1)

@@ -22,9 +22,8 @@ fn main() {
         let p = build_pipeline(&config);
         let base = p.train_system(ModelSpec::pcnn_att(), seed);
         let full = p.train_system(ModelSpec::pa_tmr(), seed);
-        let ctx = p.ctx();
-        let base_f1 = f1_by_sentence_count(&p.test_bags, |b| base.predict(b, &ctx));
-        let full_f1 = f1_by_sentence_count(&p.test_bags, |b| full.predict(b, &ctx));
+        let base_f1 = f1_by_sentence_count(&p.test_bags, &p.test_scores(&base));
+        let full_f1 = f1_by_sentence_count(&p.test_bags, &p.test_scores(&full));
         let rows: Vec<Vec<String>> = base_f1
             .iter()
             .zip(&full_f1)

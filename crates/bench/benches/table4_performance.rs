@@ -32,9 +32,8 @@ fn run_cnn_rl(p: &Pipeline, seed: u64) -> Evaluation {
     rl.classifier.set_word_embeddings(p.word_vectors.clone());
     let ctx = p.ctx();
     rl.train(&p.train_bags, &ctx, &cfg);
-    evaluate_system(&p.test_bags, p.dataset.num_relations(), |bag| {
-        rl.predict(bag, &ctx)
-    })
+    let scores: Vec<Vec<f32>> = p.test_bags.iter().map(|b| rl.predict(b, &ctx)).collect();
+    evaluate_system(&p.test_bags, p.dataset.num_relations(), &scores)
 }
 
 fn main() {
@@ -55,7 +54,7 @@ fn main() {
         println!("\n[{}] pipeline built in {:?}", config.name, t0.elapsed());
         let mut rows = Vec::new();
         let t = Instant::now();
-        let all_evals = p.run_systems_parallel(&specs, &seed_list);
+        let all_evals = p.run_grid(&specs, &seed_list, 0);
         println!(
             "  {} systems × {} seed(s) trained in {:?}",
             specs.len(),

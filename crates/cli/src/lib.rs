@@ -34,8 +34,8 @@ USAGE:
                   [--knn-k N] [--knn-lambda L] [--knn-buckets N]
                   interpolation parameters (default k=8, λ=0.3, 5 buckets)
   imre compare    --dataset <nyt|gds|smoke> [--seeds N] [--epochs N]
-                  [--parallel-seeds N]   train at most N seeds concurrently
-                  (0 = all at once, the default)
+                  [--parallel-seeds N]   train at most N (model, seed)
+                  runs concurrently (0 = all at once, the default)
   imre case-study --dataset <nyt|gds|smoke> [--entity NAME] [--k N]
   imre quantize   --bundle FILE --out FILE   re-export a bundle with a
                   per-row int8 copy of the model (.imrb version 3; loads
@@ -479,6 +479,7 @@ fn cmd_quantize(flags: &Flags) -> Result<(), CliError> {
         // One pass per precision over the held-out bags; the score pairs
         // feed both the drift check and the metric deltas.
         let mut drift = 0.0f32;
+        let mut f_scores: Vec<Vec<f32>> = Vec::with_capacity(pipeline.test_bags.len());
         let mut q_scores: Vec<Vec<f32>> = Vec::with_capacity(pipeline.test_bags.len());
         for bag in &pipeline.test_bags {
             let f = bundle.model.predict(bag, &ctx);
@@ -487,15 +488,11 @@ fn cmd_quantize(flags: &Flags) -> Result<(), CliError> {
             for (a, b) in f.iter().zip(&q) {
                 drift = drift.max((a - b).abs());
             }
+            f_scores.push(f);
             q_scores.push(q);
         }
-        let f32_ev = imre_eval::evaluate_system(&pipeline.test_bags, nr, |bag| {
-            bundle.model.predict(bag, &ctx)
-        });
-        let mut it = q_scores.into_iter();
-        let q_ev = imre_eval::evaluate_system(&pipeline.test_bags, nr, |_| {
-            it.next().expect("one score vector per bag")
-        });
+        let f32_ev = imre_eval::evaluate_system(&pipeline.test_bags, nr, &f_scores);
+        let q_ev = imre_eval::evaluate_system(&pipeline.test_bags, nr, &q_scores);
         println!(
             "check {}: bags={} max_score_drift={drift:.6}",
             config.name,
@@ -811,19 +808,17 @@ fn cmd_compare(flags: &Flags) -> Result<(), CliError> {
     let config = dataset_config(flags.required("dataset")?, seed)?;
     let pipeline = Pipeline::build(&config, hp_with_epochs(epochs));
     let seeds: Vec<u64> = (0..n_seeds.max(1)).map(|i| 100 + 37 * i).collect();
-    println!("{:<10} {:>8} {:>8} {:>8}", "model", "AUC", "F1", "P@100");
-    for spec in [
+    let specs = [
         ModelSpec::pcnn(),
         ModelSpec::pcnn_att(),
         ModelSpec::pa_t(),
         ModelSpec::pa_mr(),
         ModelSpec::pa_tmr(),
-    ] {
-        let m = imre_eval::mean_evaluation(&pipeline.run_system_seeds_bounded(
-            spec,
-            &seeds,
-            parallel_seeds,
-        ));
+    ];
+    let evals = pipeline.run_grid(&specs, &seeds, parallel_seeds);
+    println!("{:<10} {:>8} {:>8} {:>8}", "model", "AUC", "F1", "P@100");
+    for (spec, evals) in specs.iter().zip(&evals) {
+        let m = imre_eval::mean_evaluation(evals);
         println!(
             "{:<10} {:>8.4} {:>8.4} {:>8.2}",
             spec.name(),

@@ -10,26 +10,26 @@
 use crate::metrics::{evaluate_predictions, Evaluation, Prediction};
 use imre_core::PreparedBag;
 
-/// Evaluates an arbitrary scoring function over prepared test bags.
-///
-/// `predict` returns a per-relation score vector (index 0 = NA, skipped).
+/// Evaluates a score table over prepared test bags: `scores[i]` is the
+/// per-relation score vector of `bags[i]` (index 0 = NA, skipped).
 ///
 /// # Panics
-/// If the test split has no non-NA bag.
+/// If the table does not hold one row per bag, or the test split has no
+/// non-NA bag.
 pub fn evaluate_system(
     bags: &[PreparedBag],
     num_relations: usize,
-    mut predict: impl FnMut(&PreparedBag) -> Vec<f32>,
+    scores: &[Vec<f32>],
 ) -> Evaluation {
+    assert_eq!(scores.len(), bags.len(), "evaluate_system: one row per bag");
     let mut predictions = Vec::with_capacity(bags.len() * (num_relations - 1));
     let mut positives = 0usize;
-    for bag in bags {
+    for (bag, row) in bags.iter().zip(scores) {
         if bag.label != 0 {
             positives += 1;
         }
-        let scores = predict(bag);
-        debug_assert_eq!(scores.len(), num_relations);
-        for (r, &score) in scores.iter().enumerate().skip(1) {
+        debug_assert_eq!(row.len(), num_relations);
+        for (r, &score) in row.iter().enumerate().skip(1) {
             predictions.push(Prediction {
                 score,
                 correct: bag.label == r,
@@ -43,27 +43,37 @@ pub fn evaluate_system(
     evaluate_predictions(predictions, positives)
 }
 
-/// Micro-F1 of hard (argmax) predictions over a bag subset: a bag counts as
-/// predicted-positive when its argmax is non-NA, and as correct when the
-/// argmax equals its label. Used by the Figure 6/7 slice analyses.
-pub fn hard_f1(bags: &[PreparedBag], mut predict: impl FnMut(&PreparedBag) -> Vec<f32>) -> f32 {
+/// Micro-F1 of hard (argmax) predictions over a score table (`scores[i]`
+/// for `bags[i]`): a bag counts as predicted-positive when its argmax is
+/// non-NA, and as correct when the argmax equals its label.
+pub fn hard_f1(bags: &[PreparedBag], scores: &[Vec<f32>]) -> f32 {
+    assert_eq!(scores.len(), bags.len(), "hard_f1: one row per bag");
+    hard_f1_of(bags, scores, 0..bags.len())
+}
+
+/// [`hard_f1`] over the bags at `indices` — the Figure 6/7 slices.
+pub(crate) fn hard_f1_of(
+    bags: &[PreparedBag],
+    scores: &[Vec<f32>],
+    indices: impl IntoIterator<Item = usize>,
+) -> f32 {
     let mut predicted_pos = 0usize;
     let mut actual_pos = 0usize;
     let mut correct_pos = 0usize;
-    for bag in bags {
-        let scores = predict(bag);
-        let argmax = scores
+    for i in indices {
+        let label = bags[i].label;
+        let argmax = scores[i]
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite scores"))
             .map(|(i, _)| i)
             .expect("non-empty scores");
-        if bag.label != 0 {
+        if label != 0 {
             actual_pos += 1;
         }
         if argmax != 0 {
             predicted_pos += 1;
-            if argmax == bag.label {
+            if argmax == label {
                 correct_pos += 1;
             }
         }
@@ -80,6 +90,16 @@ pub fn hard_f1(bags: &[PreparedBag], mut predict: impl FnMut(&PreparedBag) -> Ve
 mod tests {
     use super::*;
     use imre_core::{PreparedBag, SentenceFeatures};
+
+    fn oracle(bags: &[PreparedBag], n: usize) -> Vec<Vec<f32>> {
+        bags.iter()
+            .map(|b| {
+                let mut s = vec![0.0; n];
+                s[b.label] = 1.0;
+                s
+            })
+            .collect()
+    }
 
     fn bag(label: usize) -> PreparedBag {
         PreparedBag {
@@ -99,11 +119,7 @@ mod tests {
     #[test]
     fn oracle_scores_give_perfect_eval() {
         let bags: Vec<PreparedBag> = vec![bag(1), bag(2), bag(0), bag(1)];
-        let ev = evaluate_system(&bags, 3, |b| {
-            let mut s = vec![0.0; 3];
-            s[b.label] = 1.0;
-            s
-        });
+        let ev = evaluate_system(&bags, 3, &oracle(&bags, 3));
         assert!((ev.f1 - 1.0).abs() < 1e-6, "f1 {}", ev.f1);
         assert!(ev.auc > 0.99);
     }
@@ -111,15 +127,16 @@ mod tests {
     #[test]
     fn random_scores_bounded_metrics() {
         let bags: Vec<PreparedBag> = (0..20).map(|i| bag(i % 3)).collect();
-        let mut c = 0u32;
-        let ev = evaluate_system(&bags, 3, |_| {
-            c += 1;
-            vec![
-                0.1,
-                ((c * 37 % 11) as f32) / 11.0,
-                ((c * 53 % 7) as f32) / 7.0,
-            ]
-        });
+        let scores: Vec<Vec<f32>> = (1..=20u32)
+            .map(|c| {
+                vec![
+                    0.1,
+                    ((c * 37 % 11) as f32) / 11.0,
+                    ((c * 53 % 7) as f32) / 7.0,
+                ]
+            })
+            .collect();
+        let ev = evaluate_system(&bags, 3, &scores);
         assert!(ev.auc > 0.0 && ev.auc < 1.0);
         assert!(ev.f1 > 0.0 && ev.f1 < 1.0);
     }
@@ -127,18 +144,14 @@ mod tests {
     #[test]
     fn hard_f1_oracle_is_one() {
         let bags: Vec<PreparedBag> = vec![bag(1), bag(0), bag(2)];
-        let f1 = hard_f1(&bags, |b| {
-            let mut s = vec![0.0; 3];
-            s[b.label] = 1.0;
-            s
-        });
+        let f1 = hard_f1(&bags, &oracle(&bags, 3));
         assert!((f1 - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn hard_f1_all_na_predictions_zero() {
         let bags: Vec<PreparedBag> = vec![bag(1), bag(2)];
-        let f1 = hard_f1(&bags, |_| vec![1.0, 0.0, 0.0]);
+        let f1 = hard_f1(&bags, &[vec![1.0, 0.0, 0.0], vec![1.0, 0.0, 0.0]]);
         assert_eq!(f1, 0.0);
     }
 
@@ -146,6 +159,6 @@ mod tests {
     #[should_panic(expected = "no non-NA bags")]
     fn all_na_test_split_panics() {
         let bags: Vec<PreparedBag> = vec![bag(0)];
-        let _ = evaluate_system(&bags, 2, |_| vec![0.5, 0.5]);
+        let _ = evaluate_system(&bags, 2, &[vec![0.5, 0.5]]);
     }
 }

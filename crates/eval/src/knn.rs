@@ -18,6 +18,7 @@ use crate::runner::Pipeline;
 use crate::slices::f1_by_cooccurrence_quantile;
 use imre_ann::{blend_scores, AnnIndex, HnswConfig, SearchScratch};
 use imre_core::{PreparedBag, ReModel};
+use imre_tensor::BufferPool;
 
 /// One co-occurrence-quantile bucket's F1 with and without interpolation.
 #[derive(Debug, Clone)]
@@ -79,10 +80,13 @@ pub fn build_index(pipeline: &Pipeline, model: &ReModel, seed: u64) -> AnnIndex 
 
 /// Evaluates a trained model with and without kNN label interpolation.
 ///
-/// The pure numbers come from the exact `model.predict` path (bit-identical
-/// to [`Pipeline::evaluate_model`]); the blended numbers re-score every
-/// test bag as `(1−λ)·model + λ·neighbor-votes` with `k` neighbors from an
-/// index built over the training bags (seeded with `seed`).
+/// Each test bag runs through the encoder once, via
+/// [`ReModel::predict_pooled`]: its scores are the pure numbers
+/// (bit-identical to [`ReModel::predict`], hence to
+/// [`Pipeline::evaluate_model`]) and its pooled representation is the kNN
+/// query. The blended numbers re-score the bag as
+/// `(1−λ)·model + λ·neighbor-votes` with `k` neighbors from an index built
+/// over the training bags (seeded with `seed`).
 pub fn evaluate_model_knn(
     pipeline: &Pipeline,
     model: &ReModel,
@@ -96,38 +100,34 @@ pub fn evaluate_model_knn(
     let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
     let index_bytes = index.serialized_len();
     let ctx = pipeline.ctx();
+    let bags = &pipeline.test_bags;
     let num_relations = pipeline.dataset.num_relations();
 
-    let mut base_predict = |bag: &PreparedBag| model.predict(bag, &ctx);
+    let blend = k > 0 && lambda > 0.0;
+    let mut pool = BufferPool::new();
     let mut scratch = SearchScratch::new();
+    let mut repr = vec![0.0f32; model.sent_dim()];
     let mut votes = vec![0.0f32; num_relations];
-    let mut blended_predict = |bag: &PreparedBag| {
-        let mut scores = model.predict(bag, &ctx);
-        if k > 0 && lambda > 0.0 {
-            let repr = model.predict_repr(bag);
+    let mut base_scores = Vec::with_capacity(bags.len());
+    let mut knn_scores = Vec::with_capacity(bags.len());
+    for bag in bags {
+        let scores = model.predict_pooled(bag, &ctx, &mut pool, blend.then_some(&mut repr[..]));
+        let mut blended = scores.clone();
+        if blend {
             let neighbors = index.search(&repr, k.min(index.len()), &mut scratch);
             index.label_votes_into(neighbors, &mut votes);
-            blend_scores(&mut scores, &votes, lambda);
+            blend_scores(&mut blended, &votes, lambda);
         }
-        scores
-    };
+        base_scores.push(scores);
+        knn_scores.push(blended);
+    }
 
-    let base = evaluate_system(&pipeline.test_bags, num_relations, &mut base_predict);
-    let blended = evaluate_system(&pipeline.test_bags, num_relations, &mut blended_predict);
-    let base_hard_f1 = hard_f1(&pipeline.test_bags, &mut base_predict);
-    let blended_hard_f1 = hard_f1(&pipeline.test_bags, &mut blended_predict);
-    let base_buckets = f1_by_cooccurrence_quantile(
-        &pipeline.test_bags,
-        &pipeline.co,
-        n_buckets,
-        &mut base_predict,
-    );
-    let knn_buckets = f1_by_cooccurrence_quantile(
-        &pipeline.test_bags,
-        &pipeline.co,
-        n_buckets,
-        &mut blended_predict,
-    );
+    let base = evaluate_system(bags, num_relations, &base_scores);
+    let blended = evaluate_system(bags, num_relations, &knn_scores);
+    let base_hard_f1 = hard_f1(bags, &base_scores);
+    let blended_hard_f1 = hard_f1(bags, &knn_scores);
+    let base_buckets = f1_by_cooccurrence_quantile(bags, &pipeline.co, n_buckets, &base_scores);
+    let knn_buckets = f1_by_cooccurrence_quantile(bags, &pipeline.co, n_buckets, &knn_scores);
     let buckets = base_buckets
         .into_iter()
         .zip(knn_buckets)

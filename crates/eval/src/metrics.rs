@@ -100,34 +100,29 @@ pub fn max_f1(curve: &[PrPoint]) -> (f32, f32, f32) {
     best
 }
 
-/// Precision over the `n` highest-scored predictions.
-pub fn p_at_n(predictions: &[Prediction], n: usize) -> f32 {
-    let mut sorted: Vec<&Prediction> = predictions.iter().collect();
-    sorted.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("finite scores"));
-    let top = &sorted[..n.min(sorted.len())];
-    if top.is_empty() {
-        return 0.0;
+/// Precision over the `n` highest-scored predictions, read off a curve
+/// from [`pr_curve`]: the precision at rank `min(n, len)`, or 0 for an
+/// empty curve or `n = 0`.
+pub fn p_at_n(curve: &[PrPoint], n: usize) -> f32 {
+    match n.min(curve.len()) {
+        0 => 0.0,
+        top => curve[top - 1].precision,
     }
-    top.iter().filter(|p| p.correct).count() as f32 / top.len() as f32
 }
 
 /// Bundles curve + scalar metrics from raw predictions.
 pub fn evaluate_predictions(predictions: Vec<Prediction>, total_positives: usize) -> Evaluation {
-    let p100 = p_at_n(&predictions, 100);
-    let p200 = p_at_n(&predictions, 200);
-    let p300 = p_at_n(&predictions, 300);
     let curve = pr_curve(predictions, total_positives);
-    let a = auc(&curve);
     let (f1, precision, recall) = max_f1(&curve);
     Evaluation {
-        curve,
-        auc: a,
+        auc: auc(&curve),
         f1,
         precision,
         recall,
-        p_at_100: p100,
-        p_at_200: p200,
-        p_at_300: p300,
+        p_at_100: p_at_n(&curve, 100),
+        p_at_200: p_at_n(&curve, 200),
+        p_at_300: p_at_n(&curve, 300),
+        curve,
     }
 }
 
@@ -204,10 +199,12 @@ mod tests {
             pred(0.7, true),
             pred(0.6, true),
         ];
-        assert!((p_at_n(&preds, 2) - 0.5).abs() < 1e-6);
-        assert!((p_at_n(&preds, 4) - 0.75).abs() < 1e-6);
+        let curve = pr_curve(preds, 3);
+        assert!((p_at_n(&curve, 2) - 0.5).abs() < 1e-6);
+        assert!((p_at_n(&curve, 4) - 0.75).abs() < 1e-6);
         // n beyond length falls back to all predictions
-        assert!((p_at_n(&preds, 100) - 0.75).abs() < 1e-6);
+        assert!((p_at_n(&curve, 100) - 0.75).abs() < 1e-6);
+        assert_eq!(p_at_n(&curve, 0), 0.0);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! graph → LINE embedding → model training → held-out evaluation.
 //!
 //! Every table/figure bench builds one [`Pipeline`] per dataset and then
-//! trains the systems it compares. Multi-seed runs fan out across threads
-//! (one model per thread; the pipeline is shared read-only).
+//! trains the systems it compares. A `(system, seed)` grid fans out across
+//! threads ([`Pipeline::run_grid`]: one model per thread; the pipeline is
+//! shared read-only).
 
 use crate::heldout::evaluate_system;
 use crate::metrics::Evaluation;
@@ -158,12 +159,23 @@ impl Pipeline {
         ))
     }
 
+    /// The score table of a trained model over the test split: one
+    /// [`ReModel::predict`] row per test bag, in bag order.
+    pub fn test_scores(&self, model: &ReModel) -> Vec<Vec<f32>> {
+        let ctx = self.ctx();
+        self.test_bags
+            .iter()
+            .map(|bag| model.predict(bag, &ctx))
+            .collect()
+    }
+
     /// Held-out evaluation of a trained model on the test split.
     pub fn evaluate_model(&self, model: &ReModel) -> Evaluation {
-        let ctx = self.ctx();
-        evaluate_system(&self.test_bags, self.dataset.num_relations(), |bag| {
-            model.predict(bag, &ctx)
-        })
+        evaluate_system(
+            &self.test_bags,
+            self.dataset.num_relations(),
+            &self.test_scores(model),
+        )
     }
 
     /// Trains and evaluates one system; convenience for single-seed runs.
@@ -172,90 +184,60 @@ impl Pipeline {
         self.evaluate_model(&model)
     }
 
-    /// Trains and evaluates several systems in parallel (one thread per
-    /// `(spec, seed)` pair), returning per-spec seed evaluations in input
-    /// order. This is what the table/figure benches use to exploit cores:
-    /// systems within one experiment are independent given the pipeline.
-    pub fn run_systems_parallel(&self, specs: &[ModelSpec], seeds: &[u64]) -> Vec<Vec<Evaluation>> {
-        let mut out: Vec<Vec<Option<Evaluation>>> =
-            specs.iter().map(|_| vec![None; seeds.len()]).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (si, &spec) in specs.iter().enumerate() {
-                for (ki, &seed) in seeds.iter().enumerate() {
-                    let this = &*self;
-                    handles.push(scope.spawn(move || (si, ki, this.run_system(spec, seed))));
-                }
-            }
-            for h in handles {
-                let (si, ki, ev) = h.join().expect("system-run thread panicked");
-                out[si][ki] = Some(ev);
-            }
-        });
-        out.into_iter()
-            .map(|per_seed| {
-                per_seed
-                    .into_iter()
-                    .map(|o| o.expect("every run filled"))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Trains and evaluates one system across several seeds in parallel,
-    /// returning the per-seed evaluations. Unbounded: every seed gets its
-    /// own thread (see [`run_system_seeds_bounded`](Self::run_system_seeds_bounded)
-    /// to cap memory).
-    pub fn run_system_seeds(&self, spec: ModelSpec, seeds: &[u64]) -> Vec<Evaluation> {
-        self.run_system_seeds_bounded(spec, seeds, 0)
-    }
-
-    /// Trains and evaluates one system across several seeds, at most
-    /// `max_parallel` concurrently (`0` = all at once — `imre compare
-    /// --parallel-seeds N`). Results come back in seed order; each seed's
-    /// run is deterministic in isolation, so the cap changes wall time and
-    /// peak memory, never the numbers.
-    pub fn run_system_seeds_bounded(
+    /// Trains and evaluates every `(spec, seed)` pair of the grid on scoped
+    /// OS threads, at most `max_parallel` at once (`0` = all at once —
+    /// `imre compare --parallel-seeds N`), and returns each spec's seed
+    /// evaluations in input order. Systems within one experiment are
+    /// independent given the pipeline, and each run is deterministic in
+    /// isolation, so the cap changes wall time and peak memory (every
+    /// concurrent run holds a full model), never a result.
+    pub fn run_grid(
         &self,
-        spec: ModelSpec,
+        specs: &[ModelSpec],
         seeds: &[u64],
         max_parallel: usize,
-    ) -> Vec<Evaluation> {
-        if seeds.len() == 1 {
-            return vec![self.run_system(spec, seeds[0])];
-        }
-        run_seeds(seeds, max_parallel, |seed| self.run_system(spec, seed))
+    ) -> Vec<Vec<Evaluation>> {
+        let jobs: Vec<(ModelSpec, u64)> = specs
+            .iter()
+            .flat_map(|&spec| seeds.iter().map(move |&seed| (spec, seed)))
+            .collect();
+        let mut evals = run_capped(&jobs, max_parallel, |(spec, seed)| {
+            self.run_system(spec, seed)
+        })
+        .into_iter();
+        specs
+            .iter()
+            .map(|_| evals.by_ref().take(seeds.len()).collect())
+            .collect()
     }
 }
 
-/// Runs `f(seed)` for every seed on scoped OS threads, at most
-/// `max_parallel` concurrently (`0` = all at once), returning results in
-/// input order. Each seed's run is deterministic in isolation, so the cap
-/// changes wall time and peak memory (every concurrent run holds a full
-/// model), never a result.
+/// Runs `f(job)` for every job on scoped OS threads, in waves of at most
+/// `max_parallel` (`0` = all at once), returning results in input order.
 ///
 /// Panics in `f` propagate to the caller after the wave completes.
-fn run_seeds<T, F>(seeds: &[u64], max_parallel: usize, f: F) -> Vec<T>
+fn run_capped<J, T, F>(jobs: &[J], max_parallel: usize, f: F) -> Vec<T>
 where
+    J: Copy + Send,
     T: Send,
-    F: Fn(u64) -> T + Sync,
+    F: Fn(J) -> T + Sync,
 {
     let cap = if max_parallel == 0 {
-        seeds.len().max(1)
+        jobs.len().max(1)
     } else {
         max_parallel
     };
     let f = &f;
-    let mut out = Vec::with_capacity(seeds.len());
-    for wave in seeds.chunks(cap) {
-        let wave_results: Vec<T> = std::thread::scope(|s| {
-            let handles: Vec<_> = wave.iter().map(|&seed| s.spawn(move || f(seed))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("seed run panicked"))
-                .collect()
+    let mut out = Vec::with_capacity(jobs.len());
+    for wave in jobs.chunks(cap) {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = wave.iter().map(|&job| s.spawn(move || f(job))).collect();
+            out.extend(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("grid run panicked")),
+            );
         });
-        out.extend(wave_results);
     }
     out
 }
@@ -422,17 +404,20 @@ mod tests {
     #[test]
     fn bounded_seed_runner_matches_unbounded() {
         let p = smoke_pipeline();
-        let a = p.run_system_seeds(ModelSpec::pcnn(), &[1, 2]);
-        let b = p.run_system_seeds_bounded(ModelSpec::pcnn(), &[1, 2], 1);
-        for (x, y) in a.iter().zip(&b) {
+        let specs = [ModelSpec::pcnn(), ModelSpec::pcnn_att()];
+        let a = p.run_grid(&specs, &[1, 2], 0);
+        let b = p.run_grid(&specs, &[1, 2], 1);
+        assert_eq!(a.len(), 2);
+        for (x, y) in a.iter().flatten().zip(b.iter().flatten()) {
             assert_eq!(x.auc, y.auc, "cap must not change results");
         }
+        assert_eq!(a[1][0].auc, p.run_system(specs[1], 1).auc, "grid order");
     }
 
     #[test]
     fn multi_seed_runs_are_independent_and_parallel() {
         let p = smoke_pipeline();
-        let evals = p.run_system_seeds(ModelSpec::pcnn(), &[1, 2]);
+        let evals = p.run_grid(&[ModelSpec::pcnn()], &[1, 2], 0).remove(0);
         assert_eq!(evals.len(), 2);
         // different seeds should give (at least slightly) different results
         assert!(
@@ -448,7 +433,7 @@ mod tests {
     fn results_come_back_in_seed_order() {
         let seeds: Vec<u64> = (0..7).collect();
         for cap in [0usize, 1, 2, 7, 16] {
-            let got = run_seeds(&seeds, cap, |s| s * 10);
+            let got = run_capped(&seeds, cap, |s| s * 10);
             assert_eq!(got, vec![0, 10, 20, 30, 40, 50, 60], "cap={cap}");
         }
     }
@@ -459,7 +444,7 @@ mod tests {
         let live = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
         let seeds: Vec<u64> = (0..8).collect();
-        run_seeds(&seeds, 2, |_| {
+        run_capped(&seeds, 2, |_| {
             let now = live.fetch_add(1, Ordering::SeqCst) + 1;
             peak.fetch_max(now, Ordering::SeqCst);
             std::thread::sleep(std::time::Duration::from_millis(5));
@@ -470,7 +455,7 @@ mod tests {
 
     #[test]
     fn empty_seed_list_is_fine() {
-        let got: Vec<u64> = run_seeds(&[], 4, |s| s);
+        let got: Vec<u64> = run_capped(&[], 4, |s: u64| s);
         assert!(got.is_empty());
     }
 }

@@ -9,11 +9,12 @@
 //!   quantity that controls how much textual evidence the model sees for
 //!   the pair. Documented in DESIGN.md.)
 
-use crate::heldout::hard_f1;
+use crate::heldout::hard_f1_of;
 use imre_core::PreparedBag;
 use imre_corpus::CoOccurrence;
 
-/// F1 per quantile bucket of unlabeled-corpus co-occurrence counts.
+/// F1 per quantile bucket of unlabeled-corpus co-occurrence counts, from a
+/// score table (`scores[i]` for `bags[i]`).
 ///
 /// Pairs are sorted by co-occurrence count and cut into `n_buckets` equal
 /// slices; the returned vector holds `(upper-quantile-label, f1)` per
@@ -22,51 +23,38 @@ pub fn f1_by_cooccurrence_quantile(
     bags: &[PreparedBag],
     co: &CoOccurrence,
     n_buckets: usize,
-    mut predict: impl FnMut(&PreparedBag) -> Vec<f32>,
+    scores: &[Vec<f32>],
 ) -> Vec<(String, f32)> {
     assert!(n_buckets > 0, "need at least one bucket");
-    let mut indexed: Vec<(usize, u32)> = bags
-        .iter()
+    assert_eq!(scores.len(), bags.len(), "one score row per bag");
+    let mut order: Vec<usize> = (0..bags.len()).collect();
+    order.sort_by_key(|&i| co.count(bags[i].head, bags[i].tail));
+    let per = order.len().div_ceil(n_buckets);
+    order
+        .chunks(per)
         .enumerate()
-        .map(|(i, b)| (i, co.count(b.head, b.tail)))
-        .collect();
-    indexed.sort_by_key(|&(_, c)| c);
-    let per = indexed.len().div_ceil(n_buckets);
-    let mut out = Vec::with_capacity(n_buckets);
-    for (bi, chunk) in indexed.chunks(per).enumerate() {
-        let subset: Vec<PreparedBag> = chunk.iter().map(|&(i, _)| bags[i].clone()).collect();
-        let f1 = hard_f1(&subset, &mut predict);
-        let label = format!("q{}", (bi + 1) * 100 / n_buckets);
-        out.push((label, f1));
-    }
-    out
+        .map(|(bi, chunk)| {
+            let label = format!("q{}", (bi + 1) * 100 / n_buckets);
+            (label, hard_f1_of(bags, scores, chunk.iter().copied()))
+        })
+        .collect()
 }
 
-/// F1 per sentence-count bucket (`1, 2, 3, 4, ≥5`).
-pub fn f1_by_sentence_count(
-    bags: &[PreparedBag],
-    mut predict: impl FnMut(&PreparedBag) -> Vec<f32>,
-) -> Vec<(String, f32)> {
+/// F1 per sentence-count bucket (`1, 2, 3, 4, ≥5`), from a score table
+/// (`scores[i]` for `bags[i]`).
+pub fn f1_by_sentence_count(bags: &[PreparedBag], scores: &[Vec<f32>]) -> Vec<(String, f32)> {
+    assert_eq!(scores.len(), bags.len(), "one score row per bag");
     let buckets: [(usize, usize); 5] = [(1, 1), (2, 2), (3, 3), (4, 4), (5, usize::MAX)];
     buckets
         .iter()
         .map(|&(lo, hi)| {
-            let subset: Vec<PreparedBag> = bags
-                .iter()
-                .filter(|b| b.sentences.len() >= lo && b.sentences.len() <= hi)
-                .cloned()
-                .collect();
             let label = if hi == usize::MAX {
                 format!("{lo}+")
             } else {
                 lo.to_string()
             };
-            let f1 = if subset.is_empty() {
-                0.0
-            } else {
-                hard_f1(&subset, &mut predict)
-            };
-            (label, f1)
+            let subset = (0..bags.len()).filter(|&i| (lo..=hi).contains(&bags[i].sentences.len()));
+            (label, hard_f1_of(bags, scores, subset))
         })
         .collect()
 }
@@ -75,6 +63,16 @@ pub fn f1_by_sentence_count(
 mod tests {
     use super::*;
     use imre_core::SentenceFeatures;
+
+    fn oracle(bags: &[PreparedBag]) -> Vec<Vec<f32>> {
+        bags.iter()
+            .map(|b| {
+                let mut s = vec![0.0; 3];
+                s[b.label] = 1.0;
+                s
+            })
+            .collect()
+    }
 
     fn bag(head: usize, label: usize, n_sentences: usize) -> PreparedBag {
         let s = SentenceFeatures {
@@ -99,11 +97,7 @@ mod tests {
         for i in 0..12 {
             co.add(i, i + 100, (i as u32 + 1) * 3);
         }
-        let out = f1_by_cooccurrence_quantile(&bags, &co, 4, |b| {
-            let mut s = vec![0.0; 3];
-            s[b.label] = 1.0;
-            s
-        });
+        let out = f1_by_cooccurrence_quantile(&bags, &co, 4, &oracle(&bags));
         assert_eq!(out.len(), 4);
         for (label, f1) in &out {
             assert!(label.starts_with('q'));
@@ -118,14 +112,18 @@ mod tests {
     fn sentence_count_buckets_route_correctly() {
         let bags = vec![bag(0, 1, 1), bag(1, 1, 2), bag(2, 1, 7)];
         // oracle only for bags with ≥5 sentences; others predicted NA
-        let out = f1_by_sentence_count(&bags, |b| {
-            let mut s = vec![1.0, 0.0, 0.0];
-            if b.sentences.len() >= 5 {
-                s = vec![0.0; 3];
-                s[b.label] = 1.0;
-            }
-            s
-        });
+        let scores: Vec<Vec<f32>> = oracle(&bags)
+            .into_iter()
+            .zip(&bags)
+            .map(|(s, b)| {
+                if b.sentences.len() >= 5 {
+                    s
+                } else {
+                    vec![1.0, 0.0, 0.0]
+                }
+            })
+            .collect();
+        let out = f1_by_sentence_count(&bags, &scores);
         assert_eq!(out.len(), 5);
         assert_eq!(out[0].1, 0.0, "single-sentence bucket predicted NA");
         assert!(
@@ -138,11 +136,7 @@ mod tests {
     #[test]
     fn empty_bucket_yields_zero() {
         let bags = vec![bag(0, 1, 1)];
-        let out = f1_by_sentence_count(&bags, |b| {
-            let mut s = vec![0.0; 3];
-            s[b.label] = 1.0;
-            s
-        });
+        let out = f1_by_sentence_count(&bags, &oracle(&bags));
         assert_eq!(out[1].1, 0.0, "no 2-sentence bags");
     }
 }

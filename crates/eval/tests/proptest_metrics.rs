@@ -79,8 +79,10 @@ proptest! {
             v.sort_by_key(|p| !p.correct);
             v.iter().enumerate().map(|(i, p)| Prediction { score: 1.0 - i as f32 / v.len() as f32, correct: p.correct }).collect()
         };
+        let perfect = pr_curve(perfect, hits);
+        let given = pr_curve(preds, hits);
         for n in [1usize, 5, 20] {
-            prop_assert!(p_at_n(&perfect, n) >= p_at_n(&preds, n) - 1e-6);
+            prop_assert!(p_at_n(&perfect, n) >= p_at_n(&given, n) - 1e-6);
         }
     }
 

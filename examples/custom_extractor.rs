@@ -87,9 +87,8 @@ fn main() {
     println!("trained GRU+ATT: per-epoch loss {:?}", stats.epoch_losses);
 
     // 3. Evaluate and inspect one prediction.
-    let ev = evaluate_system(&test_bags, dataset.num_relations(), |bag| {
-        model.predict(bag, &ctx)
-    });
+    let scores: Vec<Vec<f32>> = test_bags.iter().map(|b| model.predict(b, &ctx)).collect();
+    let ev = evaluate_system(&test_bags, dataset.num_relations(), &scores);
     println!("held-out AUC {:.4}, F1 {:.4}", ev.auc, ev.f1);
 
     let bag = test_bags

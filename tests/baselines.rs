@@ -30,18 +30,23 @@ fn mintz_beats_random_on_heldout() {
 
     let mut mintz = Mintz::new(m_rel, 14);
     mintz.train(&train, &types, 5, 0.1, 1);
-    let ev = evaluate_system(&test, m_rel, |b| mintz.predict(b, &types));
+    let scores: Vec<Vec<f32>> = test.iter().map(|b| mintz.predict(b, &types)).collect();
+    let ev = evaluate_system(&test, m_rel, &scores);
 
     // random scores for comparison
     let mut c = 0u32;
-    let ev_rand = evaluate_system(&test, m_rel, |_| {
-        (0..m_rel)
-            .map(|r| {
-                c = c.wrapping_mul(1103515245).wrapping_add(12345 + r as u32);
-                (c % 1000) as f32 / 1000.0
-            })
-            .collect()
-    });
+    let random: Vec<Vec<f32>> = test
+        .iter()
+        .map(|_| {
+            (0..m_rel)
+                .map(|r| {
+                    c = c.wrapping_mul(1103515245).wrapping_add(12345 + r as u32);
+                    (c % 1000) as f32 / 1000.0
+                })
+                .collect()
+        })
+        .collect();
+    let ev_rand = evaluate_system(&test, m_rel, &random);
     assert!(
         ev.auc > ev_rand.auc + 0.1,
         "Mintz {:.3} should beat random {:.3}",
@@ -60,12 +65,14 @@ fn multir_and_mimlre_produce_sane_heldout_metrics() {
 
     let mut multir = MultiR::new(m_rel, 14);
     multir.train(&train, &types, 5, 0.5, 2);
-    let ev = evaluate_system(&test, m_rel, |b| multir.predict(b, &types));
+    let scores: Vec<Vec<f32>> = test.iter().map(|b| multir.predict(b, &types)).collect();
+    let ev = evaluate_system(&test, m_rel, &scores);
     assert!(ev.auc > 0.1 && ev.auc <= 1.0, "MultiR auc {}", ev.auc);
 
     let mut mimlre = Mimlre::new(m_rel, 14);
     mimlre.train(&train, &types, 3, 0.1, 3);
-    let ev = evaluate_system(&test, m_rel, |b| mimlre.predict(b, &types));
+    let scores: Vec<Vec<f32>> = test.iter().map(|b| mimlre.predict(b, &types)).collect();
+    let ev = evaluate_system(&test, m_rel, &scores);
     assert!(ev.auc > 0.1 && ev.auc <= 1.0, "MIMLRE auc {}", ev.auc);
 }
 
@@ -92,6 +99,7 @@ fn cnn_rl_trains_end_to_end() {
             ..Default::default()
         },
     );
-    let ev = evaluate_system(&test, m_rel, |b| rl.predict(b, &ctx));
+    let scores: Vec<Vec<f32>> = test.iter().map(|b| rl.predict(b, &ctx)).collect();
+    let ev = evaluate_system(&test, m_rel, &scores);
     assert!(ev.auc > 0.05 && ev.auc <= 1.0, "CNN+RL auc {}", ev.auc);
 }

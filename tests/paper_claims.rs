@@ -49,8 +49,9 @@ fn pa_tmr_beats_pcnn_att() {
     // relations and entity types improves the attention base model.
     let p = mid_pipeline();
     let seeds = [42, 43];
-    let base = mean_evaluation(&p.run_system_seeds(ModelSpec::pcnn_att(), &seeds));
-    let full = mean_evaluation(&p.run_system_seeds(ModelSpec::pa_tmr(), &seeds));
+    let evals = p.run_grid(&[ModelSpec::pcnn_att(), ModelSpec::pa_tmr()], &seeds, 0);
+    let base = mean_evaluation(&evals[0]);
+    let full = mean_evaluation(&evals[1]);
     assert!(
         full.auc > base.auc,
         "PA-TMR ({:.4}) must beat PCNN+ATT ({:.4})",
@@ -64,9 +65,9 @@ fn single_components_also_help() {
     // Table IV: PA-T and PA-MR individually outperform the base model.
     let p = mid_pipeline();
     let seeds = [7, 8];
-    let base = mean_evaluation(&p.run_system_seeds(ModelSpec::pcnn_att(), &seeds)).auc;
-    let pa_t = mean_evaluation(&p.run_system_seeds(ModelSpec::pa_t(), &seeds)).auc;
-    let pa_mr = mean_evaluation(&p.run_system_seeds(ModelSpec::pa_mr(), &seeds)).auc;
+    let specs = [ModelSpec::pcnn_att(), ModelSpec::pa_t(), ModelSpec::pa_mr()];
+    let evals = p.run_grid(&specs, &seeds, 0);
+    let [base, pa_t, pa_mr] = [0, 1, 2].map(|i| mean_evaluation(&evals[i]).auc);
     assert!(
         pa_t > base * 0.98,
         "PA-T ({pa_t:.4}) should not fall below PCNN+ATT ({base:.4})"
