@@ -23,7 +23,8 @@ use imre_tensor::BufferPool;
 /// One co-occurrence-quantile bucket's F1 with and without interpolation.
 #[derive(Debug, Clone)]
 pub struct KnnBucket {
-    /// Quantile label (`q20` … `q100`), increasing co-occurrence.
+    /// Quantile label `qX`: the quantile the bucket's last pair reaches
+    /// (see [`f1_by_cooccurrence_quantile`]).
     pub label: String,
     /// Hard-F1 of the pure model on this bucket.
     pub base_f1: f32,

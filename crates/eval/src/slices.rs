@@ -16,9 +16,12 @@ use imre_corpus::CoOccurrence;
 /// F1 per quantile bucket of unlabeled-corpus co-occurrence counts, from a
 /// score table (`scores[i]` for `bags[i]`).
 ///
-/// Pairs are sorted by co-occurrence count and cut into `n_buckets` equal
-/// slices; the returned vector holds `(upper-quantile-label, f1)` per
-/// bucket, in increasing co-occurrence order.
+/// Pairs are sorted by co-occurrence count and split into
+/// `min(n_buckets, len)` buckets whose sizes differ by at most one (the
+/// larger ones first). The returned vector holds `(label, f1)` per bucket,
+/// in increasing co-occurrence order; the label `qX` is the quantile the
+/// bucket's last pair reaches, `X = ⌊100 · end / len⌋`, so the top bucket
+/// is always `q100`.
 pub fn f1_by_cooccurrence_quantile(
     bags: &[PreparedBag],
     co: &CoOccurrence,
@@ -29,13 +32,15 @@ pub fn f1_by_cooccurrence_quantile(
     assert_eq!(scores.len(), bags.len(), "one score row per bag");
     let mut order: Vec<usize> = (0..bags.len()).collect();
     order.sort_by_key(|&i| co.count(bags[i].head, bags[i].tail));
-    let per = order.len().div_ceil(n_buckets);
-    order
-        .chunks(per)
-        .enumerate()
-        .map(|(bi, chunk)| {
-            let label = format!("q{}", (bi + 1) * 100 / n_buckets);
-            (label, hard_f1_of(bags, scores, chunk.iter().copied()))
+    let len = order.len();
+    let n = n_buckets.min(len);
+    // Bucket `b` is `order[end(b)..end(b + 1)]`.
+    let end = |b: usize| b * (len / n) + b.min(len % n);
+    (0..n)
+        .map(|b| {
+            let bucket = &order[end(b)..end(b + 1)];
+            let label = format!("q{}", end(b + 1) * 100 / len);
+            (label, hard_f1_of(bags, scores, bucket.iter().copied()))
         })
         .collect()
 }
@@ -106,6 +111,41 @@ mod tests {
                 "oracle must be perfect in every bucket"
             );
         }
+    }
+
+    /// 49 pairs in 8 buckets: sizes 7, 6, …, 6, each labelled by the
+    /// quantile its last pair reaches. Chunks of ⌈49/8⌉ = 7 would give 7
+    /// buckets, the last labelled `q87`.
+    #[test]
+    fn quantile_buckets_are_balanced_and_labelled_by_reach() {
+        let bags: Vec<PreparedBag> = (0..49).map(|i| bag(i, 1 + i % 2, 1)).collect();
+        let mut co = CoOccurrence::new();
+        for i in 0..49 {
+            co.add(i, i + 100, 49 - i as u32);
+        }
+        // Only the 7 lowest-co-occurrence pairs (heads 42..49) are scored
+        // right, so exactly the first bucket is perfect.
+        let scores: Vec<Vec<f32>> = bags
+            .iter()
+            .map(|b| {
+                let mut s = vec![0.0; 3];
+                s[if b.head >= 42 { b.label } else { 3 - b.label }] = 1.0;
+                s
+            })
+            .collect();
+        let out = f1_by_cooccurrence_quantile(&bags, &co, 8, &scores);
+        let labels: Vec<&str> = out.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["q14", "q26", "q38", "q51", "q63", "q75", "q87", "q100"]
+        );
+        assert_eq!(out[0].1, 1.0);
+        assert!(out[1..].iter().all(|&(_, f1)| f1 == 0.0), "{out:?}");
+
+        // More buckets than pairs: one pair per bucket.
+        let out = f1_by_cooccurrence_quantile(&bags[..3], &co, 5, &scores[..3]);
+        let labels: Vec<&str> = out.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(labels, ["q33", "q66", "q100"]);
     }
 
     #[test]
