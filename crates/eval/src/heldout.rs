@@ -1,4 +1,4 @@
-//! Running a system over a test split under the held-out protocol.
+//! Scoring a system's test-split score table under the held-out protocol.
 //!
 //! Every `(test bag, non-NA relation)` pair contributes one scored
 //! prediction; it counts as correct when the bag's distant-supervision label

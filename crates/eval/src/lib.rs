@@ -4,15 +4,15 @@
 //! 2020):
 //!
 //! * [`metrics`] — held-out PR curves, AUC, max-F1, P@N (paper §IV-A.2).
-//! * [`heldout`] — running any scoring function over a test split under
-//!   Lin et al.'s held-out protocol; hard-F1 for the slice analyses.
+//! * [`heldout`] — scoring a test split's score table (one row per bag)
+//!   under Lin et al.'s held-out protocol; hard-F1 for the slice analyses.
 //! * [`slices`] — the Figure 6 (co-occurrence quantile) and Figure 7
 //!   (sentence count) stratifications.
 //! * [`knn`] — kNN label-interpolation evaluation: builds the serving HNSW
 //!   index over training-bag representations and reports per-bucket F1
 //!   with/without the blend (`imre eval --knn`).
 //! * [`runner`] — the end-to-end [`Pipeline`] (dataset → proximity graph →
-//!   LINE → train → evaluate) with parallel multi-seed averaging.
+//!   LINE → train → evaluate) and its capped parallel (system, seed) grid.
 //! * [`report`] — plain-text tables and curve series, the output format of
 //!   every bench in `imre-bench`.
 
