@@ -2,17 +2,15 @@
 //! the int8 conv (packed GEMM vs per-row matvec, and the per-row loop on
 //! the AVX2 tier), the int8 gather, `axpy` and row softmax, the kNN distance and
 //! search, PCNN forward+backward, the fused encoder op, the row-sparse
-//! optimizer step, selective attention, LINE epochs and refine-mode
-//! updates, proximity-graph construction, and featurization.
+//! optimizer step, selective attention, LINE epochs, proximity-graph
+//! construction, and featurization.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use imre_ann::{AnnIndex, HnswConfig, SearchScratch};
 use imre_core::{featurize, HyperParams, ModelSpec, ReModel};
 use imre_corpus::{generate_unlabeled, Dataset, UnlabeledConfig};
 use imre_eval::smoke_config;
-use imre_graph::{
-    train_line, EntityEmbedding, LineConfig, LineState, ProximityGraph, RefineConfig,
-};
+use imre_graph::{train_line, EntityEmbedding, LineConfig, ProximityGraph};
 use imre_nn::{pcnn_segments_array, Conv1d, GradStore, ParamStore, Tape};
 use imre_tensor::quant::{self, QuantPack};
 use imre_tensor::simd::{self, Backend};
@@ -333,26 +331,6 @@ fn bench_graph_and_line(c: &mut Criterion) {
     };
     c.bench_function("line_10k_samples", |b| {
         b.iter(|| std::hint::black_box(train_line(&graph, &line)));
-    });
-
-    // One warm refine-mode update: what `RefreshMode::Refine` pays per delta
-    // batch (a 32-edge touched set: alias rebuild + 2k SGD samples), beside
-    // the canonical retrain in the row above.
-    let mut state = LineState::init(&graph, &line);
-    state.run_base_epochs(&graph);
-    let touched: Vec<(usize, usize)> = graph
-        .edges()
-        .iter()
-        .take(32)
-        .map(|&(u, v, _)| (u, v))
-        .collect();
-    let refine = RefineConfig {
-        samples: 2_000,
-        lr: 0.005,
-        negatives: 5,
-    };
-    c.bench_function("line_refine_update", |b| {
-        b.iter(|| std::hint::black_box(state.refine(&graph, &touched, &refine)));
     });
 }
 

@@ -57,10 +57,6 @@ USAGE:
                   registry while serving — watch the `stats` stream: line
                   [--publish-every N]   publish after every N delta batches
                   (default 1; 0 = only at end of stream)
-                  [--stream-refresh <canonical|refine>]   embedding refresh
-                  contract (default canonical: full retrain on the merged
-                  graph, batching-invariant; refine: warm-start refinement
-                  over delta-touched edges, cheaper, replay-reproducible)
                   [--stream-threshold N]   co-occurrence admission threshold
                   (default 2, the offline builder's)
                   [--stream-publish-out FILE]   also persist each published
@@ -83,11 +79,10 @@ USAGE:
   imre stream-replay --bundle FILE --deltas FILE --out FILE
                   re-derive offline the bundle a live `serve --stream` run
                   publishes: same base bundle + same deltas give
-                  byte-identical output; under the default canonical refresh
-                  the bytes are also invariant to batch boundaries and to
-                  --threads
-                  [--stream-refresh <canonical|refine>] [--stream-threshold N]
-                  same meaning as under `serve`
+                  byte-identical output, invariant to batch boundaries and
+                  to --threads (the refresh retrains LINE on the merged
+                  graph)
+                  [--stream-threshold N]   same meaning as under `serve`
 
 GLOBAL FLAGS (any subcommand):
   --threads N     size of the compute thread pool (default: IMRE_THREADS env
@@ -551,7 +546,6 @@ const SERVE_FLAGS: &[&str] = &[
     "stream",
     "publish-every",
     "stream-publish-out",
-    "stream-refresh",
     "stream-threshold",
 ];
 
@@ -651,10 +645,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
                     out_path,
                 },
             )?;
-            println!(
-                "streaming deltas from {path} (publish-every={publish_every}, refresh={})",
-                flags.optional("stream-refresh").unwrap_or("canonical"),
-            );
+            println!("streaming deltas from {path} (publish-every={publish_every})");
             Some(updater)
         }
         None => None,
@@ -665,38 +656,21 @@ fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
     }
 }
 
-/// Parses the shared streaming flags (`--stream-threshold`,
-/// `--stream-refresh`) used by `serve --stream` and `stream-replay`. The
-/// LINE dimension is overridden to the base bundle's embedding width when
-/// the stream starts, so it is not a flag.
+/// Parses the streaming flag (`--stream-threshold`) shared by
+/// `serve --stream` and `stream-replay`. The LINE dimension is overridden
+/// to the base bundle's embedding width when the stream starts, so it is
+/// not a flag.
 fn stream_build_config(flags: &Flags) -> Result<imre_stream::StreamBuildConfig, CliError> {
-    let threshold = flags.number("stream-threshold", 2u32)?;
-    let line = imre_graph::LineConfig::default();
-    let refresh = match flags.optional("stream-refresh").unwrap_or("canonical") {
-        "canonical" => imre_stream::RefreshMode::Canonical,
-        "refine" => imre_stream::RefreshMode::Refine(imre_graph::RefineConfig::from_line(&line)),
-        other => {
-            return Err(usage(format!(
-                "--stream-refresh must be canonical or refine, got {other:?}"
-            )))
-        }
-    };
     Ok(imre_stream::StreamBuildConfig {
-        threshold,
-        line,
+        threshold: flags.number("stream-threshold", 2u32)?,
+        line: imre_graph::LineConfig::default(),
         // `run` has already applied `--threads` / `IMRE_THREADS` to the pool
         threads: imre_tensor::pool::current_threads(),
-        refresh,
+        refresh: imre_stream::RefreshMode::Canonical,
     })
 }
 
-const STREAM_REPLAY_FLAGS: &[&str] = &[
-    "bundle",
-    "deltas",
-    "out",
-    "stream-refresh",
-    "stream-threshold",
-];
+const STREAM_REPLAY_FLAGS: &[&str] = &["bundle", "deltas", "out", "stream-threshold"];
 
 fn cmd_stream_replay(flags: &Flags) -> Result<(), CliError> {
     let bundle_path = PathBuf::from(flags.required("bundle")?);
@@ -979,35 +953,43 @@ mod tests {
         }
     }
 
+    /// There is one embedding refresh, so the flag that chose it is gone
+    /// from both subcommands that took it.
     #[test]
-    fn stream_refresh_rejects_unknown_mode() {
-        match run(&s(&[
-            "stream-replay",
-            "--bundle",
-            "m.imrb",
-            "--deltas",
-            "d.tsv",
-            "--out",
-            "o.imrb",
+    fn stream_refresh_is_an_unknown_flag() {
+        assert_unknown_flag(
+            &[
+                "serve",
+                "--bundle",
+                "m.imrb",
+                "--stream-refresh",
+                "canonical",
+            ],
             "--stream-refresh",
-            "turbo",
-        ])) {
-            Err(CliError::Usage(msg)) => assert!(msg.contains("stream-refresh"), "{msg}"),
-            other => panic!("expected usage error, got {other:?}"),
-        }
+        );
+        assert_unknown_flag(
+            &[
+                "stream-replay",
+                "--bundle",
+                "m.imrb",
+                "--deltas",
+                "d.tsv",
+                "--out",
+                "o.imrb",
+                "--stream-refresh",
+                "canonical",
+            ],
+            "--stream-refresh",
+        );
     }
 
     #[test]
-    fn stream_build_config_parses_modes() {
+    fn stream_build_config_parses_threshold_and_threads() {
         let f = Flags::parse(&s(&["--stream-threshold", "3"]), STREAM_REPLAY_FLAGS).unwrap();
         let pool = imre_tensor::pool::ThreadPool::new(3);
         let c = imre_tensor::pool::with_pool(&pool, || stream_build_config(&f)).unwrap();
         assert_eq!(c.threshold, 3);
         assert_eq!(c.threads, 3);
-        assert!(matches!(c.refresh, imre_stream::RefreshMode::Canonical));
-        let f = Flags::parse(&s(&["--stream-refresh", "refine"]), STREAM_REPLAY_FLAGS).unwrap();
-        let c = stream_build_config(&f).unwrap();
-        assert!(matches!(c.refresh, imre_stream::RefreshMode::Refine(_)));
     }
 
     #[test]

@@ -27,7 +27,6 @@ pub mod config;
 pub mod encoder;
 pub mod features;
 pub mod model;
-pub mod oov;
 pub mod persist;
 pub mod pretrain;
 pub mod quant;
@@ -42,7 +41,6 @@ pub use config::HyperParams;
 pub use encoder::{Encoder, EncoderKind, Frontend};
 pub use features::{featurize, SentenceFeatures};
 pub use model::{entity_type_table, prepare_bags, BagContext, ModelSpec, PreparedBag, ReModel};
-pub use oov::prune_to_train_vocab;
 pub use persist::{load_model, read_model, save_model, write_model};
 pub use pretrain::{corpus_sentences, train_skipgram, SkipGramConfig};
 pub use quant::{QuantModel, QuantScratch, QuantizeError};

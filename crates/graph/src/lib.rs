@@ -24,11 +24,9 @@ pub mod knn;
 pub mod line;
 pub mod pca;
 pub mod proximity;
-pub mod refine;
 
 pub use alias::AliasTable;
 pub use knn::{nearest, nearest_pairs};
 pub use line::{train_line, EntityEmbedding, LineConfig};
 pub use pca::pca_project;
 pub use proximity::ProximityGraph;
-pub use refine::{LineState, RefineConfig};

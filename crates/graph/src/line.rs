@@ -15,8 +15,9 @@
 //! for a vertex by concatenating corresponding embedding vectors learned
 //! from the two models").
 
+use crate::alias::AliasTable;
 use crate::proximity::ProximityGraph;
-use imre_tensor::{sigmoid_scalar, Tensor};
+use imre_tensor::{sigmoid_scalar, Tensor, TensorRng};
 
 /// LINE training hyperparameters.
 #[derive(Debug, Clone)]
@@ -124,25 +125,87 @@ impl EntityEmbedding {
 pub fn train_line(graph: &ProximityGraph, config: &LineConfig) -> EntityEmbedding {
     assert!(graph.n_edges() > 0, "train_line: graph has no edges");
     assert!(config.dim >= 2, "train_line: dim must be at least 2");
-    // The batch path is the streaming path run to completion: initialise the
-    // live state, run the full schedule, snapshot. `LineState` preserves the
-    // exact RNG draw order and update sequence of the original inline loop,
-    // so this delegation is byte-identical (pinned by
-    // `refine::tests::warm_start_matches_train_line_bitwise`).
-    let mut state = crate::refine::LineState::init(graph, config);
-    state.run_base_epochs(graph);
-    state.into_embedding()
+    let n = graph.n_vertices();
+    let half = config.dim / 2;
+    // Draw order is part of the output: `first`, then `second_v`, then the
+    // sample loop, all from one stream.
+    let mut rng = TensorRng::seed(config.seed);
+    let init_bound = 0.5 / half as f32;
+    let mut first = Tensor::rand_uniform(&[n, half], -init_bound, init_bound, &mut rng);
+    let mut second_v = Tensor::rand_uniform(&[n, half], -init_bound, init_bound, &mut rng);
+    let mut second_c = Tensor::zeros(&[n, half]);
+
+    let edges = graph.edges();
+    let edge_weights: Vec<f32> = edges.iter().map(|&(_, _, w)| w).collect();
+    let edge_table = AliasTable::new(&edge_weights);
+    let degree_pow: Vec<f32> = (0..n).map(|v| graph.degree(v).powf(0.75)).collect();
+    let noise_table = AliasTable::new(&degree_pow);
+
+    // Linear learning-rate decay over the whole schedule, floored at 1e-4.
+    let samples = config.samples_per_epoch * config.epochs;
+    let total_samples = samples.max(1);
+    for done in 0..samples {
+        let progress = done as f32 / total_samples as f32;
+        let lr = (config.lr * (1.0 - progress)).max(config.lr * 1e-4);
+        let edge = edges[edge_table.sample(&mut rng)];
+        step(
+            &mut first,
+            &mut second_v,
+            &mut second_c,
+            edge,
+            done + 1,
+            lr,
+            config.negatives,
+            half,
+            &noise_table,
+            &mut rng,
+        );
+    }
+
+    normalize_rows(&mut first);
+    normalize_rows(&mut second_v);
+    EntityEmbedding::from_matrix(Tensor::concat_cols(&[&first, &second_v]))
+}
+
+/// One alias-sampled SGD step: alternate the edge direction on step parity,
+/// one positive + `negatives` negative updates on the shared first-order
+/// table, same again across the vertex × context tables.
+#[allow(clippy::too_many_arguments)]
+fn step(
+    first: &mut Tensor,
+    second_v: &mut Tensor,
+    second_c: &mut Tensor,
+    (u, v, _): (usize, usize, f32),
+    step_index: usize,
+    lr: f32,
+    negatives: usize,
+    half: usize,
+    noise_table: &AliasTable,
+    rng: &mut TensorRng,
+) {
+    let (src, dst) = if step_index.is_multiple_of(2) {
+        (u, v)
+    } else {
+        (v, u)
+    };
+    sgd_pair(first, src, dst, true, lr, half);
+    for _ in 0..negatives {
+        let neg = noise_table.sample(rng);
+        if neg != src && neg != dst {
+            sgd_pair(first, src, neg, false, lr, half);
+        }
+    }
+    sgd_cross(second_v, second_c, src, dst, true, lr, half);
+    for _ in 0..negatives {
+        let neg = noise_table.sample(rng);
+        if neg != dst {
+            sgd_cross(second_v, second_c, src, neg, false, lr, half);
+        }
+    }
 }
 
 /// One negative-sampling SGD update where both vectors live in `table`.
-pub(crate) fn sgd_pair(
-    table: &mut Tensor,
-    a: usize,
-    b: usize,
-    positive: bool,
-    lr: f32,
-    dim: usize,
-) {
+fn sgd_pair(table: &mut Tensor, a: usize, b: usize, positive: bool, lr: f32, dim: usize) {
     let (va, vb) = two_rows(table, a, b, dim);
     let x: f32 = va.iter().zip(vb.iter()).map(|(&p, &q)| p * q).sum();
     let label = if positive { 1.0 } else { 0.0 };
@@ -156,7 +219,7 @@ pub(crate) fn sgd_pair(
 }
 
 /// One update where the source lives in `vertex` and target in `context`.
-pub(crate) fn sgd_cross(
+fn sgd_cross(
     vertex: &mut Tensor,
     context: &mut Tensor,
     src: usize,
@@ -195,7 +258,7 @@ fn two_rows(table: &mut Tensor, a: usize, b: usize, dim: usize) -> (&mut [f32], 
     }
 }
 
-pub(crate) fn normalize_rows(t: &mut Tensor) {
+fn normalize_rows(t: &mut Tensor) {
     let cols = t.cols();
     for row in t.data_mut().chunks_mut(cols) {
         let norm: f32 = row.iter().map(|&x| x * x).sum::<f32>().sqrt();

@@ -70,30 +70,22 @@ impl ProximityGraph {
         }
     }
 
-    /// Merges a count delta into a canonical accumulator and reports which
-    /// canonical pairs it touched.
+    /// Merges a count delta into a canonical accumulator.
     ///
-    /// Keys are normalised to `(min, max)`, self-pairs are dropped, and
-    /// duplicate pairs sum. The returned touched list is sorted and
-    /// deduplicated, so what consumes it (refinement's edge sampler) is
-    /// independent of the delta iterator's order — the hash-order-leak class
-    /// of bug `from_counts`' `sort_unstable` guards against.
-    pub fn merge_counts<I>(acc: &mut BTreeMap<(usize, usize), u32>, delta: I) -> Vec<(usize, usize)>
+    /// Keys are normalised to `(min, max)`, self-pairs and zero counts are
+    /// dropped, and duplicate pairs sum, so the accumulator does not depend
+    /// on the delta iterator's order.
+    pub fn merge_counts<I>(acc: &mut BTreeMap<(usize, usize), u32>, delta: I)
     where
         I: IntoIterator<Item = ((usize, usize), u32)>,
     {
-        let mut touched = Vec::new();
         for ((a, b), c) in delta {
             if a == b || c == 0 {
                 continue;
             }
             let key = if a < b { (a, b) } else { (b, a) };
             *acc.entry(key).or_insert(0) += c;
-            touched.push(key);
         }
-        touched.sort_unstable();
-        touched.dedup();
-        touched
     }
 
     /// Number of vertices.
@@ -253,10 +245,10 @@ mod tests {
         let mut rev = std::collections::BTreeMap::new();
         let mut reversed = delta.clone();
         reversed.reverse();
-        let ta = ProximityGraph::merge_counts(&mut fwd, delta);
-        let tb = ProximityGraph::merge_counts(&mut rev, reversed);
-        assert_eq!(ta, tb);
+        ProximityGraph::merge_counts(&mut fwd, delta);
+        ProximityGraph::merge_counts(&mut rev, reversed);
         assert_eq!(fwd, rev);
+        assert_eq!(fwd.keys().copied().collect::<Vec<_>>(), [(0, 2), (1, 3)]);
     }
 
     #[test]

@@ -166,7 +166,7 @@ pub struct Metrics {
     pub stream_last_publish_unix_ms: AtomicU64,
     /// Streaming ingestion: total nanoseconds spent refreshing embeddings
     /// (`/ stream_publishes` = mean refresh cost).
-    pub stream_refine_ns: AtomicU64,
+    pub stream_refresh_ns: AtomicU64,
     /// Streaming ingestion: malformed delta lines rejected with a typed
     /// error.
     pub stream_malformed: AtomicU64,
@@ -239,11 +239,11 @@ impl Metrics {
             "knn: queries={knn_queries} mean_query_ns={mean_query_ns:.0}"
         );
         let publishes = self.stream_publishes.load(Ordering::Relaxed);
-        let refine_ns = self.stream_refine_ns.load(Ordering::Relaxed);
-        let mean_refine_ns = if publishes == 0 {
+        let refresh_ns = self.stream_refresh_ns.load(Ordering::Relaxed);
+        let mean_refresh_ns = if publishes == 0 {
             0.0
         } else {
-            refine_ns as f64 / publishes as f64
+            refresh_ns as f64 / publishes as f64
         };
         let last_ms = self.stream_last_publish_unix_ms.load(Ordering::Relaxed);
         let age = if last_ms == 0 {
@@ -257,7 +257,7 @@ impl Metrics {
         };
         let _ = writeln!(
             out,
-            "stream: deltas_applied={} duplicates_dropped={} entities_admitted={} publishes={publishes} last_publish_age={age} mean_refine_ns={mean_refine_ns:.0} malformed={}",
+            "stream: deltas_applied={} duplicates_dropped={} entities_admitted={} publishes={publishes} last_publish_age={age} mean_refresh_ns={mean_refresh_ns:.0} malformed={}",
             self.stream_deltas_applied.load(Ordering::Relaxed),
             self.stream_duplicates_dropped.load(Ordering::Relaxed),
             self.stream_entities_admitted.load(Ordering::Relaxed),
@@ -359,7 +359,7 @@ mod tests {
         let m = Metrics::default();
         assert!(
             m.render().contains(
-                "stream: deltas_applied=0 duplicates_dropped=0 entities_admitted=0 publishes=0 last_publish_age=never mean_refine_ns=0 malformed=0"
+                "stream: deltas_applied=0 duplicates_dropped=0 entities_admitted=0 publishes=0 last_publish_age=never mean_refresh_ns=0 malformed=0"
             ),
             "stream line missing or wrong:\n{}",
             m.render()
@@ -367,13 +367,13 @@ mod tests {
         m.stream_deltas_applied.fetch_add(3, Ordering::Relaxed);
         Metrics::inc(&m.stream_entities_admitted);
         Metrics::inc(&m.stream_publishes);
-        m.stream_refine_ns.fetch_add(5000, Ordering::Relaxed);
+        m.stream_refresh_ns.fetch_add(5000, Ordering::Relaxed);
         m.stream_last_publish_unix_ms.store(1, Ordering::Relaxed);
         let text = m.render();
         assert!(text.contains("deltas_applied=3"), "{text}");
         assert!(text.contains("entities_admitted=1"), "{text}");
         assert!(text.contains("publishes=1"), "{text}");
-        assert!(text.contains("mean_refine_ns=5000"), "{text}");
+        assert!(text.contains("mean_refresh_ns=5000"), "{text}");
         assert!(!text.contains("last_publish_age=never"), "{text}");
     }
 

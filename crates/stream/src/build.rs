@@ -5,33 +5,26 @@
 //! and the offline `stream-replay` determinism checker — drive this exact
 //! pipeline, so what replay verifies is what serving runs.
 //!
-//! Two embedding refresh modes exist, with different determinism contracts
-//! (DESIGN §4i):
-//!
-//! * [`RefreshMode::Canonical`] — retrain LINE from scratch on the merged
-//!   graph. A pure function of `(merged counts, seed)`, therefore invariant
-//!   to how the stream was batched; this is what publishes and what the
-//!   byte-compare acceptance pins.
-//! * [`RefreshMode::Refine`] — warm-start [`LineState`] refinement over the
-//!   delta-touched edges. Path-dependent (different batchings give different
-//!   tables) but byte-reproducible for a fixed delta sequence, and much
-//!   cheaper per publish.
+//! The refresh retrains LINE from scratch on the merged graph
+//! ([`train_line`]): a pure function of `(merged counts, seed)`, therefore
+//! invariant to how the stream was batched and to the thread count. This is
+//! what publishes and what the byte-compare acceptance pins (DESIGN §4i).
 
 use imre_corpus::stream::DeltaBatch;
 use imre_corpus::CoOccurrence;
-use imre_graph::{train_line, EntityEmbedding, LineConfig, LineState, RefineConfig};
+use imre_graph::{train_line, EntityEmbedding, LineConfig};
 
 use crate::catalog::EntityCatalog;
 use crate::error::StreamUpdateError;
 use crate::incremental::IncrementalProximityGraph;
 
-/// How an embedding refresh is computed.
+/// How an embedding refresh is computed. There is one way, so this carries
+/// no choice: it is kept only because `benchmark/` names it, until the next
+/// benchmark revision retires it with [`StreamBuildConfig::refresh`].
 #[derive(Debug, Clone)]
 pub enum RefreshMode {
     /// Full LINE retrain on the merged graph — batching-invariant.
     Canonical,
-    /// Warm-start refinement over touched edges — replay-reproducible.
-    Refine(RefineConfig),
 }
 
 /// Configuration for a [`StreamBuild`].
@@ -40,13 +33,13 @@ pub struct StreamBuildConfig {
     /// Co-occurrence admission threshold (same meaning as the offline
     /// builder's).
     pub threshold: u32,
-    /// LINE hyperparameters for the canonical rebuild / warm start.
+    /// LINE hyperparameters for the refresh.
     pub line: LineConfig,
     /// Most worker threads per-batch pair counting may use (large batches
     /// are sharded round-robin and the shard tables summed —
     /// order-independent, so any thread count yields the same counts).
     pub threads: usize,
-    /// Embedding refresh mode.
+    /// Embedding refresh mode (always [`RefreshMode::Canonical`]).
     pub refresh: RefreshMode,
 }
 
@@ -61,18 +54,14 @@ pub struct BatchOutcome {
     pub entities_admitted: usize,
     /// Edges newly admitted past the threshold.
     pub edges_admitted: usize,
-    /// SGD samples applied by refine mode (0 in canonical mode).
-    pub refine_samples: usize,
 }
 
-/// Live ingest state: dedup window, entity catalog, merged count table, and
-/// (in refine mode) the warm LINE tables.
+/// Live ingest state: dedup window, entity catalog and merged count table.
 pub struct StreamBuild {
     config: StreamBuildConfig,
     dedup: imre_corpus::StableDedup,
     catalog: EntityCatalog,
     graph: IncrementalProximityGraph,
-    state: Option<LineState>,
 }
 
 impl StreamBuild {
@@ -90,12 +79,10 @@ impl StreamBuild {
             dedup: imre_corpus::StableDedup::new(),
             catalog,
             graph,
-            state: None,
         }
     }
 
-    /// Folds one delta batch into the graph (and, in refine mode, the warm
-    /// LINE tables).
+    /// Folds one delta batch into the catalog and the count table.
     pub fn apply_batch(&mut self, batch: DeltaBatch) -> Result<BatchOutcome, StreamUpdateError> {
         let before = batch.events.len();
         let fresh = self.dedup.retain_fresh(batch);
@@ -122,32 +109,11 @@ impl StreamBuild {
         outcome.entities_admitted = self.catalog.admitted() - admitted_before;
         let co = count_pairs_sharded(&resolved, self.config.threads);
         self.graph.ensure_vertices(self.catalog.len());
-        let delta = self.graph.apply_delta(co.iter().map(|(&p, &c)| (p, c)));
-        outcome.edges_admitted = delta.edges_admitted;
-        if let RefreshMode::Refine(rc) = &self.config.refresh {
-            if self.graph.n_edges() > 0 {
-                let snapshot = self.graph.snapshot();
-                let rc = rc.clone();
-                match &mut self.state {
-                    Some(state) => {
-                        outcome.refine_samples = state.refine(&snapshot, &delta.touched, &rc);
-                    }
-                    None => {
-                        // First edges just arrived: warm-start the tables
-                        // with the full batch schedule, then refinement
-                        // takes over for subsequent deltas.
-                        let mut state = LineState::init(&snapshot, &self.config.line);
-                        state.run_base_epochs(&snapshot);
-                        self.state = Some(state);
-                    }
-                }
-            }
-        }
+        outcome.edges_admitted = self.graph.apply_delta(co.iter().map(|(&p, &c)| (p, c)));
         Ok(outcome)
     }
 
-    /// Computes the current embedding snapshot per the configured refresh
-    /// mode.
+    /// Computes the current embedding: LINE retrained on the merged graph.
     ///
     /// # Errors
     /// [`StreamUpdateError::EmptyGraph`] before any edge is admitted.
@@ -156,25 +122,7 @@ impl StreamBuild {
             return Err(StreamUpdateError::EmptyGraph);
         }
         self.graph.ensure_vertices(self.catalog.len());
-        match &self.config.refresh {
-            RefreshMode::Canonical => Ok(train_line(&self.graph.snapshot(), &self.config.line)),
-            RefreshMode::Refine(_) => match &mut self.state {
-                Some(state) => {
-                    // catalog may have grown past the last refine (isolated
-                    // admissions); extend tables before snapshotting
-                    state.grow(&self.graph.snapshot());
-                    Ok(state.embedding())
-                }
-                None => {
-                    let snapshot = self.graph.snapshot();
-                    let mut state = LineState::init(&snapshot, &self.config.line);
-                    state.run_base_epochs(&snapshot);
-                    let emb = state.embedding();
-                    self.state = Some(state);
-                    Ok(emb)
-                }
-            },
-        }
+        Ok(train_line(&self.graph.snapshot(), &self.config.line))
     }
 
     /// The entity catalog (base + admitted).
@@ -247,7 +195,7 @@ mod tests {
         (0..n).map(|i| (format!("ent{i}"), vec![i % 5])).collect()
     }
 
-    fn config(refresh: RefreshMode) -> StreamBuildConfig {
+    fn config() -> StreamBuildConfig {
         StreamBuildConfig {
             threshold: 2,
             line: LineConfig {
@@ -257,7 +205,7 @@ mod tests {
                 ..Default::default()
             },
             threads: 2,
-            refresh,
+            refresh: RefreshMode::Canonical,
         }
     }
 
@@ -290,7 +238,7 @@ mod tests {
         let text = synth_delta_text(&names, 3, 10, 7);
         let merged = text.replace("\n\n", "\n");
         let build_with = |t: &str| {
-            let mut b = StreamBuild::new(&base_entities(8), 38, config(RefreshMode::Canonical));
+            let mut b = StreamBuild::new(&base_entities(8), 38, config());
             for batch in batches_of(t) {
                 b.apply_batch(batch).unwrap();
             }
@@ -302,29 +250,8 @@ mod tests {
     }
 
     #[test]
-    fn refine_mode_is_replay_reproducible() {
-        let names: Vec<String> = (0..8).map(|i| format!("ent{i}")).collect();
-        let text = synth_delta_text(&names, 4, 8, 3);
-        let run = || {
-            let rc = RefineConfig {
-                samples: 300,
-                lr: 0.01,
-                negatives: 5,
-            };
-            let mut b = StreamBuild::new(&base_entities(8), 38, config(RefreshMode::Refine(rc)));
-            for batch in batches_of(&text) {
-                b.apply_batch(batch).unwrap();
-            }
-            b.embedding().unwrap()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.matrix().data(), b.matrix().data());
-    }
-
-    #[test]
     fn cold_start_entity_is_admitted_and_embedded() {
-        let mut b = StreamBuild::new(&base_entities(3), 38, config(RefreshMode::Canonical));
+        let mut b = StreamBuild::new(&base_entities(3), 38, config());
         let text = "1\tent0\tnova:4\n2\tent0\tnova\n3\tent1\tent2\n4\tent1\tent2\n";
         for batch in batches_of(text) {
             b.apply_batch(batch).unwrap();
@@ -338,13 +265,13 @@ mod tests {
 
     #[test]
     fn empty_graph_embedding_is_typed_error() {
-        let mut b = StreamBuild::new(&base_entities(3), 38, config(RefreshMode::Canonical));
+        let mut b = StreamBuild::new(&base_entities(3), 38, config());
         assert!(matches!(b.embedding(), Err(StreamUpdateError::EmptyGraph)));
     }
 
     #[test]
     fn duplicates_are_counted_not_applied() {
-        let mut b = StreamBuild::new(&base_entities(3), 38, config(RefreshMode::Canonical));
+        let mut b = StreamBuild::new(&base_entities(3), 38, config());
         let text = "1\tent0\tent1\n\n1\tent0\tent1\n2\tent0\tent1\n";
         let batches = batches_of(text);
         let o1 = b.apply_batch(batches[0].clone()).unwrap();

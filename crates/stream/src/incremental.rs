@@ -19,15 +19,6 @@
 use imre_graph::ProximityGraph;
 use std::collections::BTreeMap;
 
-/// What one [`IncrementalProximityGraph::apply_delta`] call did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeltaOutcome {
-    /// Canonical pairs whose count changed, sorted, deduplicated.
-    pub touched: Vec<(usize, usize)>,
-    /// Pairs whose count crossed the threshold in this delta.
-    pub edges_admitted: usize,
-}
-
 /// The merged count table of a growing corpus and the graph it implies.
 pub struct IncrementalProximityGraph {
     counts: BTreeMap<(usize, usize), u32>,
@@ -53,15 +44,16 @@ impl IncrementalProximityGraph {
         self.n_vertices = self.n_vertices.max(n);
     }
 
-    /// Folds a count delta into the table.
-    pub fn apply_delta<I>(&mut self, delta: I) -> DeltaOutcome
+    /// Folds a count delta into the table and returns how many pairs
+    /// crossed the threshold in it.
+    pub fn apply_delta<I>(&mut self, delta: I) -> usize
     where
         I: IntoIterator<Item = ((usize, usize), u32)>,
     {
         // Canonicalise and sum the delta on its own first: a pair repeated
         // inside one delta must cross the threshold at most once.
         let mut summed = BTreeMap::new();
-        let touched = ProximityGraph::merge_counts(&mut summed, delta);
+        ProximityGraph::merge_counts(&mut summed, delta);
         let mut edges_admitted = 0;
         for ((u, v), d) in summed {
             let c = self.counts.entry((u, v)).or_insert(0);
@@ -71,10 +63,7 @@ impl IncrementalProximityGraph {
             self.n_vertices = self.n_vertices.max(v + 1);
         }
         self.n_edges += edges_admitted;
-        DeltaOutcome {
-            touched,
-            edges_admitted,
-        }
+        edges_admitted
     }
 
     /// Number of vertices.
@@ -155,11 +144,9 @@ mod tests {
     #[test]
     fn threshold_crossing_admits_edge_later() {
         let mut inc = IncrementalProximityGraph::new(3);
-        let out = inc.apply_delta(vec![((0, 1), 2)]);
-        assert_eq!(out.edges_admitted, 0);
+        assert_eq!(inc.apply_delta(vec![((0, 1), 2)]), 0);
         assert_eq!(inc.n_edges(), 0);
-        let out = inc.apply_delta(vec![((1, 0), 1)]);
-        assert_eq!(out.edges_admitted, 1);
+        assert_eq!(inc.apply_delta(vec![((1, 0), 1)]), 1);
         assert_eq!(inc.n_edges(), 1);
         assert_eq!(inc.snapshot().n_edges(), 1);
     }
@@ -168,14 +155,12 @@ mod tests {
     fn pair_repeated_in_one_delta_crosses_once() {
         let mut inc = IncrementalProximityGraph::new(3);
         // 1 + 1 + 2 + 1 = 5 crosses 3 partway through the delta
-        let out = inc.apply_delta(vec![((0, 1), 1), ((1, 0), 1), ((0, 1), 2), ((1, 0), 1)]);
-        assert_eq!(out.touched, vec![(0, 1)]);
-        assert_eq!(out.edges_admitted, 1);
+        let admitted = inc.apply_delta(vec![((0, 1), 1), ((1, 0), 1), ((0, 1), 2), ((1, 0), 1)]);
+        assert_eq!(admitted, 1);
         assert_eq!(inc.n_edges(), 1);
         assert_eq!(inc.counts()[&(0, 1)], 5);
         // already admitted: further bumps admit nothing
-        let out = inc.apply_delta(vec![((0, 1), 4), ((0, 1), 4)]);
-        assert_eq!(out.edges_admitted, 0);
+        assert_eq!(inc.apply_delta(vec![((0, 1), 4), ((0, 1), 4)]), 0);
         assert_eq!(inc.n_edges(), 1);
         assert_eq!(inc.snapshot().n_edges(), 1);
     }

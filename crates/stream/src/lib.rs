@@ -1,5 +1,5 @@
 //! imre-stream: streaming corpus ingestion into a merged co-occurrence
-//! table, online LINE refinement, and live bundle hot-swap.
+//! table, LINE embedding refresh, and live bundle hot-swap.
 //!
 //! The crate closes the loop from a *growing* corpus back into a *serving*
 //! model without ever pausing the front end:
@@ -14,11 +14,9 @@
 //!   stream so the assignment is batching-invariant;
 //! - [`build`] — [`StreamBuild`] is the shared ingest core (dedup →
 //!   resolve → pair counting → count-table merge → embedding refresh)
-//!   used by both the live updater and offline replay, with two refresh
-//!   contracts ([`RefreshMode`]): `Canonical` re-derives the embedding from
-//!   the merged graph (partition- and thread-invariant), `Refine`
-//!   warm-starts from current parameters and touches only delta edges
-//!   (path-dependent but byte-reproducible for a fixed delta sequence);
+//!   used by both the live updater and offline replay; its refresh
+//!   retrains LINE on the merged graph, so the embedding is invariant to
+//!   how the stream was batched and to the thread count;
 //! - [`updater`] — [`StreamUpdater`] runs ingest on a background thread and
 //!   publishes refreshed bundles through the hot-swap
 //!   [`Registry`](imre_serve::Registry) while the epoll front end keeps
@@ -38,6 +36,6 @@ pub mod updater;
 pub use build::{BatchOutcome, RefreshMode, StreamBuild, StreamBuildConfig};
 pub use catalog::EntityCatalog;
 pub use error::StreamUpdateError;
-pub use incremental::{DeltaOutcome, IncrementalProximityGraph};
+pub use incremental::IncrementalProximityGraph;
 pub use replay::{replay, ReplayReport};
 pub use updater::{StreamSummary, StreamUpdater, StreamUpdaterConfig};

@@ -5,8 +5,8 @@
 //! folds counts into the incremental graph; every `publish_every` batches
 //! (and once more at end of stream) it:
 //!
-//! 1. computes the embedding refresh (canonical rebuild by default — see
-//!    [`RefreshMode`](crate::RefreshMode));
+//! 1. computes the embedding refresh (LINE retrained on the merged graph,
+//!    [`StreamBuild::embedding`]);
 //! 2. reloads the base `.imrb` from disk (a v3 bundle gets a fresh mmap),
 //!    swaps in the extended entity table and the new embedding, re-quantizes
 //!    the int8 entity table (if any) from that embedding, and keeps the
@@ -179,7 +179,7 @@ fn publish(
 ) -> Result<(), StreamUpdateError> {
     let t0 = Instant::now();
     let embedding = build.embedding()?;
-    let refine_ns = t0.elapsed().as_nanos() as u64;
+    let refresh_ns = t0.elapsed().as_nanos() as u64;
 
     let mut bundle = load_bundle(base_path)?;
     bundle.entities = build.catalog().entries().to_vec();
@@ -195,8 +195,8 @@ fn publish(
 
     metrics.stream_publishes.fetch_add(1, Ordering::Relaxed);
     metrics
-        .stream_refine_ns
-        .fetch_add(refine_ns, Ordering::Relaxed);
+        .stream_refresh_ns
+        .fetch_add(refresh_ns, Ordering::Relaxed);
     let now_ms = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)

@@ -3,16 +3,12 @@
 //! 1. However a delta corpus is partitioned into batches, the incremental
 //!    graph is byte-identical to the single-shot build — edge weights, edge
 //!    order, adjacency, counts, and catalog all match exactly.
-//! 2. Under `RefreshMode::Canonical` the published embedding is the same
-//!    byte-for-byte regardless of partition and of pair-counting thread
-//!    count.
-//! 3. Under `RefreshMode::Refine` a fixed delta sequence replays to
-//!    byte-identical tables (path-dependent across partitions, but
-//!    reproducible).
+//! 2. The published embedding is the same byte-for-byte regardless of
+//!    partition and of pair-counting thread count.
 
 use imre_corpus::stream::{DeltaBatch, LineDeltaSource, StreamSource};
 use imre_corpus::synth_delta_text;
-use imre_graph::{LineConfig, RefineConfig};
+use imre_graph::LineConfig;
 use imre_stream::{RefreshMode, StreamBuild, StreamBuildConfig};
 use proptest::prelude::*;
 use std::io::Cursor;
@@ -21,7 +17,7 @@ fn base_entities(n: usize) -> Vec<(String, Vec<usize>)> {
     (0..n).map(|i| (format!("ent{i}"), vec![i % 5])).collect()
 }
 
-fn config(threads: usize, refresh: RefreshMode) -> StreamBuildConfig {
+fn config(threads: usize) -> StreamBuildConfig {
     StreamBuildConfig {
         threshold: 2,
         line: LineConfig {
@@ -31,7 +27,7 @@ fn config(threads: usize, refresh: RefreshMode) -> StreamBuildConfig {
             ..Default::default()
         },
         threads,
-        refresh,
+        refresh: RefreshMode::Canonical,
     }
 }
 
@@ -59,8 +55,8 @@ fn partition_text(text: &str, cuts: &[usize]) -> String {
     out
 }
 
-fn run_build(text: &str, n_base: usize, threads: usize, refresh: RefreshMode) -> StreamBuild {
-    let mut build = StreamBuild::new(&base_entities(n_base), 38, config(threads, refresh));
+fn run_build(text: &str, n_base: usize, threads: usize) -> StreamBuild {
+    let mut build = StreamBuild::new(&base_entities(n_base), 38, config(threads));
     for batch in batches_of(text) {
         build.apply_batch(batch).expect("batch applies");
     }
@@ -98,8 +94,8 @@ proptest! {
     fn any_partition_matches_single_shot_bitwise((text, cuts, n_base) in corpus_and_cuts()) {
         let split = partition_text(&text, &cuts);
 
-        let mut single = run_build(&text, n_base, 1, RefreshMode::Canonical);
-        let mut parts = run_build(&split, n_base, 1, RefreshMode::Canonical);
+        let mut single = run_build(&text, n_base, 1);
+        let mut parts = run_build(&split, n_base, 1);
 
         // graph: vertices, edge weights (bitwise), merged counts
         prop_assert_eq!(graph_fingerprint(&single), graph_fingerprint(&parts));
@@ -127,8 +123,8 @@ proptest! {
     #[test]
     fn thread_count_never_changes_the_artifact((text, cuts, n_base) in corpus_and_cuts()) {
         let split = partition_text(&text, &cuts);
-        let mut one = run_build(&split, n_base, 1, RefreshMode::Canonical);
-        let mut four = run_build(&split, n_base, 4, RefreshMode::Canonical);
+        let mut one = run_build(&split, n_base, 1);
+        let mut four = run_build(&split, n_base, 4);
         prop_assert_eq!(graph_fingerprint(&one), graph_fingerprint(&four));
         if one.graph().n_edges() > 0 {
             let a = one.embedding().expect("threads=1 embedding");
@@ -137,20 +133,5 @@ proptest! {
             let bits_b: Vec<u32> = b.matrix().data().iter().map(|x| x.to_bits()).collect();
             prop_assert_eq!(bits_a, bits_b);
         }
-    }
-
-    #[test]
-    fn refine_replay_is_byte_reproducible((text, cuts, n_base) in corpus_and_cuts()) {
-        let split = partition_text(&text, &cuts);
-        let rc = RefineConfig { samples: 200, lr: 0.015, negatives: 4 };
-        let run = || {
-            let mut b = run_build(&split, n_base, 2, RefreshMode::Refine(rc.clone()));
-            if b.graph().n_edges() == 0 {
-                return None;
-            }
-            let e = b.embedding().expect("refined embedding");
-            Some(e.matrix().data().iter().map(|x| x.to_bits()).collect::<Vec<u32>>())
-        };
-        prop_assert_eq!(run(), run());
     }
 }

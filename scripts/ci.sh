@@ -67,9 +67,9 @@
 #           int8 scores stay within max drift 1e-2 and P@N delta 1.5pt of
 #           f32
 #   stream  the streaming-ingest gate: the imre-stream suites (streamed
-#           vs offline proximity-graph byte-identity, canonical/refine
-#           determinism proptests, the live updater with cold-start
-#           admission), and a CLI-level end-to-end check that `imre stream-replay` of a
+#           vs offline proximity-graph byte-identity, refresh determinism
+#           proptests, the pinned refresh digests, the live updater with
+#           cold-start admission), and a CLI-level end-to-end check that `imre stream-replay` of a
 #           3-batch delta stream is byte-identical to the single-batch
 #           build on the merged corpus at --threads 1 and 4
 #   formats every artifact codec, in the dev profile and in release
@@ -289,15 +289,16 @@ step_quant() {
 }
 
 step_stream() {
-    # Streaming-ingest suites: streamed-graph byte-identity and refine
-    # determinism proptests, and the live background-updater integration
-    # (cold start entity answerable after a hot-swap publish). The
+    # Streaming-ingest suites: streamed-graph byte-identity and refresh
+    # determinism proptests, the pinned refresh digests, and the live
+    # background-updater integration (cold start entity answerable after a
+    # hot-swap publish). The
     # hot-swap-under-load fault injection runs in the formats step.
     cargo test --offline -q -p imre-stream
 
     # CLI-level end-to-end: replaying a 3-batch delta stream must produce a
     # bundle byte-identical to the single-batch build on the merged corpus,
-    # at --threads 1 and --threads 4 (the canonical-refresh contract).
+    # at --threads 1 and --threads 4 (the refresh retrains on merged counts).
     cargo build --offline -q --release -p imre-cli
     local imre=target/release/imre
     local dir=target/stream-ci

@@ -15,7 +15,7 @@
 //! | [`dist`] | fixed-order tree all-reduce of gradient stores |
 //! | [`eval`] | held-out PR/AUC/P@N metrics, slice analyses, the experiment pipeline and its parallel multi-seed runs |
 //! | [`serve`] | multi-threaded inference serving: model registry, bounded queue + worker pool, TCP front-end, latency metrics |
-//! | [`stream`] | streaming corpus ingestion: merged co-occurrence table, online LINE refinement, live bundle hot-swap publishing |
+//! | [`stream`] | streaming corpus ingestion: merged co-occurrence table, LINE embedding refresh, live bundle hot-swap publishing |
 //!
 //! ## Quickstart
 //!
