@@ -141,7 +141,6 @@ pub fn train_line(graph: &ProximityGraph, config: &LineConfig) -> EntityEmbeddin
     let degree_pow: Vec<f32> = (0..n).map(|v| graph.degree(v).powf(0.75)).collect();
     let noise_table = AliasTable::new(&degree_pow);
 
-    // Linear learning-rate decay over the whole schedule, floored at 1e-4.
     let samples = config.samples_per_epoch * config.epochs;
     let total_samples = samples.max(1);
     for done in 0..samples {

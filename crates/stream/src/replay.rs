@@ -2,9 +2,8 @@
 //! bundle a live [`StreamUpdater`](crate::StreamUpdater) would publish.
 //!
 //! `imre stream-replay` drives this to audit a stream: feed the same base
-//! bundle and delta file, get byte-identical bundle bytes — under
-//! [`RefreshMode::Canonical`](crate::RefreshMode) also invariant to how the
-//! corpus was split into batches and to `threads`.
+//! bundle and delta file, get byte-identical bundle bytes, invariant to how
+//! the corpus was split into batches and to `threads`.
 
 use imre_corpus::stream::{LineDeltaSource, StreamError, StreamSource};
 use imre_serve::{load_bundle, write_bundle};

@@ -9,7 +9,7 @@ const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 /// One SplitMix64 step of `x`: a well-mixed `u64` per input. The workspace
 /// derives independent RNG streams with it — one seed per `(seed, domain,
 /// index)` tuple instead of sequential state shared across logical streams
-/// (epoch shuffles, per-bag dropout, refinement passes, synthetic corpora).
+/// (epoch shuffles, per-bag dropout, synthetic corpora).
 pub fn mix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(GOLDEN_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
