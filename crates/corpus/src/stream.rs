@@ -30,11 +30,14 @@
 //! Re-delivered sentences (at-least-once sources, replayed fifos) must not
 //! inflate co-occurrence counts, and — the subtle part — deduplication must
 //! not depend on how the stream was cut into batches. [`StableDedup`]
-//! therefore keeps a fingerprint set used **only for membership tests**
+//! therefore keeps fingerprint sets used **only for membership tests**
 //! (never iterated, so no hash-order leak — the same bug class as the PR 2
 //! HashMap edge-ordering fix) and always emits survivors in arrival order.
 //! Any batching of the same event sequence yields the same surviving
-//! sequence, so streamed and offline corpora featurize identically.
+//! sequence, so streamed and offline corpora featurize identically. The
+//! window is bounded: a re-delivery within the last [`DEDUP_GENERATION`]
+//! (65,536) fresh events is always dropped, and older fingerprints are
+//! forgotten a generation at a time, by fresh-event count alone.
 
 use imre_tensor::bytes::Fnv1a;
 use imre_tensor::mix64;
@@ -249,16 +252,30 @@ fn parse_event(line: &str, line_no: u64) -> Result<SentenceEvent, StreamError> {
     Ok(SentenceEvent { ts, entities })
 }
 
-/// Batching-stable sentence deduplication.
+/// Fresh fingerprints one [`StableDedup`] generation holds before it
+/// rotates. A duplicate within the last `DEDUP_GENERATION` fresh events is
+/// always dropped; once `2 × DEDUP_GENERATION` fresh events have followed
+/// its first delivery it is always fresh again.
+pub const DEDUP_GENERATION: usize = 1 << 16;
+
+/// Batching-stable sentence deduplication over a bounded window.
 ///
 /// Membership is a 64-bit FNV-1a fingerprint over the event's canonical
-/// serialization; the set is never iterated, and survivors always come out
-/// in arrival order, so the surviving sequence is a pure function of the
-/// event sequence — independent of batch boundaries and of `HashSet`
+/// serialization; the sets are never iterated, and survivors always come
+/// out in arrival order, so the surviving sequence is a pure function of
+/// the event sequence — independent of batch boundaries and of `HashSet`
 /// iteration order.
+///
+/// The window is a generation pair. Fresh fingerprints go into `current`;
+/// when it holds [`DEDUP_GENERATION`] of them it becomes `older` and the
+/// previous `older` is dropped. Membership checks both. Rotation depends
+/// only on the count of fresh events, so the bound keeps the filter a pure
+/// function of the event sequence, and memory stays at most
+/// `2 × DEDUP_GENERATION` fingerprints however long the stream runs.
 #[derive(Debug, Default)]
 pub struct StableDedup {
-    seen: HashSet<u64>,
+    current: HashSet<u64>,
+    older: HashSet<u64>,
 }
 
 impl StableDedup {
@@ -267,19 +284,30 @@ impl StableDedup {
         Self::default()
     }
 
-    /// Number of distinct events seen.
+    /// Number of fingerprints the window holds: the distinct fresh events
+    /// of the current and the previous generation, at most
+    /// `2 × DEDUP_GENERATION`.
     pub fn len(&self) -> usize {
-        self.seen.len()
+        self.current.len() + self.older.len()
     }
 
     /// Whether no event has been seen yet.
     pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
+        self.len() == 0
     }
 
-    /// Records an event; returns `true` if it was fresh (first delivery).
+    /// Records an event; returns `true` if it was fresh (not in the window).
     pub fn insert(&mut self, event: &SentenceEvent) -> bool {
-        self.seen.insert(fingerprint(event))
+        let fp = fingerprint(event);
+        if self.older.contains(&fp) || !self.current.insert(fp) {
+            return false;
+        }
+        if self.current.len() == DEDUP_GENERATION {
+            // Reuse the dropped generation's allocation for the next one.
+            std::mem::swap(&mut self.current, &mut self.older);
+            self.current.clear();
+        }
+        true
     }
 
     /// Filters a batch down to first-delivery events, preserving arrival
@@ -432,27 +460,103 @@ mod tests {
         ));
     }
 
+    /// Deduplicated survivors of `text` read batch by batch through one
+    /// window, and the window's final size.
+    fn dedup_events(text: &str) -> (Vec<SentenceEvent>, usize) {
+        let mut dedup = StableDedup::new();
+        let events = drain(text)
+            .into_iter()
+            .flat_map(|b| dedup.retain_fresh(b))
+            .collect();
+        (events, dedup.len())
+    }
+
     #[test]
     fn dedup_is_invariant_to_batching() {
         let names: Vec<String> = (0..6).map(|i| format!("e{i}")).collect();
-        let text = synth_delta_text(&names, 3, 12, 9);
-        // one big batch vs the authored 3-batch split
-        let merged = text.replace("\n\n", "\n");
-        let events_of = |t: &str| {
-            let mut dedup = StableDedup::new();
-            drain(t)
-                .into_iter()
-                .flat_map(|b| dedup.retain_fresh(b))
-                .collect::<Vec<_>>()
-        };
-        let a = events_of(&text);
-        let b = events_of(&merged);
-        assert_eq!(a, b);
-        // the generator plants duplicates, so dedup must have dropped some
-        assert!(
-            a.len() < 3 * 12,
-            "expected planted duplicates to be dropped"
-        );
+        // A short stream, and one whose 165k events (6 in 7 fresh) cross
+        // two rotations before its first batch is re-delivered, by which
+        // time that batch has left the window.
+        let short = synth_delta_text(&names, 3, 12, 9);
+        let long = synth_delta_text(&names, 3, 55_000, 4);
+        let first_batch = long.split("\n\n").next().unwrap();
+        let long = format!("{long}\n\n{first_batch}\n");
+        for text in [short, long] {
+            // the authored split vs one big batch vs 1000-line batches
+            let merged = text.replace("\n\n", "\n");
+            let lines: Vec<&str> = merged.lines().collect();
+            let rebatched: String = lines.chunks(1_000).map(|c| c.join("\n") + "\n\n").collect();
+            let (a, held) = dedup_events(&text);
+            assert_eq!(a, dedup_events(&merged).0);
+            assert_eq!(a, dedup_events(&rebatched).0);
+            // the generator plants duplicates, so dedup must have dropped some
+            let events = lines
+                .iter()
+                .filter(|l| !l.is_empty() && !l.starts_with('#'));
+            assert!(
+                a.len() < events.count(),
+                "expected planted duplicates to be dropped"
+            );
+            // past two generations the window holds fewer than survived
+            assert_eq!(held < a.len(), a.len() >= 2 * DEDUP_GENERATION);
+        }
+    }
+
+    /// A distinct single-mention event per `ts`.
+    fn event(ts: u64) -> SentenceEvent {
+        SentenceEvent {
+            ts,
+            entities: vec![EntityMention {
+                name: "a".into(),
+                types: vec![],
+            }],
+        }
+    }
+
+    #[test]
+    fn dedup_window_never_exceeds_two_generations() {
+        let mut dedup = StableDedup::new();
+        for ts in 0..(3 * DEDUP_GENERATION as u64 + 17) {
+            assert!(dedup.insert(&event(ts)));
+            assert!(dedup.len() <= 2 * DEDUP_GENERATION);
+        }
+        assert_eq!(dedup.len(), DEDUP_GENERATION + 17);
+    }
+
+    #[test]
+    fn dedup_drops_a_duplicate_just_inside_the_horizon() {
+        let gen = DEDUP_GENERATION as u64;
+        let mut dedup = StableDedup::new();
+        // `x` is the last fingerprint of the first generation: the earliest
+        // one to be forgotten.
+        for ts in 1..gen {
+            assert!(dedup.insert(&event(ts)));
+        }
+        let x = event(0);
+        assert!(dedup.insert(&x));
+        // 65,535 fresh events later `x` is still among the last 65,536.
+        for ts in gen..2 * gen - 1 {
+            assert!(dedup.insert(&event(ts)));
+        }
+        assert!(!dedup.insert(&x), "duplicate inside the horizon kept");
+        // One more fresh event rotates `x`'s generation out.
+        assert!(dedup.insert(&event(2 * gen - 1)));
+        assert!(dedup.insert(&x), "x outlived its generation");
+    }
+
+    #[test]
+    fn dedup_forgets_a_duplicate_beyond_two_generations() {
+        let gen = DEDUP_GENERATION as u64;
+        let mut dedup = StableDedup::new();
+        // `x` opens the first generation: the latest one to be forgotten.
+        let x = event(0);
+        assert!(dedup.insert(&x));
+        for ts in 1..2 * gen - 1 {
+            assert!(dedup.insert(&event(ts)));
+        }
+        assert!(!dedup.insert(&x), "x forgotten before two generations");
+        assert!(dedup.insert(&event(2 * gen - 1)));
+        assert!(dedup.insert(&x), "duplicate beyond the window was dropped");
     }
 
     #[test]

@@ -6,13 +6,11 @@ use imre_tensor::Tensor;
 /// The `k` entities nearest to `query` by cosine similarity, excluding the
 /// query itself, ordered most-similar first.
 pub fn nearest(emb: &EntityEmbedding, query: usize, k: usize) -> Vec<(usize, f32)> {
-    let qv = Tensor::from_vec(emb.vector(query).to_vec(), &[emb.dim()]);
+    let q = emb.vector(query);
+    let q_norm = norm_l2(q);
     let mut scored: Vec<(usize, f32)> = (0..emb.len())
         .filter(|&v| v != query)
-        .map(|v| {
-            let vv = Tensor::from_vec(emb.vector(v).to_vec(), &[emb.dim()]);
-            (v, qv.cosine(&vv))
-        })
+        .map(|v| (v, cosine(q, q_norm, emb.vector(v))))
         .collect();
     scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite cosine"));
     scored.truncate(k);
@@ -30,17 +28,36 @@ pub fn nearest_pairs(
     k: usize,
 ) -> Vec<((usize, usize), f32)> {
     let qmr = emb.mutual_relation(query.0, query.1);
+    let q_norm = norm_l2(qmr.data());
+    let mut mr = Tensor::zeros(&[emb.dim()]);
     let mut scored: Vec<((usize, usize), f32)> = candidates
         .iter()
         .filter(|&&p| p != query)
         .map(|&p| {
-            let mr = emb.mutual_relation(p.0, p.1);
-            (p, qmr.cosine(&mr))
+            emb.mutual_relation_into(p.0, p.1, &mut mr);
+            (p, cosine(qmr.data(), q_norm, mr.data()))
         })
         .collect();
     scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite cosine"));
     scored.truncate(k);
     scored
+}
+
+/// [`Tensor::cosine`] of `q` (whose norm is `q_norm`) and `v`, on slices:
+/// the same sums in the same order, so the same bits.
+fn cosine(q: &[f32], q_norm: f32, v: &[f32]) -> f32 {
+    let d: f32 = q.iter().zip(v).map(|(&a, &b)| a * b).sum();
+    let n = q_norm * norm_l2(v);
+    if n == 0.0 {
+        0.0
+    } else {
+        d / n
+    }
+}
+
+/// [`Tensor::norm_l2`] on a slice.
+fn norm_l2(v: &[f32]) -> f32 {
+    v.iter().map(|&x| x * x).sum::<f32>().sqrt()
 }
 
 #[cfg(test)]
@@ -95,5 +112,26 @@ mod tests {
         let result = nearest_pairs(&emb, (0, 1), &[(2, 3), (4, 5)], 2);
         assert_eq!(result[0].0, (2, 3));
         assert!(result[0].1 > result[1].1);
+    }
+
+    #[test]
+    fn slice_cosine_matches_tensor_cosine_bit_for_bit() {
+        let mut rng = imre_tensor::TensorRng::seed(17);
+        let mut m = Tensor::rand_uniform(&[40, 24], -1.0, 1.0, &mut rng);
+        m.data_mut()[5 * 24..6 * 24].fill(0.0); // a zero row takes the 0 branch
+        let emb = EntityEmbedding::from_matrix(m);
+        let row = |v: usize| Tensor::from_vec(emb.vector(v).to_vec(), &[24]);
+        for query in [0, 5, 39] {
+            for (v, score) in nearest(&emb, query, emb.len()) {
+                assert_eq!(score.to_bits(), row(query).cosine(&row(v)).to_bits());
+            }
+        }
+        let pairs: Vec<(usize, usize)> = (0..40).map(|i| (i, (i * 7 + 3) % 40)).collect();
+        let query = (1, 2);
+        let qmr = emb.mutual_relation(query.0, query.1);
+        for (p, score) in nearest_pairs(&emb, query, &pairs, pairs.len()) {
+            let old = qmr.cosine(&emb.mutual_relation(p.0, p.1));
+            assert_eq!(score.to_bits(), old.to_bits(), "pair {p:?}");
+        }
     }
 }

@@ -1,14 +1,21 @@
 //! LINE network embedding (Tang et al., WWW 2015) — the method the paper
 //! uses (§III-A.2) to turn the entity proximity graph into entity vectors.
 //!
-//! Both proximities are trained with negative sampling and asynchronous SGD
-//! over alias-sampled edges, exactly as in the reference implementation:
+//! Both proximities are trained with negative sampling and plain sequential
+//! SGD over alias-sampled edges:
 //!
 //! * **first order** — `O₁ = −Σ w_ij log σ(uᵢ·uⱼ)`; both endpoints share one
 //!   table.
 //! * **second order** — `O₂ = −Σ w_ij log P(eⱼ|eᵢ)`, approximated with K
 //!   negatives drawn from `P_n(v) ∝ deg(v)^{3/4}`; vertices have separate
 //!   *vertex* and *context* tables.
+//!
+//! The two orders share no table, and no draw depends on a table value, so
+//! each order is one sequential pass over the same sample stream. With two
+//! or more compute threads the two passes run on two threads, each drawing
+//! the whole stream and updating only its own tables; with one thread, one
+//! pass updates both. Either way each order sees the same updates in the
+//! same order, so the bytes do not depend on the thread count.
 //!
 //! The final entity embedding is the concatenation of the first-order vector
 //! and the second-order vertex vector (paper: "obtain the embedding vector
@@ -120,6 +127,11 @@ impl EntityEmbedding {
 /// this failure mode in its future-work section; they are still usable, just
 /// uninformative).
 ///
+/// With two or more threads in the current compute pool the second-order
+/// pass runs on one scoped thread, at the lowest scheduling priority, beside
+/// the first-order pass on the caller; the bytes are the same at any pool
+/// size.
+///
 /// # Panics
 /// If the graph has no edges or `config.dim < 2`.
 pub fn train_line(graph: &ProximityGraph, config: &LineConfig) -> EntityEmbedding {
@@ -137,28 +149,28 @@ pub fn train_line(graph: &ProximityGraph, config: &LineConfig) -> EntityEmbeddin
 
     let edges = graph.edges();
     let edge_weights: Vec<f32> = edges.iter().map(|&(_, _, w)| w).collect();
-    let edge_table = AliasTable::new(&edge_weights);
     let degree_pow: Vec<f32> = (0..n).map(|v| graph.degree(v).powf(0.75)).collect();
-    let noise_table = AliasTable::new(&degree_pow);
+    let sampler = Sampler {
+        edges,
+        edge_table: AliasTable::new(&edge_weights),
+        noise_table: AliasTable::new(&degree_pow),
+        config,
+    };
 
-    let samples = config.samples_per_epoch * config.epochs;
-    let total_samples = samples.max(1);
-    for done in 0..samples {
-        let progress = done as f32 / total_samples as f32;
-        let lr = (config.lr * (1.0 - progress)).max(config.lr * 1e-4);
-        let edge = edges[edge_table.sample(&mut rng)];
-        step(
-            &mut first,
-            &mut second_v,
-            &mut second_c,
-            edge,
-            done + 1,
-            lr,
-            config.negatives,
-            half,
-            &noise_table,
-            &mut rng,
-        );
+    if imre_tensor::pool::current_threads() >= 2 {
+        // One scoped spawn per call, not a pool worker: the pool also runs
+        // the serving engine's kernels and must not be parked for a pass.
+        let second_rng = rng.clone();
+        std::thread::scope(|scope| {
+            let second = scope.spawn(|| {
+                lower_thread_priority();
+                sampler.pass(None, Some((&mut second_v, &mut second_c)), second_rng)
+            });
+            sampler.pass(Some(&mut first), None, rng);
+            second.join().expect("second-order LINE pass panicked");
+        });
+    } else {
+        sampler.pass(Some(&mut first), Some((&mut second_v, &mut second_c)), rng);
     }
 
     normalize_rows(&mut first);
@@ -166,39 +178,89 @@ pub fn train_line(graph: &ProximityGraph, config: &LineConfig) -> EntityEmbeddin
     EntityEmbedding::from_matrix(Tensor::concat_cols(&[&first, &second_v]))
 }
 
-/// One alias-sampled SGD step: alternate the edge direction on step parity,
-/// one positive + `negatives` negative updates on the shared first-order
-/// table, same again across the vertex × context tables.
-#[allow(clippy::too_many_arguments)]
-fn step(
-    first: &mut Tensor,
-    second_v: &mut Tensor,
-    second_c: &mut Tensor,
-    (u, v, _): (usize, usize, f32),
-    step_index: usize,
-    lr: f32,
-    negatives: usize,
-    half: usize,
-    noise_table: &AliasTable,
-    rng: &mut TensorRng,
-) {
-    let (src, dst) = if step_index.is_multiple_of(2) {
-        (u, v)
-    } else {
-        (v, u)
-    };
-    sgd_pair(first, src, dst, true, lr, half);
-    for _ in 0..negatives {
-        let neg = noise_table.sample(rng);
-        if neg != src && neg != dst {
-            sgd_pair(first, src, neg, false, lr, half);
-        }
+/// Drops the calling thread to the lowest scheduling priority, best effort.
+/// The extra pass is background work that the caller did not ask a core
+/// for: at nice 19 a serving thread that wakes on that core takes it at
+/// once. On Linux, `setpriority(PRIO_PROCESS, 0, ..)` names the calling
+/// thread only, and the thread ends with the pass.
+#[cfg(target_os = "linux")]
+fn lower_thread_priority() {
+    use std::os::raw::{c_int, c_uint};
+    extern "C" {
+        fn setpriority(which: c_int, who: c_uint, prio: c_int) -> c_int;
     }
-    sgd_cross(second_v, second_c, src, dst, true, lr, half);
-    for _ in 0..negatives {
-        let neg = noise_table.sample(rng);
-        if neg != dst {
-            sgd_cross(second_v, second_c, src, neg, false, lr, half);
+    const PRIO_PROCESS: c_int = 0;
+    // SAFETY: a plain system call on integers; no memory is shared. A
+    // failure leaves the priority unchanged, which is harmless.
+    unsafe {
+        setpriority(PRIO_PROCESS, 0, 19);
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn lower_thread_priority() {}
+
+/// What every sample pass draws from: the edge list with its alias table,
+/// the `deg^{3/4}` noise table, and the config's schedule.
+struct Sampler<'a> {
+    edges: &'a [(usize, usize, f32)],
+    edge_table: AliasTable,
+    noise_table: AliasTable,
+    config: &'a LineConfig,
+}
+
+impl Sampler<'_> {
+    /// One sample pass: every sample's edge (direction alternating on step
+    /// parity), its `negatives` first-order and its `negatives`
+    /// second-order noise vertices, all drawn from `rng` in that order
+    /// whichever tables are given. It applies the updates of the tables it
+    /// was given: a positive and the negatives on the shared `first` table,
+    /// and the same across the `second` vertex × context tables.
+    ///
+    /// No draw reads a table and the orders share no table, so each order's
+    /// update sequence is the same whether one pass updates both or two
+    /// passes from clones of one `rng` update one each.
+    fn pass(
+        &self,
+        mut first: Option<&mut Tensor>,
+        mut second: Option<(&mut Tensor, &mut Tensor)>,
+        mut rng: TensorRng,
+    ) {
+        let config = self.config;
+        let half = config.dim / 2;
+        let samples = config.samples_per_epoch * config.epochs;
+        let total_samples = samples.max(1);
+        for done in 0..samples {
+            let progress = done as f32 / total_samples as f32;
+            let lr = (config.lr * (1.0 - progress)).max(config.lr * 1e-4);
+            let (u, v, _) = self.edges[self.edge_table.sample(&mut rng)];
+            let (src, dst) = if (done + 1).is_multiple_of(2) {
+                (u, v)
+            } else {
+                (v, u)
+            };
+            if let Some(first) = first.as_deref_mut() {
+                sgd_pair(first, src, dst, true, lr, half);
+            }
+            for _ in 0..config.negatives {
+                let neg = self.noise_table.sample(&mut rng);
+                if let Some(first) = first.as_deref_mut() {
+                    if neg != src && neg != dst {
+                        sgd_pair(first, src, neg, false, lr, half);
+                    }
+                }
+            }
+            if let Some((vertex, context)) = second.as_mut() {
+                sgd_cross(vertex, context, src, dst, true, lr, half);
+            }
+            for _ in 0..config.negatives {
+                let neg = self.noise_table.sample(&mut rng);
+                if let Some((vertex, context)) = second.as_mut() {
+                    if neg != dst {
+                        sgd_cross(vertex, context, src, neg, false, lr, half);
+                    }
+                }
+            }
         }
     }
 }
@@ -384,6 +446,24 @@ mod tests {
     fn empty_graph_panics() {
         let g = ProximityGraph::from_counts(Vec::<((usize, usize), u32)>::new(), 3, 1);
         let _ = train_line(&g, &fast_config(1));
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn lower_thread_priority_renices_only_the_calling_thread() {
+        // Field 19 of `stat`, the 17th after the parenthesised name.
+        let nice = || -> i32 {
+            let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
+            let fields = stat.rsplit(')').next().unwrap();
+            fields.split_whitespace().nth(16).unwrap().parse().unwrap()
+        };
+        let before = nice();
+        let inside = std::thread::spawn(move || {
+            lower_thread_priority();
+            nice()
+        });
+        assert_eq!(inside.join().unwrap(), 19);
+        assert_eq!(nice(), before);
     }
 
     #[test]

@@ -21,7 +21,9 @@ pub fn mix64(x: u64) -> u64 {
 ///
 /// Self-contained xoshiro256** generator (Blackman & Vigna) seeded through
 /// SplitMix64, so the workspace carries no external RNG dependency and every
-/// stochastic component draws from one reproducible stream.
+/// stochastic component draws from one reproducible stream. A clone
+/// replays the same stream from the point it was taken.
+#[derive(Clone)]
 pub struct TensorRng {
     state: [u64; 4],
 }

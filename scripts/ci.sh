@@ -299,6 +299,8 @@ step_stream() {
     # CLI-level end-to-end: replaying a 3-batch delta stream must produce a
     # bundle byte-identical to the single-batch build on the merged corpus,
     # at --threads 1 and --threads 4 (the refresh retrains on merged counts).
+    # The --threads cmp also gates LINE's order split: at 4 threads the
+    # second-order pass runs on its own thread, at 1 both run in one pass.
     cargo build --offline -q --release -p imre-cli
     local imre=target/release/imre
     local dir=target/stream-ci

@@ -264,3 +264,33 @@ fn single_bag_predict_bit_identical() {
     assert_eq!(cold, s1, "cold pool changed the scores");
     assert_eq!(warm, s1, "warm pool changed the scores");
 }
+
+/// `train_line` runs its first- and second-order passes on two threads when
+/// the pool has two or more, and in one pass on one: the embedding bytes
+/// must not tell the two apart.
+#[test]
+fn train_line_bit_identical_across_pool_sizes() {
+    let ds = Dataset::generate(&smoke_config(3));
+    let co = imre_corpus::generate_unlabeled(&ds.world, &imre_corpus::UnlabeledConfig::default());
+    let graph = imre_graph::ProximityGraph::from_counts(
+        co.iter().map(|(&p, &c)| (p, c)),
+        ds.world.num_entities(),
+        2,
+    );
+    let config = imre_graph::LineConfig {
+        dim: 32,
+        samples_per_epoch: 20_000,
+        epochs: 2,
+        ..Default::default()
+    };
+    let bits = || {
+        imre_graph::train_line(&graph, &config)
+            .matrix()
+            .data()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect::<Vec<u32>>()
+    };
+    let (b1, b4) = on_1_and_4(bits);
+    assert_eq!(b1, b4, "LINE embedding must be bit-identical");
+}
