@@ -1,7 +1,9 @@
 //! Golden digests of trained artifacts: smoke PA-TMR after 2 epochs, as
 //! `imre train --dataset smoke --epochs 2` trains it, and the two int8
 //! products of that model — its held-out scores and the `.imrb` v3 image
-//! `imre quantize` writes.
+//! `imre quantize` writes. Beside them, the two pretrained tables that
+//! `Pipeline::build` hands every model: the skip-gram word vectors and the
+//! LINE entity embedding.
 //!
 //! Training is bit-identical across pool sizes and SIMD tiers, so the IMRM
 //! digest is asserted with 1 and 2 pool threads and under the scalar tier.
@@ -28,6 +30,10 @@ const IMRM: (usize, u64) = (64917, 0xb1ee_9db2_7f58_7111);
 const INT8_SCORES: (usize, u64) = (980, 0x731a_623c_1d16_43e6);
 /// `(length, FNV-1a 64)` of the quantized `.imrb` v3 image.
 const IMRB_V3: (usize, u64) = (196664, 0x3e75_b329_d616_d2ec);
+/// `(length, FNV-1a 64)` of `Pipeline::build`'s skip-gram word table, f32 LE.
+const WORD_VECTORS: (usize, u64) = (17408, 0x7c41_29ac_3c66_c95c);
+/// `(length, FNV-1a 64)` of `Pipeline::build`'s LINE entity table, f32 LE.
+const ENTITY_EMBEDDING: (usize, u64) = (12288, 0xb2db_7bec_6d62_5040);
 
 /// The CLI's defaults: dataset and training seed 1.
 const SEED: u64 = 1;
@@ -101,4 +107,24 @@ fn int8_scores_and_quantized_bundle_digests_are_pinned() {
     let mut v3 = Vec::new();
     write_bundle(&bundle.with_quant(quant), &mut v3).unwrap();
     assert_eq!(digest(&v3), IMRB_V3, "quantized bundle digest moved");
+}
+
+fn f32_digest(data: &[f32]) -> (usize, u64) {
+    let bytes: Vec<u8> = data.iter().flat_map(|x| x.to_le_bytes()).collect();
+    digest(&bytes)
+}
+
+#[test]
+fn pipeline_word_vectors_and_entity_embedding_digests_are_pinned() {
+    let p = Pipeline::build(&smoke_config(SEED), HyperParams::scaled());
+    assert_eq!(
+        f32_digest(p.word_vectors.data()),
+        WORD_VECTORS,
+        "skip-gram word table digest moved"
+    );
+    assert_eq!(
+        f32_digest(p.embedding.matrix().data()),
+        ENTITY_EMBEDDING,
+        "LINE entity table digest moved"
+    );
 }
