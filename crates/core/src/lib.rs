@@ -28,7 +28,6 @@ pub mod encoder;
 pub mod features;
 pub mod model;
 pub mod persist;
-pub mod pretrain;
 pub mod quant;
 #[cfg(test)]
 pub(crate) mod testutil;
@@ -42,6 +41,5 @@ pub use encoder::{Encoder, EncoderKind, Frontend};
 pub use features::{featurize, SentenceFeatures};
 pub use model::{entity_type_table, prepare_bags, BagContext, ModelSpec, PreparedBag, ReModel};
 pub use persist::{load_model, read_model, save_model, write_model};
-pub use pretrain::{corpus_sentences, train_skipgram, SkipGramConfig};
 pub use quant::{QuantModel, QuantScratch, QuantizeError};
 pub use train::{epoch_stream, train_epoch, train_model, TrainConfig, TrainStats};

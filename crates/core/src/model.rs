@@ -491,7 +491,7 @@ impl ReModel {
     }
 
     /// Loads pretrained word embeddings (e.g. skip-gram vectors from
-    /// [`crate::pretrain`]) into the encoder's word table. The table is
+    /// [`imre_graph::train_skipgram`]) into the encoder's word table. The table is
     /// still fine-tuned during training, as in the paper's stack.
     ///
     /// # Panics

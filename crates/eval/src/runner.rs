@@ -13,7 +13,7 @@ use imre_core::{
     HyperParams, ModelSpec, PreparedBag, ReModel, TrainConfig, TrainStats,
 };
 use imre_corpus::{generate_unlabeled, CoOccurrence, Dataset, DatasetConfig, UnlabeledConfig};
-use imre_graph::{train_line, EntityEmbedding, LineConfig, ProximityGraph};
+use imre_graph::{train_line, train_skipgram, EntityEmbedding, LineConfig, ProximityGraph};
 use std::io;
 
 /// Everything shared by the systems compared within one experiment.
@@ -57,12 +57,14 @@ impl Pipeline {
         // the raw corpus text; unsupervised — labels never enter). This is
         // what lets encoders handle entity mentions absent from the
         // labelled training pairs.
-        let raw_sentences = imre_core::corpus_sentences(&[&dataset.train, &dataset.test]);
-        let sg_cfg = imre_core::SkipGramConfig {
-            dim: hp.word_dim,
-            ..Default::default()
-        };
-        let word_vectors = imre_core::train_skipgram(&raw_sentences, dataset.vocab.len(), &sg_cfg);
+        let sentences: Vec<&[usize]> = dataset
+            .train
+            .iter()
+            .chain(&dataset.test)
+            .flat_map(|b| &b.sentences)
+            .map(|s| s.tokens.as_slice())
+            .collect();
+        let word_vectors = train_skipgram(&sentences, dataset.vocab.len(), hp.word_dim);
         let types = entity_type_table(&dataset.world);
         Pipeline {
             dataset,

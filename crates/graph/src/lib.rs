@@ -7,6 +7,11 @@
 //! mutual-relation difference `MR_ij = U_j − U_i`, nearest-neighbour lookups
 //! for the paper's case study, and a PCA projection for Figure 8.
 //!
+//! Skip-gram word pretraining ([`train_skipgram`]) lives here too: it is
+//! the same negative-sampling SGD as LINE — one update rule, one ¾-power
+//! noise table, one linear rate decay — over corpus windows instead of
+//! graph edges.
+//!
 //! ```
 //! use imre_graph::{ProximityGraph, LineConfig, train_line, nearest};
 //!
@@ -22,11 +27,14 @@
 pub mod alias;
 pub mod knn;
 pub mod line;
+mod negsample;
 pub mod pca;
 pub mod proximity;
+pub mod skipgram;
 
 pub use alias::AliasTable;
 pub use knn::{nearest, nearest_pairs};
 pub use line::{train_line, EntityEmbedding, LineConfig};
 pub use pca::pca_project;
 pub use proximity::ProximityGraph;
+pub use skipgram::train_skipgram;

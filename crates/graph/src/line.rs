@@ -23,8 +23,9 @@
 //! from the two models").
 
 use crate::alias::AliasTable;
+use crate::negsample::{decayed_lr, update, Noise};
 use crate::proximity::ProximityGraph;
-use imre_tensor::{sigmoid_scalar, Tensor, TensorRng};
+use imre_tensor::{Tensor, TensorRng};
 
 /// LINE training hyperparameters.
 #[derive(Debug, Clone)]
@@ -55,6 +56,9 @@ impl Default for LineConfig {
         }
     }
 }
+
+/// The fraction of [`LineConfig::lr`] the rate decays to.
+const LR_FLOOR: f32 = 1e-4;
 
 /// Learned entity embeddings: `[n_vertices, dim]`.
 pub struct EntityEmbedding {
@@ -133,10 +137,15 @@ impl EntityEmbedding {
 /// size.
 ///
 /// # Panics
-/// If the graph has no edges or `config.dim < 2`.
+/// If the graph has no edges, or `config.dim` is not an even width of at
+/// least 2: the two orders take half of it each.
 pub fn train_line(graph: &ProximityGraph, config: &LineConfig) -> EntityEmbedding {
     assert!(graph.n_edges() > 0, "train_line: graph has no edges");
-    assert!(config.dim >= 2, "train_line: dim must be at least 2");
+    assert!(
+        config.dim >= 2 && config.dim.is_multiple_of(2),
+        "train_line: dim must be even and at least 2, got {}",
+        config.dim
+    );
     let n = graph.n_vertices();
     let half = config.dim / 2;
     // Draw order is part of the output: `first`, then `second_v`, then the
@@ -149,11 +158,10 @@ pub fn train_line(graph: &ProximityGraph, config: &LineConfig) -> EntityEmbeddin
 
     let edges = graph.edges();
     let edge_weights: Vec<f32> = edges.iter().map(|&(_, _, w)| w).collect();
-    let degree_pow: Vec<f32> = (0..n).map(|v| graph.degree(v).powf(0.75)).collect();
     let sampler = Sampler {
         edges,
         edge_table: AliasTable::new(&edge_weights),
-        noise_table: AliasTable::new(&degree_pow),
+        noise: Noise::new((0..n).map(|v| graph.degree(v)), config.negatives),
         config,
     };
 
@@ -205,7 +213,7 @@ fn lower_thread_priority() {}
 struct Sampler<'a> {
     edges: &'a [(usize, usize, f32)],
     edge_table: AliasTable,
-    noise_table: AliasTable,
+    noise: Noise,
     config: &'a LineConfig,
 }
 
@@ -227,87 +235,48 @@ impl Sampler<'_> {
         mut rng: TensorRng,
     ) {
         let config = self.config;
-        let half = config.dim / 2;
         let samples = config.samples_per_epoch * config.epochs;
-        let total_samples = samples.max(1);
         for done in 0..samples {
-            let progress = done as f32 / total_samples as f32;
-            let lr = (config.lr * (1.0 - progress)).max(config.lr * 1e-4);
+            let lr = decayed_lr(config.lr, done, samples, LR_FLOOR);
             let (u, v, _) = self.edges[self.edge_table.sample(&mut rng)];
             let (src, dst) = if (done + 1).is_multiple_of(2) {
                 (u, v)
             } else {
                 (v, u)
             };
-            if let Some(first) = first.as_deref_mut() {
-                sgd_pair(first, src, dst, true, lr, half);
-            }
-            for _ in 0..config.negatives {
-                let neg = self.noise_table.sample(&mut rng);
-                if let Some(first) = first.as_deref_mut() {
-                    if neg != src && neg != dst {
-                        sgd_pair(first, src, neg, false, lr, half);
+            match first.as_deref_mut() {
+                Some(first) => {
+                    sgd_pair(first, src, dst, true, lr);
+                    for _ in 0..self.noise.negatives() {
+                        let neg = self.noise.sample(&mut rng);
+                        if neg != src && neg != dst {
+                            sgd_pair(first, src, neg, false, lr);
+                        }
                     }
                 }
+                None => self.noise.skip(&mut rng),
             }
-            if let Some((vertex, context)) = second.as_mut() {
-                sgd_cross(vertex, context, src, dst, true, lr, half);
-            }
-            for _ in 0..config.negatives {
-                let neg = self.noise_table.sample(&mut rng);
-                if let Some((vertex, context)) = second.as_mut() {
-                    if neg != dst {
-                        sgd_cross(vertex, context, src, neg, false, lr, half);
-                    }
-                }
+            match second.as_mut() {
+                Some((vertex, context)) => self.noise.step(vertex, context, src, dst, lr, &mut rng),
+                None => self.noise.skip(&mut rng),
             }
         }
     }
 }
 
-/// One negative-sampling SGD update where both vectors live in `table`.
-fn sgd_pair(table: &mut Tensor, a: usize, b: usize, positive: bool, lr: f32, dim: usize) {
-    let (va, vb) = two_rows(table, a, b, dim);
-    let x: f32 = va.iter().zip(vb.iter()).map(|(&p, &q)| p * q).sum();
-    let label = if positive { 1.0 } else { 0.0 };
-    let g = lr * (label - sigmoid_scalar(x));
-    for i in 0..dim {
-        let da = g * vb[i];
-        let db = g * va[i];
-        va[i] += da;
-        vb[i] += db;
-    }
-}
-
-/// One update where the source lives in `vertex` and target in `context`.
-fn sgd_cross(
-    vertex: &mut Tensor,
-    context: &mut Tensor,
-    src: usize,
-    dst: usize,
-    positive: bool,
-    lr: f32,
-    dim: usize,
-) {
-    let vs = &mut vertex.data_mut()[src * dim..(src + 1) * dim];
-    let cs = &mut context.data_mut()[dst * dim..(dst + 1) * dim];
-    let x: f32 = vs.iter().zip(cs.iter()).map(|(&p, &q)| p * q).sum();
-    let label = if positive { 1.0 } else { 0.0 };
-    let g = lr * (label - sigmoid_scalar(x));
-    for i in 0..dim {
-        let dv = g * cs[i];
-        let dc = g * vs[i];
-        vs[i] += dv;
-        cs[i] += dc;
-    }
+/// One update where both vectors live in `table` (the first order).
+fn sgd_pair(table: &mut Tensor, a: usize, b: usize, positive: bool, lr: f32) {
+    let (va, vb) = two_rows(table, a, b);
+    update(va, vb, positive, lr);
 }
 
 /// Disjoint mutable views of rows `a` and `b`.
 ///
 /// # Panics
 /// If `a == b` (callers exclude self-pairs).
-fn two_rows(table: &mut Tensor, a: usize, b: usize, dim: usize) -> (&mut [f32], &mut [f32]) {
+fn two_rows(table: &mut Tensor, a: usize, b: usize) -> (&mut [f32], &mut [f32]) {
     assert_ne!(a, b, "two_rows: aliasing row");
+    let dim = table.cols();
     let data = table.data_mut();
     if a < b {
         let (lo, hi) = data.split_at_mut(b * dim);
@@ -470,7 +439,7 @@ mod tests {
     fn two_rows_split_correctness() {
         let mut t = Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[3, 2]);
         {
-            let (a, b) = two_rows(&mut t, 2, 0, 2);
+            let (a, b) = two_rows(&mut t, 2, 0);
             assert_eq!(a, &[4.0, 5.0]);
             assert_eq!(b, &[0.0, 1.0]);
             a[0] = 9.0;
