@@ -13,6 +13,8 @@
 use imre_corpus::stream::DeltaBatch;
 use imre_corpus::CoOccurrence;
 use imre_graph::{train_line, EntityEmbedding, LineConfig};
+use imre_serve::{load_bundle, Bundle};
+use std::path::Path;
 
 use crate::catalog::EntityCatalog;
 use crate::error::StreamUpdateError;
@@ -41,6 +43,31 @@ pub struct StreamBuildConfig {
     pub threads: usize,
     /// Embedding refresh mode (always [`RefreshMode::Canonical`]).
     pub refresh: RefreshMode,
+}
+
+/// Loads the base bundle a stream refreshes and sets `config.line.dim` to
+/// its embedding width: every publish must reproduce that width to pass
+/// [`Bundle::validate`].
+///
+/// # Errors
+/// I/O reading the bundle, [`StreamUpdateError::NoEmbedding`] without an
+/// entity embedding, [`StreamUpdateError::EmbeddingWidth`] for a width LINE
+/// cannot train: its two orders take half of it each.
+pub(crate) fn load_base(
+    path: &Path,
+    config: &mut StreamBuildConfig,
+) -> Result<Bundle, StreamUpdateError> {
+    let bundle = load_bundle(path)?;
+    let dim = bundle
+        .embedding
+        .as_ref()
+        .ok_or(StreamUpdateError::NoEmbedding)?
+        .dim();
+    if dim < 2 || !dim.is_multiple_of(2) {
+        return Err(StreamUpdateError::EmbeddingWidth(dim));
+    }
+    config.line.dim = dim;
+    Ok(bundle)
 }
 
 /// What one batch application did — feeds the `stream:` stats line.

@@ -29,6 +29,9 @@ pub enum StreamUpdateError {
     /// The base bundle has no entity embedding (streaming refresh requires
     /// an `*-MR` bundle; there is nothing to refresh otherwise).
     NoEmbedding,
+    /// The base bundle's entity embedding has a width LINE cannot refresh:
+    /// odd, or below 2 (its two orders take half of it each).
+    EmbeddingWidth(usize),
 }
 
 impl fmt::Display for StreamUpdateError {
@@ -51,6 +54,10 @@ impl fmt::Display for StreamUpdateError {
             StreamUpdateError::NoEmbedding => {
                 write!(f, "base bundle carries no entity embedding to refresh")
             }
+            StreamUpdateError::EmbeddingWidth(dim) => write!(
+                f,
+                "base entity embedding is {dim} wide; LINE refreshes only an even width of at least 2"
+            ),
         }
     }
 }

@@ -6,10 +6,10 @@
 //! the corpus was split into batches and to `threads`.
 
 use imre_corpus::stream::{LineDeltaSource, StreamError, StreamSource};
-use imre_serve::{load_bundle, write_bundle};
+use imre_serve::write_bundle;
 use std::path::Path;
 
-use crate::build::{StreamBuild, StreamBuildConfig};
+use crate::build::{load_base, StreamBuild, StreamBuildConfig};
 use crate::error::StreamUpdateError;
 
 /// Accounting and artifact from a full-stream replay.
@@ -38,19 +38,15 @@ pub struct ReplayReport {
 ///
 /// # Errors
 /// I/O on either file, [`StreamUpdateError::NoEmbedding`] for a bundle
-/// without an entity embedding, [`StreamUpdateError::EmptyGraph`] when no
-/// pair ever crossed the threshold.
+/// without an entity embedding, [`StreamUpdateError::EmbeddingWidth`] for
+/// one LINE cannot train, [`StreamUpdateError::EmptyGraph`] when no pair
+/// ever crossed the threshold.
 pub fn replay(
     base_path: &Path,
     delta_path: &Path,
     mut config: StreamBuildConfig,
 ) -> Result<ReplayReport, StreamUpdateError> {
-    let mut bundle = load_bundle(base_path)?;
-    let embedding = bundle
-        .embedding
-        .as_ref()
-        .ok_or(StreamUpdateError::NoEmbedding)?;
-    config.line.dim = embedding.dim();
+    let mut bundle = load_base(base_path, &mut config)?;
 
     let mut build = StreamBuild::new(&bundle.entities, bundle.model.num_types(), config);
     let mut source = LineDeltaSource::open(delta_path)?;

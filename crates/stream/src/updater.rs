@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crate::build::{StreamBuild, StreamBuildConfig};
+use crate::build::{load_base, StreamBuild, StreamBuildConfig};
 use crate::error::StreamUpdateError;
 
 /// Configuration for [`StreamUpdater::spawn`].
@@ -81,7 +81,8 @@ impl StreamUpdater {
     /// # Errors
     /// [`StreamUpdateError::Io`] if the base bundle cannot be read,
     /// [`StreamUpdateError::NoEmbedding`] if it has no entity embedding to
-    /// refresh.
+    /// refresh, [`StreamUpdateError::EmbeddingWidth`] if LINE cannot train
+    /// an embedding of its width. No thread starts on an error.
     pub fn spawn<S>(
         mut source: S,
         base_path: PathBuf,
@@ -92,12 +93,7 @@ impl StreamUpdater {
     where
         S: StreamSource + Send + 'static,
     {
-        let base = load_bundle(&base_path)?;
-        let embedding = base
-            .embedding
-            .as_ref()
-            .ok_or(StreamUpdateError::NoEmbedding)?;
-        config.build.line.dim = embedding.dim();
+        let base = load_base(&base_path, &mut config.build)?;
         let base_entities = base.entities.clone();
         let num_types = base.model.num_types();
         drop(base);

@@ -3,7 +3,7 @@
 //! and verify the cold-start entity becomes answerable through the engine
 //! after a live publish — with serving active the whole time.
 
-use imre_core::{HyperParams, ModelSpec, QuantModel};
+use imre_core::{HyperParams, ModelSpec, QuantModel, ReModel};
 use imre_eval::{smoke_config, Pipeline};
 use imre_graph::{EntityEmbedding, LineConfig};
 use imre_serve::{
@@ -11,9 +11,9 @@ use imre_serve::{
     Registry, ServeHandle, ServingModel,
 };
 use imre_stream::{
-    RefreshMode, StreamBuildConfig, StreamUpdateError, StreamUpdater, StreamUpdaterConfig,
+    replay, RefreshMode, StreamBuildConfig, StreamUpdateError, StreamUpdater, StreamUpdaterConfig,
 };
-use imre_tensor::QuantTensor;
+use imre_tensor::{QuantTensor, Tensor};
 use std::io::Cursor;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -342,5 +342,62 @@ fn spawn_rejects_bundle_without_embedding() {
     .err()
     .expect("spawn must fail");
     assert!(matches!(err, StreamUpdateError::NoEmbedding), "got {err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn spawn_and_replay_reject_an_embedding_width_line_cannot_train() {
+    let dir = temp_dir("oddwidth");
+    let path = dir.join("odd.imrb");
+    let deltas = dir.join("deltas.tsv");
+    // A valid PA-MR bundle whose entity table is 3 wide: LINE gives each
+    // order half the width, so it cannot produce a 3-wide refresh that
+    // would pass `Bundle::validate`.
+    let dataset = imre_corpus::Dataset::generate(&smoke_config(5));
+    let model = ReModel::new(
+        ModelSpec::pa_mr(),
+        &HyperParams::tiny(),
+        dataset.vocab.len(),
+        dataset.num_relations(),
+        imre_corpus::NUM_COARSE_TYPES,
+        3,
+        7,
+    );
+    let embedding = EntityEmbedding::from_matrix(Tensor::zeros(&[dataset.world.num_entities(), 3]));
+    let bundle = Bundle::new(
+        model,
+        dataset.vocab.clone(),
+        &dataset.world,
+        Some(embedding),
+    );
+    save_bundle(&bundle, &path).expect("save");
+    let names: Vec<&str> = bundle.entities.iter().map(|(n, _)| n.as_str()).collect();
+    let text = delta_text(names[0], names[1]);
+    std::fs::write(&deltas, &text).expect("write deltas");
+
+    let err = StreamUpdater::spawn(
+        imre_corpus::LineDeltaSource::new(Cursor::new(text.into_bytes())),
+        path.clone(),
+        Arc::new(Registry::new()),
+        Arc::new(imre_serve::Metrics::default()),
+        StreamUpdaterConfig {
+            model_name: "smoke".to_string(),
+            publish_every: 1,
+            build: build_config(),
+            out_path: None,
+        },
+    )
+    .err()
+    .expect("spawn must fail before starting a thread");
+    assert!(
+        matches!(err, StreamUpdateError::EmbeddingWidth(3)),
+        "got {err}"
+    );
+
+    let err = replay(&path, &deltas, build_config()).expect_err("replay must fail");
+    assert!(
+        matches!(err, StreamUpdateError::EmbeddingWidth(3)),
+        "got {err}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
