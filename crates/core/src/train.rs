@@ -74,13 +74,6 @@ pub struct TrainStats {
     pub epoch_losses: Vec<f32>,
 }
 
-impl TrainStats {
-    /// The last epoch's mean loss.
-    pub fn final_loss(&self) -> f32 {
-        *self.epoch_losses.last().expect("at least one epoch")
-    }
-}
-
 /// The stream epoch `epoch` of a run seeded `seed` draws from: first its
 /// shuffle, then one dropout seed per bag in visiting order.
 pub fn epoch_stream(seed: u64, epoch: usize) -> TensorRng {
@@ -304,7 +297,7 @@ mod tests {
         let (_, _, stats) = train_tiny(11, &tiny_config(8, 13));
         assert_eq!(stats.epoch_losses.len(), 8);
         assert!(
-            stats.final_loss() < stats.epoch_losses[0] * 0.85,
+            stats.epoch_losses.last().unwrap() < &(stats.epoch_losses[0] * 0.85),
             "losses {:?}",
             stats.epoch_losses
         );

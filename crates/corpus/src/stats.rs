@@ -2,7 +2,6 @@
 //! numbers of Table II.
 
 use crate::dataset::{Bag, Dataset};
-use crate::unlabeled::CoOccurrence;
 
 /// A labelled frequency band for histograms, e.g. `1–5`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,24 +52,6 @@ pub fn pair_frequency_histogram(bags: &[Bag], bands: &[Band]) -> Vec<(String, us
             let count = bags
                 .iter()
                 .filter(|b| band.contains(b.sentences.len()))
-                .count();
-            (band.label(), count)
-        })
-        .collect()
-}
-
-/// Counts entity pairs per *unlabeled-corpus co-occurrence* band.
-pub fn cooccurrence_histogram(
-    bags: &[Bag],
-    co: &CoOccurrence,
-    bands: &[Band],
-) -> Vec<(String, usize)> {
-    bands
-        .iter()
-        .map(|band| {
-            let count = bags
-                .iter()
-                .filter(|b| band.contains(co.count(b.head.0, b.tail.0) as usize))
                 .count();
             (band.label(), count)
         })
@@ -175,15 +156,5 @@ mod tests {
             s.train_sentences >= s.train_pairs,
             "at least one sentence per bag"
         );
-    }
-
-    #[test]
-    fn cooccurrence_histogram_counts_uncovered_pairs_in_no_band() {
-        use crate::unlabeled::CoOccurrence;
-        let d = ds();
-        let co = CoOccurrence::new(); // empty: every pair has count 0
-        let hist = cooccurrence_histogram(&d.train, &co, &fig1_bands());
-        let total: usize = hist.iter().map(|(_, c)| c).sum();
-        assert_eq!(total, 0, "count 0 falls outside the 1+ bands");
     }
 }

@@ -84,7 +84,6 @@ enum Op {
     MatVec(Var, Var),
     Tanh(Var),
     Sigmoid(Var),
-    Relu(Var),
     /// Natural log, input clamped to `LN_EPS` for stability.
     Ln(Var),
     /// View with a different shape (same data).
@@ -343,11 +342,6 @@ impl<'s> Tape<'s> {
         }
     }
 
-    /// Whether this tape records backward context.
-    pub fn is_recording(&self) -> bool {
-        self.record
-    }
-
     /// Clears all nodes, recycling every owned node tensor into the tape's
     /// buffer pool — so a reused tape's next forward pass is served from
     /// recycled buffers instead of the heap.
@@ -557,15 +551,6 @@ impl<'s> Tape<'s> {
         let mut out = pool.alloc(av.shape());
         av.sigmoid_into(&mut out);
         self.push(out, Op::Sigmoid(a))
-    }
-
-    /// Elementwise ReLU.
-    pub fn relu(&mut self, a: Var) -> Var {
-        let (nodes, pool) = (&self.nodes, &mut self.pool);
-        let av = nodes[a.0].value.tensor();
-        let mut out = pool.alloc(av.shape());
-        av.relu_into(&mut out);
-        self.push(out, Op::Relu(a))
     }
 
     /// Elementwise natural log with input clamped to [`LN_EPS`].
@@ -1108,15 +1093,6 @@ impl<'s> Tape<'s> {
                     acc(&mut adj, &mut pool, a.0, da);
                     pool.recycle(g);
                 }
-                Op::Relu(a) => {
-                    let x = nodes[a.0].value.tensor();
-                    let mut da = pool.alloc(x.shape());
-                    for ((d, &gi), &xi) in da.data_mut().iter_mut().zip(g.data()).zip(x.data()) {
-                        *d = if xi > 0.0 { gi } else { 0.0 };
-                    }
-                    acc(&mut adj, &mut pool, a.0, da);
-                    pool.recycle(g);
-                }
                 Op::Ln(a) => {
                     let x = nodes[a.0].value.tensor();
                     let mut da = pool.alloc(x.shape());
@@ -1628,24 +1604,6 @@ mod tests {
     }
 
     #[test]
-    fn relu_backward_masks_negatives() {
-        let (mut store, _) = setup();
-        let x = store.register("x", Tensor::from_vec(vec![-1.0, 2.0], &[2]));
-        let mut grads = GradStore::zeros_like(&store);
-        let mut tape = Tape::new(&store);
-        let vx = tape.param(x);
-        let r = tape.relu(vx);
-        let loss = tape.softmax_cross_entropy(r, 1);
-        tape.backward(loss, &mut grads);
-        assert_eq!(
-            grads.get(x).data()[0],
-            0.0,
-            "negative input blocks gradient"
-        );
-        assert_ne!(grads.get(x).data()[1], 0.0);
-    }
-
-    #[test]
     fn inference_tape_matches_recording_forward() {
         let (mut store, mut rng) = setup();
         let w = store.register("w", Tensor::rand_uniform(&[4, 3], -1.0, 1.0, &mut rng));
@@ -1662,7 +1620,6 @@ mod tests {
         let mut rec = Tape::new(&store);
         let mut inf = Tape::inference(&store);
         assert_eq!(run(&mut rec), run(&mut inf));
-        assert!(!inf.is_recording());
     }
 
     #[test]

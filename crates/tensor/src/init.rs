@@ -103,11 +103,6 @@ impl TensorRng {
             xs.swap(i, j);
         }
     }
-
-    /// Derives an independent RNG stream (for per-worker seeding).
-    pub fn fork(&mut self) -> TensorRng {
-        TensorRng::seed(self.u64())
-    }
 }
 
 impl Tensor {
@@ -208,17 +203,6 @@ mod tests {
             (0..50).collect::<Vec<_>>(),
             "shuffle left slice in order (astronomically unlikely)"
         );
-    }
-
-    #[test]
-    fn fork_streams_are_independent_but_deterministic() {
-        let mut parent1 = TensorRng::seed(42);
-        let mut parent2 = TensorRng::seed(42);
-        let mut c1 = parent1.fork();
-        let mut c2 = parent2.fork();
-        for _ in 0..10 {
-            assert_eq!(c1.u64(), c2.u64());
-        }
     }
 
     #[test]

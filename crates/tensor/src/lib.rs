@@ -59,9 +59,6 @@ pub use quant::QuantTensor;
 pub use reduce::softmax_in_place;
 pub use tensor::Tensor;
 
-/// Absolute tolerance used by the test helpers in this workspace.
-pub const TEST_EPS: f32 = 1e-4;
-
 /// Asserts two f32 slices are elementwise close; used across the workspace's tests.
 ///
 /// Panics with the first offending index on failure.

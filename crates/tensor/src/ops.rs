@@ -180,11 +180,6 @@ impl Tensor {
         });
     }
 
-    /// Adds `s` to every element.
-    pub fn add_scalar(&self, s: f32) -> Tensor {
-        self.map(|x| x + s)
-    }
-
     /// Applies `f` to every element.
     pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
         let a = self.data();
@@ -421,16 +416,6 @@ impl Tensor {
     pub fn sigmoid_into(&self, out: &mut Tensor) {
         self.map_into(out, |x| 1.0 / (1.0 + (-x).exp()))
     }
-
-    /// Elementwise rectified linear unit.
-    pub fn relu(&self) -> Tensor {
-        self.map(|x| x.max(0.0))
-    }
-
-    /// Elementwise ReLU written into `out`.
-    pub fn relu_into(&self, out: &mut Tensor) {
-        self.map_into(out, |x| x.max(0.0))
-    }
 }
 
 /// Slice-level `dst[i] += alpha * src[i]` on the calling thread: the kernel
@@ -533,7 +518,6 @@ mod tests {
     fn scalar_ops() {
         let a = t(&[1.0, -2.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, -4.0]);
-        assert_eq!(a.add_scalar(1.0).data(), &[2.0, -1.0]);
         assert_eq!(a.map(|x| x * x).data(), &[1.0, 4.0]);
     }
 
@@ -574,7 +558,6 @@ mod tests {
         let a = t(&[0.0, 1.0, -1.0]);
         assert_close(a.tanh().data(), &[0.0, 0.76159, -0.76159], 1e-4);
         assert_close(a.sigmoid().data(), &[0.5, 0.73106, 0.26894], 1e-4);
-        assert_eq!(a.relu().data(), &[0.0, 1.0, 0.0]);
     }
 
     #[test]

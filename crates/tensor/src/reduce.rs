@@ -70,14 +70,6 @@ impl Tensor {
         }
     }
 
-    /// Row-wise sum of a rank-2 tensor → rank-1 of length `rows`.
-    pub fn sum_cols(&self) -> Tensor {
-        let cols = self.cols();
-        let data: Vec<f32> = self.data().chunks(cols).map(|r| r.iter().sum()).collect();
-        let n = data.len();
-        Tensor::from_vec(data, &[n])
-    }
-
     /// Column-wise mean of a rank-2 tensor → rank-1 of length `cols`.
     pub fn mean_rows(&self) -> Tensor {
         let rows = self.rows() as f32;
@@ -212,14 +204,6 @@ impl Tensor {
         softmax_in_place(out.data_mut());
     }
 
-    /// Numerically stable log-softmax over a rank-1 tensor.
-    pub fn log_softmax(&self) -> Tensor {
-        let m = self.max();
-        let z: f32 = self.data().iter().map(|&x| (x - m).exp()).sum();
-        let lz = z.ln() + m;
-        self.map(|x| x - lz)
-    }
-
     /// Row-wise softmax of a rank-2 tensor. Rows are independent, so this is
     /// row-parallel with bit-identical results at any thread count. The row
     /// max and partition-function sum use the fixed 8-lane reduction
@@ -313,7 +297,6 @@ mod tests {
     fn row_and_col_sums() {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
         assert_eq!(t.sum_rows().data(), &[5.0, 7.0, 9.0]);
-        assert_eq!(t.sum_cols().data(), &[6.0, 15.0]);
         assert_eq!(t.mean_rows().data(), &[2.5, 3.5, 4.5]);
     }
 
@@ -360,15 +343,6 @@ mod tests {
         assert!((s.sum() - 1.0).abs() < 1e-5);
         assert!(s.data().iter().all(|x| x.is_finite() && *x > 0.0));
         assert!(s.data()[0] > s.data()[2]);
-    }
-
-    #[test]
-    fn log_softmax_consistent_with_softmax() {
-        let t = Tensor::from_vec(vec![0.3, -1.2, 2.0, 0.0], &[4]);
-        let ls = t.log_softmax();
-        let s = t.softmax();
-        let exp_ls: Vec<f32> = ls.data().iter().map(|&x| x.exp()).collect();
-        assert_close(&exp_ls, s.data(), 1e-5);
     }
 
     #[test]

@@ -69,14 +69,6 @@ impl Tensor {
         t
     }
 
-    /// A rank-1 tensor holding `0.0, 1.0, …, (n-1) as f32`.
-    pub fn arange(n: usize) -> Self {
-        Tensor {
-            shape: vec![n],
-            data: (0..n).map(|i| i as f32).collect(),
-        }
-    }
-
     /// Assembles a tensor from a shape vector and a data buffer, both owned.
     ///
     /// Unlike [`Tensor::from_vec`] this takes the shape by value, so callers
@@ -359,11 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn arange_values() {
-        assert_eq!(Tensor::arange(4).data(), &[0.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     fn from_rows_builds_matrix() {
         let t = Tensor::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         assert_eq!(t.shape(), &[2, 2]);
@@ -387,7 +374,7 @@ mod tests {
 
     #[test]
     fn reshape_preserves_data() {
-        let t = Tensor::arange(6).reshape(&[2, 3]);
+        let t = Tensor::from_vec(vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0], &[6]).reshape(&[2, 3]);
         assert_eq!(t.at(1, 0), 3.0);
         let mut u = t.clone();
         u.reshape_in_place(&[3, 2]);
@@ -398,12 +385,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "reshape")]
     fn reshape_mismatch_panics() {
-        let _ = Tensor::arange(6).reshape(&[4, 2]);
+        let _ = Tensor::from_vec(vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0], &[6]).reshape(&[4, 2]);
     }
 
     #[test]
     fn as_row_matrix_shape() {
-        let t = Tensor::arange(3).as_row_matrix();
+        let t = Tensor::from_vec(vec![0.0, 1.0, 2.0], &[3]).as_row_matrix();
         assert_eq!(t.shape(), &[1, 3]);
     }
 

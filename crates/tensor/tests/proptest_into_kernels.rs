@@ -92,7 +92,6 @@ proptest! {
         check(m.scale(s), &|t, out| t.scale_into(s, out));
         check(m.tanh(), &|t, out| t.tanh_into(out));
         check(m.sigmoid(), &|t, out| t.sigmoid_into(out));
-        check(m.relu(), &|t, out| t.relu_into(out));
         check(m.map(|x| x * 2.0 - 1.0), &|t, out| t.map_into(out, |x| x * 2.0 - 1.0));
     }
 

@@ -75,7 +75,7 @@ proptest! {
 
     #[test]
     fn softmax_shift_invariant(v in vector(12)) {
-        let shifted = v.add_scalar(13.5);
+        let shifted = v.map(|x| x + 13.5);
         assert_close(v.softmax().data(), shifted.softmax().data(), 1e-4);
     }
 
