@@ -296,8 +296,9 @@ mod tests {
     fn loss_decreases_over_epochs() {
         let (_, _, stats) = train_tiny(11, &tiny_config(8, 13));
         assert_eq!(stats.epoch_losses.len(), 8);
+        let last = *stats.epoch_losses.last().unwrap();
         assert!(
-            stats.epoch_losses.last().unwrap() < &(stats.epoch_losses[0] * 0.85),
+            last < stats.epoch_losses[0] * 0.85,
             "losses {:?}",
             stats.epoch_losses
         );

@@ -43,7 +43,8 @@ pub struct StreamUpdaterConfig {
     /// publish only at end of stream.
     pub publish_every: usize,
     /// Ingest configuration. `line.dim` is overridden to the model's entity
-    /// dimension at spawn — the bundle cannot validate otherwise.
+    /// dimension at spawn — the bundle cannot validate otherwise; a width
+    /// LINE cannot train is refused there.
     pub build: StreamBuildConfig,
     /// Where to persist refreshed bundles (atomic tmp + rename); `None`
     /// publishes in memory only.
