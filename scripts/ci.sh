@@ -31,7 +31,10 @@
 #           stricter counting-global-allocator check that a warm inference
 #           pass performs zero heap allocations process-wide
 #   train   the training-loop gate: the imre-core epoch-stream and resume
-#           suites, then a CLI-level end-to-end check on the smoke
+#           suites, the trained-artifact digests (skip-gram and LINE
+#           tables, the 2-epoch PA-TMR IMRM and its int8 products; LINE's
+#           stream refresh digest runs in the stream step), then a
+#           CLI-level end-to-end check on the smoke
 #           corpus — `imre train` must write one artifact at `--threads 1`,
 #           `--threads 4` and under IMRE_FORCE_SCALAR=1, and 2 epochs with
 #           `--checkpoint` at `--threads 1` resumed to 4 at `--threads 4`
@@ -200,6 +203,8 @@ step_train() {
     # itself runs in the formats step).
     cargo test --offline -q -p imre-core --lib -- train::tests
     cargo test --offline -q -p imre-core --test checkpoint_resume
+    # Both negative-sampling trainers' bytes and the model trained on them.
+    cargo test --offline -q -p imre --test trained_digests
 
     # CLI-level end-to-end on the smoke corpus. The loop shards every
     # mini-batch the same way at any pool width and on either kernel tier:
