@@ -54,7 +54,7 @@ mod tensor;
 pub use bufpool::{BufferPool, PoolStats};
 pub use init::{mix64, TensorRng};
 pub use matmul::{matmul_into, matmul_nt_into, matmul_tn_into};
-pub use ops::{axpy, l2sq, sigmoid_scalar};
+pub use ops::{axpy, dot, l2sq, sigmoid_scalar};
 pub use quant::QuantTensor;
 pub use reduce::softmax_in_place;
 pub use tensor::Tensor;

@@ -440,12 +440,32 @@ pub fn axpy(dst: &mut [f32], alpha: f32, src: &[f32]) {
     simd::axpy(simd::backend(), dst, alpha, src);
 }
 
+/// Dot product `Σ a_i·b_i` on the calling thread, with the fixed 32-lane
+/// structure of the matmul kernels' dot: 32 stride-32 partial sums, a fixed
+/// reduction tree, then the tail in order. Every backend produces the
+/// scalar twin's bits, so an SGD step built on it (LINE, skip-gram) trains
+/// the same table on every tier. Like [`axpy`], the call is not counted as
+/// a kernel dispatch. [`Tensor::dot`] stays the serial sum the tape reads.
+///
+/// # Panics
+/// If the slices differ in length.
+#[inline]
+pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(
+        a.len(),
+        b.len(),
+        "dot: slices of len {} and {}",
+        a.len(),
+        b.len()
+    );
+    simd::dot(simd::backend(), a, b)
+}
+
 /// Squared Euclidean distance `Σ (a_i − b_i)²` on the calling thread, with
-/// the fixed 32-lane structure of the dot-product kernel: 32 stride-32
-/// partial sums, a fixed reduction tree, then the tail in order. Every
-/// backend produces the scalar twin's bits, so a kNN index built from it is
-/// the same on every tier. Like [`axpy`], the call is not counted as a
-/// kernel dispatch (a kNN query makes hundreds of them).
+/// the same 32-lane structure as [`dot`]. Every backend produces the scalar
+/// twin's bits, so a kNN index built from it is the same on every tier.
+/// Like [`axpy`], the call is not counted as a kernel dispatch (a kNN query
+/// makes hundreds of them).
 ///
 /// # Panics
 /// If the slices differ in length.

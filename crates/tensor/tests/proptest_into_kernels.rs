@@ -318,6 +318,37 @@ proptest! {
         });
     }
 
+    // The slice dot behind LINE's and skip-gram's SGD step: lengths 0..=70
+    // put every tail width against the 32 lanes, 128 is four full blocks
+    // and 690 the widest served row; the offsets start both slices at every
+    // 4-byte misalignment of a 32-byte vector. Each tier must give the
+    // scalar twin's bits, the same value with the operands swapped, and a
+    // value close to the f64 sum.
+    #[test]
+    fn dot_bitwise_matches_across_backends(
+        seed in 0u64..1000, off_a in 0usize..8, off_b in 0usize..8
+    ) {
+        let mut rng = imre_tensor::TensorRng::seed(seed);
+        let buf_a = Tensor::rand_uniform(&[690 + 8], -5.0, 5.0, &mut rng);
+        let buf_b = Tensor::rand_uniform(&[690 + 8], -5.0, 5.0, &mut rng);
+        for len in (0..=70).chain([128, 690]) {
+            let a = &buf_a.data()[off_a..off_a + len];
+            let b = &buf_b.data()[off_b..off_b + len];
+            let exact: f64 = a.iter().zip(b).map(|(&x, &y)| x as f64 * y as f64).sum();
+            let scale: f64 = a.iter().zip(b).map(|(&x, &y)| (x as f64 * y as f64).abs()).sum();
+            let want = simd::with_backend(Backend::Scalar, || imre_tensor::dot(a, b));
+            prop_assert!((want as f64 - exact).abs() <= 1e-5 * scale.max(1.0), "len={len}");
+            for be in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
+                let at = format!("{} len={len}", be.name());
+                let (ab, ba) = simd::with_backend(be, || {
+                    (imre_tensor::dot(a, b), imre_tensor::dot(b, a))
+                });
+                prop_assert_eq!(ab.to_bits(), want.to_bits(), "{}", at);
+                prop_assert_eq!(ba.to_bits(), ab.to_bits(), "{} symmetry", at);
+            }
+        }
+    }
+
     // Squared L2 runs `dot`'s 32-lane body: lengths 0..=70 put every tail
     // width against the 32 lanes, 690/691 are the kNN width and one past
     // it, and the offsets start both slices at every 4-byte misalignment
@@ -349,6 +380,12 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "dot: slices of len 3 and 2")]
+fn dot_length_mismatch_panics() {
+    imre_tensor::dot(&[1.0, 2.0, 3.0], &[1.0, 2.0]);
 }
 
 #[test]
