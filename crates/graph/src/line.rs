@@ -10,6 +10,14 @@
 //!   negatives drawn from `P_n(v) ∝ deg(v)^{3/4}`; vertices have separate
 //!   *vertex* and *context* tables.
 //!
+//! Every sample is one step of the reference implementation's update
+//! (LINE's `Update(vec_u, vec_v, vec_error, label)`, in the private
+//! `negsample` core shared with [`crate::skipgram`]):
+//! the source vertex's row is read-only for the step, the positive and the
+//! K negative target rows move at once, and the source takes the summed
+//! error after the step. The dot product has the fixed 32-lane structure of
+//! [`imre_tensor::dot`], so the bytes do not depend on the SIMD tier.
+//!
 //! The two orders share no table, and no draw depends on a table value, so
 //! each order is one sequential pass over the same sample stream. With two
 //! or more compute threads the two passes run on two threads, each drawing
@@ -23,9 +31,9 @@
 //! from the two models").
 
 use crate::alias::AliasTable;
-use crate::negsample::{decayed_lr, update, Noise};
+use crate::negsample::{decayed_lr, Noise, Tables};
 use crate::proximity::ProximityGraph;
-use imre_tensor::{Tensor, TensorRng};
+use imre_tensor::{simd, Tensor, TensorRng};
 
 /// LINE training hyperparameters.
 #[derive(Debug, Clone)]
@@ -168,11 +176,16 @@ pub fn train_line(graph: &ProximityGraph, config: &LineConfig) -> EntityEmbeddin
     if imre_tensor::pool::current_threads() >= 2 {
         // One scoped spawn per call, not a pool worker: the pool also runs
         // the serving engine's kernels and must not be parked for a pass.
+        // The spawned pass runs on the caller's SIMD tier, so a scoped
+        // `simd::with_backend` covers both orders.
         let second_rng = rng.clone();
+        let tier = simd::backend();
         std::thread::scope(|scope| {
             let second = scope.spawn(|| {
                 lower_thread_priority();
-                sampler.pass(None, Some((&mut second_v, &mut second_c)), second_rng)
+                simd::with_backend(tier, || {
+                    sampler.pass(None, Some((&mut second_v, &mut second_c)), second_rng)
+                })
             });
             sampler.pass(Some(&mut first), None, rng);
             second.join().expect("second-order LINE pass panicked");
@@ -236,6 +249,7 @@ impl Sampler<'_> {
     ) {
         let config = self.config;
         let samples = config.samples_per_epoch * config.epochs;
+        let mut err = vec![0.0; config.dim / 2];
         for done in 0..samples {
             let lr = decayed_lr(config.lr, done, samples, LR_FLOOR);
             let (u, v, _) = self.edges[self.edge_table.sample(&mut rng)];
@@ -246,45 +260,19 @@ impl Sampler<'_> {
             };
             match first.as_deref_mut() {
                 Some(first) => {
-                    sgd_pair(first, src, dst, true, lr);
-                    for _ in 0..self.noise.negatives() {
-                        let neg = self.noise.sample(&mut rng);
-                        if neg != src && neg != dst {
-                            sgd_pair(first, src, neg, false, lr);
-                        }
-                    }
+                    let tables = Tables::One(first);
+                    self.noise.step(tables, src, dst, lr, &mut err, &mut rng);
                 }
                 None => self.noise.skip(&mut rng),
             }
             match second.as_mut() {
-                Some((vertex, context)) => self.noise.step(vertex, context, src, dst, lr, &mut rng),
+                Some((vertex, context)) => {
+                    let tables = Tables::Two(vertex, context);
+                    self.noise.step(tables, src, dst, lr, &mut err, &mut rng);
+                }
                 None => self.noise.skip(&mut rng),
             }
         }
-    }
-}
-
-/// One update where both vectors live in `table` (the first order).
-fn sgd_pair(table: &mut Tensor, a: usize, b: usize, positive: bool, lr: f32) {
-    let (va, vb) = two_rows(table, a, b);
-    update(va, vb, positive, lr);
-}
-
-/// Disjoint mutable views of rows `a` and `b`.
-///
-/// # Panics
-/// If `a == b` (callers exclude self-pairs).
-fn two_rows(table: &mut Tensor, a: usize, b: usize) -> (&mut [f32], &mut [f32]) {
-    assert_ne!(a, b, "two_rows: aliasing row");
-    let dim = table.cols();
-    let data = table.data_mut();
-    if a < b {
-        let (lo, hi) = data.split_at_mut(b * dim);
-        (&mut lo[a * dim..(a + 1) * dim], &mut hi[..dim])
-    } else {
-        let (lo, hi) = data.split_at_mut(a * dim);
-        let (bslice, aslice) = (&mut lo[b * dim..(b + 1) * dim], &mut hi[..dim]);
-        (aslice, bslice)
     }
 }
 
@@ -433,17 +421,5 @@ mod tests {
         });
         assert_eq!(inside.join().unwrap(), 19);
         assert_eq!(nice(), before);
-    }
-
-    #[test]
-    fn two_rows_split_correctness() {
-        let mut t = Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[3, 2]);
-        {
-            let (a, b) = two_rows(&mut t, 2, 0);
-            assert_eq!(a, &[4.0, 5.0]);
-            assert_eq!(b, &[0.0, 1.0]);
-            a[0] = 9.0;
-        }
-        assert_eq!(t.at(2, 0), 9.0);
     }
 }

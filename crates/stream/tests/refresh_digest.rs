@@ -22,9 +22,9 @@ use imre_tensor::bytes::Fnv1a;
 use std::io::Cursor;
 
 /// `(length, FNV-1a 64)` of `train_line` on [`graph`].
-const TRAIN_LINE: (usize, u64) = (288, 0xbe86_5642_b2bd_b09a);
+const TRAIN_LINE: (usize, u64) = (288, 0x2410_954d_62cf_635c);
 /// `(length, FNV-1a 64)` of the canonical refresh after [`delta_text`].
-const CANONICAL_REFRESH: (usize, u64) = (384, 0x804b_ebd3_2c00_5dde);
+const CANONICAL_REFRESH: (usize, u64) = (384, 0x30de_706b_2c2c_179e);
 
 fn line_config() -> LineConfig {
     LineConfig {
