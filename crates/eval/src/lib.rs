@@ -15,6 +15,8 @@
 //!   LINE → train → evaluate) and its capped parallel (system, seed) grid.
 //! * [`report`] — plain-text tables and curve series, the output format of
 //!   every bench in `imre-bench`.
+//! * [`truth`] — quality scored against the generating world (cluster
+//!   purity of an entity embedding).
 
 pub mod heldout;
 pub mod knn;
@@ -22,6 +24,7 @@ pub mod metrics;
 pub mod report;
 pub mod runner;
 pub mod slices;
+pub mod truth;
 
 pub use heldout::{evaluate_system, hard_f1};
 pub use knn::{build_index, evaluate_model_knn, KnnBucket, KnnReport};
@@ -31,3 +34,4 @@ pub use metrics::{
 pub use report::{format_labeled_series, format_pr_series, format_table, metric, metric2};
 pub use runner::{mean_evaluation, smoke_config, MeanEvaluation, Pipeline};
 pub use slices::{f1_by_cooccurrence_quantile, f1_by_sentence_count};
+pub use truth::cluster_purity_at_k;
