@@ -4,7 +4,7 @@
 //! connection over the platform's readiness call (epoll on Linux, `poll(2)`
 //! on other unix targets) — nonblocking sockets, incremental line framing,
 //! pipelined requests with ordered responses, and admission control. See
-//! [`crate::eventloop`]. 10k idle clients cost 10k sockets, not 10k
+//! the private `eventloop` module. 10k idle clients cost 10k sockets, not 10k
 //! threads.
 //!
 //! It enforces [`FrontendConfig`]'s global connection cap (typed

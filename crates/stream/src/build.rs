@@ -170,8 +170,8 @@ impl StreamBuild {
 /// events a shard counts for ≈ 0.5 ms, well clear of its spawn.
 const SHARD_GRAIN_EVENTS: usize = 4096;
 
-/// Counts co-occurrence pairs for resolved events. Batches with at least
-/// two [`SHARD_GRAIN_EVENTS`] grains are sharded round-robin over up to
+/// Counts co-occurrence pairs for resolved events. Batches of at least
+/// two 4096-event grains are sharded round-robin over up to
 /// `threads` scoped workers and the shard tables summed; smaller ones are
 /// counted inline. Counts are additive and keys canonical, so the result is
 /// independent of the shard count and of scheduling — `--threads 1` and

@@ -21,7 +21,7 @@
 //!   publishes refreshed bundles through the hot-swap
 //!   [`Registry`](imre_serve::Registry) while the epoll front end keeps
 //!   serving, reporting through the `stream:` stats line;
-//! - [`replay`] — [`replay()`](replay::replay) re-derives the published
+//! - [`replay`](mod@replay) — [`replay()`](replay::replay) re-derives the published
 //!   bundle offline for audit (`imre stream-replay`).
 
 #![deny(missing_docs)]

@@ -167,7 +167,7 @@ impl Tensor {
 /// Writes `a · b` into `out` where `a` is `[m, k]`, `b` is `[k, n]`.
 ///
 /// Exposed for `imre-nn`'s fused kernels. Parallel over output-row ranges;
-/// each range is one [`simd::rows_times_mat`] call (four output rows per
+/// each range is one `simd::rows_times_mat` call (four output rows per
 /// register tile on the vector backends) accumulating every element in
 /// ascending-`l` order, so backend and threading both leave the float
 /// result bit-identical to the naive triple loop.
@@ -209,7 +209,7 @@ pub fn matmul_tn_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize,
 /// Writes `a · bᵀ` into `out` where `a` is `[m, k]`, `b` is `[n, k]`.
 ///
 /// Parallel over output-row ranges; each element is one independent
-/// fixed-lane [`simd::dot`], so partitioning cannot change results.
+/// fixed-lane [`dot`](crate::dot), so partitioning cannot change results.
 ///
 /// # Panics
 /// As [`matmul_into`].

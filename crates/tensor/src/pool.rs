@@ -351,7 +351,7 @@ fn align_grain(grain: usize, cols: usize) -> usize {
 /// `grain` rows and runs `f(lo, hi, &mut out[lo*cols..hi*cols])` for each,
 /// in parallel on the current pool.
 ///
-/// The grain is first rounded up by [`align_grain`] so chunk boundaries
+/// The grain is first rounded up by `align_grain` so chunk boundaries
 /// fall on cache-line offsets. The partition depends only on
 /// `(rows, cols, grain)`, and each output row is written by exactly one
 /// task, so results are bit-identical at any thread count. `f` must compute

@@ -564,7 +564,7 @@ struct Group([i8; 4 * QGEMM_LANES]);
 /// per bank (at model build or load), never per call.
 ///
 /// Rows are cut into blocks of 16. A block stores its columns four at a
-/// time as one 64-byte [`Group`], so a broadcast of four activation bytes
+/// time as one 64-byte group, so a broadcast of four activation bytes
 /// against one group feeds 16 rows' `i32` lanes of a single `vpdpbusd`
 /// and no horizontal reduction is left. Columns pad to a multiple of 4 and
 /// rows to a multiple of 16 with zero weights, which contribute exact

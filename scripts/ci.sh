@@ -3,20 +3,25 @@
 # every dependency) and reports per-step wall-clock timings.
 #
 # Usage:
-#   scripts/ci.sh                # full gate: fmt, clippy, build, test,
-#                                # serve-faults, alloc-gate, train, knn,
-#                                # simd, quant, stream, formats, bench,
+#   scripts/ci.sh                # full gate: fmt, clippy, doc, build,
+#                                # test, serve-faults, alloc-gate, train,
+#                                # knn, simd, quant, stream, formats, bench,
 #                                # repo-bench
 #   scripts/ci.sh --fast         # quick gate: fmt, clippy, test, serve-faults
 #                                # (skips the release build and bench smoke)
 #   scripts/ci.sh <step>...      # run only the named steps, in order:
-#                                #   fmt clippy build test serve-faults
-#                                #   alloc-gate train knn simd quant
-#                                #   stream formats bench repo-bench
+#                                #   fmt clippy doc build test
+#                                #   serve-faults alloc-gate train knn simd
+#                                #   quant stream formats bench repo-bench
 #
 # Steps:
 #   fmt     cargo fmt --check over the whole workspace
 #   clippy  clippy with warnings denied, all targets
+#   doc     rustdoc with warnings denied (broken or private intra-doc
+#           links), one product crate at a time: the root package's `imre`
+#           library and imre-cli's `imre` binary share a doc output name,
+#           so a workspace-wide run would collide; the vendored harnesses
+#           are not documented
 #   build   release build of the workspace
 #   test    the full test suite (tier-1 gate)
 #   serve-faults
@@ -136,6 +141,14 @@ step_fmt() {
 
 step_clippy() {
     cargo clippy --offline --workspace --all-targets -- -D warnings
+}
+
+step_doc() {
+    local manifest
+    for manifest in Cargo.toml crates/*/Cargo.toml; do
+        RUSTDOCFLAGS='-D warnings' cargo doc --offline --no-deps -q \
+            -p "$(sed -n 's/^name = "\(.*\)"$/\1/p' "$manifest" | head -n 1)"
+    done
 }
 
 step_build() {
@@ -382,7 +395,7 @@ case "${1:-}" in
     steps=(fmt clippy test serve-faults)
     ;;
 "")
-    steps=(fmt clippy build test serve-faults alloc-gate train knn simd quant stream formats bench repo-bench)
+    steps=(fmt clippy doc build test serve-faults alloc-gate train knn simd quant stream formats bench repo-bench)
     ;;
 *)
     steps=("$@")
@@ -391,12 +404,12 @@ esac
 
 for s in "${steps[@]}"; do
     case "$s" in
-    fmt | clippy | build | test | train | knn | simd | quant | stream | formats | bench) run_step "$s" "step_$s" ;;
+    fmt | clippy | doc | build | test | train | knn | simd | quant | stream | formats | bench) run_step "$s" "step_$s" ;;
     serve-faults) run_step "$s" step_serve_faults ;;
     alloc-gate) run_step "$s" step_alloc_gate ;;
     repo-bench) run_step "$s" step_repo_bench ;;
     *)
-        echo "ci.sh: unknown step '$s' (valid: fmt clippy build test serve-faults alloc-gate train knn simd quant stream formats bench repo-bench)" >&2
+        echo "ci.sh: unknown step '$s' (valid: fmt clippy doc build test serve-faults alloc-gate train knn simd quant stream formats bench repo-bench)" >&2
         exit 2
         ;;
     esac
