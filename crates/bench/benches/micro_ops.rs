@@ -332,6 +332,12 @@ fn bench_graph_and_line(c: &mut Criterion) {
     c.bench_function("line_10k_samples", |b| {
         b.iter(|| std::hint::black_box(train_line(&graph, &line)));
     });
+    // The width of a stream refresh: the served bundles' 128-wide table,
+    // 64 per order.
+    let wide = LineConfig { dim: 128, ..line };
+    c.bench_function("line_10k_samples_dim128", |b| {
+        b.iter(|| std::hint::black_box(train_line(&graph, &wide)));
+    });
 }
 
 fn bench_featurize(c: &mut Criterion) {
