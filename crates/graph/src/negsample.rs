@@ -27,9 +27,9 @@ pub(crate) fn decayed_lr(lr: f32, step: usize, total: usize, floor: f32) -> f32 
 fn update(s: &[f32], t: &mut [f32], err: &mut [f32], positive: bool, lr: f32) {
     let label = if positive { 1.0 } else { 0.0 };
     let g = lr * (label - sigmoid_scalar(imre_tensor::dot(s, t)));
-    for ((e, t), &s) in err.iter_mut().zip(t.iter_mut()).zip(s) {
-        *e += g * *t;
-        *t += g * s;
+    for ((e, tj), &sj) in err.iter_mut().zip(t.iter_mut()).zip(s) {
+        *e += g * *tj;
+        *tj += g * sj;
     }
 }
 
